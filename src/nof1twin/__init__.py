@@ -1,42 +1,21 @@
 """Within-individual treatment effect estimation for n-of-1 time series."""
 
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_apte, long_run_mean, simulate_dataset
-from .core import (
-    FeatureMatrix,
-    FeatureSpec,
-    PeriodRecord,
-    SeedSpec,
-    TimeSeriesDataset,
-    assemble_features,
-    dichotomize_exposure,
-    log10_transform,
-)
-from .errors import ConfigError, ConvergenceError, DataError, EstimatorError, Nof1TwinError
-from .harness import (
-    Method,
-    MethodOptions,
-    ReplicationReport,
-    StudyConfig,
-    apply_method,
-    default_study_params,
-    estimate_coef,
-    estimate_raw,
-    replicate,
-)
+from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, assemble_features
+from .errors import ConfigError, DataError, EstimatorError, Nof1TwinError
+from .harness import Method, MethodOptions, StudyConfig, apply_method, default_study_params, replicate
 from .models import (
-    FittedOutcomeModel,
-    FittedPropensityModel,
+    FittedModel,
     ForestConfig,
     fit_forest_outcome,
     fit_forest_propensity,
     fit_linear_outcome,
     fit_logistic_propensity,
-    linear_outcome_from_coefficients,
-    logistic_propensity_from_coefficients,
+    glm_from_coefficients,
 )
-from .motr import ApteEstimate, MotrConfig, MotrRun, initial_conditions, run_motr, run_motr_once
-from .oracle import EnumSpec, enumerate_apte, historical_apte
-from .pstn import PstnConfig, PstnResult, pstn_from_propensities, run_pstn
+from .motr import ApteEstimate, MotrConfig, run_motr
+from .oracle import EnumSpec, enumerate_apte
+from .pstn import PstnConfig, PstnResult, run_pstn
 
 __version__ = "0.1.0"
 
@@ -44,25 +23,19 @@ __all__ = [
     "ApteEstimate",
     "ArcoParams",
     "ConfigError",
-    "ConvergenceError",
     "DataError",
     "EnumSpec",
     "EstimatorError",
-    "FeatureMatrix",
     "FeatureSpec",
-    "FittedOutcomeModel",
-    "FittedPropensityModel",
+    "FittedModel",
     "ForestConfig",
     "Method",
     "MethodOptions",
     "MotrConfig",
-    "MotrRun",
     "Nof1TwinError",
-    "PeriodRecord",
     "PropensityParams",
     "PstnConfig",
     "PstnResult",
-    "ReplicationReport",
     "SeedSpec",
     "SimConfig",
     "StudyConfig",
@@ -70,25 +43,16 @@ __all__ = [
     "apply_method",
     "assemble_features",
     "default_study_params",
-    "dichotomize_exposure",
     "enumerate_apte",
-    "estimate_coef",
-    "estimate_raw",
     "fit_forest_outcome",
     "fit_forest_propensity",
     "fit_linear_outcome",
     "fit_logistic_propensity",
-    "historical_apte",
-    "initial_conditions",
-    "linear_outcome_from_coefficients",
-    "log10_transform",
-    "logistic_propensity_from_coefficients",
+    "glm_from_coefficients",
     "long_run_apte",
     "long_run_mean",
-    "pstn_from_propensities",
     "replicate",
     "run_motr",
-    "run_motr_once",
     "run_pstn",
     "simulate_dataset",
 ]

@@ -98,16 +98,11 @@ def _exog_matrix(
     total: int,
 ) -> tuple[tuple[str, ...], np.ndarray]:
     names = tuple(exog.keys()) if exog else ()
-    if len(params.beta_ex) not in (0, len(names)):
-        raise ConfigError(
-            f"beta_ex has {len(params.beta_ex)} entries but {len(names)} exogenous "
-            "series were supplied"
-        )
-    if len(prop.alpha_ex) not in (0, len(names)):
-        raise ConfigError(
-            f"alpha_ex has {len(prop.alpha_ex)} entries but {len(names)} exogenous "
-            "series were supplied"
-        )
+    for label, coefs in (("beta_ex", params.beta_ex), ("alpha_ex", prop.alpha_ex)):
+        if len(coefs) not in (0, len(names)):
+            raise ConfigError(
+                f"{label} has {len(coefs)} entries but {len(names)} exogenous series were supplied"
+            )
     if not names:
         return (), np.zeros((total, 0))
     mat = np.column_stack([np.asarray(exog[n], dtype=float) for n in names])
@@ -193,8 +188,16 @@ def simulate_dataset(
             po0[t] = common
             y[t] = po1[t] if x[t] else po0[t]
 
+    finite = np.isfinite(y) & np.isfinite(po1) & np.isfinite(po0)
+    if not finite.all():
+        bad = int(np.flatnonzero(~finite)[0]) + 1
+        raise ConfigError(
+            f"simulated outcome is not finite at period {bad} of {total} (burn-in included); "
+            "the parameters make the series diverge"
+        )
+    if not np.array_equal(y, po1 * x + po0 * (1 - x)):
+        raise RuntimeError("simulated outcomes violate causal consistency")
     keep = slice(cfg.burn_in, total)
-    assert np.array_equal(y, po1 * x + po0 * (1 - x))
     ds = TimeSeriesDataset(
         y=y[keep],
         x=x[keep],

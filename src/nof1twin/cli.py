@@ -10,6 +10,7 @@ artifacts alone.  Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -45,23 +46,26 @@ from .pstn import PstnConfig, PstnResult
 
 DEFAULT_SEED = 1
 
-_PARAM_KEYS = {
-    "beta0": float,
-    "betaX": float,
-    "betaCo": float,
-    "betaXco": float,
-    "betaAr": float,
-    "betaXar": float,
-    "sigmaEps": float,
-    "alpha0": float,
-    "alphaEn": float,
-    "alphaAr": float,
-    "pi1": float,
-    "m": int,
-    "burnin": int,
-    "seed": int,
-    "randomized": bool,
+# Simulation-parameter key -> (config dataclass, field).  Defaults come from
+# default_study_params() and _SIM_DEFAULTS; each key parses as its default's type.
+_PARAM_FIELDS = {
+    "beta0": (ArcoParams, "beta0"),
+    "betaX": (ArcoParams, "beta_x"),
+    "betaCo": (ArcoParams, "beta_co"),
+    "betaXco": (ArcoParams, "beta_xco"),
+    "betaAr": (ArcoParams, "beta_ar"),
+    "betaXar": (ArcoParams, "beta_xar"),
+    "sigmaEps": (ArcoParams, "sigma_eps"),
+    "alpha0": (PropensityParams, "alpha0"),
+    "alphaEn": (PropensityParams, "alpha_en"),
+    "alphaAr": (PropensityParams, "alpha_ar"),
+    "pi1": (PropensityParams, "pi1"),
+    "m": (SimConfig, "m_analysis"),
+    "burnin": (SimConfig, "burn_in"),
+    "seed": (SimConfig, "seed"),
+    "randomized": (SimConfig, "randomized_mode"),
 }
+_SIM_DEFAULTS = {"m_analysis": 220, "burn_in": 2, "seed": DEFAULT_SEED, "randomized_mode": False}
 
 
 def _parse_bool(text: str) -> bool:
@@ -83,28 +87,13 @@ def _parse_kv(text: str) -> tuple[str, str]:
 def load_params_config(path: str | None, overrides: list[str]) -> dict:
     """Resolve the simulation-parameter configuration, defaults upward."""
     arco, prop = default_study_params()
-    resolved: dict = {
-        "beta0": arco.beta0,
-        "betaX": arco.beta_x,
-        "betaCo": arco.beta_co,
-        "betaXco": arco.beta_xco,
-        "betaAr": arco.beta_ar,
-        "betaXar": arco.beta_xar,
-        "sigmaEps": arco.sigma_eps,
-        "alpha0": prop.alpha0,
-        "alphaEn": prop.alpha_en,
-        "alphaAr": prop.alpha_ar,
-        "pi1": prop.pi1,
-        "m": 220,
-        "burnin": 2,
-        "seed": DEFAULT_SEED,
-        "randomized": False,
-    }
+    source = {ArcoParams: vars(arco), PropensityParams: vars(prop), SimConfig: _SIM_DEFAULTS}
+    resolved = {key: source[cls][name] for key, (cls, name) in _PARAM_FIELDS.items()}
 
     def apply(key: str, raw: str, origin: str) -> None:
-        if key not in _PARAM_KEYS:
+        if key not in _PARAM_FIELDS:
             raise ConfigError(f"{origin}: unknown configuration key {key!r}")
-        kind = _PARAM_KEYS[key]
+        kind = type(resolved[key])
         try:
             resolved[key] = _parse_bool(raw) if kind is bool else kind(raw)
         except ValueError:
@@ -128,23 +117,36 @@ def load_params_config(path: str | None, overrides: list[str]) -> dict:
     return resolved
 
 
-def _params_from_config(cfg: dict) -> tuple[ArcoParams, PropensityParams]:
-    arco = ArcoParams(
-        beta0=cfg["beta0"],
-        beta_x=cfg["betaX"],
-        beta_co=cfg["betaCo"],
-        beta_xco=cfg["betaXco"],
-        beta_ar=cfg["betaAr"],
-        beta_xar=cfg["betaXar"],
-        sigma_eps=cfg["sigmaEps"],
+def _resolve_params(args: argparse.Namespace, *flags: str) -> dict:
+    """The parameter configuration with the given dedicated flags applied on top."""
+    cfg = load_params_config(args.params, args.set or [])
+    for key in flags:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    return cfg
+
+
+def _build(cls, cfg: dict):
+    """The `cls` dataclass from the configuration keys that map onto it."""
+    return cls(**{name: cfg[key] for key, (owner, name) in _PARAM_FIELDS.items() if owner is cls})
+
+
+def _method_options(args: argparse.Namespace, **specs: FeatureSpec) -> MethodOptions:
+    return MethodOptions(
+        motr=MotrConfig(
+            r_min=args.r_min,
+            r_max=args.r_max,
+            stop_tol=args.stop_tol,
+            stop_window=args.stop_window,
+        ),
+        pstn=PstnConfig(
+            trim_bounds=(args.trim[0], args.trim[1]),
+            use_overlap=not args.no_overlap,
+            use_stabilized=not args.no_stabilize,
+        ),
+        forest=ForestConfig(n_trees=args.n_trees, mtry=args.mtry, min_node_size=args.min_node_size),
+        **specs,
     )
-    prop = PropensityParams(
-        alpha0=cfg["alpha0"],
-        alpha_en=cfg["alphaEn"],
-        alpha_ar=cfg["alphaAr"],
-        pi1=cfg["pi1"],
-    )
-    return arco, prop
 
 
 def _echo_lines(cfg: dict) -> list[str]:
@@ -165,23 +167,9 @@ def _write_json(payload: dict, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_params_config(args.params, args.set or [])
-    if args.m is not None:
-        cfg["m"] = args.m
-    if args.burnin is not None:
-        cfg["burnin"] = args.burnin
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.randomized:
-        cfg["randomized"] = True
-    arco, prop = _params_from_config(cfg)
-    sim = SimConfig(
-        m_analysis=cfg["m"],
-        burn_in=cfg["burnin"],
-        seed=SeedSpec(cfg["seed"]),
-        randomized_mode=cfg["randomized"],
-    )
-    ds = simulate_dataset(arco, prop, sim)
+    cfg = _resolve_params(args, "m", "burnin", "seed", "randomized")
+    arco, prop = _build(ArcoParams, cfg), _build(PropensityParams, cfg)
+    ds = simulate_dataset(arco, prop, _build(SimConfig, cfg))
     try:
         ds.to_csv(args.output, header_comments=_echo_lines(cfg))
     except OSError as exc:
@@ -194,9 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_analysis_dataset(args: argparse.Namespace) -> TimeSeriesDataset:
-    t, y, x, exog = load_table(args.data)
-    if not np.array_equal(t, np.arange(1, len(y) + 1)):
-        raise DataError(f"{args.data}: period column t must be contiguous integers starting at 1")
+    y, x, exog = load_table(args.data)
     if args.log10_y:
         y = log10_transform(y)
     if args.dichotomize_x:
@@ -211,43 +197,11 @@ def _load_analysis_dataset(args: argparse.Namespace) -> TimeSeriesDataset:
 def _feature_specs(args: argparse.Namespace) -> tuple[FeatureSpec, FeatureSpec]:
     exog = tuple(n for n in (args.exog or "").split(",") if n)
     lag = {"continuous": LAG_CONTINUOUS, "quartile": LAG_QUARTILE, "none": LAG_NONE}[args.lag_y]
-    outcome = FeatureSpec(
-        include_current_exposure=True,
-        outcome_lag_mode=lag,
-        use_exposure_lag1=args.lag_x,
-        exog_names=exog,
-    )
-    propensity = FeatureSpec(
-        include_current_exposure=False,
-        outcome_lag_mode=lag,
-        use_exposure_lag1=args.lag_x,
-        exog_names=exog,
+    outcome, propensity = (
+        FeatureSpec(current, outcome_lag_mode=lag, use_exposure_lag1=args.lag_x, exog_names=exog)
+        for current in (True, False)
     )
     return outcome, propensity
-
-
-def _analyze_config_echo(args: argparse.Namespace, method: Method) -> dict:
-    return {
-        "data": args.data,
-        "method": method.value.replace("_", "-"),
-        "seed": args.seed,
-        "lag_y": args.lag_y,
-        "lag_x": args.lag_x,
-        "exog": args.exog or "",
-        "log10_y": args.log10_y,
-        "dichotomize_x": args.dichotomize_x,
-        "r_min": args.r_min,
-        "r_max": args.r_max,
-        "stop_tol": args.stop_tol,
-        "stop_window": args.stop_window,
-        "trim_lo": args.trim[0],
-        "trim_hi": args.trim[1],
-        "use_overlap": not args.no_overlap,
-        "use_stabilized": not args.no_stabilize,
-        "n_trees": args.n_trees,
-        "mtry": args.mtry,
-        "min_node_size": args.min_node_size,
-    }
 
 
 def _result_payload(res) -> dict:
@@ -281,27 +235,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     method = Method.parse(args.method)
     ds = _load_analysis_dataset(args)
     outcome_spec, propensity_spec = _feature_specs(args)
-    opts = MethodOptions(
-        outcome_spec=outcome_spec,
-        propensity_spec=propensity_spec,
-        motr=MotrConfig(
-            r_min=args.r_min,
-            r_max=args.r_max,
-            stop_tol=args.stop_tol,
-            stop_window=args.stop_window,
-        ),
-        pstn=PstnConfig(
-            trim_bounds=(args.trim[0], args.trim[1]),
-            use_overlap=not args.no_overlap,
-            use_stabilized=not args.no_stabilize,
-        ),
-        forest=ForestConfig(
-            n_trees=args.n_trees, mtry=args.mtry, min_node_size=args.min_node_size
-        ),
-    )
+    opts = _method_options(args, outcome_spec=outcome_spec, propensity_spec=propensity_spec)
     res = apply_method(ds, method, opts, SeedSpec(args.seed))
     payload = {
-        "config": _analyze_config_echo(args, method),
+        "config": {
+            "data": args.data,
+            "method": method.value.replace("_", "-"),
+            "seed": args.seed,
+            "lag_y": args.lag_y,
+            "lag_x": args.lag_x,
+            "exog": args.exog or "",
+            "log10_y": args.log10_y,
+            "dichotomize_x": args.dichotomize_x,
+            **opts.to_echo(),
+        },
         "method": method.value.replace("_", "-"),
         "result": _result_payload(res),
     }
@@ -323,10 +270,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _write_runs_csv(path: str, est: ApteEstimate) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["r", "delta_r", "lo_r", "hi_r", "cum_delta", "cum_lo", "cum_hi"])
         # Recover per-run values from consecutive cumulative means.
         prev = (0.0, 0.0, 0.0)
@@ -339,11 +284,9 @@ def _write_runs_csv(path: str, est: ApteEstimate) -> None:
 
 
 def _write_periods_csv(path: str, res: PstnResult) -> None:
-    import csv as _csv
-
     weight_by_t = dict(zip(res.retained, res.weights))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["t", "pi_hat", "weight", "retained"])
         for t, pi in zip(res.t_index, res.pi_hat):
             kept = t in weight_by_t
@@ -355,37 +298,17 @@ def _write_periods_csv(path: str, res: PstnResult) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    cfg = load_params_config(args.params, args.set or [])
-    if args.m is not None:
-        cfg["m"] = args.m
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    arco, prop = _params_from_config(cfg)
-    methods = tuple(Method.parse(name) for name in args.methods.split(","))
+    cfg = _resolve_params(args, "m", "seed")
+    opts = _method_options(args)
     study = StudyConfig(
         h_datasets=args.h_datasets,
         m_analysis=cfg["m"],
-        params=arco,
-        propensity=prop,
-        methods=methods,
+        params=_build(ArcoParams, cfg),
+        propensity=_build(PropensityParams, cfg),
+        methods=tuple(Method.parse(name) for name in args.methods.split(",")),
         burn_in=cfg["burnin"],
         seed=SeedSpec(cfg["seed"]),
-        options=MethodOptions(
-            motr=MotrConfig(
-                r_min=args.r_min,
-                r_max=args.r_max,
-                stop_tol=args.stop_tol,
-                stop_window=args.stop_window,
-            ),
-            pstn=PstnConfig(
-                trim_bounds=(args.trim[0], args.trim[1]),
-                use_overlap=not args.no_overlap,
-                use_stabilized=not args.no_stabilize,
-            ),
-            forest=ForestConfig(
-                n_trees=args.n_trees, mtry=args.mtry, min_node_size=args.min_node_size
-            ),
-        ),
+        options=opts,
         workers=args.workers,
     )
     report = replicate(study)
@@ -395,15 +318,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
             "h_datasets": args.h_datasets,
             "methods": args.methods,
             "workers": args.workers,
-            "r_min": args.r_min,
-            "r_max": args.r_max,
-            "stop_tol": args.stop_tol,
-            "stop_window": args.stop_window,
-            "trim_lo": args.trim[0],
-            "trim_hi": args.trim[1],
-            "use_overlap": not args.no_overlap,
-            "use_stabilized": not args.no_stabilize,
-            "n_trees": args.n_trees,
+            **opts.to_echo(),
         }
     )
     try:
@@ -419,11 +334,9 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = load_params_config(args.params, args.set or [])
-    if args.m is not None:
-        cfg["m"] = args.m
+    cfg = _resolve_params(args, "m")
     cfg["sigmaEps"] = 0.0
-    arco, _ = _params_from_config(cfg)
+    arco = _build(ArcoParams, cfg)
     mode = MODE_PERMUTATION if args.mode == "permutation" else MODE_IID
     spec = EnumSpec(
         m=cfg["m"],
@@ -487,7 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--m", type=int, help="analyzed length after burn-in (default 220)")
     sim.add_argument("--burnin", type=int, help="leading periods to discard (default 2)")
     sim.add_argument("--seed", type=int, help=f"base seed (default {DEFAULT_SEED})")
-    sim.add_argument("--randomized", action="store_true", help="i.i.d. Bernoulli(pi1) exposure")
+    sim.add_argument(
+        "--randomized", action="store_true", default=None, help="i.i.d. Bernoulli(pi1) exposure"
+    )
     sim.add_argument("-o", "--output", required=True, help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -62,8 +62,13 @@ class SeedSpec:
 
     def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Gaussian draws via the inverse normal CDF on the uniform stream."""
-        u = np.clip(self.uniforms(n), _U_EPS, 1.0 - _U_EPS)
-        return ndtri(u) * scale
+        return normals(self.generator(), n, scale)
+
+
+def normals(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    """The next n uniforms of `rng` mapped through the inverse normal CDF."""
+    u = np.clip(rng.random(n), _U_EPS, 1.0 - _U_EPS)
+    return ndtri(u) * scale
 
 
 def as_seed(seed: "SeedSpec | int") -> SeedSpec:
@@ -74,16 +79,6 @@ def as_seed(seed: "SeedSpec | int") -> SeedSpec:
 # Dataset container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    """One observation period: index, outcome, binary exposure, exogenous values."""
-
-    t: int
-    y: float
-    x: int
-    exog: Mapping[str, float] = field(default_factory=dict)
-
-
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr)
     out.setflags(write=False)
@@ -91,7 +86,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class TimeSeriesDataset:
-    """Ordered per-period records with analysis provenance.
+    """Ordered per-period observations with analysis provenance.
 
     Periods are indexed by contiguous integers starting at 1.  Outcomes must
     be finite, exposures binary; exogenous covariates share one name set
@@ -163,18 +158,6 @@ class TimeSeriesDataset:
             return np.empty((self.m, 0))
         return np.column_stack([self.exog(n) for n in names])
 
-    @property
-    def periods(self) -> tuple[PeriodRecord, ...]:
-        return tuple(
-            PeriodRecord(
-                t=i + 1,
-                y=float(self._y[i]),
-                x=int(self._x[i]),
-                exog={n: float(self._exog[n][i]) for n in self._exog_names},
-            )
-            for i in range(self.m)
-        )
-
     def __len__(self) -> int:
         return self.m
 
@@ -205,17 +188,15 @@ class TimeSeriesDataset:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesDataset":
-        t, y, x, exog = load_table(path)
-        ds = cls(y=y, x=x.astype(np.int64) if np.all(np.isin(x, (0, 1))) else x, exog=exog)
-        if not np.array_equal(t, np.arange(1, len(y) + 1)):
-            raise DataError("period column t must be contiguous integers starting at 1")
-        return ds
+        y, x, exog = load_table(path)
+        return cls(y=y, x=x.astype(np.int64) if np.all(np.isin(x, (0, 1))) else x, exog=exog)
 
 
-def load_table(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     """Parse the dataset CSV into raw columns, before any transform.
 
-    Returns (t, y, x, exog) where x may still be continuous.  Lines starting
+    Returns (y, x, exog) where x may still be continuous, after checking that
+    the period column t holds the contiguous integers 1..m.  Lines starting
     with '#' are ignored.  Missing or non-numeric cells raise DataError with
     the offending line number.
     """
@@ -251,11 +232,10 @@ def load_table(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.n
                 raise DataError(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column {header[j]!r}"
                 ) from None
-    t = parsed[:, 0]
-    if not np.array_equal(t, np.round(t)):
-        raise DataError(f"{path}: period column t must be integral")
+    if not np.array_equal(parsed[:, 0], np.arange(1, len(parsed) + 1)):
+        raise DataError(f"{path}: period column t must be contiguous integers starting at 1")
     exog = {name: parsed[:, 3 + k] for k, name in enumerate(exog_names)}
-    return t.astype(np.int64), parsed[:, 1], parsed[:, 2], exog
+    return parsed[:, 1], parsed[:, 2], exog
 
 
 # ---------------------------------------------------------------------------

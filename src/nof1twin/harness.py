@@ -18,7 +18,6 @@ from collections.abc import Iterable
 import numpy as np
 from scipy.stats import t as t_dist
 
-from ._stats import welch_interval
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simulate_dataset
 from .core import (
     LAG_CONTINUOUS,
@@ -36,7 +35,7 @@ from .models import (
     fit_linear_outcome,
     fit_logistic_propensity,
 )
-from .motr import MotrConfig, run_motr
+from .motr import MotrConfig, run_motr, welch_interval_from_moments
 from .pstn import PstnConfig, run_pstn
 
 # Sub-stream labels under one dataset's SeedSpec.
@@ -107,6 +106,23 @@ class MethodOptions:
     pstn: PstnConfig = PstnConfig()
     forest: ForestConfig = ForestConfig()
 
+    def to_echo(self) -> dict:
+        """The MoTR budget, PSTn hygiene and forest settings as flat key/value pairs."""
+        motr, pstn, forest = self.motr, self.pstn, self.forest
+        return {
+            "r_min": motr.r_min,
+            "r_max": motr.r_max,
+            "stop_tol": motr.stop_tol,
+            "stop_window": motr.stop_window,
+            "trim_lo": pstn.trim_bounds[0],
+            "trim_hi": pstn.trim_bounds[1],
+            "use_overlap": pstn.use_overlap,
+            "use_stabilized": pstn.use_stabilized,
+            "n_trees": forest.n_trees,
+            "mtry": forest.mtry,
+            "min_node_size": forest.min_node_size,
+        }
+
 
 @dataclass(frozen=True)
 class ApplyResult:
@@ -126,8 +142,15 @@ def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
     if len(y1) == 0 or len(y0) == 0:
         counts = {1: len(y1), 0: len(y0)}
         raise EstimatorError(f"raw comparison needs both arms, got counts {counts}")
-    delta, ci, _ = welch_interval(y1, y0)
-    return ApplyResult(Method.RAW, delta, ci)
+    lo, hi, _ = welch_interval_from_moments(
+        y1.mean(),
+        y1.var(ddof=1) if len(y1) > 1 else 0.0,
+        len(y1),
+        y0.mean(),
+        y0.var(ddof=1) if len(y0) > 1 else 0.0,
+        len(y0),
+    )
+    return ApplyResult(Method.RAW, float(y1.mean() - y0.mean()), (float(lo), float(hi)))
 
 
 def estimate_coef(ds: TimeSeriesDataset) -> ApplyResult:
@@ -237,7 +260,6 @@ class ReplicationReport:
     true_apte: float
     rows: tuple[ReplicationRow, ...]
     summary: dict[Method, MethodSummary]
-    config_echo: dict
 
     def biases(self, method: Method) -> np.ndarray:
         return np.array(
@@ -245,40 +267,43 @@ class ReplicationReport:
         )
 
     def write_rows_csv(self, path, config_lines: Iterable[str] = ()) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for line in config_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["h", "method", "estimate", "bias", "error"])
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.h,
-                        row.method.value,
-                        "" if row.estimate is None else repr(row.estimate),
-                        "" if row.bias is None else repr(row.bias),
-                        row.error or "",
-                    ]
-                )
+        _write_csv(
+            path,
+            config_lines,
+            ["h", "method", "estimate", "bias", "error"],
+            (
+                [
+                    row.h,
+                    row.method.value,
+                    "" if row.estimate is None else repr(row.estimate),
+                    "" if row.bias is None else repr(row.bias),
+                    row.error or "",
+                ]
+                for row in self.rows
+            ),
+        )
 
     def write_summary_csv(self, path, config_lines: Iterable[str] = ()) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for line in config_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["method", "mean_bias", "ci_lo", "ci_hi", "n", "failures"])
-            for method in self.summary:
-                s = self.summary[method]
-                writer.writerow(
-                    [
-                        method.value,
-                        repr(s.mean_bias),
-                        repr(s.ci_lo),
-                        repr(s.ci_hi),
-                        s.n_datasets,
-                        s.failures,
-                    ]
-                )
+        _write_csv(
+            path,
+            config_lines,
+            ["method", "mean_bias", "ci_lo", "ci_hi", "n", "failures"],
+            (
+                [s.method.value, repr(s.mean_bias), repr(s.ci_lo), repr(s.ci_hi), s.n_datasets,
+                 s.failures]
+                for s in self.summary.values()
+            ),
+        )
+
+
+def _write_csv(path, config_lines: Iterable[str], header: list[str], rows) -> None:
+    """A CSV table preceded by one `# line` comment per configuration line."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for line in config_lines:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _dataset_for(study: StudyConfig, h: int) -> TimeSeriesDataset:
@@ -301,10 +326,6 @@ def _run_one_dataset(study: StudyConfig, h: int) -> list[ReplicationRow]:
     return rows
 
 
-def _worker(args: tuple) -> list[ReplicationRow]:
-    return _run_one_dataset(*args)
-
-
 def replicate(study: StudyConfig) -> ReplicationReport:
     """Generate H datasets, apply every requested method, summarize biases.
 
@@ -313,9 +334,8 @@ def replicate(study: StudyConfig) -> ReplicationReport:
     """
     handles = range(1, study.h_datasets + 1)
     if study.workers > 1:
-        jobs = [(study, h) for h in handles]
         with ProcessPoolExecutor(max_workers=study.workers) as pool:
-            chunks = list(pool.map(_worker, jobs))
+            chunks = list(pool.map(_run_one_dataset, [study] * len(handles), handles))
     else:
         chunks = [_run_one_dataset(study, h) for h in handles]
     order = {m: i for i, m in enumerate(study.methods)}
@@ -337,48 +357,8 @@ def replicate(study: StudyConfig) -> ReplicationReport:
         half = 1.96 * sd / np.sqrt(n)
         summary[method] = MethodSummary(method, mean, mean - half, mean + half, n, failures)
 
-    echo = {
-        "h_datasets": study.h_datasets,
-        "m_analysis": study.m_analysis,
-        "burn_in": study.burn_in,
-        "seed": as_seed(study.seed).base_seed,
-        "methods": [m.value for m in study.methods],
-        "true_apte": study.params.beta_x,
-        "params": {
-            "beta0": study.params.beta0,
-            "betaX": study.params.beta_x,
-            "betaCo": study.params.beta_co,
-            "betaXco": study.params.beta_xco,
-            "betaAr": study.params.beta_ar,
-            "betaXar": study.params.beta_xar,
-            "sigmaEps": study.params.sigma_eps,
-            "alpha0": study.propensity.alpha0,
-            "alphaEn": study.propensity.alpha_en,
-            "alphaAr": study.propensity.alpha_ar,
-            "pi1": study.propensity.pi1,
-        },
-        "motr": {
-            "r_min": study.options.motr.r_min,
-            "r_max": study.options.motr.r_max,
-            "stop_tol": study.options.motr.stop_tol,
-            "stop_window": study.options.motr.stop_window,
-        },
-        "pstn": {
-            "trim_lo": study.options.pstn.trim_bounds[0],
-            "trim_hi": study.options.pstn.trim_bounds[1],
-            "use_overlap": study.options.pstn.use_overlap,
-            "use_stabilized": study.options.pstn.use_stabilized,
-        },
-        "forest": {
-            "n_trees": study.options.forest.n_trees,
-            "mtry": study.options.forest.mtry,
-            "min_node_size": study.options.forest.min_node_size,
-        },
-        "workers": study.workers,
-    }
     return ReplicationReport(
         true_apte=study.params.beta_x,
         rows=tuple(rows),
         summary=summary,
-        config_echo=echo,
     )

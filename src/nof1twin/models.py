@@ -60,65 +60,66 @@ class ForestConfig:
 
 
 class _LinearPredictor:
-    def __init__(self, beta: np.ndarray, keep: np.ndarray):
+    """A GLM's linear predictor, mapped through the logistic link when `logistic`."""
+
+    def __init__(self, beta: np.ndarray, keep: np.ndarray, logistic: bool = False):
         self.beta = beta
         self.keep = keep  # design columns kept after any reference drop
+        self.logistic = logistic
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         f = np.atleast_2d(np.asarray(f, dtype=float))
-        design = np.hstack([np.ones((f.shape[0], 1)), f[:, self.keep]])
-        return design @ self.beta
+        eta = np.hstack([np.ones((f.shape[0], 1)), f[:, self.keep]]) @ self.beta
+        return 1.0 / (1.0 + np.exp(-eta)) if self.logistic else eta
+
+
+class _ForestPredictor:
+    def __init__(self, forest: FlatForest, clip: bool):
+        self.forest = forest
+        self.clip = clip
+
+    def __call__(self, f: np.ndarray) -> np.ndarray:
+        pred = self.forest.predict(f)
+        return np.clip(pred, 0.0, 1.0) if self.clip else pred
 
 
 @dataclass(frozen=True)
-class FittedOutcomeModel:
-    """A trained mean-outcome predictor plus its residual scale."""
+class FittedModel:
+    """A trained twin: an outcome mean or an exposure probability.
 
-    kind: str  # "linear" | "forest"
+    Outcome models carry their residual scale in `resid_sd`; propensity
+    models leave it None.  Forest propensity models also keep their
+    out-of-bag in-sample probabilities together with the (read-only)
+    feature matrix they were trained on.
+    """
+
+    kind: str  # "linear" | "logistic" | "forest"
     columns: tuple[str, ...]
-    resid_sd: float
+    resid_sd: float | None = None
     coefficients: dict[str, float] | None = None
     coefficient_se: dict[str, float] | None = None
-    forest_config: ForestConfig | None = None
-    _predictor: object = field(default=None, repr=False, compare=False)
-
-    def predict_mean(self, f: np.ndarray) -> np.ndarray:
-        """Mean prediction for feature rows laid out as in the fitted matrix."""
-        return self._predictor(f)
-
-    def summary(self) -> dict:
-        out: dict = {"kind": self.kind, "columns": list(self.columns), "resid_sd": self.resid_sd}
-        if self.coefficients is not None:
-            out["coefficients"] = dict(self.coefficients)
-        if self.forest_config is not None:
-            out["forest"] = {
-                "n_trees": self.forest_config.n_trees,
-                "mtry": self.forest_config.mtry,
-                "min_node_size": self.forest_config.min_node_size,
-            }
-        return out
-
-
-@dataclass(frozen=True)
-class FittedPropensityModel:
-    """A trained exposure-probability predictor."""
-
-    kind: str  # "logistic" | "forest"
-    columns: tuple[str, ...]
-    coefficients: dict[str, float] | None = None
     separation_warning: bool = False
     forest_config: ForestConfig | None = None
     insample_prob: np.ndarray | None = field(default=None, compare=False)
+    train_values: np.ndarray | None = field(default=None, repr=False, compare=False)
     _predictor: object = field(default=None, repr=False, compare=False)
 
-    def predict_prob(self, f: np.ndarray) -> np.ndarray:
+    @property
+    def is_outcome(self) -> bool:
+        return self.resid_sd is not None
+
+    def predict(self, f: np.ndarray) -> np.ndarray:
+        """Mean outcome or exposure probability for rows laid out as in the fit."""
         return self._predictor(f)
 
     def summary(self) -> dict:
         out: dict = {"kind": self.kind, "columns": list(self.columns)}
+        if self.is_outcome:
+            out["resid_sd"] = self.resid_sd
         if self.coefficients is not None:
             out["coefficients"] = dict(self.coefficients)
-            out["separation_warning"] = self.separation_warning
+            if not self.is_outcome:
+                out["separation_warning"] = self.separation_warning
         if self.forest_config is not None:
             out["forest"] = {
                 "n_trees": self.forest_config.n_trees,
@@ -128,8 +129,18 @@ class FittedPropensityModel:
         return out
 
 
+def _target(fm: FeatureMatrix, values: np.ndarray, outcome: bool) -> np.ndarray:
+    """The response as floats, after the checks shared by GLM and forest fits."""
+    values = np.asarray(values, dtype=float)
+    if outcome and not fm.spec.include_current_exposure:
+        raise EstimatorError("outcome models must include the current exposure feature")
+    if not outcome and not (np.any(values == 1) and np.any(values == 0)):
+        raise EstimatorError("propensity fit needs both exposure classes present")
+    return values
+
+
 def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Intercept-augmented design matrix for the GLM fitters.
+    """Intercept-augmented, full-rank design matrix for the GLM fitters.
 
     A full quartile indicator block is collinear with the intercept, so the
     first slot is dropped as the reference level (its effect is absorbed by
@@ -142,33 +153,29 @@ def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray]:
         keep = np.delete(keep, ref)
         cols.pop(ref)
     design = np.hstack([np.ones((fm.n_rows, 1)), fm.values[:, keep]])
-    return design, [INTERCEPT, *cols], keep
-
-
-def _check_rank(design: np.ndarray, names: list[str]) -> None:
+    names = [INTERCEPT, *cols]
+    n, p = design.shape
+    if n < p + 1:
+        raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
     _, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = _RANK_TOL * max(design.shape) * (diag[0] if diag.size else 1.0)
     rank = int((diag > tol).sum())
-    if rank < design.shape[1]:
+    if rank < p:
         collinear = [names[j] for j in pivot[rank:]]
         raise EstimatorError(f"design matrix is rank deficient; collinear column(s): {collinear}")
+    return design, names, keep
 
 
-def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedOutcomeModel:
+def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedModel:
     """Least-squares outcome fit with intercept.
 
     Coefficients minimize the sum of squared residuals via QR; resid_sd is
     the sample SD of residuals with denominator n - p.
     """
-    if not fm.spec.include_current_exposure:
-        raise EstimatorError("outcome models must include the current exposure feature")
-    y = np.asarray(y, dtype=float)
+    y = _target(fm, y, outcome=True)
     design, names, keep = _design(fm)
     n, p = design.shape
-    if n < p + 1:
-        raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
-    _check_rank(design, names)
     q, r = np.linalg.qr(design)
     beta = scipy.linalg.solve_triangular(r, q.T @ y)
     resid = y - design @ beta
@@ -176,7 +183,7 @@ def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedOutcomeModel:
     resid_sd = math.sqrt(max(ssr, 0.0) / (n - p))
     r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
     se = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
-    return FittedOutcomeModel(
+    return FittedModel(
         kind="linear",
         columns=fm.columns,
         resid_sd=resid_sd,
@@ -186,41 +193,7 @@ def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedOutcomeModel:
     )
 
 
-def linear_outcome_from_coefficients(
-    spec_columns: tuple[str, ...],
-    coefficients: Mapping[str, float],
-    resid_sd: float,
-) -> FittedOutcomeModel:
-    """Assemble a linear outcome model from given coefficients (no fitting).
-
-    `coefficients` maps "intercept" and each feature column to its weight;
-    missing columns default to 0.
-    """
-    beta = np.array(
-        [coefficients.get(INTERCEPT, 0.0)] + [coefficients.get(c, 0.0) for c in spec_columns]
-    )
-    return FittedOutcomeModel(
-        kind="linear",
-        columns=tuple(spec_columns),
-        resid_sd=float(resid_sd),
-        coefficients={INTERCEPT: beta[0], **{c: coefficients.get(c, 0.0) for c in spec_columns}},
-        _predictor=_LinearPredictor(beta, np.arange(len(spec_columns))),
-    )
-
-
-class _LogisticPredictor:
-    def __init__(self, beta: np.ndarray, keep: np.ndarray):
-        self.beta = beta
-        self.keep = keep
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        f = np.atleast_2d(np.asarray(f, dtype=float))
-        design = np.hstack([np.ones((f.shape[0], 1)), f[:, self.keep]])
-        eta = design @ self.beta
-        return 1.0 / (1.0 + np.exp(-eta))
-
-
-def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedPropensityModel:
+def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
     """Bernoulli maximum likelihood via IRLS.
 
     Converges when the largest absolute coefficient change drops below 1e-10
@@ -228,16 +201,9 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedPropensit
     the fit stops there and the model carries a separation warning so
     downstream trimming still functions.
     """
-    x = np.asarray(x, dtype=float)
-    if not (np.any(x == 1) and np.any(x == 0)):
-        raise EstimatorError("propensity fit needs both exposure classes present")
+    x = _target(fm, x, outcome=False)
     design, names, keep = _design(fm)
-    n, p = design.shape
-    if n < p + 1:
-        raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
-    _check_rank(design, names)
-
-    beta = np.zeros(p)
+    beta = np.zeros(design.shape[1])
     separated = False
     trace: list[float] = []
     for _ in range(_IRLS_MAX_ITER):
@@ -265,39 +231,54 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedPropensit
             f"IRLS did not converge in {_IRLS_MAX_ITER} iterations; "
             f"max-step trace: {[f'{c:.3g}' for c in trace]}"
         )
-    return FittedPropensityModel(
+    return FittedModel(
         kind="logistic",
         columns=fm.columns,
         coefficients=dict(zip(names, beta.tolist())),
         separation_warning=separated,
-        _predictor=_LogisticPredictor(beta, keep),
+        _predictor=_LinearPredictor(beta, keep, logistic=True),
     )
 
 
-def logistic_propensity_from_coefficients(
-    spec_columns: tuple[str, ...],
+def glm_from_coefficients(
+    columns: tuple[str, ...],
     coefficients: Mapping[str, float],
-) -> FittedPropensityModel:
-    """Assemble a logistic propensity model from given coefficients."""
+    resid_sd: float | None = None,
+) -> FittedModel:
+    """Assemble a GLM twin from given coefficients (no fitting).
+
+    With `resid_sd` the model is a linear outcome twin; without it, a
+    logistic propensity twin.  `coefficients` maps "intercept" and each
+    feature column to its weight; missing columns default to 0.
+    """
     beta = np.array(
-        [coefficients.get(INTERCEPT, 0.0)] + [coefficients.get(c, 0.0) for c in spec_columns]
+        [coefficients.get(INTERCEPT, 0.0)] + [coefficients.get(c, 0.0) for c in columns]
     )
-    return FittedPropensityModel(
-        kind="logistic",
-        columns=tuple(spec_columns),
-        coefficients={INTERCEPT: beta[0], **{c: coefficients.get(c, 0.0) for c in spec_columns}},
-        _predictor=_LogisticPredictor(beta, np.arange(len(spec_columns))),
+    outcome = resid_sd is not None
+    return FittedModel(
+        kind="linear" if outcome else "logistic",
+        columns=tuple(columns),
+        resid_sd=float(resid_sd) if outcome else None,
+        coefficients={INTERCEPT: beta[0], **{c: coefficients.get(c, 0.0) for c in columns}},
+        _predictor=_LinearPredictor(beta, np.arange(len(columns)), logistic=not outcome),
     )
 
 
-class _ForestPredictor:
-    def __init__(self, forest: FlatForest, clip: bool):
-        self.forest = forest
-        self.clip = clip
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        pred = self.forest.predict(f)
-        return np.clip(pred, 0.0, 1.0) if self.clip else pred
+def _fit_forest(
+    fm: FeatureMatrix,
+    target: np.ndarray,
+    cfg: ForestConfig,
+    classification: bool,
+    index_sampler: IndexSampler | None,
+) -> tuple[FlatForest, np.ndarray]:
+    """Grow the forest and return it with its out-of-bag training predictions."""
+    if fm.n_rows < 5:
+        raise EstimatorError(f"forest fit needs at least 5 rows, got {fm.n_rows}")
+    mtry, node = cfg.resolve(len(fm.columns), classification)
+    forest, inbag = build_forest(
+        fm.values, target, cfg.n_trees, mtry, node, as_seed(cfg.seed), index_sampler
+    )
+    return forest, oob_predictions(forest, inbag, fm.values)
 
 
 def fit_forest_outcome(
@@ -305,7 +286,7 @@ def fit_forest_outcome(
     y: np.ndarray,
     cfg: ForestConfig,
     index_sampler: IndexSampler | None = None,
-) -> FittedOutcomeModel:
+) -> FittedModel:
     """Bagged regression trees; resid_sd from out-of-bag training residuals.
 
     Out-of-bag averaging keeps in-sample predictions honest (an all-trees
@@ -313,21 +294,13 @@ def fit_forest_outcome(
     inputs are predicted with the all-trees average.  resid_sd divides by n
     (no parameter count is available for a forest).
     """
-    if not fm.spec.include_current_exposure:
-        raise EstimatorError("outcome models must include the current exposure feature")
-    y = np.asarray(y, dtype=float)
-    if fm.n_rows < 5:
-        raise EstimatorError(f"forest fit needs at least 5 rows, got {fm.n_rows}")
-    mtry, node = cfg.resolve(len(fm.columns), classification=False)
-    forest, inbag = build_forest(
-        fm.values, y, cfg.n_trees, mtry, node, as_seed(cfg.seed), index_sampler
-    )
-    resid = y - oob_predictions(forest, inbag, fm.values)
-    resid_sd = float(np.sqrt(np.mean(resid * resid)))
-    return FittedOutcomeModel(
+    y = _target(fm, y, outcome=True)
+    forest, oob = _fit_forest(fm, y, cfg, False, index_sampler)
+    resid = y - oob
+    return FittedModel(
         kind="forest",
         columns=fm.columns,
-        resid_sd=resid_sd,
+        resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
         _predictor=_ForestPredictor(forest, clip=False),
     )
@@ -338,27 +311,21 @@ def fit_forest_propensity(
     x: np.ndarray,
     cfg: ForestConfig,
     index_sampler: IndexSampler | None = None,
-) -> FittedPropensityModel:
+) -> FittedModel:
     """Bagged classification trees (Gini splits).
 
-    predict_prob averages per-tree terminal-node class-1 proportions.  The
-    stored in-sample propensities use out-of-bag averaging for the same
-    reason as the outcome forest's residuals.
+    predict averages per-tree terminal-node class-1 proportions.  The stored
+    in-sample propensities use out-of-bag averaging for the same reason as
+    the outcome forest's residuals; they belong to `train_values`, the
+    feature matrix of the fit.
     """
-    x = np.asarray(x, dtype=float)
-    if not (np.any(x == 1) and np.any(x == 0)):
-        raise EstimatorError("propensity fit needs both exposure classes present")
-    if fm.n_rows < 5:
-        raise EstimatorError(f"forest fit needs at least 5 rows, got {fm.n_rows}")
-    mtry, node = cfg.resolve(len(fm.columns), classification=True)
-    forest, inbag = build_forest(
-        fm.values, x, cfg.n_trees, mtry, node, as_seed(cfg.seed), index_sampler
-    )
-    insample = np.clip(oob_predictions(forest, inbag, fm.values), 0.0, 1.0)
-    return FittedPropensityModel(
+    x = _target(fm, x, outcome=False)
+    forest, oob = _fit_forest(fm, x, cfg, True, index_sampler)
+    return FittedModel(
         kind="forest",
         columns=fm.columns,
         forest_config=cfg,
-        insample_prob=insample,
+        insample_prob=np.clip(oob, 0.0, 1.0),
+        train_values=fm.values,
         _predictor=_ForestPredictor(forest, clip=True),
     )

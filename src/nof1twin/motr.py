@@ -8,7 +8,7 @@ between the permuted arms.  Runs accumulate into cumulative averages of the
 effect and its per-run Welch interval bounds until a stopping rule fires.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
-then (when resid_sd > 0) the m-1 noise variates via inverse-CDF normals.
+then (when resid_sd > 0) the m-1 noise variates via core.normals.
 The residual scale is frozen from the original fit and never re-estimated
 from generated data.
 """
@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.stats import t as t_dist
 
-from ._stats import welch_interval_from_moments
 from .core import (
     FeatureSpec,
     RolloutFeatureBuilder,
@@ -28,12 +27,43 @@ from .core import (
     TimeSeriesDataset,
     as_seed,
     assemble_features,
+    normals,
 )
 from .errors import ConfigError, EstimatorError
-from .models import FittedOutcomeModel
+from .models import FittedModel
 
-_U_EPS = 2.0 ** -53
 _BLOCK = 32
+
+
+def welch_interval_from_moments(
+    mean1: np.ndarray,
+    var1: np.ndarray,
+    n1: np.ndarray,
+    mean0: np.ndarray,
+    var0: np.ndarray,
+    n0: np.ndarray,
+    level: float = 0.95,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vectorized Welch t interval for mean1 - mean0.
+
+    Inputs are sample means, ddof-1 variances, and counts.  Where the
+    interval is undefined (an arm smaller than 2, or zero pooled standard
+    error) the bounds collapse onto the point estimate and the degenerate
+    mask is set.
+    """
+    mean1, var1, n1 = np.asarray(mean1, float), np.asarray(var1, float), np.asarray(n1, float)
+    mean0, var0, n0 = np.asarray(mean0, float), np.asarray(var0, float), np.asarray(n0, float)
+    delta = mean1 - mean0
+    degenerate = (n1 < 2) | (n0 < 2)
+    v1 = np.where(degenerate, np.nan, var1 / np.maximum(n1, 1))
+    v0 = np.where(degenerate, np.nan, var0 / np.maximum(n0, 1))
+    se = np.sqrt(v1 + v0)
+    degenerate = degenerate | ~(se > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        df = (v1 + v0) ** 2 / (v1**2 / (n1 - 1) + v0**2 / (n0 - 1))
+        quant = t_dist.ppf(0.5 + level / 2.0, np.where(degenerate, 2.0, df))
+        half = np.where(degenerate, 0.0, quant * se)
+    return delta - half, delta + half, degenerate
 
 
 @dataclass(frozen=True)
@@ -81,24 +111,20 @@ class ApteEstimate:
     degenerate_ci: bool = False
 
 
-def initial_conditions(ds: TimeSeriesDataset, spec: FeatureSpec) -> tuple[float, int]:
-    """Fixed lag-1 seed values for generating t = 2.
+class _Rollout:
+    """Shared rollout engine over a block of exposure sequences.
 
-    The first observed outcome seeds the lagged-outcome feature; the first
-    observed exposure is returned for completeness, though rollouts take the
-    t = 2 exposure lag from the permuted sequence itself (period 1
+    The first observed outcome seeds the lagged-outcome feature for t = 2;
+    the t = 2 exposure lag comes from the permuted sequence itself (period 1
     contributes its permuted exposure only as a lag).  Generated periods
     t = 2..m enter the potential-outcome averages.
     """
-    if ds.m < 1:
-        raise EstimatorError("dataset is empty")
-    return float(ds.y[0]), int(ds.x[0])
 
-
-class _Rollout:
-    """Shared rollout engine over a block of exposure sequences."""
-
-    def __init__(self, ds: TimeSeriesDataset, model: FittedOutcomeModel, spec: FeatureSpec):
+    def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec):
+        if not model.is_outcome:
+            raise EstimatorError(
+                f"MoTR needs an outcome model, got a {model.kind} propensity model"
+            )
         if tuple(model.columns) != spec.columns:
             raise EstimatorError(
                 f"model was fitted on columns {tuple(model.columns)} but the feature "
@@ -109,7 +135,7 @@ class _Rollout:
         self.model = model
         self.spec = spec
         self.m = ds.m
-        self.y1, _ = initial_conditions(ds, spec)
+        self.y1 = float(ds.y[0])
 
     def generate(self, xb: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Noisy sequential predictions for periods 2..m; xb is (runs, m)."""
@@ -123,7 +149,7 @@ class _Rollout:
                 x_lag=xb[:, t - 2] if self.spec.use_exposure_lag1 else None,
                 y_lag=y_lag,
             )
-            y_t = self.model.predict_mean(f) + noise[:, t - 2]
+            y_t = self.model.predict(f) + noise[:, t - 2]
             preds[:, t - 2] = y_t
             y_lag = y_t
         return preds
@@ -150,7 +176,7 @@ def _arm_stats(preds: np.ndarray, xb: np.ndarray):
 
 def run_motr_once(
     ds: TimeSeriesDataset,
-    model: FittedOutcomeModel,
+    model: FittedModel,
     spec: FeatureSpec,
     permuted_x: np.ndarray,
     noise: np.ndarray | None = None,
@@ -184,7 +210,7 @@ def run_motr_once(
 
 def run_motr(
     ds: TimeSeriesDataset,
-    model: FittedOutcomeModel,
+    model: FittedModel,
     spec: FeatureSpec,
     cfg: MotrConfig,
 ) -> ApteEstimate:
@@ -198,6 +224,12 @@ def run_motr(
         raise EstimatorError(f"randomization needs at least 3 periods, got {ds.m}")
     if ds.x.min() == ds.x.max():
         raise EstimatorError("observed exposure sequence has a single class")
+    m1 = int(ds.x.sum())
+    if min(m1, ds.m - m1) < 2:
+        raise EstimatorError(
+            f"randomization needs at least 2 periods in each exposure arm, got "
+            f"{m1} exposed and {ds.m - m1} unexposed"
+        )
     engine = _Rollout(ds, model, spec)
     seed = as_seed(cfg.seed)
     m = ds.m
@@ -231,8 +263,7 @@ def run_motr(
             rng = seed.child(r + 1 + j).generator()
             xb[j] = x_obs[rng.permutation(m)]
             if model.resid_sd > 0:
-                u = np.clip(rng.random(m - 1), _U_EPS, 1.0 - _U_EPS)
-                noise[j] = ndtri(u) * model.resid_sd
+                noise[j] = normals(rng, m - 1, model.resid_sd)
         preds = engine.generate(xb, noise)
         mean1, var1, n1, mean0, var0, n0 = _arm_stats(preds, xb)
         lo, hi, degen = welch_interval_from_moments(mean1, var1, n1, mean0, var0, n0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import FeatureSpec, TimeSeriesDataset, assemble_features
 from .errors import ConfigError, EstimatorError
-from .models import FittedPropensityModel
+from .models import FittedModel
 
 
 @dataclass(frozen=True)
@@ -125,16 +125,19 @@ def pstn_from_propensities(
 
 def run_pstn(
     ds: TimeSeriesDataset,
-    model: FittedPropensityModel,
+    model: FittedModel,
     spec: FeatureSpec,
     cfg: PstnConfig,
 ) -> PstnResult:
     """Predict each period's propensity once, then weight the observed outcomes.
 
-    When the model carries stored in-sample propensities for these rows
-    (forest fits do, via out-of-bag averaging) those are used; otherwise the
-    propensities are predicted from the assembled features.
+    When the model was trained on exactly these feature rows and stored
+    in-sample propensities for them (forest fits do, via out-of-bag
+    averaging), those are used; otherwise the propensities are predicted
+    from the assembled features.
     """
+    if model.is_outcome:
+        raise EstimatorError(f"PSTn needs a propensity model, got a {model.kind} outcome model")
     if spec.include_current_exposure:
         raise EstimatorError("propensity features must not include the current exposure")
     fm = assemble_features(ds, spec)
@@ -143,9 +146,9 @@ def run_pstn(
             f"model was fitted on columns {tuple(model.columns)} but the feature "
             f"spec defines {spec.columns}"
         )
-    if model.insample_prob is not None and len(model.insample_prob) == fm.n_rows:
+    if model.insample_prob is not None and np.array_equal(fm.values, model.train_values):
         pi = np.asarray(model.insample_prob, dtype=float)
     else:
-        pi = model.predict_prob(fm.values)
+        pi = model.predict(fm.values)
     rows = slice(fm.dropped_head, ds.m)
     return pstn_from_propensities(ds.y[rows], ds.x[rows], pi, fm.t_index, cfg)

@@ -33,7 +33,7 @@ from nof1twin.models import (
     ForestConfig,
     fit_linear_outcome,
     fit_logistic_propensity,
-    linear_outcome_from_coefficients,
+    glm_from_coefficients,
 )
 from nof1twin.motr import run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
@@ -91,7 +91,7 @@ def test_criterion_1_oracle_equivalence():
 
     ds = TimeSeriesDataset(y=y, x=x0)
     spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS)
-    twin = linear_outcome_from_coefficients(
+    twin = glm_from_coefficients(
         spec.columns, {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, resid_sd=0.0
     )
     deltas = []

@@ -42,7 +42,7 @@ class TestSimulate:
         ds = randomized(50, seed=9, burn_in=2)
         assert ds.m == 50
         assert ds.burn_in_dropped == 2
-        assert ds.periods[0].t == 1
+        assert np.array_equal(ds.y, randomized(52, seed=9, burn_in=0).y[2:])
 
     def test_causal_consistency(self):
         arco, prop = default_study_params()

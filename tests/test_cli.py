@@ -194,6 +194,37 @@ class TestReplicate:
             outs.append((tmp_path / f"{name}_rows.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_rerun_from_echoed_header_is_byte_identical(self, tmp_path):
+        assert run(["replicate", "--h-datasets", "2", "--m", "40", "--methods", "pstn-rf,motr-rf",
+                    "--n-trees", "10", "--r-max", "20", "--mtry", "1", "--min-node-size", "3",
+                    "-o", str(tmp_path / "a")]) == 0
+        rows = (tmp_path / "a_rows.csv").read_bytes()
+        echo = dict(
+            line[2:].split("=", 1) for line in rows.decode().splitlines() if line.startswith("# ")
+        )
+        flags = {
+            "h_datasets": "--h-datasets", "methods": "--methods", "workers": "--workers",
+            "r_min": "--r-min", "r_max": "--r-max", "stop_tol": "--stop-tol",
+            "stop_window": "--stop-window", "n_trees": "--n-trees", "mtry": "--mtry",
+            "min_node_size": "--min-node-size",
+        }
+        hygiene = ("trim_lo", "trim_hi", "use_overlap", "use_stabilized")
+        params = tmp_path / "params.cfg"
+        params.write_text(
+            "".join(f"{k}={v}\n" for k, v in echo.items() if k not in flags and k not in hygiene)
+        )
+        argv = ["replicate", "--params", str(params), "--trim", echo["trim_lo"], echo["trim_hi"],
+                "-o", str(tmp_path / "b")]
+        if echo["use_overlap"] == "False":
+            argv.append("--no-overlap")
+        if echo["use_stabilized"] == "False":
+            argv.append("--no-stabilize")
+        for key, flag in flags.items():
+            if echo.get(key, "None") != "None":
+                argv += [flag, echo[key]]
+        assert run(argv) == 0
+        assert (tmp_path / "b_rows.csv").read_bytes() == rows
+
 
 class TestOracle:
     def test_matches_library_enumeration(self, tmp_path):
@@ -227,6 +258,16 @@ class TestExitCodes:
         params = tmp_path / "p.cfg"
         params.write_text("beta0 = not-a-number\n")
         assert run(["simulate", "--params", str(params), "-o", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("mode", [[], ["--randomized"]])
+    def test_diverging_simulation(self, tmp_path, mode):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--set", "betaAr=1.5", "--m", "5000", *mode, "-o", str(out)]) == 2
+
+    def test_non_contiguous_periods(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,y,x\n1,1,1\n2,2,0\n4,3,1\n5,4,0\n")
+        assert run(["analyze", "--data", str(path), "--method", "raw"]) == 3
 
     def test_missing_data_file(self, tmp_path):
         assert run(["analyze", "--data", str(tmp_path / "nope.csv"), "--method", "raw"]) == 3

@@ -42,11 +42,18 @@ class TestDataset:
     def test_exog_names_shared(self):
         ds = make_ds([1, 2, 3], exog={"v": [0.0, 1.0, 0.0]})
         assert ds.exog_names == ("v",)
-        assert all(set(p.exog) == {"v"} for p in ds.periods)
+        assert ds.exog_matrix(ds.exog_names).shape == (3, 1)
 
-    def test_periods_are_indexed_from_one(self):
-        ds = make_ds([5.0, 6.0, 7.0])
-        assert [p.t for p in ds.periods] == [1, 2, 3]
+    def test_periods_are_indexed_from_one(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        make_ds([5.0, 6.0, 7.0]).to_csv(path)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == ["1", "2", "3"]
+
+    def test_csv_rejects_non_contiguous_periods(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,y,x\n1,1.0,1\n2,2.0,0\n4,3.0,1\n")
+        with pytest.raises(DataError, match="contiguous"):
+            TimeSeriesDataset.from_csv(path)
 
     def test_arrays_read_only(self):
         ds = make_ds([1, 2, 3])

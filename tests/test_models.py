@@ -19,8 +19,7 @@ from nof1twin.models import (
     fit_forest_propensity,
     fit_linear_outcome,
     fit_logistic_propensity,
-    linear_outcome_from_coefficients,
-    logistic_propensity_from_coefficients,
+    glm_from_coefficients,
 )
 
 
@@ -54,7 +53,7 @@ class TestLinear:
         assert model.coefficients["intercept"] == pytest.approx(1.0, abs=1e-12)
         assert model.coefficients["x"] == pytest.approx(2.0, abs=1e-12)
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(model.predict_mean(fm.values), y)
+        assert np.allclose(model.predict(fm.values), y)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(3)
@@ -62,7 +61,7 @@ class TestLinear:
         fm = fmatrix(np.column_stack([rng.integers(0, 2, 40), values[:, 0]]), ("x", "w"))
         y = rng.normal(size=40)
         model = fit_linear_outcome(fm, y)
-        resid = y - model.predict_mean(fm.values)
+        resid = y - model.predict(fm.values)
         design = np.column_stack([np.ones(40), fm.values])
         assert np.max(np.abs(design.T @ resid)) < 1e-8 * max(1.0, np.abs(y).sum())
 
@@ -88,8 +87,8 @@ class TestLinear:
         assert {"y_lag1_q2", "y_lag1_q3", "y_lag1_q4"} <= set(model.coefficients)
 
     def test_from_coefficients(self):
-        model = linear_outcome_from_coefficients(("x", "y_lag1"), {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, 0.0)
-        pred = model.predict_mean(np.array([[1.0, 10.0], [0.0, 10.0]]))
+        model = glm_from_coefficients(("x", "y_lag1"), {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, 0.0)
+        pred = model.predict(np.array([[1.0, 10.0], [0.0, 10.0]]))
         assert pred == pytest.approx([2.0 + 1.1 + 8.0, 2.0 + 8.0])
 
 
@@ -120,7 +119,7 @@ class TestLogistic:
         x = (rng.random(120) < prob).astype(int)
         fm = fmatrix(w[:, None], ("w",), include_x=False)
         model = fit_logistic_propensity(fm, x)
-        p_hat = model.predict_prob(fm.values)
+        p_hat = model.predict(fm.values)
         design = np.column_stack([np.ones(120), w])
         assert np.max(np.abs(design.T @ (x - p_hat))) < 1e-6
 
@@ -129,7 +128,7 @@ class TestLogistic:
         x = (w > 0).astype(int)
         model = fit_logistic_propensity(fmatrix(w[:, None], ("w",), include_x=False), x)
         assert model.separation_warning
-        probs = model.predict_prob(w[:, None])
+        probs = model.predict(w[:, None])
         assert np.all((probs >= 0) & (probs <= 1))
 
     def test_single_class_rejected(self):
@@ -138,8 +137,8 @@ class TestLogistic:
             fit_logistic_propensity(fm, np.ones(10))
 
     def test_from_coefficients(self):
-        model = logistic_propensity_from_coefficients(("w",), {"intercept": 0.0, "w": 1.0})
-        assert model.predict_prob(np.array([[0.0]]))[0] == pytest.approx(0.5)
+        model = glm_from_coefficients(("w",), {"intercept": 0.0, "w": 1.0})
+        assert model.predict(np.array([[0.0]]))[0] == pytest.approx(0.5)
 
 
 class TestForestOutcome:
@@ -149,7 +148,7 @@ class TestForestOutcome:
         model = fit_forest_outcome(fm, np.full(12, 3.0), ForestConfig(n_trees=20, seed=1))
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
         probe = np.array([[0.0, -5.0], [1.0, 5.0]])
-        assert model.predict_mean(probe).tolist() == [3.0, 3.0]
+        assert model.predict(probe).tolist() == [3.0, 3.0]
 
     def test_single_tree_step_function_brute_force(self):
         rng = np.random.default_rng(7)
@@ -163,11 +162,11 @@ class TestForestOutcome:
         left_max = feat[y == 0].max()
         right_min = feat[y == 1].min()
         # brute force: the best variance-reducing threshold separates the groups
-        assert np.allclose(model.predict_mean(fm.values), y)
+        assert np.allclose(model.predict(fm.values), y)
         threshold_probe = np.array([[0.0, (left_max + right_min) / 2]])
-        assert model.predict_mean(threshold_probe)[0] in (0.0, 1.0)
-        below = model.predict_mean(np.array([[0.0, left_max - 1e-9]]))[0]
-        above = model.predict_mean(np.array([[0.0, right_min + 1e-9]]))[0]
+        assert model.predict(threshold_probe)[0] in (0.0, 1.0)
+        below = model.predict(np.array([[0.0, left_max - 1e-9]]))[0]
+        above = model.predict(np.array([[0.0, right_min + 1e-9]]))[0]
         assert (below, above) == (0.0, 1.0)
 
     def test_needs_five_rows(self):
@@ -182,7 +181,7 @@ class TestForestOutcome:
         a = fit_forest_outcome(fm, y, ForestConfig(n_trees=15, seed=SeedSpec(9)))
         b = fit_forest_outcome(fm, y, ForestConfig(n_trees=15, seed=SeedSpec(9)))
         probe = rng.normal(size=(8, 2))
-        assert np.array_equal(a.predict_mean(probe), b.predict_mean(probe))
+        assert np.array_equal(a.predict(probe), b.predict(probe))
         assert a.resid_sd == b.resid_sd
 
 
@@ -198,7 +197,7 @@ class TestForestPropensity:
         x = (w > 0.5).astype(int)
         fm = fmatrix(w[:, None], ("w",), include_x=False)
         model = fit_forest_propensity(fm, x, ForestConfig(n_trees=30, seed=4))
-        probs = model.predict_prob(fm.values)
+        probs = model.predict(fm.values)
         assert np.array_equal(probs, x.astype(float))
 
     def test_probabilities_bounded_under_fuzz(self):
@@ -208,7 +207,7 @@ class TestForestPropensity:
         fm = fmatrix(w[:, None], ("w",), include_x=False)
         model = fit_forest_propensity(fm, x, ForestConfig(n_trees=25, seed=5))
         probe = rng.normal(scale=10, size=(10_000, 1))
-        probs = model.predict_prob(probe)
+        probs = model.predict(probe)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
 
     def test_insample_uses_out_of_bag(self):
@@ -222,7 +221,7 @@ class TestForestPropensity:
         insample = model.insample_prob
         leak = abs(insample[x == 1].mean() - insample[x == 0].mean())
         assert leak < 0.25
-        alltrees = model.predict_prob(fm.values)
+        alltrees = model.predict(fm.values)
         leak_alltrees = abs(alltrees[x == 1].mean() - alltrees[x == 0].mean())
         assert leak_alltrees > leak
 
@@ -247,4 +246,4 @@ class TestForestInvariance:
         a = fit_forest_outcome(fm, y, cfg, index_sampler=sampler_a)
         b = fit_forest_outcome(fm_p, y[perm], cfg, index_sampler=sampler_b)
         probe = rng.normal(size=(12, 2))
-        assert np.array_equal(a.predict_mean(probe), b.predict_mean(probe))
+        assert np.array_equal(a.predict(probe), b.predict(probe))

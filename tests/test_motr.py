@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nof1twin.arco import ArcoParams
 from nof1twin.core import LAG_CONTINUOUS, LAG_NONE, FeatureSpec, SeedSpec, TimeSeriesDataset
 from nof1twin.errors import EstimatorError
-from nof1twin.models import linear_outcome_from_coefficients
-from nof1twin.motr import MotrConfig, initial_conditions, run_motr, run_motr_once
+from nof1twin.models import glm_from_coefficients
+from nof1twin.motr import MotrConfig, run_motr, run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 
 NO_LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
@@ -23,7 +23,7 @@ def true_twin(params: ArcoParams, spec: FeatureSpec, resid_sd: float = 0.0):
     coefs = {"intercept": params.beta0, "x": params.beta_x, "y_lag1": params.beta_ar}
     if spec.use_exposure_lag1:
         coefs["x_lag1"] = params.beta_co
-    return linear_outcome_from_coefficients(spec.columns, coefs, resid_sd)
+    return glm_from_coefficients(spec.columns, coefs, resid_sd)
 
 
 def mechanism_dataset(params: ArcoParams, x, y1=None):
@@ -137,7 +137,7 @@ class TestRunMotr:
         x = rng.integers(0, 2, 80)
         x[:4] = [1, 0, 1, 0]
         ds = mechanism_dataset(params, x)
-        model = linear_outcome_from_coefficients(
+        model = glm_from_coefficients(
             spec.columns, {"intercept": 3.0, "x": 0.0, "y_lag1": 0.4}, resid_sd=0.5
         )
         est = run_motr(ds, model, spec, MotrConfig(r_max=60, seed=5))
@@ -263,5 +263,29 @@ def _noise_for(ds, seed, r, resid_sd):
 
 class TestInitialConditions:
     def test_returns_first_observed_values(self):
-        ds = TimeSeriesDataset(y=[4.5, 2.0], x=[1, 0])
-        assert initial_conditions(ds, LAG_SPEC) == (4.5, 1)
+        # the first observed outcome seeds the lag of the first generated period
+        ds = TimeSeriesDataset(y=[4.5, 2.0, 1.0, 3.0], x=[1, 0, 1, 0])
+        model = glm_from_coefficients(LAG_SPEC.columns, {"intercept": 1.0, "x": 0.5, "y_lag1": 2.0}, 0.0)
+        run = run_motr_once(ds, model, LAG_SPEC, [1, 0, 0, 1])
+        assert run.noisy_preds[0] == 1.0 + 2.0 * 4.5
+
+
+class TestPreconditions:
+    def test_propensity_model_rejected(self):
+        ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])
+        propensity = glm_from_coefficients(NO_LAG_SPEC.columns, {"intercept": 0.0})
+        with pytest.raises(EstimatorError, match="needs an outcome model"):
+            run_motr(ds, propensity, NO_LAG_SPEC, MotrConfig(seed=0))
+        with pytest.raises(EstimatorError, match="needs an outcome model"):
+            run_motr_once(ds, propensity, NO_LAG_SPEC, ds.x)
+
+    @pytest.mark.parametrize("arm", [1, 0])
+    def test_single_period_arm_rejected_for_every_seed(self, arm):
+        params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.5)
+        x = np.full(220, 1 - arm)
+        x[100] = arm
+        ds = mechanism_dataset(params, x)
+        model = true_twin(params, LAG_SPEC, resid_sd=0.1)
+        for seed in range(10):
+            with pytest.raises(EstimatorError, match="at least 2 periods in each exposure arm"):
+                run_motr(ds, model, LAG_SPEC, MotrConfig(seed=seed))

@@ -8,8 +8,10 @@ from nof1twin.core import LAG_CONTINUOUS, LAG_NONE, FeatureSpec, TimeSeriesDatas
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import default_study_params, estimate_raw
 from nof1twin.models import (
+    ForestConfig,
+    fit_forest_propensity,
     fit_logistic_propensity,
-    logistic_propensity_from_coefficients,
+    glm_from_coefficients,
 )
 from nof1twin.pstn import PstnConfig, pstn_from_propensities, run_pstn
 
@@ -126,7 +128,7 @@ class TestRunPstn:
     def test_current_exposure_feature_rejected(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0], x=[1, 0, 1])
         spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
-        model = logistic_propensity_from_coefficients(spec.columns, {"intercept": 0.0})
+        model = glm_from_coefficients(spec.columns, {"intercept": 0.0})
         with pytest.raises(EstimatorError, match="current exposure"):
             run_pstn(ds, model, spec, PstnConfig())
 
@@ -139,18 +141,44 @@ class TestRunPstn:
         raw = estimate_raw(ds)
         assert abs(res.delta - 1.1) < abs(raw.estimate - 1.1)
 
-    def test_insample_propensities_preferred_when_lengths_match(self):
+    def test_insample_propensities_used_only_for_training_rows(self):
         from dataclasses import replace
 
-        ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 0, 1, 0])
-        model = logistic_propensity_from_coefficients(FLAT_SPEC.columns, {"intercept": 0.0})
-        stored = replace(model, insample_prob=np.array([0.4, 0.45, 0.55, 0.6]))
-        res = run_pstn(ds, stored, FLAT_SPEC, NO_TRIM)
+        ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[1, 0, 1, 0, 1])
+        model = glm_from_coefficients(PROP_SPEC.columns, {"intercept": 0.0})
+        stored = replace(
+            model,
+            insample_prob=np.array([0.4, 0.45, 0.55, 0.6]),
+            train_values=assemble_features(ds, PROP_SPEC).values,
+        )
+        res = run_pstn(ds, stored, PROP_SPEC, NO_TRIM)
         assert res.pi_hat == pytest.approx((0.4, 0.45, 0.55, 0.6))
+        # same length, other feature rows: the model predicts instead
+        other = TimeSeriesDataset(y=[5.0, 4.0, 3.0, 2.0, 1.0], x=[1, 0, 1, 0, 1])
+        assert run_pstn(other, stored, PROP_SPEC, NO_TRIM).pi_hat == (0.5, 0.5, 0.5, 0.5)
+
+    def test_forest_oob_propensities_not_reused_on_another_dataset(self):
+        arco, prop = default_study_params()
+        a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
+        b = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=2))
+        model = fit_forest_propensity(
+            assemble_features(a, PROP_SPEC), a.x[1:], ForestConfig(n_trees=20, seed=3)
+        )
+        own = run_pstn(a, model, PROP_SPEC, PstnConfig())
+        assert np.array_equal(own.pi_hat, model.insample_prob)
+        res = run_pstn(b, model, PROP_SPEC, PstnConfig())
+        assert np.array_equal(res.pi_hat, model.predict(assemble_features(b, PROP_SPEC).values))
+        assert not np.array_equal(res.pi_hat, model.insample_prob)
+
+    def test_outcome_model_rejected(self):
+        ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 0, 1, 0])
+        outcome = glm_from_coefficients(FLAT_SPEC.columns, {"intercept": 0.0}, resid_sd=1.0)
+        with pytest.raises(EstimatorError, match="needs a propensity model"):
+            run_pstn(ds, outcome, FLAT_SPEC, NO_TRIM)
 
     def test_reports_periods_for_csv(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 0, 1, 0])
-        model = logistic_propensity_from_coefficients(FLAT_SPEC.columns, {"intercept": 0.0})
+        model = glm_from_coefficients(FLAT_SPEC.columns, {"intercept": 0.0})
         res = run_pstn(ds, model, FLAT_SPEC, NO_TRIM)
         assert res.t_index == (1, 2, 3, 4)
         assert res.pi_hat == pytest.approx((0.5, 0.5, 0.5, 0.5))
