@@ -17,7 +17,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import expit
 
 from .core import SeedSpec, TimeSeriesDataset, as_seed, validate_finite
@@ -154,19 +153,11 @@ def simulate_dataset(
             + v_out[1:]
             + eps[1:]
         )
-        if params.beta_xar == 0.0:
-            # Linear recursion with constant AR coefficient: one filter pass.
-            zi = np.array([params.beta_ar * y[0]])
-            y[1:] = lfilter([1.0], [1.0, -params.beta_ar], base, zi=zi)[0]
-        else:
-            ar = params.beta_ar + params.beta_xar * x[1:]
-            prev = y[0]
-            base_list = base.tolist()
-            ar_list = ar.tolist()
-            out = y[1:]
-            for i in range(total - 1):
-                prev = base_list[i] + ar_list[i] * prev
-                out[i] = prev
+        ar = (params.beta_ar + params.beta_xar * x[1:]).tolist()
+        prev = y[0]
+        for t, (b, a) in enumerate(zip(base.tolist(), ar), start=1):
+            prev = b + a * prev
+            y[t] = prev
         # The observed path IS the received-arm potential outcome; only the
         # counterfactual arm is reconstructed, keeping consistency exact.
         ylag = y[:-1]

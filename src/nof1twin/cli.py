@@ -211,6 +211,7 @@ def _result_payload(res) -> dict:
             "delta": est.delta,
             "ci": [est.ci[0], est.ci[1]],
             "runs_used": est.runs_used,
+            "stop_reason": est.stop_reason,
             "trajectory": [[d, lo, hi] for d, lo, hi in est.trajectory],
             "mean_po_1": est.mean_po_1,
             "mean_po_0": est.mean_po_0,
@@ -273,14 +274,8 @@ def _write_runs_csv(path: str, est: ApteEstimate) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "delta_r", "lo_r", "hi_r", "cum_delta", "cum_lo", "cum_hi"])
-        # Recover per-run values from consecutive cumulative means.
-        prev = (0.0, 0.0, 0.0)
-        for r, (cd, cl, ch) in enumerate(est.trajectory, start=1):
-            d_r = cd * r - prev[0] * (r - 1)
-            l_r = cl * r - prev[1] * (r - 1)
-            h_r = ch * r - prev[2] * (r - 1)
-            writer.writerow([r, repr(d_r), repr(l_r), repr(h_r), repr(cd), repr(cl), repr(ch)])
-            prev = (cd, cl, ch)
+        for r, (run, cum) in enumerate(zip(est.runs, est.trajectory), start=1):
+            writer.writerow([r, *map(repr, run), *map(repr, cum)])
 
 
 def _write_periods_csv(path: str, res: PstnResult) -> None:

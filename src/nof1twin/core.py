@@ -325,7 +325,6 @@ class FeatureMatrix:
     t_index: np.ndarray
     dropped_head: int
     spec: FeatureSpec
-    quartile_bounds: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
@@ -367,7 +366,7 @@ def _encode_block(
     x_t: np.ndarray,
     x_lag: np.ndarray | None,
     y_lag: np.ndarray | None,
-    exog_row: np.ndarray | None,
+    exog: np.ndarray | None,
     bounds: tuple[float, float, float] | None,
 ) -> np.ndarray:
     """Stack feature columns in the canonical FeatureSpec order."""
@@ -382,10 +381,7 @@ def _encode_block(
     elif spec.outcome_lag_mode == LAG_QUARTILE:
         cols.append(encode_quartile(np.asarray(y_lag, dtype=float), bounds))
     if spec.exog_names:
-        ex = np.asarray(exog_row, dtype=float)
-        if ex.ndim == 1:
-            ex = np.broadcast_to(ex, (n, len(ex)))
-        cols.append(ex)
+        cols.append(np.asarray(exog, dtype=float))
     if not cols:
         return np.empty((n, 0))
     return np.hstack(cols)
@@ -405,14 +401,13 @@ def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix
         raise DataError(f"exogenous column(s) {missing} missing from dataset records")
     dropped = 1 if spec.needs_lag else 0
     sl = slice(dropped, ds.m)
-    bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
     values = _encode_block(
         spec,
         x_t=ds.x[sl],
         x_lag=ds.x[: ds.m - 1] if spec.use_exposure_lag1 else None,
         y_lag=ds.y[: ds.m - 1] if spec.outcome_lag_mode != LAG_NONE else None,
-        exog_row=ds.exog_matrix(spec.exog_names)[sl] if spec.exog_names else None,
-        bounds=bounds,
+        exog=ds.exog_matrix(spec.exog_names)[sl] if spec.exog_names else None,
+        bounds=quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None,
     )
     return FeatureMatrix(
         values=values,
@@ -420,31 +415,7 @@ def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix
         t_index=np.arange(1 + dropped, ds.m + 1),
         dropped_head=dropped,
         spec=spec,
-        quartile_bounds=bounds,
     )
-
-
-class RolloutFeatureBuilder:
-    """Re-encodes features during sequential rollouts.
-
-    Mirrors assemble_features column-for-column so a model fitted on a
-    FeatureMatrix can be driven with generated lag values.
-    """
-
-    def __init__(self, fm: FeatureMatrix, exog_matrix: np.ndarray | None):
-        self.spec = fm.spec
-        self.bounds = fm.quartile_bounds
-        self.exog_matrix = exog_matrix
-
-    def build(
-        self,
-        t: int,
-        x_t: np.ndarray,
-        x_lag: np.ndarray | None,
-        y_lag: np.ndarray | None,
-    ) -> np.ndarray:
-        exog_row = self.exog_matrix[t - 1] if self.spec.exog_names else None
-        return _encode_block(self.spec, x_t, x_lag, y_lag, exog_row, self.bounds)
 
 
 def validate_finite(name: str, value: float) -> float:

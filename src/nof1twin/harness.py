@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Iterable
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtrit
 
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simulate_dataset
 from .core import (
@@ -160,7 +160,7 @@ def estimate_coef(ds: TimeSeriesDataset) -> ApplyResult:
     est = model.coefficients["x"]
     se = model.coefficient_se["x"]
     df = fm.n_rows - len(model.coefficients)
-    half = float(t_dist.ppf(0.975, df)) * se
+    half = float(stdtrit(df, 0.975)) * se
     return ApplyResult(Method.COEF, est, (est - half, est + half), model_summary=model.summary())
 
 
@@ -225,6 +225,13 @@ class StudyConfig:
             raise ConfigError(f"a study needs at least 2 datasets, got {self.h_datasets}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        for name in ("beta_xco", "beta_xar"):
+            value = getattr(self.params, name)
+            if value != 0.0:
+                raise ConfigError(
+                    f"{name}={value}: biases are measured against beta_x, the average "
+                    "period treatment effect only without interaction terms"
+                )
         object.__setattr__(self, "seed", as_seed(self.seed))
         object.__setattr__(self, "methods", tuple(self.methods))
 

@@ -18,21 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as t_dist
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import stdtrit
 
 from .core import (
+    LAG_QUARTILE,
     FeatureSpec,
-    RolloutFeatureBuilder,
     SeedSpec,
     TimeSeriesDataset,
+    _encode_block,
     as_seed,
     assemble_features,
+    encode_quartile,
     normals,
+    quartile_bounds,
 )
 from .errors import ConfigError, EstimatorError
 from .models import FittedModel
 
-_BLOCK = 32
+_BLOCK = 32  # runs rolled out together; the stopping rule is checked after each block
 
 
 def welch_interval_from_moments(
@@ -61,7 +65,7 @@ def welch_interval_from_moments(
     degenerate = degenerate | ~(se > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         df = (v1 + v0) ** 2 / (v1**2 / (n1 - 1) + v0**2 / (n0 - 1))
-        quant = t_dist.ppf(0.5 + level / 2.0, np.where(degenerate, 2.0, df))
+        quant = stdtrit(np.where(degenerate, 2.0, df), 0.5 + level / 2.0)
         half = np.where(degenerate, 0.0, quant * se)
     return delta - half, delta + half, degenerate
 
@@ -105,58 +109,72 @@ class ApteEstimate:
     delta: float
     ci: tuple[float, float]
     runs_used: int
-    trajectory: tuple[tuple[float, float, float], ...]  # (delta, lo, hi) per run
+    trajectory: tuple[tuple[float, float, float], ...]  # cumulative (delta, lo, hi) per run
+    runs: tuple[tuple[float, float, float], ...]  # each run's own (delta, lo, hi)
     mean_po_1: float
     mean_po_0: float
+    stop_reason: str  # "converged" when the stopping rule fired, "r_max" at the run cap
     degenerate_ci: bool = False
 
 
-class _Rollout:
-    """Shared rollout engine over a block of exposure sequences.
+def _check_twin(ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec) -> None:
+    """Reject a propensity twin, a twin fitted on other columns, or data `spec` cannot assemble."""
+    if not model.is_outcome:
+        raise EstimatorError(f"MoTR needs an outcome model, got a {model.kind} propensity model")
+    if tuple(model.columns) != spec.columns:
+        raise EstimatorError(
+            f"model was fitted on columns {tuple(model.columns)} but the feature "
+            f"spec defines {spec.columns}"
+        )
+    assemble_features(ds, spec)
 
-    The first observed outcome seeds the lagged-outcome feature for t = 2;
-    the t = 2 exposure lag comes from the permuted sequence itself (period 1
-    contributes its permuted exposure only as a lag).  Generated periods
-    t = 2..m enter the potential-outcome averages.
+
+def _rollout(
+    ds: TimeSeriesDataset,
+    model: FittedModel,
+    spec: FeatureSpec,
+    xb: np.ndarray,
+    noise: np.ndarray,
+) -> np.ndarray:
+    """Noisy sequential predictions for periods 2..m; xb is (runs, m).
+
+    The static features (x_t, x_{t-1}, exogenous values) of every run and
+    period are encoded once; each step overwrites only the outcome-lag
+    column(s) with the previous step's predictions.  The first observed
+    outcome seeds the lag for t = 2, and the t = 2 exposure lag comes from
+    the permuted sequence itself.
+
+    Blocks are padded to a multiple of _BLOCK rows: BLAS rounds the tail
+    rows of a short block differently, and padding keeps every run's values
+    a function of its own permutation and noise alone.
     """
-
-    def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec):
-        if not model.is_outcome:
-            raise EstimatorError(
-                f"MoTR needs an outcome model, got a {model.kind} propensity model"
-            )
-        if tuple(model.columns) != spec.columns:
-            raise EstimatorError(
-                f"model was fitted on columns {tuple(model.columns)} but the feature "
-                f"spec defines {spec.columns}"
-            )
-        fm = assemble_features(ds, spec)
-        self.builder = RolloutFeatureBuilder(fm, ds.exog_matrix(spec.exog_names))
-        self.model = model
-        self.spec = spec
-        self.m = ds.m
-        self.y1 = float(ds.y[0])
-
-    def generate(self, xb: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Noisy sequential predictions for periods 2..m; xb is (runs, m)."""
-        b = xb.shape[0]
-        preds = np.empty((b, self.m - 1))
-        y_lag = np.full(b, self.y1)
-        for t in range(2, self.m + 1):
-            f = self.builder.build(
-                t,
-                x_t=xb[:, t - 1],
-                x_lag=xb[:, t - 2] if self.spec.use_exposure_lag1 else None,
-                y_lag=y_lag,
-            )
-            y_t = self.model.predict(f) + noise[:, t - 2]
-            preds[:, t - 2] = y_t
-            y_lag = y_t
-        return preds
+    runs, m = xb.shape
+    padded = -(-runs // _BLOCK) * _BLOCK
+    xb, noise = np.resize(xb, (padded, m)), np.resize(noise, (padded, m - 1))
+    quartile = spec.outcome_lag_mode == LAG_QUARTILE
+    bounds = quartile_bounds(ds.y) if quartile else None
+    static = _encode_block(
+        spec,
+        x_t=xb[:, 1:].T.ravel(),
+        x_lag=xb[:, :-1].T.ravel(),
+        y_lag=np.zeros((m - 1) * padded),
+        exog=np.repeat(ds.exog_matrix(spec.exog_names)[1:], padded, axis=0),
+        bounds=bounds,
+    ).reshape(m - 1, padded, -1)
+    own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
+    lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
+    preds = np.empty((padded, m - 1))
+    y_lag = np.full(padded, float(ds.y[0]))
+    for i, f in enumerate(static):
+        if lag:
+            f[:, lag] = encode_quartile(y_lag, bounds) if quartile else y_lag[:, None]
+        y_lag = model.predict(f) + noise[:, i]
+        preds[:, i] = y_lag
+    return preds[:runs]
 
 
-def _arm_stats(preds: np.ndarray, xb: np.ndarray):
-    """Per-run arm means/variances over the generated periods."""
+def _run_stats(preds: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Rows (delta, lo, hi, mean_po_1, mean_po_0, degenerate) over the generated periods."""
     xg = xb[:, 1:].astype(float)
     n1 = xg.sum(axis=1)
     n0 = xg.shape[1] - n1
@@ -164,14 +182,13 @@ def _arm_stats(preds: np.ndarray, xb: np.ndarray):
         raise EstimatorError(
             "a permuted sequence left one exposure arm empty over the generated periods"
         )
-    s1 = (preds * xg).sum(axis=1)
-    s0 = (preds * (1.0 - xg)).sum(axis=1)
-    mean1 = s1 / n1
-    mean0 = s0 / n0
+    mean1 = (preds * xg).sum(axis=1) / n1
+    mean0 = (preds * (1.0 - xg)).sum(axis=1) / n0
     with np.errstate(invalid="ignore", divide="ignore"):
         var1 = ((preds - mean1[:, None]) ** 2 * xg).sum(axis=1) / (n1 - 1)
         var0 = ((preds - mean0[:, None]) ** 2 * (1.0 - xg)).sum(axis=1) / (n0 - 1)
-    return mean1, var1, n1, mean0, var0, n0
+    lo, hi, degenerate = welch_interval_from_moments(mean1, var1, n1, mean0, var0, n0)
+    return np.stack([mean1 - mean0, lo, hi, mean1, mean0, degenerate])
 
 
 def run_motr_once(
@@ -188,24 +205,30 @@ def run_motr_once(
     of the permutation, the form used when cross-checking against exact
     enumeration.
     """
-    engine = _Rollout(ds, model, spec)
+    _check_twin(ds, model, spec)
     xb = np.asarray(permuted_x, dtype=np.int64).reshape(1, -1)
     if xb.shape[1] != ds.m or sorted(xb[0].tolist()) != sorted(ds.x.tolist()):
         raise EstimatorError("permuted_x must be a permutation of the observed exposures")
     nz = np.zeros((1, ds.m - 1)) if noise is None else np.asarray(noise, float).reshape(1, -1)
-    preds = engine.generate(xb, nz)
-    mean1, var1, n1, mean0, var0, n0 = _arm_stats(preds, xb)
-    lo, hi, degen = welch_interval_from_moments(mean1, var1, n1, mean0, var0, n0)
-    return MotrRun(
-        r=r,
-        permuted_x=xb[0],
-        noisy_preds=preds[0],
-        mean_po_1=float(mean1[0]),
-        mean_po_0=float(mean0[0]),
-        delta=float(mean1[0] - mean0[0]),
-        ci=(float(lo[0]), float(hi[0])),
-        degenerate_ci=bool(degen[0]),
-    )
+    preds = _rollout(ds, model, spec, xb, nz)
+    delta, lo, hi, mean1, mean0, degenerate = _run_stats(preds, xb)[:, 0].tolist()
+    return MotrRun(r=r, permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
+                   delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
+
+
+def _first_stop(cum: np.ndarray, cfg: MotrConfig) -> int | None:
+    """The first run r >= r_min ending stop_window steady runs, or None.
+
+    A run is steady when all three cumulative series (the rows of `cum`)
+    moved by less than stop_tol from the run before.
+    """
+    steady = (np.abs(np.diff(cum, axis=1)) < cfg.stop_tol).all(axis=0)  # runs 2..n
+    if len(steady) < cfg.stop_window:
+        return None
+    hits = np.flatnonzero(sliding_window_view(steady, cfg.stop_window).all(axis=1))
+    stops = hits + cfg.stop_window + 1  # run count ending each steady window
+    stops = stops[stops >= cfg.r_min]
+    return int(stops[0]) if stops.size else None
 
 
 def run_motr(
@@ -230,70 +253,37 @@ def run_motr(
             f"randomization needs at least 2 periods in each exposure arm, got "
             f"{m1} exposed and {ds.m - m1} unexposed"
         )
-    engine = _Rollout(ds, model, spec)
+    _check_twin(ds, model, spec)
     seed = as_seed(cfg.seed)
     m = ds.m
-    x_obs = ds.x
-
-    deltas: list[float] = []
-    los: list[float] = []
-    his: list[float] = []
-    mean1s: list[float] = []
-    mean0s: list[float] = []
-    cum_d: list[float] = []
-    cum_lo: list[float] = []
-    cum_hi: list[float] = []
-    any_degenerate = False
-
-    def stopped(r: int) -> bool:
-        if r < max(cfg.r_min, cfg.stop_window + 1):
-            return False
-        for series in (cum_d, cum_lo, cum_hi):
-            recent = series[r - cfg.stop_window - 1 : r]
-            if max(abs(b - a) for a, b in zip(recent, recent[1:])) >= cfg.stop_tol:
-                return False
-        return True
-
-    r = 0
-    while r < cfg.r_max:
-        block = min(_BLOCK, cfg.r_max - r)
-        xb = np.empty((block, m), dtype=np.int64)
-        noise = np.zeros((block, m - 1))
-        for j in range(block):
-            rng = seed.child(r + 1 + j).generator()
-            xb[j] = x_obs[rng.permutation(m)]
+    blocks: list[np.ndarray] = []
+    done = 0
+    stop = None
+    while stop is None and done < cfg.r_max:
+        block = range(done + 1, min(done + _BLOCK, cfg.r_max) + 1)
+        xb = np.empty((len(block), m), dtype=np.int64)
+        noise = np.zeros((len(block), m - 1))
+        for j, r in enumerate(block):
+            rng = seed.child(r).generator()
+            xb[j] = ds.x[rng.permutation(m)]
             if model.resid_sd > 0:
                 noise[j] = normals(rng, m - 1, model.resid_sd)
-        preds = engine.generate(xb, noise)
-        mean1, var1, n1, mean0, var0, n0 = _arm_stats(preds, xb)
-        lo, hi, degen = welch_interval_from_moments(mean1, var1, n1, mean0, var0, n0)
-        delta = mean1 - mean0
-        stop_at = None
-        for j in range(block):
-            r += 1
-            any_degenerate = any_degenerate or bool(degen[j])
-            deltas.append(float(delta[j]))
-            los.append(float(lo[j]))
-            his.append(float(hi[j]))
-            mean1s.append(float(mean1[j]))
-            mean0s.append(float(mean0[j]))
-            cum_d.append(float(np.mean(deltas)))
-            cum_lo.append(float(np.mean(los)))
-            cum_hi.append(float(np.mean(his)))
-            if stopped(r):
-                stop_at = r
-                break
-        if stop_at is not None:
-            break
+        blocks.append(_run_stats(_rollout(ds, model, spec, xb, noise), xb))
+        done = block[-1]
+        per_run = np.concatenate(blocks, axis=1)
+        cum = np.cumsum(per_run[:3], axis=1) / np.arange(1, done + 1)
+        stop = _first_stop(cum, cfg)
 
-    runs_used = r
-    trajectory = tuple(zip(cum_d[:runs_used], cum_lo[:runs_used], cum_hi[:runs_used]))
+    n = done if stop is None else stop
+    delta, lo, hi = cum[:, n - 1].tolist()
     return ApteEstimate(
-        delta=cum_d[runs_used - 1],
-        ci=(cum_lo[runs_used - 1], cum_hi[runs_used - 1]),
-        runs_used=runs_used,
-        trajectory=trajectory,
-        mean_po_1=float(np.mean(mean1s[:runs_used])),
-        mean_po_0=float(np.mean(mean0s[:runs_used])),
-        degenerate_ci=any_degenerate,
+        delta=delta,
+        ci=(lo, hi),
+        runs_used=n,
+        trajectory=tuple(map(tuple, cum[:, :n].T.tolist())),
+        runs=tuple(map(tuple, per_run[:3, :n].T.tolist())),
+        mean_po_1=float(np.mean(per_run[3, :n])),
+        mean_po_0=float(np.mean(per_run[4, :n])),
+        stop_reason="r_max" if stop is None else "converged",
+        degenerate_ci=bool(per_run[5, :n].any()),
     )

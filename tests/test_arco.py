@@ -76,7 +76,7 @@ class TestSimulate:
         assert abs(ds.x.mean() - 0.5) < 0.002
 
     def test_randomized_interaction_path_matches_loop(self):
-        # beta_xar forces the scalar recursion; cross-check against a direct replay
+        # an exposure-dependent AR coefficient; cross-check against a direct replay
         params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.4, beta_xar=0.2, sigma_eps=0.3)
         ds = randomized(60, seed=8, params=params, burn_in=0)
         replay = randomized(60, seed=8, params=ArcoParams(**{**params.__dict__}), burn_in=0)

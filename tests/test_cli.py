@@ -1,4 +1,7 @@
+import csv
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -6,7 +9,10 @@ import numpy as np
 import pytest
 
 from nof1twin.cli import main
-from nof1twin.core import TimeSeriesDataset
+from nof1twin.core import SeedSpec, TimeSeriesDataset, assemble_features, normals
+from nof1twin.harness import OUTCOME_SPEC
+from nof1twin.models import fit_linear_outcome
+from nof1twin.motr import run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 from nof1twin.arco import ArcoParams
 
@@ -83,10 +89,30 @@ class TestAnalyze:
         validate(payload, "analyze_motr.schema.json")
         result = payload["result"]
         assert len(result["trajectory"]) == result["runs_used"] <= 200
+        assert result["stop_reason"] == ("r_max" if result["runs_used"] == 200 else "converged")
         assert result["ci"][0] < 1.1 < result["ci"][1]
         lines = runs.read_text().splitlines()
         assert lines[0] == "r,delta_r,lo_r,hi_r,cum_delta,cum_lo,cum_hi"
         assert len(lines) == result["runs_used"] + 1
+
+    def test_runs_csv_holds_each_runs_exact_values(self, tmp_path):
+        data, runs = tmp_path / "year.csv", tmp_path / "runs.csv"
+        assert run(["simulate", "--m", "365", "-o", str(data)]) == 0
+        assert run(["analyze", "--data", str(data), "--method", "motr-glm", "--seed", "4",
+                    "--runs-csv", str(runs), "-o", str(tmp_path / "motr.json")]) == 0
+        ds = TimeSeriesDataset.from_csv(data)
+        model = fit_linear_outcome(assemble_features(ds, OUTCOME_SPEC), ds.y[1:])
+        stream = SeedSpec(4).child(1)  # the motr-glm sub-stream of the analyze seed
+        with open(runs, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) > 32
+        for row in rows:
+            rng = stream.child(int(row["r"])).generator()
+            perm = ds.x[rng.permutation(ds.m)]
+            once = run_motr_once(ds, model, OUTCOME_SPEC, perm, normals(rng, ds.m - 1, model.resid_sd))
+            assert (float(row["delta_r"]), float(row["lo_r"]), float(row["hi_r"])) == (
+                once.delta, *once.ci
+            )
 
     def test_pstn_constant_model_equals_raw(self, study_csv, tmp_path):
         raw_out = tmp_path / "raw.json"
@@ -277,6 +303,13 @@ class TestExitCodes:
         path.write_text("t,y,x\n1,1,1\n2,2,1\n3,3,1\n")
         assert run(["analyze", "--data", str(path), "--method", "raw"]) == 4
 
+    @pytest.mark.parametrize("key, name", [("betaXco", "beta_xco"), ("betaXar", "beta_xar")])
+    def test_replicate_rejects_interaction_coefficients(self, tmp_path, key, name, capsys):
+        assert run(["replicate", "--set", f"{key}=0.5", "--h-datasets", "2", "--m", "30",
+                    "--methods", "raw", "-o", str(tmp_path / "rep")]) == 2
+        assert f"{name}=0.5" in capsys.readouterr().err
+        assert not (tmp_path / "rep_rows.csv").exists()
+
     def test_params_file_round_trip(self, tmp_path):
         params = tmp_path / "p.cfg"
         params.write_text("# comment\nbeta0 = 3.0\nbetaX = 0.5\nsigmaEps = 0\nbetaAr = 0\n")
@@ -285,3 +318,12 @@ class TestExitCodes:
                     "--set", "alpha0=0", "-o", str(out)]) == 0
         ds = TimeSeriesDataset.from_csv(out)
         assert set(np.round(np.unique(ds.y), 9)) == {3.0, 3.5}
+
+
+def test_cli_import_skips_scipy_stats_and_signal():
+    code = (
+        "import sys, nof1twin.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 
 from nof1twin.arco import ArcoParams, PropensityParams
 from nof1twin.core import TimeSeriesDataset
-from nof1twin.errors import EstimatorError
+from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import (
     Method,
     MethodOptions,
@@ -110,6 +110,13 @@ class TestReplicate:
         half = 1.96 * biases.std(ddof=1) / np.sqrt(len(biases))
         assert s.ci_lo == pytest.approx(s.mean_bias - half)
         assert s.ci_hi == pytest.approx(s.mean_bias + half)
+
+    @pytest.mark.parametrize("name", ["beta_xco", "beta_xar"])
+    def test_interaction_coefficients_rejected(self, name):
+        arco, _ = default_study_params()
+        params = ArcoParams(**{**vars(arco), name: 0.1})
+        with pytest.raises(ConfigError, match=name):
+            small_study(params=params)
 
     def test_csv_outputs(self, tmp_path):
         report = replicate(small_study())

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nof1twin.arco import ArcoParams
-from nof1twin.core import LAG_CONTINUOUS, LAG_NONE, FeatureSpec, SeedSpec, TimeSeriesDataset
+from nof1twin.core import (
+    LAG_CONTINUOUS,
+    LAG_NONE,
+    LAG_QUARTILE,
+    FeatureSpec,
+    SeedSpec,
+    TimeSeriesDataset,
+    quartile_bounds,
+)
 from nof1twin.errors import EstimatorError
 from nof1twin.models import glm_from_coefficients
 from nof1twin.motr import MotrConfig, run_motr, run_motr_once
@@ -127,6 +135,7 @@ class TestRunMotr:
         est = run_motr(ds, model, NO_LAG_SPEC, MotrConfig(seed=0))
         assert est.delta == pytest.approx(1.1, abs=1e-12)
         assert est.runs_used == 10
+        assert est.stop_reason == "converged"
         assert est.degenerate_ci
         assert est.ci == (est.delta, est.delta)
 
@@ -177,17 +186,18 @@ class TestRunMotr:
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
         est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=30, seed=1))
         cums = [t[0] for t in est.trajectory]
-        deltas = [cums[0]] + [
-            cums[r] * (r + 1) - cums[r - 1] * r for r in range(1, len(cums))
-        ]
+        deltas = [run[0] for run in est.runs]
+        assert len(deltas) == len(cums) == est.runs_used
         for r in range(1, len(cums)):
             bound = max(abs(d - cums[r - 1]) for d in deltas[: r + 1]) / (r + 1)
             assert abs(cums[r] - cums[r - 1]) <= bound + 1e-12
 
     def test_cumulative_ci_is_mean_of_run_bounds(self):
+        # 40 runs cross the boundary between two rollout blocks
         arco, ds = self.make_study_ds(seed=3)
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=1, r_max=12, seed=9))
+        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=40, r_max=40, seed=9))
+        assert est.runs_used == len(est.runs) == 40
         per_run = []
         for r in range(1, est.runs_used + 1):
             run = run_motr_once(
@@ -197,9 +207,17 @@ class TestRunMotr:
                 r=r,
             )
             per_run.append(run)
+        assert est.runs == tuple((run.delta, *run.ci) for run in per_run)
         assert est.ci[0] == pytest.approx(np.mean([r.ci[0] for r in per_run]), abs=1e-12)
         assert est.ci[1] == pytest.approx(np.mean([r.ci[1] for r in per_run]), abs=1e-12)
         assert est.delta == pytest.approx(np.mean([r.delta for r in per_run]), abs=1e-12)
+
+    def test_run_cap_reported_when_not_settled(self):
+        arco, ds = self.make_study_ds(seed=4)
+        model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
+        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=5, r_max=12, seed=3))
+        assert est.runs_used == 12
+        assert est.stop_reason == "r_max"
 
     def test_true_twin_covers_study_effect(self):
         from nof1twin.arco import SimConfig, simulate_dataset
@@ -259,6 +277,38 @@ def _noise_for(ds, seed, r, resid_sd):
         return np.zeros(ds.m - 1)
     u = np.clip(rng.random(ds.m - 1), 2.0**-53, 1 - 2.0**-53)
     return ndtri(u) * resid_sd
+
+
+class TestQuartileRollout:
+    def test_quartile_lag_x_exog_rollout_matches_step_by_step_reference(self):
+        spec = FeatureSpec(
+            include_current_exposure=True,
+            outcome_lag_mode=LAG_QUARTILE,
+            use_exposure_lag1=True,
+            exog_names=("v",),
+        )
+        rng = np.random.default_rng(4)
+        m = 16
+        y = rng.normal(size=m)
+        v = rng.normal(size=m)
+        ds = TimeSeriesDataset(y=y, x=[1, 0] * (m // 2), exog={"v": v})
+        slot_effect = (0.0, 0.8, -0.6, -1.5)  # the first quartile is the reference level
+        coefs = {"intercept": 0.3, "x": 1.1, "x_lag1": -0.4, "v": 0.25}
+        coefs.update(zip(("y_lag1_q2", "y_lag1_q3", "y_lag1_q4"), slot_effect[1:]))
+        model = glm_from_coefficients(spec.columns, coefs, resid_sd=0.0)
+        perm = ds.x[rng.permutation(m)]
+        run = run_motr_once(ds, model, spec, perm)
+
+        q1, q2, q3 = quartile_bounds(y)
+        expected, slots = [], set()
+        y_prev = y[0]
+        for t in range(1, m):
+            slot = 0 if y_prev <= q1 else 1 if y_prev <= q2 else 2 if y_prev <= q3 else 3
+            slots.add(slot)
+            y_prev = 0.3 + 1.1 * perm[t] - 0.4 * perm[t - 1] + slot_effect[slot] + 0.25 * v[t]
+            expected.append(y_prev)
+        assert slots == {0, 1, 2, 3}
+        np.testing.assert_allclose(run.noisy_preds, expected, rtol=0, atol=1e-12)
 
 
 class TestInitialConditions:
