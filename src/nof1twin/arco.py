@@ -133,51 +133,26 @@ def simulate_dataset(
 
     seed = as_seed(cfg.seed)
     eps = seed.child(_EPS_STREAM).normals(total, params.sigma_eps)
-    u = seed.child(_X_STREAM).uniforms(total)
-
-    x = np.zeros(total, dtype=np.int64)
-    x[0] = int(u[0] < prop.pi1)
-    y = np.empty(total)
-    y[0] = params.beta0 + v_out[0] + eps[0]
-    po1 = np.empty(total)
-    po0 = np.empty(total)
-    po1[0] = po0[0] = y[0]
-
-    if cfg.randomized_mode:
-        x[1:] = u[1:] < prop.pi1
-        base = (
-            params.beta0
-            + params.beta_x * x[1:]
-            + params.beta_co * x[:-1]
-            + params.beta_xco * x[1:] * x[:-1]
-            + v_out[1:]
-            + eps[1:]
-        )
-        ar = (params.beta_ar + params.beta_xar * x[1:]).tolist()
-        prev = y[0]
-        for t, (b, a) in enumerate(zip(base.tolist(), ar), start=1):
-            prev = b + a * prev
-            y[t] = prev
-        # The observed path IS the received-arm potential outcome; only the
-        # counterfactual arm is reconstructed, keeping consistency exact.
-        ylag = y[:-1]
-        effect = params.beta_x + params.beta_xco * x[:-1] + params.beta_xar * ylag
-        po1[1:] = np.where(x[1:] == 1, y[1:], y[1:] + effect)
-        po0[1:] = np.where(x[1:] == 0, y[1:], y[1:] - effect)
-    else:
-        for t in range(1, total):
-            eta = prop.alpha0 + prop.alpha_en * y[t - 1] + prop.alpha_ar * x[t - 1] + v_prop[t]
-            x[t] = int(u[t] < expit(eta))
-            common = (
-                params.beta0
-                + params.beta_co * x[t - 1]
-                + params.beta_ar * y[t - 1]
-                + v_out[t]
-                + eps[t]
-            )
-            po1[t] = common + params.beta_x + params.beta_xco * x[t - 1] + params.beta_xar * y[t - 1]
-            po0[t] = common
-            y[t] = po1[t] if x[t] else po0[t]
+    u = seed.child(_X_STREAM).uniforms(total).tolist()
+    p, vo, vp, e = params, v_out.tolist(), v_prop.tolist(), eps.tolist()
+    xs = [int(u[0] < prop.pi1)]
+    ys = [p.beta0 + vo[0] + e[0]]
+    for t in range(1, total):
+        xl, yl = xs[-1], ys[-1]
+        if cfg.randomized_mode:
+            xs.append(int(u[t] < prop.pi1))
+        else:
+            eta = prop.alpha0 + prop.alpha_en * yl + prop.alpha_ar * xl + vp[t]
+            xs.append(int(u[t] < expit(eta)))
+        common = p.beta0 + p.beta_co * xl + p.beta_ar * yl + vo[t] + e[t]
+        ys.append(common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl if xs[-1] else common)
+    x = np.array(xs, dtype=np.int64)
+    y = np.array(ys)
+    # Both potential outcomes, rebuilt with the loop's arithmetic.
+    xl, yl = x[:-1], y[:-1]
+    common = p.beta0 + p.beta_co * xl + p.beta_ar * yl + v_out[1:] + eps[1:]
+    po0 = np.concatenate([y[:1], common])
+    po1 = np.concatenate([y[:1], common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl])
 
     finite = np.isfinite(y) & np.isfinite(po1) & np.isfinite(po0)
     if not finite.all():
@@ -193,7 +168,6 @@ def simulate_dataset(
         y=y[keep],
         x=x[keep],
         exog={n: v[keep, k] for k, n in enumerate(names)} or None,
-        burn_in_dropped=cfg.burn_in,
     )
     if return_potential:
         return ds, po1[keep].copy(), po0[keep].copy()

@@ -86,7 +86,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class TimeSeriesDataset:
-    """Ordered per-period observations with analysis provenance.
+    """Ordered per-period observations.
 
     Periods are indexed by contiguous integers starting at 1.  Outcomes must
     be finite, exposures binary; exogenous covariates share one name set
@@ -98,7 +98,6 @@ class TimeSeriesDataset:
         y: Sequence[float] | np.ndarray,
         x: Sequence[int] | np.ndarray,
         exog: Mapping[str, Sequence[float] | np.ndarray] | None = None,
-        burn_in_dropped: int = 0,
     ):
         y_arr = np.asarray(y, dtype=float)
         x_arr = np.asarray(x)
@@ -128,7 +127,6 @@ class TimeSeriesDataset:
             cols[name] = _readonly(col)
         self._exog = cols
         self._exog_names = names
-        self.burn_in_dropped = int(burn_in_dropped)
 
     # -- accessors ---------------------------------------------------------
 
@@ -169,7 +167,6 @@ class TimeSeriesDataset:
             and np.array_equal(self._x, other._x)
             and self._exog_names == other._exog_names
             and all(np.array_equal(self._exog[n], other._exog[n]) for n in self._exog_names)
-            and self.burn_in_dropped == other.burn_in_dropped
         )
 
     # -- CSV interchange ----------------------------------------------------

@@ -60,27 +60,24 @@ class ForestConfig:
 
 
 class _LinearPredictor:
-    """A GLM's linear predictor, mapped through the logistic link when `logistic`."""
+    """A GLM's linear predictor, mapped through the logistic link when `logistic`.
+
+    The linear predictor is accumulated column by column with elementwise
+    arithmetic, so each row's value does not depend on the other rows in
+    the call.
+    """
 
     def __init__(self, beta: np.ndarray, keep: np.ndarray, logistic: bool = False):
-        self.beta = beta
-        self.keep = keep  # design columns kept after any reference drop
+        self.beta = [float(b) for b in beta]
+        self.keep = [int(k) for k in keep]  # design columns kept after any reference drop
         self.logistic = logistic
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
         f = np.atleast_2d(np.asarray(f, dtype=float))
-        eta = np.hstack([np.ones((f.shape[0], 1)), f[:, self.keep]]) @ self.beta
+        eta = np.full(f.shape[0], self.beta[0])
+        for b, k in zip(self.beta[1:], self.keep):
+            eta += b * f[:, k]
         return 1.0 / (1.0 + np.exp(-eta)) if self.logistic else eta
-
-
-class _ForestPredictor:
-    def __init__(self, forest: FlatForest, clip: bool):
-        self.forest = forest
-        self.clip = clip
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        pred = self.forest.predict(f)
-        return np.clip(pred, 0.0, 1.0) if self.clip else pred
 
 
 @dataclass(frozen=True)
@@ -302,7 +299,7 @@ def fit_forest_outcome(
         columns=fm.columns,
         resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
-        _predictor=_ForestPredictor(forest, clip=False),
+        _predictor=forest.predict,
     )
 
 
@@ -325,7 +322,7 @@ def fit_forest_propensity(
         kind="forest",
         columns=fm.columns,
         forest_config=cfg,
-        insample_prob=np.clip(oob, 0.0, 1.0),
+        insample_prob=oob,
         train_values=fm.values,
-        _predictor=_ForestPredictor(forest, clip=True),
+        _predictor=forest.predict,
     )

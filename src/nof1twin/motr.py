@@ -36,7 +36,7 @@ from .core import (
 from .errors import ConfigError, EstimatorError
 from .models import FittedModel
 
-_BLOCK = 32  # runs rolled out together; the stopping rule is checked after each block
+_BLOCK = 32  # runs per rollout block; the stopping rule is checked after each block
 
 
 def welch_interval_from_moments(
@@ -143,34 +143,28 @@ def _rollout(
     column(s) with the previous step's predictions.  The first observed
     outcome seeds the lag for t = 2, and the t = 2 exposure lag comes from
     the permuted sequence itself.
-
-    Blocks are padded to a multiple of _BLOCK rows: BLAS rounds the tail
-    rows of a short block differently, and padding keeps every run's values
-    a function of its own permutation and noise alone.
     """
     runs, m = xb.shape
-    padded = -(-runs // _BLOCK) * _BLOCK
-    xb, noise = np.resize(xb, (padded, m)), np.resize(noise, (padded, m - 1))
     quartile = spec.outcome_lag_mode == LAG_QUARTILE
     bounds = quartile_bounds(ds.y) if quartile else None
     static = _encode_block(
         spec,
         x_t=xb[:, 1:].T.ravel(),
         x_lag=xb[:, :-1].T.ravel(),
-        y_lag=np.zeros((m - 1) * padded),
-        exog=np.repeat(ds.exog_matrix(spec.exog_names)[1:], padded, axis=0),
+        y_lag=np.zeros((m - 1) * runs),
+        exog=np.repeat(ds.exog_matrix(spec.exog_names)[1:], runs, axis=0),
         bounds=bounds,
-    ).reshape(m - 1, padded, -1)
+    ).reshape(m - 1, runs, -1)
     own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
     lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
-    preds = np.empty((padded, m - 1))
-    y_lag = np.full(padded, float(ds.y[0]))
+    preds = np.empty((runs, m - 1))
+    y_lag = np.full(runs, float(ds.y[0]))
     for i, f in enumerate(static):
         if lag:
             f[:, lag] = encode_quartile(y_lag, bounds) if quartile else y_lag[:, None]
         y_lag = model.predict(f) + noise[:, i]
         preds[:, i] = y_lag
-    return preds[:runs]
+    return preds
 
 
 def _run_stats(preds: np.ndarray, xb: np.ndarray) -> np.ndarray:

@@ -158,36 +158,3 @@ def enumerate_apte(spec: EnumSpec) -> float:
         y_prev = np.where(x_t == 1.0, po1, po0)
     return total / (m - 1)
 
-
-def historical_apte(
-    params: ArcoParams,
-    history: np.ndarray,
-    exog_effect: np.ndarray | None = None,
-) -> float:
-    """Average effect over all m periods under one fixed exposure history.
-
-    The noise-free observed path is rolled from the mechanism itself
-    (Y_1 = beta0 + beta_x*x_1 + V_1; lag coefficients are zero at t = 1), and
-    each period's contrast holds the history fixed while switching only the
-    current exposure.
-    """
-    if params.sigma_eps != 0.0:
-        raise ConfigError("historical_apte requires sigma_eps = 0")
-    x = np.asarray(history, dtype=float)
-    if x.ndim != 1 or len(x) < 1:
-        raise ConfigError("history must be a non-empty 1-d exposure sequence")
-    if not np.all(np.isin(x, (0.0, 1.0))):
-        raise ConfigError("history must be binary")
-    m = len(x)
-    v = np.zeros(m) if exog_effect is None else np.asarray(exog_effect, dtype=float)
-    if len(v) != m:
-        raise ConfigError("exog_effect must supply one value per period")
-
-    effects = np.empty(m)
-    effects[0] = params.beta_x
-    y_prev = params.beta0 + params.beta_x * x[0] + v[0]
-    for t in range(2, m + 1):
-        x_prev = x[t - 2]
-        effects[t - 1] = params.beta_x + params.beta_xco * x_prev + params.beta_xar * y_prev
-        y_prev = _po(params, x[t - 1], x_prev, y_prev, v[t - 1])
-    return float(np.mean(effects))

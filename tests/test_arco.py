@@ -41,7 +41,6 @@ class TestSimulate:
     def test_burn_in_dropped_and_reindexed(self):
         ds = randomized(50, seed=9, burn_in=2)
         assert ds.m == 50
-        assert ds.burn_in_dropped == 2
         assert np.array_equal(ds.y, randomized(52, seed=9, burn_in=0).y[2:])
 
     def test_causal_consistency(self):
@@ -76,11 +75,41 @@ class TestSimulate:
         assert abs(ds.x.mean() - 0.5) < 0.002
 
     def test_randomized_interaction_path_matches_loop(self):
-        # an exposure-dependent AR coefficient; cross-check against a direct replay
-        params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.4, beta_xar=0.2, sigma_eps=0.3)
-        ds = randomized(60, seed=8, params=params, burn_in=0)
-        replay = randomized(60, seed=8, params=ArcoParams(**{**params.__dict__}), burn_in=0)
-        assert np.array_equal(ds.y, replay.y)
+        # replay the documented mechanism from the documented streams, in both modes
+        params = ArcoParams(
+            beta0=1.0, beta_x=0.5, beta_co=0.3, beta_xco=-0.2, beta_ar=0.4, beta_xar=0.2,
+            beta_ex=(0.7,), sigma_eps=0.3,
+        )
+        prop = PropensityParams(
+            alpha0=-0.2, alpha_en=0.3, alpha_ar=0.5, alpha_ex=(-0.4,), pi1=0.4
+        )
+        m, seed = 60, SeedSpec(8)
+        v = np.sin(np.arange(float(m)))
+        eps = seed.child(0).normals(m, params.sigma_eps)
+        u = seed.child(1).uniforms(m)
+        for randomized_mode in (True, False):
+            cfg = SimConfig(m_analysis=m, burn_in=0, seed=seed, randomized_mode=randomized_mode)
+            ds, po1, po0 = simulate_dataset(params, prop, cfg, exog={"v": v}, return_potential=True)
+            x = np.zeros(m, dtype=np.int64)
+            y, y1, y0 = np.empty(m), np.empty(m), np.empty(m)
+            x[0] = u[0] < prop.pi1
+            y[0] = y1[0] = y0[0] = params.beta0 + params.beta_ex[0] * v[0] + eps[0]
+            for t in range(1, m):
+                pi = prop.pi1
+                if not randomized_mode:
+                    logit = (prop.alpha0 + prop.alpha_en * y[t - 1] + prop.alpha_ar * x[t - 1]
+                             + prop.alpha_ex[0] * v[t])
+                    pi = 1.0 / (1.0 + np.exp(-logit))
+                x[t] = u[t] < pi
+                y0[t] = (params.beta0 + params.beta_co * x[t - 1] + params.beta_ar * y[t - 1]
+                         + params.beta_ex[0] * v[t] + eps[t])
+                y1[t] = (y0[t] + params.beta_x + params.beta_xco * x[t - 1]
+                         + params.beta_xar * y[t - 1])
+                y[t] = y1[t] if x[t] else y0[t]
+            assert 0 < x.sum() < m
+            assert np.array_equal(ds.x, x)
+            for got, want in ((ds.y, y), (po1, y1), (po0, y0)):
+                assert np.max(np.abs(got - want)) < 1e-12
 
     def test_rejects_short_series(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -66,6 +68,34 @@ class TestDataset:
         ds.to_csv(path, header_comments=["seed=1"])
         again = TimeSeriesDataset.from_csv(path)
         assert again == TimeSeriesDataset(y=ds.y, x=ds.x, exog={"w": ds.exog("w")})
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_csv_round_trip_is_identity(self, data):
+        m = data.draw(st.integers(1, 30))
+        column = st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m
+        )
+        names = data.draw(
+            st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True), max_size=3, unique=True)
+        )
+        ds = TimeSeriesDataset(
+            y=data.draw(column),
+            x=data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
+            exog={n: data.draw(column) for n in names} or None,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "ds.csv")
+            ds.to_csv(path)
+            assert TimeSeriesDataset.from_csv(path) == ds
+
+    def test_simulated_series_round_trips_through_csv(self, tmp_path):
+        from nof1twin.arco import SimConfig, simulate_dataset
+        from nof1twin.harness import default_study_params
+
+        ds = simulate_dataset(*default_study_params(), SimConfig(m_analysis=30, burn_in=2, seed=3))
+        ds.to_csv(tmp_path / "sim.csv")
+        assert TimeSeriesDataset.from_csv(tmp_path / "sim.csv") == ds
 
     def test_csv_missing_value_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nof1twin.core import (
     LAG_NONE,
@@ -247,3 +249,36 @@ class TestForestInvariance:
         b = fit_forest_outcome(fm_p, y[perm], cfg, index_sampler=sampler_b)
         probe = rng.normal(size=(12, 2))
         assert np.array_equal(a.predict(probe), b.predict(probe))
+
+
+@pytest.fixture(scope="module")
+def rowwise_twins():
+    """Linear, logistic and both forest twins on four continuous columns."""
+    rng = np.random.default_rng(21)
+    n = 80
+    cont = rng.normal(size=(n, 4)) * [1.0, 3.0, 0.5, 10.0]
+    x = rng.integers(0, 2, n)
+    out = fmatrix(np.column_stack([x, cont]), ("x", "a", "b", "c", "d"))
+    prop = fmatrix(cont, ("a", "b", "c", "d"), include_x=False)
+    y = out.values @ [1.3, 0.7, -0.2, 0.9, 0.1] + rng.normal(size=n)
+    cfg = ForestConfig(n_trees=15, seed=4)
+    return [
+        (fit_linear_outcome(out, y), 5),
+        (fit_logistic_propensity(prop, x), 4),
+        (fit_forest_outcome(out, y, cfg), 5),
+        (fit_forest_propensity(prop, x, cfg), 4),
+    ]
+
+
+class TestRowWisePrediction:
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_block_prediction_equals_row_by_row(self, rowwise_twins, rows, seed):
+        rng = np.random.default_rng(seed)
+        for model, p in rowwise_twins:
+            f = rng.normal(size=(rows, p)) * 10.0 ** rng.uniform(-1, 2, size=p)
+            if p == 5:
+                f[:, 0] = rng.integers(0, 2, rows)
+            block = model.predict(f)
+            single = np.concatenate([model.predict(f[i : i + 1]) for i in range(rows)])
+            assert np.array_equal(block, single), model.kind

@@ -193,24 +193,30 @@ class TestRunMotr:
             assert abs(cums[r] - cums[r - 1]) <= bound + 1e-12
 
     def test_cumulative_ci_is_mean_of_run_bounds(self):
-        # 40 runs cross the boundary between two rollout blocks
+        # 45 runs end in a partial rollout block; each run must not depend on its block
+        from nof1twin.core import assemble_features
+        from nof1twin.models import ForestConfig, fit_forest_outcome
+
         arco, ds = self.make_study_ds(seed=3)
-        model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=40, r_max=40, seed=9))
-        assert est.runs_used == len(est.runs) == 40
-        per_run = []
-        for r in range(1, est.runs_used + 1):
-            run = run_motr_once(
-                ds, model, LAG_SPEC,
-                permuted_x=_permutation_for(ds, SeedSpec(9), r),
-                noise=_noise_for(ds, SeedSpec(9), r, model.resid_sd),
-                r=r,
-            )
-            per_run.append(run)
-        assert est.runs == tuple((run.delta, *run.ci) for run in per_run)
-        assert est.ci[0] == pytest.approx(np.mean([r.ci[0] for r in per_run]), abs=1e-12)
-        assert est.ci[1] == pytest.approx(np.mean([r.ci[1] for r in per_run]), abs=1e-12)
-        assert est.delta == pytest.approx(np.mean([r.delta for r in per_run]), abs=1e-12)
+        forest = fit_forest_outcome(
+            assemble_features(ds, LAG_SPEC), ds.y[1:], ForestConfig(n_trees=20, seed=2)
+        )
+        for model in (true_twin(arco, LAG_SPEC, resid_sd=0.5), forest):
+            est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=45, r_max=45, seed=9))
+            assert est.runs_used == len(est.runs) == 45
+            per_run = []
+            for r in range(1, est.runs_used + 1):
+                run = run_motr_once(
+                    ds, model, LAG_SPEC,
+                    permuted_x=_permutation_for(ds, SeedSpec(9), r),
+                    noise=_noise_for(ds, SeedSpec(9), r, model.resid_sd),
+                    r=r,
+                )
+                per_run.append(run)
+            assert est.runs == tuple((run.delta, *run.ci) for run in per_run)
+            assert est.ci[0] == pytest.approx(np.mean([r.ci[0] for r in per_run]), abs=1e-12)
+            assert est.ci[1] == pytest.approx(np.mean([r.ci[1] for r in per_run]), abs=1e-12)
+            assert est.delta == pytest.approx(np.mean([r.delta for r in per_run]), abs=1e-12)
 
     def test_run_cap_reported_when_not_settled(self):
         arco, ds = self.make_study_ds(seed=4)

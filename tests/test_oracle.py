@@ -3,7 +3,7 @@ import pytest
 
 from nof1twin.arco import ArcoParams, long_run_apte, long_run_mean
 from nof1twin.errors import ConfigError
-from nof1twin.oracle import MODE_IID, MODE_PERMUTATION, EnumSpec, enumerate_apte, historical_apte
+from nof1twin.oracle import MODE_IID, MODE_PERMUTATION, EnumSpec, enumerate_apte
 
 AR_SET = ArcoParams(beta0=2.0, beta_x=1.1, beta_ar=0.8)
 MIXED = ArcoParams(beta0=1.0, beta_x=1.0, beta_co=0.2, beta_xco=0.1, beta_ar=0.5, beta_xar=0.1)
@@ -118,44 +118,3 @@ class TestEnumerate:
         # exogenous contributions hit both arms equally at every period
         shifted = iid_spec(AR_SET, m=8, exog_effect=tuple(np.linspace(0, 3, 8)))
         assert enumerate_apte(shifted) == pytest.approx(1.1, abs=1e-12)
-
-
-class TestHistorical:
-    def test_no_interference_constant(self):
-        params = ArcoParams(beta0=5.0, beta_x=0.9)
-        assert historical_apte(params, np.array([1, 0, 1, 1, 0])) == pytest.approx(0.9, abs=1e-12)
-
-    def test_carryover_modification_all_exposed_history(self):
-        params = ArcoParams(beta0=1.0, beta_x=0.8, beta_co=0.3, beta_xco=0.25)
-        for m in (3, 5, 10):
-            got = historical_apte(params, np.ones(m))
-            assert got == pytest.approx(0.8 + 0.25 * (m - 1) / m, abs=1e-12)
-
-    def test_random_history_matches_direct_rollout(self):
-        rng = np.random.default_rng(3)
-        history = rng.integers(0, 2, 6).astype(float)
-        params = MIXED
-
-        def mech(s, x_prev, y_prev):
-            return (
-                params.beta0
-                + params.beta_x * s
-                + params.beta_co * x_prev
-                + params.beta_xco * s * x_prev
-                + params.beta_ar * y_prev
-                + params.beta_xar * s * y_prev
-            )
-
-        # independent re-implementation: roll the observed path, then
-        # switch only the current exposure at each period
-        y_path = [params.beta0 + params.beta_x * history[0]]
-        for t in range(1, 6):
-            y_path.append(mech(history[t], history[t - 1], y_path[-1]))
-        effects = [params.beta_x]
-        for t in range(1, 6):
-            effects.append(mech(1, history[t - 1], y_path[t - 1]) - mech(0, history[t - 1], y_path[t - 1]))
-        assert historical_apte(params, history) == pytest.approx(np.mean(effects), abs=1e-12)
-
-    def test_rejects_non_binary_history(self):
-        with pytest.raises(ConfigError):
-            historical_apte(AR_SET, np.array([0.0, 0.5, 1.0]))
