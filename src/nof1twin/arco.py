@@ -148,11 +148,13 @@ def simulate_dataset(
         ys.append(common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl if xs[-1] else common)
     x = np.array(xs, dtype=np.int64)
     y = np.array(ys)
-    # Both potential outcomes, rebuilt with the loop's arithmetic.
+    # Both potential outcomes, rebuilt with the loop's arithmetic; a diverging
+    # series overflows here, and the finiteness check below names the period.
     xl, yl = x[:-1], y[:-1]
-    common = p.beta0 + p.beta_co * xl + p.beta_ar * yl + v_out[1:] + eps[1:]
-    po0 = np.concatenate([y[:1], common])
-    po1 = np.concatenate([y[:1], common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl])
+    with np.errstate(over="ignore", invalid="ignore"):
+        common = p.beta0 + p.beta_co * xl + p.beta_ar * yl + v_out[1:] + eps[1:]
+        po0 = np.concatenate([y[:1], common])
+        po1 = np.concatenate([y[:1], common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl])
 
     finite = np.isfinite(y) & np.isfinite(po1) & np.isfinite(po0)
     if not finite.all():

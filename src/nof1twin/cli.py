@@ -10,7 +10,6 @@ artifacts alone.  Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -28,10 +27,11 @@ from .core import (
     dichotomize_exposure,
     load_table,
     log10_transform,
+    write_csv,
+    write_text,
 )
 from .errors import ConfigError, DataError, EstimatorError, Nof1TwinError
 from .harness import (
-    REPLICATION_FOREST_TREES,
     Method,
     MethodOptions,
     StudyConfig,
@@ -45,6 +45,9 @@ from .oracle import MODE_IID, MODE_PERMUTATION, EnumSpec, enumerate_apte
 from .pstn import PstnConfig, PstnResult
 
 DEFAULT_SEED = 1
+# `replicate` grows 100 trees per forest unless --n-trees says otherwise;
+# `analyze` and the library's ForestConfig default to 500.
+REPLICATION_FOREST_TREES = 100
 
 # Simulation-parameter key -> (config dataclass, field).  Defaults come from
 # default_study_params() and _SIM_DEFAULTS; each key parses as its default's type.
@@ -154,12 +157,11 @@ def _echo_lines(cfg: dict) -> list[str]:
 
 
 def _write_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_params(args, "m", "burnin", "seed", "randomized")
     arco, prop = _build(ArcoParams, cfg), _build(PropensityParams, cfg)
     ds = simulate_dataset(arco, prop, _build(SimConfig, cfg))
-    try:
-        ds.to_csv(args.output, header_comments=_echo_lines(cfg))
-    except OSError as exc:
-        raise DataError(f"cannot write {args.output}: {exc}") from None
+    ds.to_csv(args.output, header_comments=_echo_lines(cfg))
     return 0
 
 
@@ -234,6 +233,12 @@ def _result_payload(res) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     method = Method.parse(args.method)
+    if args.dump_model and method is Method.RAW:
+        raise ConfigError(f"method {method.value!r} fits no model to dump")
+    if args.runs_csv and method not in (Method.MOTR_GLM, Method.MOTR_RF):
+        raise ConfigError("--runs-csv applies to motr-glm / motr-rf only")
+    if args.periods_csv and method not in (Method.PSTN_GLM, Method.PSTN_RF):
+        raise ConfigError("--periods-csv applies to pstn-glm / pstn-rf only")
     ds = _load_analysis_dataset(args)
     outcome_spec, propensity_spec = _feature_specs(args)
     opts = _method_options(args, outcome_spec=outcome_spec, propensity_spec=propensity_spec)
@@ -256,36 +261,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _write_json(payload, args.output)
 
     if args.dump_model:
-        if res.model_summary is None:
-            raise ConfigError(f"method {method.value!r} fits no model to dump")
         _write_json(res.model_summary, args.dump_model)
     if args.runs_csv:
-        if not isinstance(res.detail, ApteEstimate):
-            raise ConfigError("--runs-csv applies to motr-glm / motr-rf only")
-        _write_runs_csv(args.runs_csv, res.detail)
+        est = res.detail
+        rows = ((r, *run, *cum) for r, (run, cum) in enumerate(zip(est.runs, est.trajectory), 1))
+        header = ["r", "delta_r", "lo_r", "hi_r", "cum_delta", "cum_lo", "cum_hi"]
+        write_csv(args.runs_csv, header, rows)
     if args.periods_csv:
-        if not isinstance(res.detail, PstnResult):
-            raise ConfigError("--periods-csv applies to pstn-glm / pstn-rf only")
-        _write_periods_csv(args.periods_csv, res.detail)
+        pr = res.detail
+        weight = dict(zip(pr.retained, pr.weights))
+        rows = ((t, pi, weight.get(t), int(t in weight)) for t, pi in zip(pr.t_index, pr.pi_hat))
+        write_csv(args.periods_csv, ["t", "pi_hat", "weight", "retained"], rows)
     return 0
-
-
-def _write_runs_csv(path: str, est: ApteEstimate) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "delta_r", "lo_r", "hi_r", "cum_delta", "cum_lo", "cum_hi"])
-        for r, (run, cum) in enumerate(zip(est.runs, est.trajectory), start=1):
-            writer.writerow([r, *map(repr, run), *map(repr, cum)])
-
-
-def _write_periods_csv(path: str, res: PstnResult) -> None:
-    weight_by_t = dict(zip(res.retained, res.weights))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "pi_hat", "weight", "retained"])
-        for t, pi in zip(res.t_index, res.pi_hat):
-            kept = t in weight_by_t
-            writer.writerow([t, repr(pi), repr(weight_by_t[t]) if kept else "", int(kept)])
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +303,15 @@ def cmd_replicate(args: argparse.Namespace) -> int:
             **opts.to_echo(),
         }
     )
-    try:
-        report.write_rows_csv(f"{args.out_prefix}_rows.csv", lines)
-        report.write_summary_csv(f"{args.out_prefix}_summary.csv", lines)
-    except OSError as exc:
-        raise DataError(f"cannot write outputs with prefix {args.out_prefix}: {exc}") from None
+    rows = ([r.h, r.method.value, r.estimate, r.bias, r.error] for r in report.rows)
+    header = ["h", "method", "estimate", "bias", "error"]
+    write_csv(f"{args.out_prefix}_rows.csv", header, rows, lines)
+    summary = (
+        [s.method.value, s.mean_bias, s.ci_lo, s.ci_hi, s.n_datasets, s.failures]
+        for s in report.summary.values()
+    )
+    header = ["method", "mean_bias", "ci_lo", "ci_hi", "n", "failures"]
+    write_csv(f"{args.out_prefix}_summary.csv", header, summary, lines)
     return 0
 
 

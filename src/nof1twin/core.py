@@ -8,6 +8,7 @@ across parallel workers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -173,20 +174,43 @@ class TimeSeriesDataset:
 
     def to_csv(self, path, header_comments: Iterable[str] = ()) -> None:
         """Write the dataset CSV (`t,y,x[,exog...]`); comment lines start with '#'."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            for line in header_comments:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y", "x", *self._exog_names])
-            for i in range(self.m):
-                row = [i + 1, repr(float(self._y[i])), int(self._x[i])]
-                row += [repr(float(self._exog[n][i])) for n in self._exog_names]
-                writer.writerow(row)
+        columns = (self._y, self._x, *(self._exog[n] for n in self._exog_names))
+        rows = zip(range(1, self.m + 1), *(c.tolist() for c in columns))
+        write_csv(path, ["t", "y", "x", *self._exog_names], rows, header_comments)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesDataset":
         y, x, exog = load_table(path)
         return cls(y=y, x=x.astype(np.int64) if np.all(np.isin(x, (0, 1))) else x, exog=exog)
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as is; a path that cannot be written raises DataError."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from None
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable, comments: Iterable[str] = ()) -> None:
+    """Write a CSV table after one `# line` comment per entry of `comments`.
+
+    Every float cell, numpy floats included, is written as `repr(float(v))`
+    (round-trip exact) and `None` as an empty cell.
+    """
+    buf = io.StringIO()
+    buf.writelines(f"# {line}\n" for line in comments)
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    write_text(path, buf.getvalue())
 
 
 def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:

@@ -37,7 +37,6 @@ class FlatForest:
     right: np.ndarray
     value: np.ndarray      # float64 leaf payloads (mean / class-1 proportion)
     roots: np.ndarray      # int32, one per tree
-    n_features: int
 
     @property
     def n_trees(self) -> int:
@@ -168,7 +167,6 @@ def build_forest(
         right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value),
         roots=roots,
-        n_features=p,
     )
     return forest, inbag
 

@@ -9,11 +9,9 @@ with a count rather than aborting the study.
 
 from __future__ import annotations
 
-import csv
 import enum
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable
 
 import numpy as np
 from scipy.special import stdtrit
@@ -236,11 +234,6 @@ class StudyConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
-# The replication harness defaults forests to 100 trees (the single-run
-# default of 500 is config-overridable here too).
-REPLICATION_FOREST_TREES = 100
-
-
 @dataclass(frozen=True)
 class ReplicationRow:
     h: int
@@ -272,45 +265,6 @@ class ReplicationReport:
         return np.array(
             [r.bias for r in self.rows if r.method is method and r.error is None], dtype=float
         )
-
-    def write_rows_csv(self, path, config_lines: Iterable[str] = ()) -> None:
-        _write_csv(
-            path,
-            config_lines,
-            ["h", "method", "estimate", "bias", "error"],
-            (
-                [
-                    row.h,
-                    row.method.value,
-                    "" if row.estimate is None else repr(row.estimate),
-                    "" if row.bias is None else repr(row.bias),
-                    row.error or "",
-                ]
-                for row in self.rows
-            ),
-        )
-
-    def write_summary_csv(self, path, config_lines: Iterable[str] = ()) -> None:
-        _write_csv(
-            path,
-            config_lines,
-            ["method", "mean_bias", "ci_lo", "ci_hi", "n", "failures"],
-            (
-                [s.method.value, repr(s.mean_bias), repr(s.ci_lo), repr(s.ci_hi), s.n_datasets,
-                 s.failures]
-                for s in self.summary.values()
-            ),
-        )
-
-
-def _write_csv(path, config_lines: Iterable[str], header: list[str], rows) -> None:
-    """A CSV table preceded by one `# line` comment per configuration line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for line in config_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _dataset_for(study: StudyConfig, h: int) -> TimeSeriesDataset:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.special import expit
 
 from .core import LAG_QUARTILE, FeatureMatrix, SeedSpec, as_seed
 from .errors import ConfigError, ConvergenceError, EstimatorError
@@ -77,7 +78,7 @@ class _LinearPredictor:
         eta = np.full(f.shape[0], self.beta[0])
         for b, k in zip(self.beta[1:], self.keep):
             eta += b * f[:, k]
-        return 1.0 / (1.0 + np.exp(-eta)) if self.logistic else eta
+        return expit(eta) if self.logistic else eta
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
     trace: list[float] = []
     for _ in range(_IRLS_MAX_ITER):
         eta = design @ beta
-        prob = 1.0 / (1.0 + np.exp(-eta))
+        prob = expit(eta)
         w = prob * (1.0 - prob)
         xtwx = design.T @ (design * w[:, None])
         score = design.T @ (x - prob)

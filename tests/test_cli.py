@@ -211,6 +211,17 @@ class TestReplicate:
         assert "# m=30" in summary
         assert "# methods=raw,coef" in summary
 
+    def test_summary_cells_parse_as_numbers(self, tmp_path):
+        assert run(["replicate", "--h-datasets", "3", "--m", "30",
+                    "--methods", "raw,coef,pstn-glm", "-o", str(tmp_path / "rep")]) == 0
+        lines = (tmp_path / "rep_summary.csv").read_text().splitlines()
+        table = list(csv.reader(line for line in lines if not line.startswith("#")))
+        assert table[0] == ["method", "mean_bias", "ci_lo", "ci_hi", "n", "failures"]
+        assert [row[0] for row in table[1:]] == ["raw", "coef", "pstn_glm"]
+        for row in table[1:]:
+            values = [float(cell) for cell in row[1:]]
+            assert values[1] <= values[0] <= values[2]
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -285,6 +296,7 @@ class TestExitCodes:
         params.write_text("beta0 = not-a-number\n")
         assert run(["simulate", "--params", str(params), "-o", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", [[], ["--randomized"]])
     def test_diverging_simulation(self, tmp_path, mode):
         out = tmp_path / "x.csv"
@@ -309,6 +321,42 @@ class TestExitCodes:
                     "--methods", "raw", "-o", str(tmp_path / "rep")]) == 2
         assert f"{name}=0.5" in capsys.readouterr().err
         assert not (tmp_path / "rep_rows.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "-o", "{bad}"],
+        ["replicate", "--h-datasets", "2", "--m", "30", "--methods", "raw", "-o", "{bad}"],
+        ["analyze", "--method", "coef", "-o", "{bad}"],
+        ["analyze", "--method", "coef", "--dump-model", "{bad}"],
+        ["analyze", "--method", "motr-glm", "--r-max", "20", "--runs-csv", "{bad}"],
+        ["analyze", "--method", "pstn-glm", "--periods-csv", "{bad}"],
+        ["oracle", "--m", "6", "--m1", "3", "-o", "{bad}"],
+    ], ids=["simulate", "replicate", "analyze-o", "dump-model", "runs-csv", "periods-csv",
+            "oracle-o"])
+    def test_unwritable_output_is_a_data_error(self, study_csv, tmp_path, capsys, argv):
+        bad = str(tmp_path / "missing" / "out")
+        argv = [arg.format(bad=bad) for arg in argv]
+        if argv[0] == "analyze":
+            argv += ["--data", str(study_csv)]
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot write {bad}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method, flag", [
+        ("raw", "--dump-model"),
+        ("coef", "--runs-csv"),
+        ("pstn-rf", "--runs-csv"),
+        ("motr-glm", "--periods-csv"),
+    ])
+    def test_inapplicable_output_flag_rejected_before_estimating(self, study_csv, tmp_path,
+                                                                method, flag):
+        out = tmp_path / "o.json"
+        argv = ["analyze", "--data", str(study_csv), "--method", method, "-o", str(out),
+                flag, str(tmp_path / "extra")]
+        assert run(argv) == 2
+        assert not out.exists()
+        assert not (tmp_path / "extra").exists()
 
     def test_params_file_round_trip(self, tmp_path):
         params = tmp_path / "p.cfg"

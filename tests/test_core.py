@@ -20,6 +20,7 @@ from nof1twin.core import (
     load_table,
     log10_transform,
     quartile_bounds,
+    write_csv,
 )
 from nof1twin.errors import ConfigError, DataError
 
@@ -108,6 +109,23 @@ class TestDataset:
         path.write_text("t,y,x\n1,1.0,0\n2,oops,1\n")
         with pytest.raises(DataError, match="bad.csv:3"):
             load_table(path)
+
+
+class TestWriteCsv:
+    def test_cell_rule(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            [1, np.float64(-1.205939001256332), None, "a,b"],
+            [np.int64(2), 0.1, float("nan"), ""],
+        ]
+        write_csv(path, ["k", "v", "w", "note"], rows, ["seed=1"])
+        assert path.read_bytes() == (
+            b"# seed=1\nk,v,w,note\r\n1,-1.205939001256332,,\"a,b\"\r\n2,0.1,nan,\r\n"
+        )
+
+    def test_unwritable_path_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write"):
+            write_csv(tmp_path / "missing" / "t.csv", ["k"], [[1]])
 
 
 class TestDichotomize:

@@ -1,8 +1,11 @@
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nof1twin.arco import ArcoParams, PropensityParams
-from nof1twin.core import TimeSeriesDataset
+from nof1twin.core import TimeSeriesDataset, write_csv
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import (
     Method,
@@ -80,8 +83,11 @@ class TestReplicate:
         assert two.rows == three.rows[: len(two.rows)]
 
     def test_workers_do_not_change_the_report(self):
-        a = replicate(small_study(workers=1))
-        b = replicate(small_study(workers=2))
+        # motr-glm and pstn-rf draw from per-dataset seed sub-streams
+        study = small_study(methods=(Method.RAW, Method.COEF, Method.MOTR_GLM, Method.PSTN_RF))
+        a = replicate(study)
+        b = replicate(replace(study, workers=2))
+        assert {row.method for row in a.rows if row.error is None} == set(study.methods)
         assert a.rows == b.rows
         assert a.summary == b.summary
 
@@ -119,14 +125,20 @@ class TestReplicate:
             small_study(params=params)
 
     def test_csv_outputs(self, tmp_path):
-        report = replicate(small_study())
-        rows_path = tmp_path / "rows.csv"
-        summary_path = tmp_path / "summary.csv"
-        report.write_rows_csv(rows_path, config_lines=["seed=5", "m=40"])
-        report.write_summary_csv(summary_path, config_lines=["seed=5", "m=40"])
-        rows_text = rows_path.read_text()
-        assert rows_text.startswith("# seed=5\n# m=40\n")
-        assert "h,method,estimate,bias,error" in rows_text
-        summary_text = summary_path.read_text()
-        assert "method,mean_bias,ci_lo,ci_hi,n,failures" in summary_text
-        assert "raw," in summary_text
+        # impossibly tight trimming makes every pstn-glm row a failure row
+        tight = MethodOptions(pstn=PstnConfig(trim_bounds=(0.499, 0.501)))
+        report = replicate(small_study(methods=(Method.RAW, Method.PSTN_GLM), options=tight))
+        path = tmp_path / "rows.csv"
+        table = [[r.h, r.method.value, r.estimate, r.bias, r.error] for r in report.rows]
+        write_csv(path, ["h", "method", "estimate", "bias", "error"], table, ["seed=5", "m=40"])
+        text = path.read_bytes().decode()
+        assert text.startswith("# seed=5\n# m=40\nh,method,estimate,bias,error\r\n")
+        parsed = list(csv.reader(text.splitlines()[2:]))[1:]
+        assert len(parsed) == len(report.rows)
+        for cells, row in zip(parsed, report.rows):
+            assert cells[:2] == [str(row.h), row.method.value]
+            if row.error is None:
+                assert [float(c) for c in cells[2:4]] == [row.estimate, row.bias]
+                assert cells[4] == ""
+            else:
+                assert cells[2:] == ["", "", row.error]

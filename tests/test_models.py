@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,13 @@ class TestLogistic:
     def test_from_coefficients(self):
         model = glm_from_coefficients(("w",), {"intercept": 0.0, "w": 1.0})
         assert model.predict(np.array([[0.0]]))[0] == pytest.approx(0.5)
+
+    def test_far_negative_linear_predictor_gives_zero_without_warning(self):
+        model = glm_from_coefficients(("w",), {"intercept": 0.0, "w": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prob = model.predict(np.array([[-800.0], [-709.9], [800.0]]))
+        assert prob.tolist() == [0.0, pytest.approx(0.0, abs=1e-300), 1.0]
 
 
 class TestForestOutcome:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,33 @@ class TestEngine:
         except EstimatorError:
             return
         assert kept_tight <= kept_wide
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_joint_reordering_of_periods(self, data):
+        n = data.draw(st.integers(4, 30))
+        y = np.array(data.draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n)))
+        pi = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)))
+        x = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        t = np.arange(1, n + 1)
+        order = np.array(data.draw(st.permutations(range(n))))
+        cfg = PstnConfig(
+            trim_bounds=data.draw(st.sampled_from([(0.0, 1.0), (0.05, 0.95), (0.2, 0.8)])),
+            use_overlap=data.draw(st.booleans()),
+            use_stabilized=data.draw(st.booleans()),
+        )
+        try:
+            a = pstn_from_propensities(y, x, pi, t, cfg)
+        except EstimatorError as exc:
+            with pytest.raises(EstimatorError, match=re.escape(str(exc))):
+                pstn_from_propensities(y[order], x[order], pi[order], t[order], cfg)
+            return
+        b = pstn_from_propensities(y[order], x[order], pi[order], t[order], cfg)
+        for field in ("delta", "mean_po_1", "mean_po_0"):
+            assert getattr(b, field) == pytest.approx(getattr(a, field), rel=1e-12, abs=1e-12)
+        assert b.excluded == a.excluded
+        assert dict(zip(b.retained, b.weights)) == dict(zip(a.retained, a.weights))
+        assert dict(zip(b.t_index, b.pi_hat)) == dict(zip(a.t_index, a.pi_hat))
 
     def test_pure_function(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
