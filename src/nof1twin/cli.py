@@ -258,8 +258,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "method": method.value.replace("_", "-"),
         "result": _result_payload(res),
     }
-    _write_json(payload, args.output)
-
+    # side files first: a write that fails (exit 3) leaves no -o result behind
     if args.dump_model:
         _write_json(res.model_summary, args.dump_model)
     if args.runs_csv:
@@ -272,6 +271,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         weight = dict(zip(pr.retained, pr.weights))
         rows = ((t, pi, weight.get(t), int(t in weight)) for t, pi in zip(pr.t_index, pr.pi_hat))
         write_csv(args.periods_csv, ["t", "pi_hat", "weight", "retained"], rows)
+    _write_json(payload, args.output)
     return 0
 
 

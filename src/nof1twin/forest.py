@@ -2,14 +2,18 @@
 
 Regression trees maximize the split criterion sum(S_c^2 / n_c) over children,
 equivalent to variance reduction; for 0/1 labels the same criterion is
-equivalent to Gini impurity reduction, so one scan serves both tasks.
+equivalent to Gini impurity reduction, so one scan serves both tasks.  Trees
+grow level by level over presorted bootstrap samples, so one numpy pass per
+feature scores every threshold of every node of a level.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
-rows in the order given), followed by one mtry feature subset per node in
-build order.  Features are scanned in ascending index, thresholds in
-ascending value, and ties keep the first candidate, so a tree is a pure
-function of (bootstrap multiset, per-tree stream).
+rows in the order given), followed by one `permutation(p)[:mtry]` feature
+subset per node larger than min_node_size with non-constant labels, in
+breadth-first order (level by level, left to right); with mtry == p none is
+drawn.  Features are scanned in ascending index, thresholds in ascending
+value, and ties keep the first candidate, so a tree is a pure function of
+(bootstrap sequence, per-tree stream).
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from .core import SeedSpec
 IndexSampler = Callable[[int, np.random.Generator, int], np.ndarray]
 
 _LEAF = -1
+_PAIRS = 1 << 14  # (row, tree) pairs per predict_trees call in predict; bounds its memory
+_BATCH_ROWS = 1 << 13  # bootstrap rows grown together; bounds the grower's working memory
 
 
 @dataclass
@@ -43,52 +49,26 @@ class FlatForest:
         return len(self.roots)
 
     def predict_trees(self, f: np.ndarray) -> np.ndarray:
-        """Per-tree predictions for a feature block; returns (rows, trees)."""
+        """Per-tree predictions, (rows, trees); each (row, tree) pair descends
+        one level per pass until it reaches its leaf."""
         f = np.atleast_2d(np.asarray(f, dtype=float))
-        b = f.shape[0]
-        node = np.broadcast_to(self.roots, (b, self.n_trees)).copy()
-        rows = np.arange(b)[:, None]
-        while True:
-            feat = self.feature[node]
-            live = feat != _LEAF
-            if not live.any():
-                break
-            r, c = np.nonzero(live)
-            cur = node[r, c]
-            go_left = f[r, self.feature[cur]] <= self.threshold[cur]
-            node[r, c] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+        node = np.tile(self.roots, len(f))  # (rows, trees) flattened row-major
+        live = np.arange(len(node))
+        while live.size:
+            cur = node[live]
+            feat = self.feature[cur]
+            inner = feat != _LEAF
+            live, cur, feat = live[inner], cur[inner], feat[inner]
+            go_left = f[live // self.n_trees, feat] <= self.threshold[cur]
+            node[live] = np.where(go_left, self.left[cur], self.right[cur])
+        return self.value[node].reshape(len(f), self.n_trees)
 
     def predict(self, f: np.ndarray) -> np.ndarray:
-        return self.predict_trees(f).mean(axis=1)
-
-
-def _best_split(x_col: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Best threshold for one feature; returns (score gain, threshold).
-
-    Score is sum(S_c^2/n_c) - S^2/n over the two children; -inf when the
-    column admits no split.
-    """
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
-    ys = y[order]
-    n = len(ys)
-    cut = np.flatnonzero(xs[:-1] < xs[1:])
-    if cut.size == 0:
-        return -np.inf, 0.0
-    csum = np.cumsum(ys)
-    total = csum[-1]
-    n_left = cut + 1.0
-    s_left = csum[cut]
-    score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
-    best = int(np.argmax(score))
-    gain = score[best] - total * total / n
-    i = cut[best]
-    return float(gain), float((xs[i] + xs[i + 1]) / 2.0)
-
-
-def _default_sampler(k: int, rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.integers(0, n, size=n)
+        """Mean over the trees, in blocks of at most _PAIRS (row, tree) pairs."""
+        f = np.atleast_2d(np.asarray(f, dtype=float))
+        step = max(1, _PAIRS // self.n_trees)
+        return np.concatenate([self.predict_trees(f[i : i + step]).mean(axis=1)
+                               for i in range(0, max(len(f), 1), step)])
 
 
 def build_forest(
@@ -105,70 +85,117 @@ def build_forest(
     A node is terminal when its size is <= min_node_size, its labels are
     constant, or no sampled feature admits a split.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, p = x.shape
-    sampler = index_sampler or _default_sampler
+    sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
+    rngs = [seed.child(k).generator() for k in range(n_trees)]
+    boots = [np.asarray(sampler(k, rng, n), dtype=np.intp) for k, rng in enumerate(rngs)]
+    inbag = np.array([np.bincount(idx, minlength=n) for idx in boots], dtype=np.int32)
+    ranks = [np.unique(x[:, f], return_inverse=True)[1] for f in range(p)]  # ties share a rank
+    levels: list[tuple[np.ndarray, ...]] = []
+    per_batch = max(1, _BATCH_ROWS // n)
+    for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
+        first = sum(len(level[0]) for level in levels)
+        levels += _grow(x, y, ranks, boots[trees], rngs[trees], mtry, min_node_size, first)
+    feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
+    roots = np.setdiff1d(np.arange(len(feature), dtype=np.int32), np.append(left, right))
+    return FlatForest(feature, threshold, left, right, value, roots), inbag
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    roots = np.empty(n_trees, dtype=np.int32)
-    inbag = np.zeros((n_trees, n), dtype=np.int32)
 
-    for k in range(n_trees):
-        rng = seed.child(k).generator()
-        idx = np.asarray(sampler(k, rng, n), dtype=np.intp)
-        np.add.at(inbag[k], idx, 1)
-        xb = x[idx]
-        yb = y[idx]
+def _grow(x, y, ranks, boots, rngs, mtry, min_node_size, first_id):
+    """Grow a batch of trees level by level; returns each level's node arrays.
 
-        def new_node() -> int:
-            feature.append(_LEAF)
-            threshold.append(0.0)
-            left.append(_LEAF)
-            right.append(_LEAF)
-            value.append(0.0)
-            return len(feature) - 1
+    order[f] holds the positions (in the concatenated bootstrap samples) of
+    the live nodes, each node's as one segment sorted by feature f, ties in
+    bootstrap order.  Live nodes are in breadth-first order within each tree.
+    """
+    n, p = x.shape
+    size = np.array([len(b) for b in boots])
+    row = np.concatenate(boots)
+    tree_of = np.repeat(np.arange(len(boots)), size)
+    order = np.stack([np.argsort(tree_of * n + r[row], kind="stable") for r in ranks]
+                     or [np.arange(len(row))]).astype(np.int32)
+    start, tree, levels, next_id = np.cumsum(size) - size, np.arange(len(boots)), [], first_id
+    while True:
+        k = len(start)
+        next_id += k
+        node = np.repeat(np.arange(k), size)
+        ys = y[row[order[0]]]
+        cand = size > min_node_size
+        cand &= np.minimum.reduceat(ys, start) < np.maximum.reduceat(ys, start)
+        subset = np.ones((k, p), dtype=bool)
+        if mtry < p:  # one permutation(p)[:mtry] per candidate, in node order per tree
+            subset[cand] = False
+            nodes = np.flatnonzero(cand)
+            for t in np.unique(tree[nodes]).tolist():
+                mine = nodes[tree[nodes] == t]
+                drawn = rngs[t].permuted(np.tile(np.arange(p), (len(mine), 1)), axis=1)
+                subset[mine[:, None], drawn[:, :mtry]] = True
+        gain, feat, thr = np.zeros(k), np.full(k, _LEAF, dtype=np.int32), np.zeros(k)
+        for f, o in enumerate(order[:p]):
+            scan = cand & subset[:, f]
+            if scan.any():
+                nodes, g, t = _best_cuts(x[row[o], f], y[row[o]], node, start, size, scan)
+                better = g > gain[nodes] + 1e-12
+                nodes = nodes[better]
+                gain[nodes], feat[nodes], thr[nodes] = g[better], f, t[better]
+        split = feat != _LEAF
+        ids = np.full(k, _LEAF, dtype=np.int32)
+        ids[split] = next_id + 2 * np.arange(split.sum())
+        value = np.where(split, 0.0, np.add.reduceat(ys, start) / size)
+        levels.append((feat, thr, ids, np.where(split, ids + 1, ids), value))
+        if not split.any():
+            return levels
+        # stable partition of every order into the children's segments, left child first
+        go_left = np.zeros(len(row), dtype=bool)
+        go_left[order[0]] = x[row[order[0]], feat[node]] <= thr[node]
+        keep = split[node]
+        size = size[split]
+        start = np.cumsum(size) - size
+        seg = np.repeat(np.arange(len(size)), size)
+        n_left = np.add.reduceat(go_left[order[0][keep]], start, dtype=np.intp)
+        r_base = n_left[seg] + np.arange(len(seg)) - start[seg]
+        new_order = np.empty((len(order), len(seg)), dtype=np.int32)
+        for f, o in enumerate(order):
+            kept = o[keep]
+            lft = go_left[kept]
+            ahead = np.cumsum(lft) - lft  # left rows ahead of each row in its segment
+            ahead -= ahead[start][seg]
+            new_order[f, start[seg] + np.where(lft, ahead, r_base - ahead)] = kept
+        order = new_order
+        start = np.column_stack([start, start + n_left]).ravel()
+        size = np.column_stack([n_left, size - n_left]).ravel()
+        tree = np.repeat(tree[split], 2)
 
-        roots[k] = new_node()
-        stack: list[tuple[int, np.ndarray]] = [(roots[k], np.arange(len(idx)))]
-        while stack:
-            node_id, rows = stack.pop()
-            y_node = yb[rows]
-            if len(rows) <= min_node_size or y_node.min() == y_node.max():
-                value[node_id] = float(y_node.mean())
-                continue
-            feats = rng.permutation(p)[:mtry]
-            feats.sort()
-            best_gain, best_feat, best_thr = 0.0, _LEAF, 0.0
-            for f_idx in feats:
-                gain, thr = _best_split(xb[rows, f_idx], y_node)
-                if gain > best_gain + 1e-12:
-                    best_gain, best_feat, best_thr = gain, int(f_idx), thr
-            if best_feat == _LEAF:
-                value[node_id] = float(y_node.mean())
-                continue
-            mask = xb[rows, best_feat] <= best_thr
-            feature[node_id] = best_feat
-            threshold[node_id] = best_thr
-            lid, rid = new_node(), new_node()
-            left[node_id] = lid
-            right[node_id] = rid
-            stack.append((rid, rows[~mask]))
-            stack.append((lid, rows[mask]))
 
-    forest = FlatForest(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value),
-        roots=roots,
-    )
-    return forest, inbag
+def _best_cuts(xs, ys, node, start, size, scan):
+    """(nodes, gain, threshold) of each scanned node's first best cut on one feature.
+
+    `xs`, `ys` are the live positions in this feature's order; the gain is
+    sum(S_c^2/n_c) - S^2/n over the two children.
+    """
+    csum = np.cumsum(ys)
+    before = np.concatenate(([0.0], csum))[start]  # label sum ahead of each segment
+    total = csum[start + size - 1] - before
+    ok = (xs[:-1] < xs[1:]) & scan[node[:-1]]
+    ok[(start + size - 1)[:-1]] = False  # a cut never spans two nodes
+    cut = np.flatnonzero(ok)
+    if cut.size == 0:
+        return cut, np.zeros(0), np.zeros(0)
+    c_node = node[cut]
+    n_left = (cut - start[c_node] + 1).astype(float)
+    s_left = csum[cut] - before[c_node]
+    score = s_left**2 / n_left + (total[c_node] - s_left) ** 2 / (size[c_node] - n_left)
+    head = np.flatnonzero(np.concatenate(([True], c_node[1:] != c_node[:-1])))
+    top = np.repeat(np.maximum.reduceat(score, head), np.diff(np.append(head, len(cut))))
+    hit = np.flatnonzero(score == top)
+    hit = hit[np.concatenate(([True], c_node[hit[1:]] != c_node[hit[:-1]]))]  # first per node
+    nodes, i = c_node[hit], cut[hit]
+    with np.errstate(over="ignore"):
+        mid = (xs[i] + xs[i + 1]) / 2.0
+    # a midpoint that rounds up to (or overflows past) xs[i + 1] would send every row left
+    gain = score[hit] - total[nodes] * total[nodes] / size[nodes]
+    return nodes, gain, np.where(mid < xs[i + 1], mid, xs[i])
 
 
 def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -180,9 +207,5 @@ def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.
     per_tree = forest.predict_trees(x)
     oob = inbag.T == 0
     n_oob = oob.sum(axis=1)
-    out = np.where(
-        n_oob > 0,
-        (per_tree * oob).sum(axis=1) / np.maximum(n_oob, 1),
-        per_tree.mean(axis=1),
-    )
-    return out
+    oob_mean = (per_tree * oob).sum(axis=1) / np.maximum(n_oob, 1)
+    return np.where(n_oob > 0, oob_mean, per_tree.mean(axis=1))

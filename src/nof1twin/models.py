@@ -110,6 +110,11 @@ class FittedModel:
         """Mean outcome or exposure probability for rows laid out as in the fit."""
         return self._predictor(f)
 
+    @property
+    def forest(self) -> FlatForest | None:
+        """The trees behind a forest twin's `predict`; None for a GLM."""
+        return self._predictor.__self__ if self.kind == "forest" else None
+
     def summary(self) -> dict:
         out: dict = {"kind": self.kind, "columns": list(self.columns)}
         if self.is_outcome:

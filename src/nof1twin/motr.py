@@ -129,42 +129,65 @@ def _check_twin(ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec) ->
     assemble_features(ds, spec)
 
 
-def _rollout(
-    ds: TimeSeriesDataset,
-    model: FittedModel,
-    spec: FeatureSpec,
-    xb: np.ndarray,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Noisy sequential predictions for periods 2..m; xb is (runs, m).
+class _Rollout:
+    """A twin's noisy sequential predictions for permuted exposure sequences.
 
-    The static features (x_t, x_{t-1}, exogenous values) of every run and
-    period are encoded once; each step overwrites only the outcome-lag
-    column(s) with the previous step's predictions.  The first observed
-    outcome seeds the lag for t = 2, and the t = 2 exposure lag comes from
-    the permuted sequence itself.
+    Only the outcome lag changes between steps; the rest of a period's
+    features, static row s = (x_t * n_lag + x_{t-1}) * n_exog + e (e the
+    period's distinct exogenous row, n_lag = 1 without x_lag1), is encoded
+    once.  A forest twin becomes `table`: with s fixed, every lag in
+    (t_(c-1), t_c] between sorted lag thresholds reaches the same leaves, so
+    the forest's value at t_c (+inf past the last; the one-hot slots in
+    quartile mode) makes each step one lookup.  Other twins, and tables
+    larger than the `walk_rows` the rollout walks, predict every step.
     """
-    runs, m = xb.shape
-    quartile = spec.outcome_lag_mode == LAG_QUARTILE
-    bounds = quartile_bounds(ds.y) if quartile else None
-    static = _encode_block(
-        spec,
-        x_t=xb[:, 1:].T.ravel(),
-        x_lag=xb[:, :-1].T.ravel(),
-        y_lag=np.zeros((m - 1) * runs),
-        exog=np.repeat(ds.exog_matrix(spec.exog_names)[1:], runs, axis=0),
-        bounds=bounds,
-    ).reshape(m - 1, runs, -1)
-    own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
-    lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
-    preds = np.empty((runs, m - 1))
-    y_lag = np.full(runs, float(ds.y[0]))
-    for i, f in enumerate(static):
-        if lag:
-            f[:, lag] = encode_quartile(y_lag, bounds) if quartile else y_lag[:, None]
-        y_lag = model.predict(f) + noise[:, i]
-        preds[:, i] = y_lag
-    return preds
+
+    def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec,
+                 walk_rows: int):
+        self.y0, self.model, self.table = float(ds.y[0]), model, None
+        own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
+        self.lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
+        exog, self.exog_row = np.unique(ds.exog_matrix(spec.exog_names)[1:], axis=0,
+                                        return_inverse=True)
+        self.bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
+        self.n_lag = 2 if spec.use_exposure_lag1 else 1
+        s = np.arange(2 * self.n_lag * len(exog))
+        x_t, x_lag, e = s // (self.n_lag * len(exog)), s // len(exog) % self.n_lag, s % len(exog)
+        self.static = _encode_block(spec, x_t, x_lag, np.zeros(len(s)), exog[e], self.bounds)
+        if (forest := model.forest) is None:
+            return
+        if self.bounds is not None:
+            self.cuts, reps = np.asarray(self.bounds), np.eye(4)
+        else:
+            self.cuts = np.unique(forest.threshold[np.isin(forest.feature, self.lag)])
+            reps = np.append(self.cuts, np.inf)[:, None]
+        if len(s) * len(reps) <= walk_rows:
+            points = np.repeat(self.static, len(reps), axis=0)
+            points[:, self.lag] = np.tile(reps, (len(s), 1))  # no-op without a lag
+            self.table = forest.predict(points).reshape(len(s), -1)
+
+    def rows(self, xb: np.ndarray) -> np.ndarray:
+        """Static row of each step (rows) and run (columns) of xb, (runs, m)."""
+        n_exog = len(self.static) // (2 * self.n_lag)
+        lag = xb[:, :-1] * (self.n_lag - 1)
+        return ((xb[:, 1:] * self.n_lag + lag) * n_exog + self.exog_row).T
+
+    def lookup(self, row: np.ndarray, y_lag: np.ndarray) -> np.ndarray:
+        """The forest's predictions for static rows `row` with outcome lags `y_lag`."""
+        return self.table[row, np.searchsorted(self.cuts, y_lag, side="left")]
+
+    def __call__(self, xb: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Noisy predictions for periods 2..m of each run of xb, (runs, m); y_1 seeds the lag."""
+        preds = np.empty((len(xb), xb.shape[1] - 1))
+        y_lag = np.full(len(xb), self.y0)
+        rows, walk = self.rows(xb), self.table is None
+        for i, step in enumerate(self.static[rows] if walk else rows):  # features or table rows
+            if walk:
+                lag = y_lag[:, None] if self.bounds is None else encode_quartile(y_lag, self.bounds)
+                step[:, self.lag] = lag
+            y_lag = (self.model.predict(step) if walk else self.lookup(step, y_lag)) + noise[:, i]
+            preds[:, i] = y_lag
+        return preds
 
 
 def _run_stats(preds: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -204,7 +227,7 @@ def run_motr_once(
     if xb.shape[1] != ds.m or sorted(xb[0].tolist()) != sorted(ds.x.tolist()):
         raise EstimatorError("permuted_x must be a permutation of the observed exposures")
     nz = np.zeros((1, ds.m - 1)) if noise is None else np.asarray(noise, float).reshape(1, -1)
-    preds = _rollout(ds, model, spec, xb, nz)
+    preds = _Rollout(ds, model, spec, ds.m - 1)(xb, nz)
     delta, lo, hi, mean1, mean0, degenerate = _run_stats(preds, xb)[:, 0].tolist()
     return MotrRun(r=r, permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
                    delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
@@ -250,6 +273,7 @@ def run_motr(
     _check_twin(ds, model, spec)
     seed = as_seed(cfg.seed)
     m = ds.m
+    rollout = _Rollout(ds, model, spec, cfg.r_max * (m - 1))
     blocks: list[np.ndarray] = []
     done = 0
     stop = None
@@ -262,7 +286,7 @@ def run_motr(
             xb[j] = ds.x[rng.permutation(m)]
             if model.resid_sd > 0:
                 noise[j] = normals(rng, m - 1, model.resid_sd)
-        blocks.append(_run_stats(_rollout(ds, model, spec, xb, noise), xb))
+        blocks.append(_run_stats(rollout(xb, noise), xb))
         done = block[-1]
         per_run = np.concatenate(blocks, axis=1)
         cum = np.cumsum(per_run[:3], axis=1) / np.arange(1, done + 1)

@@ -358,6 +358,18 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "extra").exists()
 
+    @pytest.mark.parametrize("method, flag", [
+        ("pstn-glm", "--periods-csv"),
+        ("pstn-glm", "--dump-model"),
+        ("motr-glm", "--runs-csv"),
+    ])
+    def test_failed_side_file_leaves_no_result_file(self, study_csv, tmp_path, method, flag):
+        out = tmp_path / "left.json"
+        argv = ["analyze", "--data", str(study_csv), "--method", method, "--r-max", "20",
+                "-o", str(out), flag, str(tmp_path / "nope" / "side")]
+        assert run(argv) == 3
+        assert not out.exists()
+
     def test_params_file_round_trip(self, tmp_path):
         params = tmp_path / "p.cfg"
         params.write_text("# comment\nbeta0 = 3.0\nbetaX = 0.5\nsigmaEps = 0\nbetaAr = 0\n")

@@ -1,0 +1,184 @@
+"""The level-wise grower against the depth-first reference it replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nof1twin import forest as forest_module
+from nof1twin.core import SeedSpec
+from nof1twin.forest import _LEAF, FlatForest, build_forest
+
+
+def _reference_best_split(x_col, y):
+    order = np.argsort(x_col, kind="stable")
+    xs = x_col[order]
+    ys = y[order]
+    n = len(ys)
+    cut = np.flatnonzero(xs[:-1] < xs[1:])
+    if cut.size == 0:
+        return -np.inf, 0.0
+    csum = np.cumsum(ys)
+    total = csum[-1]
+    n_left = cut + 1.0
+    s_left = csum[cut]
+    score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
+    best = int(np.argmax(score))
+    gain = score[best] - total * total / n
+    i = cut[best]
+    mid = (xs[i] + xs[i + 1]) / 2.0
+    return float(gain), float(mid if mid < xs[i + 1] else xs[i])
+
+
+def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampler=None):
+    """Depth-first growth, one Python iteration per node: the grower the
+    package used before level-wise growth, with the same midpoint guard.
+    Each node draws its feature subset in depth-first order."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = x.shape
+    sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
+    feature, threshold, left, right, value = [], [], [], [], []
+    roots = np.empty(n_trees, dtype=np.int32)
+    inbag = np.zeros((n_trees, n), dtype=np.int32)
+    for k in range(n_trees):
+        rng = seed.child(k).generator()
+        idx = np.asarray(sampler(k, rng, n), dtype=np.intp)
+        np.add.at(inbag[k], idx, 1)
+        xb, yb = x[idx], y[idx]
+
+        def new_node():
+            for col, v in ((feature, _LEAF), (threshold, 0.0), (left, _LEAF), (right, _LEAF),
+                           (value, 0.0)):
+                col.append(v)
+            return len(feature) - 1
+
+        roots[k] = new_node()
+        stack = [(roots[k], np.arange(len(idx)))]
+        while stack:
+            node_id, rows = stack.pop()
+            y_node = yb[rows]
+            if len(rows) <= min_node_size or y_node.min() == y_node.max():
+                value[node_id] = float(y_node.mean())
+                continue
+            feats = rng.permutation(p)[:mtry]
+            feats.sort()
+            best_gain, best_feat, best_thr = 0.0, _LEAF, 0.0
+            for f_idx in feats:
+                gain, thr = _reference_best_split(xb[rows, f_idx], y_node)
+                if gain > best_gain + 1e-12:
+                    best_gain, best_feat, best_thr = gain, int(f_idx), thr
+            if best_feat == _LEAF:
+                value[node_id] = float(y_node.mean())
+                continue
+            mask = xb[rows, best_feat] <= best_thr
+            feature[node_id], threshold[node_id] = best_feat, best_thr
+            lid, rid = new_node(), new_node()
+            left[node_id], right[node_id] = lid, rid
+            stack.append((rid, rows[~mask]))
+            stack.append((lid, rows[mask]))
+    forest = FlatForest(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value),
+        roots=roots,
+    )
+    return forest, inbag
+
+
+def _probes(x):
+    """Training rows, midpoints between neighbouring values and points outside the range."""
+    cols = []
+    for col in x.T:
+        u = np.unique(col)
+        cols.append(np.concatenate([u, (u[:-1] + u[1:]) / 2, [u[0] - 1, u[-1] + 1]]))
+    k = max(len(c) for c in cols)
+    grid = np.column_stack([np.resize(c, k) for c in cols])
+    return np.vstack([x, grid, grid[::-1]])
+
+
+def _assert_same_forest(x, y, n_trees, mtry, min_node_size, seed):
+    new, inbag = build_forest(x, y, n_trees, mtry, min_node_size, seed)
+    ref, ref_inbag = reference_build_forest(x, y, n_trees, mtry, min_node_size, seed)
+    assert np.array_equal(inbag, ref_inbag)
+    assert len(new.feature) == len(ref.feature)
+    probes = _probes(x)
+    assert np.array_equal(new.predict_trees(probes), ref.predict_trees(probes))
+
+
+@st.composite
+def _labelled_rows(draw, p):
+    n = draw(st.integers(5, 40))
+    levels = draw(st.integers(1, 6))
+    x = np.array(draw(st.lists(st.lists(st.integers(0, levels), min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=float)
+    x *= draw(st.sampled_from([1.0, 0.1, -3.7]))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    return x, y
+
+
+class TestLevelWiseEqualsDepthFirst:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.integers(1, 4), node=st.integers(1, 6), seed=st.integers(0, 99))
+    def test_all_features_scanned(self, data, p, node, seed):
+        x, y = data.draw(_labelled_rows(p))
+        _assert_same_forest(x, y, 7, p, node, SeedSpec(seed))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99))
+    def test_single_feature(self, data, node, seed):
+        x, y = data.draw(_labelled_rows(1))
+        _assert_same_forest(x, y, 7, 1, node, SeedSpec(seed))
+
+
+def test_gains_within_the_margin_keep_the_earlier_feature():
+    # on this sample two features' best gains differ only by rounding; the
+    # later one must beat the earlier by more than 1e-12 to take the split
+    x = np.array([[2, 2, 5], [0, 1, 3], [0, 1, 3], [2, 4, 2], [0, 5, 4], [0, 5, 3], [0, 1, 2],
+                  [1, 0, 4], [1, 4, 2], [2, 5, 3], [2, 3, 0], [4, 4, 3], [3, 3, 0], [1, 4, 2],
+                  [2, 2, 2], [2, 3, 5], [2, 2, 4], [0, 3, 1], [4, 1, 3], [3, 5, 5], [0, 4, 0],
+                  [0, 3, 0], [0, 0, 5], [0, 1, 5], [1, 4, 5], [0, 4, 5], [0, 1, 3]], dtype=float)
+    y = np.array([1, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1,
+                  1, 0], dtype=float)
+    identity = lambda k, rng, n: np.arange(n)
+    new, _ = build_forest(x, y, 1, 3, 1, SeedSpec(0), index_sampler=identity)
+    ref, _ = reference_build_forest(x, y, 1, 3, 1, SeedSpec(0), index_sampler=identity)
+    assert sorted(new.feature) == sorted(ref.feature)
+    assert np.array_equal(new.predict_trees(_probes(x)), ref.predict_trees(_probes(x)))
+
+
+def test_tree_batches_do_not_change_the_forest(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 5, size=(30, 3)).astype(float)
+    y = (rng.random(30) < 0.5).astype(float)
+    monkeypatch.setattr(forest_module, "_BATCH_ROWS", 60)  # two trees per batch
+    _assert_same_forest(x, y, 9, 3, 1, SeedSpec(2))
+
+
+def _visits(forest, x):
+    """How many of the rows `x` pass through each node."""
+    seen = np.zeros(len(forest.feature), dtype=int)
+    for r in x:
+        for node in forest.roots:
+            while True:
+                seen[node] += 1
+                if forest.feature[node] == _LEAF:
+                    break
+                go_left = r[forest.feature[node]] <= forest.threshold[node]
+                node = forest.left[node] if go_left else forest.right[node]
+    return seen
+
+
+class TestMidpointGuard:
+    @pytest.mark.parametrize("a", [1.0 + 2.0**-52, 1e308], ids=["adjacent-doubles", "overflow"])
+    def test_split_between_neighbouring_values_terminates(self, a):
+        b = np.nextafter(a, np.inf) if a < 2 else 1.5e308
+        assert (a + b) / 2 >= b  # the plain midpoint would send every row left
+        x = np.array([[a]] * 6 + [[b]] * 6)
+        y = np.array([0.0] * 6 + [1.0] * 6)
+        identity = lambda k, rng, n: np.arange(n)
+        forest, _ = build_forest(x, y, 3, 1, 1, SeedSpec(0), index_sampler=identity)
+        assert np.all(_visits(forest, x) > 0)  # no child is empty
+        assert np.array_equal(forest.predict(x), y)

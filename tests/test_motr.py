@@ -317,6 +317,98 @@ class TestQuartileRollout:
         np.testing.assert_allclose(run.noisy_preds, expected, rtol=0, atol=1e-12)
 
 
+def _forest_case(seed, spec, m=40):
+    """A series with tied outcomes, a binary and a continuous exogenous column,
+    and a small forest twin fitted on it under `spec`."""
+    from nof1twin.core import assemble_features
+    from nof1twin.models import ForestConfig, fit_forest_outcome
+
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.arange(m) % 2)
+    y = np.round(rng.normal(size=m) + x, 1)  # ties in the outcome and so in the thresholds
+    exog = {"weekend": (np.arange(m) % 7 >= 5).astype(float), "temp": rng.normal(size=m)}
+    ds = TimeSeriesDataset(y=y, x=x, exog=exog)
+    cfg = ForestConfig(n_trees=12, min_node_size=2, seed=seed)
+    return ds, fit_forest_outcome(assemble_features(ds, spec), y[1:], cfg)
+
+
+TABLE_SPECS = {
+    "continuous": LAG_SPEC,
+    "quartile-lag-x-exog": FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_QUARTILE,
+        use_exposure_lag1=True, exog_names=("weekend",),
+    ),
+    "continuous-lag-x-exog": FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS,
+        use_exposure_lag1=True, exog_names=("weekend",),
+    ),
+}
+WALK_SPEC = FeatureSpec(  # a continuous exogenous column: the trees are walked
+    include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS, exog_names=("temp",)
+)
+
+
+class TestStepTable:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), layout=st.sampled_from(sorted(TABLE_SPECS)))
+    def test_lookup_equals_forest_predict(self, seed, layout):
+        from nof1twin.core import _encode_block, encode_quartile
+        from nof1twin.motr import _Rollout
+
+        spec = TABLE_SPECS[layout]
+        ds, model = _forest_case(seed, spec)
+        table = _Rollout(ds, model, spec, walk_rows=10**6)
+        assert table.table is not None
+        quartile = spec.outcome_lag_mode == LAG_QUARTILE
+        bounds = quartile_bounds(ds.y) if quartile else None
+        lag_col = spec.columns.index("y_lag1_q1" if quartile else "y_lag1")
+        forest = model.forest
+        # every lag threshold, the quartile bounds, both infinities, their neighbours
+        special = np.concatenate([forest.threshold[forest.feature == lag_col],
+                                  quartile_bounds(ds.y), [-np.inf, np.inf]])
+        special = np.concatenate([special, np.nextafter(special, np.inf),
+                                  np.nextafter(special, -np.inf)])
+        rng = np.random.default_rng(seed)
+        xb = np.stack([ds.x[rng.permutation(ds.m)] for _ in range(9)])
+        exog = ds.exog_matrix(spec.exog_names)
+        for i, row in enumerate(table.rows(xb)):
+            y_lag = rng.choice(special, size=len(xb))
+            looked_up = table.lookup(row, y_lag)
+            f = _encode_block(spec, x_t=xb[:, i + 1], x_lag=xb[:, i], y_lag=y_lag,
+                              exog=np.repeat(exog[i + 1 : i + 2], len(xb), axis=0),
+                              bounds=bounds)
+            assert np.array_equal(looked_up, model.predict(f))
+            if quartile:
+                assert np.array_equal(f[:, lag_col : lag_col + 4], encode_quartile(y_lag, bounds))
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1),
+           layout=st.sampled_from([*sorted(TABLE_SPECS), "continuous-exog"]))
+    def test_run_motr_equals_step_by_step_reference(self, seed, layout):
+        from nof1twin.core import _encode_block
+        from nof1twin.motr import _Rollout, _run_stats
+
+        spec = TABLE_SPECS.get(layout, WALK_SPEC)
+        ds, model = _forest_case(seed, spec)
+        cfg = MotrConfig(r_min=35, r_max=35, seed=seed)
+        walked = _Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)).table is None
+        assert walked == (spec is WALK_SPEC)
+        est = run_motr(ds, model, spec, cfg)
+        bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
+        exog = ds.exog_matrix(spec.exog_names)
+        for r in range(1, est.runs_used + 1):
+            xp = _permutation_for(ds, SeedSpec(seed), r)
+            noise = _noise_for(ds, SeedSpec(seed), r, model.resid_sd)
+            preds, y_prev = [], ds.y[0]
+            for t in range(1, ds.m):
+                f = _encode_block(spec, x_t=xp[t : t + 1], x_lag=xp[t - 1 : t],
+                                  y_lag=[y_prev], exog=exog[t : t + 1], bounds=bounds)
+                y_prev = model.predict(f)[0] + noise[t - 1]
+                preds.append(y_prev)
+            stats = _run_stats(np.array([preds]), xp[None])[:3, 0]
+            assert est.runs[r - 1] == tuple(stats.tolist())
+
+
 class TestInitialConditions:
     def test_returns_first_observed_values(self):
         # the first observed outcome seeds the lag of the first generated period
