@@ -215,6 +215,7 @@ def _result_payload(res) -> dict:
             "mean_po_1": est.mean_po_1,
             "mean_po_0": est.mean_po_0,
             "degenerate_ci": est.degenerate_ci,
+            "mc_se": est.mc_se,
         }
     if isinstance(res.detail, PstnResult):
         pr = res.detail

@@ -63,13 +63,12 @@ class SeedSpec:
 
     def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
         """Gaussian draws via the inverse normal CDF on the uniform stream."""
-        return normals(self.generator(), n, scale)
+        return normals(self.uniforms(n), scale)
 
 
-def normals(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    """The next n uniforms of `rng` mapped through the inverse normal CDF."""
-    u = np.clip(rng.random(n), _U_EPS, 1.0 - _U_EPS)
-    return ndtri(u) * scale
+def normals(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Uniforms `u`, of any shape, mapped elementwise through the inverse normal CDF."""
+    return ndtri(np.clip(u, _U_EPS, 1.0 - _U_EPS)) * scale
 
 
 def as_seed(seed: "SeedSpec | int") -> SeedSpec:

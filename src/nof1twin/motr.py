@@ -7,14 +7,22 @@ noise at the fitted residual scale, and contrasts the noisy predictions
 between the permuted arms.  Runs accumulate into cumulative averages of the
 effect and its per-run Welch interval bounds until a stopping rule fires.
 
+Runs are rolled out together, in blocks of at most _BLOCK_ROWS rollout rows
+(runs x (m - 1)); the stopping rule is checked on the cumulative prefix after
+each block, so the runs of the last block past the stopping run are computed
+and then discarded.  Every twin predicts row by row and the cumulative sums
+are sequential, so no output depends on the block size.
+
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
-then (when resid_sd > 0) the m-1 noise variates via core.normals.
-The residual scale is frozen from the original fit and never re-estimated
-from generated data.
+then (when resid_sd > 0) the m-1 uniforms of its noise.  The uniforms of a
+whole block become noise in one core.normals call at the fitted residual
+scale, which is frozen from the original fit and never re-estimated from
+generated data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +44,12 @@ from .core import (
 from .errors import ConfigError, EstimatorError
 from .models import FittedModel
 
-_BLOCK = 32  # runs per rollout block; the stopping rule is checked after each block
+# Rollout rows (runs x (m - 1)) per block: at least one run, and all runs of
+# the default r_max = 200 in one block for m <= 656.  Each (runs, m - 1)
+# array of a block takes at most 8 * _BLOCK_ROWS bytes = 1 MiB, so a call's
+# memory stays within a few MB whatever r_max is; only the six statistics
+# kept per run grow with the runs done.
+_BLOCK_ROWS = 2**17
 
 
 def welch_interval_from_moments(
@@ -83,8 +96,8 @@ class MotrConfig:
     def __post_init__(self) -> None:
         if not 1 <= self.r_min <= self.r_max:
             raise ConfigError(f"need 1 <= r_min <= r_max, got ({self.r_min}, {self.r_max})")
-        if self.stop_tol <= 0 or self.stop_window < 1:
-            raise ConfigError("stop_tol must be > 0 and stop_window >= 1")
+        if not (math.isfinite(self.stop_tol) and self.stop_tol > 0) or self.stop_window < 1:
+            raise ConfigError("stop_tol must be finite and > 0, and stop_window >= 1")
         object.__setattr__(self, "seed", as_seed(self.seed))
 
 
@@ -115,6 +128,7 @@ class ApteEstimate:
     mean_po_0: float
     stop_reason: str  # "converged" when the stopping rule fired, "r_max" at the run cap
     degenerate_ci: bool = False
+    mc_se: float | None = None  # SD (ddof 1) of the run deltas / sqrt(runs_used); None below 2 runs
 
 
 def _check_twin(ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec) -> None:
@@ -180,12 +194,14 @@ class _Rollout:
         """Noisy predictions for periods 2..m of each run of xb, (runs, m); y_1 seeds the lag."""
         preds = np.empty((len(xb), xb.shape[1] - 1))
         y_lag = np.full(len(xb), self.y0)
-        rows, walk = self.rows(xb), self.table is None
-        for i, step in enumerate(self.static[rows] if walk else rows):  # features or table rows
-            if walk:
+        for i, row in enumerate(self.rows(xb)):
+            if self.table is None:  # walk: one feature block per step
+                step = self.static[row]
                 lag = y_lag[:, None] if self.bounds is None else encode_quartile(y_lag, self.bounds)
                 step[:, self.lag] = lag
-            y_lag = (self.model.predict(step) if walk else self.lookup(step, y_lag)) + noise[:, i]
+                y_lag = self.model.predict(step) + noise[:, i]
+            else:
+                y_lag = self.lookup(row, y_lag) + noise[:, i]
             preds[:, i] = y_lag
         return preds
 
@@ -218,15 +234,17 @@ def run_motr_once(
 ) -> MotrRun:
     """Execute a single run under an explicitly supplied permutation.
 
-    `noise` defaults to zeros, which makes the run a deterministic function
-    of the permutation, the form used when cross-checking against exact
-    enumeration.
+    `noise` (m - 1 values, one per generated period) defaults to zeros,
+    which makes the run a deterministic function of the permutation, the
+    form used when cross-checking against exact enumeration.
     """
     _check_twin(ds, model, spec)
     xb = np.asarray(permuted_x, dtype=np.int64).reshape(1, -1)
     if xb.shape[1] != ds.m or sorted(xb[0].tolist()) != sorted(ds.x.tolist()):
         raise EstimatorError("permuted_x must be a permutation of the observed exposures")
     nz = np.zeros((1, ds.m - 1)) if noise is None else np.asarray(noise, float).reshape(1, -1)
+    if nz.shape[1] != ds.m - 1:
+        raise EstimatorError(f"noise must hold m - 1 = {ds.m - 1} values, got {nz.shape[1]}")
     preds = _Rollout(ds, model, spec, ds.m - 1)(xb, nz)
     delta, lo, hi, mean1, mean0, degenerate = _run_stats(preds, xb)[:, 0].tolist()
     return MotrRun(r=r, permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
@@ -274,18 +292,20 @@ def run_motr(
     seed = as_seed(cfg.seed)
     m = ds.m
     rollout = _Rollout(ds, model, spec, cfg.r_max * (m - 1))
+    per_block = max(1, _BLOCK_ROWS // (m - 1))
     blocks: list[np.ndarray] = []
     done = 0
     stop = None
     while stop is None and done < cfg.r_max:
-        block = range(done + 1, min(done + _BLOCK, cfg.r_max) + 1)
+        block = range(done + 1, min(done + per_block, cfg.r_max) + 1)
         xb = np.empty((len(block), m), dtype=np.int64)
-        noise = np.zeros((len(block), m - 1))
+        u = np.zeros((len(block), m - 1))
         for j, r in enumerate(block):
             rng = seed.child(r).generator()
             xb[j] = ds.x[rng.permutation(m)]
             if model.resid_sd > 0:
-                noise[j] = normals(rng, m - 1, model.resid_sd)
+                rng.random(out=u[j])
+        noise = normals(u, model.resid_sd) if model.resid_sd > 0 else u
         blocks.append(_run_stats(rollout(xb, noise), xb))
         done = block[-1]
         per_run = np.concatenate(blocks, axis=1)
@@ -294,6 +314,7 @@ def run_motr(
 
     n = done if stop is None else stop
     delta, lo, hi = cum[:, n - 1].tolist()
+    mc_se = float(np.std(per_run[0, :n], ddof=1) / math.sqrt(n)) if n >= 2 else None
     return ApteEstimate(
         delta=delta,
         ci=(lo, hi),
@@ -304,4 +325,5 @@ def run_motr(
         mean_po_0=float(np.mean(per_run[4, :n])),
         stop_reason="r_max" if stop is None else "converged",
         degenerate_ci=bool(per_run[5, :n].any()),
+        mc_se=mc_se,
     )

@@ -109,7 +109,8 @@ class TestAnalyze:
         for row in rows:
             rng = stream.child(int(row["r"])).generator()
             perm = ds.x[rng.permutation(ds.m)]
-            once = run_motr_once(ds, model, OUTCOME_SPEC, perm, normals(rng, ds.m - 1, model.resid_sd))
+            noise = normals(rng.random(ds.m - 1), model.resid_sd)
+            once = run_motr_once(ds, model, OUTCOME_SPEC, perm, noise)
             assert (float(row["delta_r"]), float(row["lo_r"]), float(row["hi_r"])) == (
                 once.delta, *once.ci
             )
@@ -309,6 +310,12 @@ class TestExitCodes:
 
     def test_missing_data_file(self, tmp_path):
         assert run(["analyze", "--data", str(tmp_path / "nope.csv"), "--method", "raw"]) == 3
+
+    @pytest.mark.parametrize("command", ["analyze", "replicate"])
+    def test_non_finite_stop_tol(self, study_csv, tmp_path, command):
+        where = ["--data", str(study_csv), "--method", "motr-glm"] if command == "analyze" else [
+            "--h-datasets", "2", "--methods", "motr-glm", "-o", str(tmp_path / "rep")]
+        assert run([command, *where, "--stop-tol", "nan"]) == 2
 
     def test_estimator_error(self, tmp_path):
         path = tmp_path / "one_arm.csv"

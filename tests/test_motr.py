@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nof1twin import motr
 from nof1twin.arco import ArcoParams
 from nof1twin.core import (
     LAG_CONTINUOUS,
@@ -15,9 +16,9 @@ from nof1twin.core import (
     TimeSeriesDataset,
     quartile_bounds,
 )
-from nof1twin.errors import EstimatorError
+from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.models import glm_from_coefficients
-from nof1twin.motr import MotrConfig, run_motr, run_motr_once
+from nof1twin.motr import MotrConfig, _Rollout, run_motr, run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 
 NO_LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
@@ -78,6 +79,16 @@ class TestSingleRun:
         assert run.delta == run.mean_po_1 - run.mean_po_0
         assert run.permuted_x.sum() == ds.x.sum()
         assert len(run.noisy_preds) == ds.m - 1
+
+    @pytest.mark.parametrize("length", [28, 30, 40])
+    def test_rejects_noise_of_wrong_length(self, length):
+        params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.6)
+        ds = mechanism_dataset(params, [1, 0] * 15)
+        model = true_twin(params, LAG_SPEC)
+        run = run_motr_once(ds, model, LAG_SPEC, ds.x, noise=np.ones(29))
+        assert len(run.noisy_preds) == 29
+        with pytest.raises(EstimatorError, match="noise must hold m - 1 = 29 values"):
+            run_motr_once(ds, model, LAG_SPEC, ds.x, noise=np.ones(length))
 
     def test_rejects_non_permutation(self):
         params = ArcoParams(beta0=1.0, beta_x=0.5)
@@ -192,12 +203,14 @@ class TestRunMotr:
             bound = max(abs(d - cums[r - 1]) for d in deltas[: r + 1]) / (r + 1)
             assert abs(cums[r] - cums[r - 1]) <= bound + 1e-12
 
-    def test_cumulative_ci_is_mean_of_run_bounds(self):
-        # 45 runs end in a partial rollout block; each run must not depend on its block
+    def test_cumulative_ci_is_mean_of_run_bounds(self, monkeypatch):
+        # blocks of 32 runs: 45 runs end in a partial block of 13, and each
+        # run must not depend on its block
         from nof1twin.core import assemble_features
         from nof1twin.models import ForestConfig, fit_forest_outcome
 
         arco, ds = self.make_study_ds(seed=3)
+        monkeypatch.setattr(motr, "_BLOCK_ROWS", 32 * (ds.m - 1))
         forest = fit_forest_outcome(
             assemble_features(ds, LAG_SPEC), ds.y[1:], ForestConfig(n_trees=20, seed=2)
         )
@@ -217,6 +230,29 @@ class TestRunMotr:
             assert est.ci[0] == pytest.approx(np.mean([r.ci[0] for r in per_run]), abs=1e-12)
             assert est.ci[1] == pytest.approx(np.mean([r.ci[1] for r in per_run]), abs=1e-12)
             assert est.delta == pytest.approx(np.mean([r.delta for r in per_run]), abs=1e-12)
+
+    def test_mc_se_is_standard_error_of_run_deltas(self):
+        arco, ds = self.make_study_ds(seed=4)
+        model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
+        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=30, seed=2))
+        deltas = [run[0] for run in est.runs]
+        assert est.mc_se == np.std(deltas, ddof=1) / np.sqrt(est.runs_used)
+        one = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=1, r_max=1, seed=2))
+        assert one.runs_used == 1 and one.mc_se is None
+
+    def test_memory_bounded_at_large_run_cap(self):
+        import tracemalloc
+
+        arco, ds = self.make_study_ds(seed=5)
+        model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
+        tracemalloc.start()
+        try:
+            est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=10**6, stop_tol=1e-2, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.stop_reason == "converged" and est.runs_used < 100
+        assert peak < 64 * 2**20  # one (r_max, m - 1) float block alone would take 480 MB
 
     def test_run_cap_reported_when_not_settled(self):
         arco, ds = self.make_study_ds(seed=4)
@@ -348,6 +384,29 @@ WALK_SPEC = FeatureSpec(  # a continuous exogenous column: the trees are walked
 )
 
 
+@pytest.mark.parametrize("twin", ["linear", "table", "walk"])
+def test_estimate_independent_of_block_rows(twin, monkeypatch):
+    if twin == "linear":
+        arco, ds = TestRunMotr().make_study_ds(seed=5)
+        spec, model = LAG_SPEC, true_twin(arco, LAG_SPEC, resid_sd=0.5)
+    else:
+        spec = LAG_SPEC if twin == "table" else WALK_SPEC
+        ds, model = _forest_case(11, spec)
+    default = motr._BLOCK_ROWS
+    for cfg, reason in ((MotrConfig(r_max=60, stop_tol=1e-2, seed=3), "converged"),
+                        (MotrConfig(r_max=23, stop_tol=1e-2, seed=3), "r_max")):
+        tabled = _Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)).table is not None
+        assert tabled == (twin == "table")
+        estimates = []
+        # one run per block; 7 runs per block, so the last block is partial; the default
+        for rows in (ds.m - 1, 7 * (ds.m - 1) + 3, default):
+            monkeypatch.setattr(motr, "_BLOCK_ROWS", rows)
+            estimates.append(run_motr(ds, model, spec, cfg))
+        assert estimates[0].stop_reason == reason
+        assert estimates[0].runs_used % 7 != 0
+        assert estimates[0] == estimates[1] == estimates[2]
+
+
 class TestStepTable:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), layout=st.sampled_from(sorted(TABLE_SPECS)))
@@ -419,6 +478,11 @@ class TestInitialConditions:
 
 
 class TestPreconditions:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_stop_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ConfigError, match="stop_tol must be finite and > 0,"):
+            MotrConfig(stop_tol=tol)
+
     def test_propensity_model_rejected(self):
         ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])
         propensity = glm_from_coefficients(NO_LAG_SPEC.columns, {"intercept": 0.0})
