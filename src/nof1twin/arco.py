@@ -131,9 +131,8 @@ def simulate_dataset(
     v_out = v @ np.asarray(params.beta_ex) if params.beta_ex else np.zeros(total)
     v_prop = v @ np.asarray(prop.alpha_ex) if prop.alpha_ex else np.zeros(total)
 
-    seed = as_seed(cfg.seed)
-    eps = seed.child(_EPS_STREAM).normals(total, params.sigma_eps)
-    u = seed.child(_X_STREAM).uniforms(total).tolist()
+    eps = cfg.seed.child(_EPS_STREAM).normals(total, params.sigma_eps)
+    u = cfg.seed.child(_X_STREAM).uniforms(total).tolist()
     p, vo, vp, e = params, v_out.tolist(), v_prop.tolist(), eps.tolist()
     xs = [int(u[0] < prop.pi1)]
     ys = [p.beta0 + vo[0] + e[0]]

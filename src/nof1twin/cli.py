@@ -27,6 +27,7 @@ from .core import (
     dichotomize_exposure,
     load_table,
     log10_transform,
+    setting_names,
     write_csv,
     write_text,
 )
@@ -46,7 +47,7 @@ from .pstn import PstnConfig, PstnResult
 
 DEFAULT_SEED = 1
 # `replicate` grows 100 trees per forest unless --n-trees says otherwise;
-# `analyze` and the library's ForestConfig default to 500.
+# `analyze` keeps ForestConfig's default.
 REPLICATION_FOREST_TREES = 100
 
 # Simulation-parameter key -> (config dataclass, field).  Defaults come from
@@ -135,21 +136,12 @@ def _build(cls, cfg: dict):
 
 
 def _method_options(args: argparse.Namespace, **specs: FeatureSpec) -> MethodOptions:
-    return MethodOptions(
-        motr=MotrConfig(
-            r_min=args.r_min,
-            r_max=args.r_max,
-            stop_tol=args.stop_tol,
-            stop_window=args.stop_window,
-        ),
-        pstn=PstnConfig(
-            trim_bounds=(args.trim[0], args.trim[1]),
-            use_overlap=not args.no_overlap,
-            use_stabilized=not args.no_stabilize,
-        ),
-        forest=ForestConfig(n_trees=args.n_trees, mtry=args.mtry, min_node_size=args.min_node_size),
-        **specs,
+    """Method options whose configs take, by field name, each method flag that was given."""
+    motr, pstn, forest = (
+        cls(**{n: v for n in setting_names(cls) if (v := getattr(args, n)) is not None})
+        for cls in (MotrConfig, PstnConfig, ForestConfig)
     )
+    return MethodOptions(motr=motr, pstn=pstn, forest=forest, **specs)
 
 
 def _echo_lines(cfg: dict) -> list[str]:
@@ -247,7 +239,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = {
         "config": {
             "data": args.data,
-            "method": method.value.replace("_", "-"),
+            "method": method.label,
             "seed": args.seed,
             "lag_y": args.lag_y,
             "lag_x": args.lag_x,
@@ -256,7 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "dichotomize_x": args.dichotomize_x,
             **opts.to_echo(),
         },
-        "method": method.value.replace("_", "-"),
+        "method": method.label,
         "result": _result_payload(res),
     }
     # side files first: a write that fails (exit 3) leaves no -o result behind
@@ -366,21 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", help="key=value parameter file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override one key")
 
-    def add_motr(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--r-min", type=int, default=10)
-        p.add_argument("--r-max", type=int, default=200)
-        p.add_argument("--stop-tol", type=float, default=1e-3)
-        p.add_argument("--stop-window", type=int, default=5)
-
-    def add_pstn(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--trim", type=float, nargs=2, default=[0.05, 0.95], metavar=("LO", "HI"))
-        p.add_argument("--no-overlap", action="store_true")
-        p.add_argument("--no-stabilize", action="store_true")
-
-    def add_forest(p: argparse.ArgumentParser, default_trees: int) -> None:
-        p.add_argument("--n-trees", type=int, default=default_trees)
-        p.add_argument("--mtry", type=int, default=None)
-        p.add_argument("--min-node-size", type=int, default=None)
+    def add_method_options(p: argparse.ArgumentParser, n_trees: int | None = None) -> None:
+        """MoTR, PSTn and forest flags; each dest is a config field, unset unless given."""
+        p.add_argument("--r-min", type=int)
+        p.add_argument("--r-max", type=int)
+        p.add_argument("--stop-tol", type=float)
+        p.add_argument("--stop-window", type=int)
+        p.add_argument("--trim", dest="trim_bounds", type=float, nargs=2, metavar=("LO", "HI"))
+        p.add_argument("--no-overlap", dest="use_overlap", action="store_false", default=None)
+        p.add_argument("--no-stabilize", dest="use_stabilized", action="store_false", default=None)
+        p.add_argument("--n-trees", type=int, default=n_trees)
+        p.add_argument("--mtry", type=int)
+        p.add_argument("--min-node-size", type=int)
 
     sim = sub.add_parser("simulate", help="generate a synthetic dataset CSV")
     add_params(sim)
@@ -395,20 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="estimate the effect on a dataset CSV")
     ana.add_argument("--data", required=True, help="input dataset CSV")
-    ana.add_argument(
-        "--method",
-        required=True,
-        choices=["raw", "coef", "motr-glm", "motr-rf", "pstn-glm", "pstn-rf"],
-    )
+    ana.add_argument("--method", required=True, choices=[m.label for m in Method])
     ana.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ana.add_argument("--lag-y", choices=["continuous", "quartile", "none"], default="continuous")
     ana.add_argument("--lag-x", action="store_true", help="include the lagged exposure feature")
     ana.add_argument("--exog", help="comma-separated exogenous column names")
     ana.add_argument("--log10-y", action="store_true", help="analyze log10 of the outcome")
     ana.add_argument("--dichotomize-x", action="store_true", help="median-split a continuous exposure")
-    add_motr(ana)
-    add_pstn(ana)
-    add_forest(ana, default_trees=500)
+    add_method_options(ana)
     ana.add_argument("--dump-model", metavar="PATH", help="write fitted-model summary JSON")
     ana.add_argument("--runs-csv", metavar="PATH", help="write per-run CSV (motr methods)")
     ana.add_argument("--periods-csv", metavar="PATH", help="write per-period CSV (pstn methods)")
@@ -421,14 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--m", type=int, help="analyzed length (default 220)")
     rep.add_argument("--seed", type=int, help=f"base seed (default {DEFAULT_SEED})")
     rep.add_argument(
-        "--methods",
-        default="raw,coef,motr-glm,pstn-glm,motr-rf,pstn-rf",
-        help="comma-separated method list",
+        "--methods", default=",".join(m.label for m in Method), help="comma-separated method list"
     )
     rep.add_argument("--workers", type=int, default=1)
-    add_motr(rep)
-    add_pstn(rep)
-    add_forest(rep, default_trees=REPLICATION_FOREST_TREES)
+    add_method_options(rep, n_trees=REPLICATION_FOREST_TREES)
     rep.add_argument("-o", "--out-prefix", required=True, help="prefix for _rows.csv/_summary.csv")
     rep.set_defaults(func=cmd_replicate)
 

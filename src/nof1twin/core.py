@@ -11,7 +11,7 @@ import csv
 import io
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -75,6 +75,11 @@ def as_seed(seed: "SeedSpec | int") -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
 
 
+def setting_names(config) -> tuple[str, ...]:
+    """The field names of a config dataclass or instance, its seed left out."""
+    return tuple(f.name for f in fields(config) if f.name != "seed")
+
+
 # ---------------------------------------------------------------------------
 # Dataset container
 # ---------------------------------------------------------------------------
@@ -85,97 +90,81 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
 class TimeSeriesDataset:
-    """Ordered per-period observations.
+    """Ordered per-period observations: outcomes `y`, 0/1 exposures `x` and
+    exogenous covariate columns `exog`, by name.
 
-    Periods are indexed by contiguous integers starting at 1.  Outcomes must
-    be finite, exposures binary; exogenous covariates share one name set
-    across all periods.
+    Periods are indexed by contiguous integers starting at 1.  Construction
+    checks that the outcomes and covariates are finite, the exposures binary
+    and every column as long as `y`; it then holds `y`, `x` (as int64) and
+    each covariate as read-only arrays, and `exog` as a plain dict (empty
+    when None).  Unpickling constructs again, so a copy is read-only too.
     """
 
-    def __init__(
-        self,
-        y: Sequence[float] | np.ndarray,
-        x: Sequence[int] | np.ndarray,
-        exog: Mapping[str, Sequence[float] | np.ndarray] | None = None,
-    ):
-        y_arr = np.asarray(y, dtype=float)
-        x_arr = np.asarray(x)
-        if y_arr.ndim != 1 or x_arr.ndim != 1 or len(y_arr) != len(x_arr):
+    y: np.ndarray
+    x: np.ndarray
+    exog: Mapping[str, Sequence[float] | np.ndarray] | None = None
+
+    def __post_init__(self) -> None:
+        y, x = np.asarray(self.y, dtype=float), np.asarray(self.x)
+        if y.ndim != 1 or x.ndim != 1 or len(y) != len(x):
             raise DataError("y and x must be one-dimensional and equal length")
-        if len(y_arr) == 0:
+        if len(y) == 0:
             raise DataError("dataset has no periods")
-        if not np.all(np.isfinite(y_arr)):
-            bad = int(np.flatnonzero(~np.isfinite(y_arr))[0]) + 1
+        if not np.all(np.isfinite(y)):
+            bad = int(np.flatnonzero(~np.isfinite(y))[0]) + 1
             raise DataError(f"non-finite outcome at period {bad}")
-        if not np.all(np.isin(x_arr, (0, 1))):
-            bad = int(np.flatnonzero(~np.isin(x_arr, (0, 1)))[0]) + 1
+        if not np.all(np.isin(x, (0, 1))):
+            bad = int(np.flatnonzero(~np.isin(x, (0, 1)))[0]) + 1
             raise DataError(
                 f"exposure must be 0/1 after dichotomization; period {bad} "
-                f"has value {x_arr[bad - 1]!r}"
+                f"has value {x[bad - 1]!r}"
             )
-        self._y = _readonly(y_arr)
-        self._x = _readonly(x_arr.astype(np.int64))
-        names = tuple(exog.keys()) if exog else ()
         cols = {}
-        for name in names:
-            col = np.asarray(exog[name], dtype=float)
-            if col.shape != y_arr.shape:
+        for name, values in (self.exog or {}).items():
+            col = np.asarray(values, dtype=float)
+            if col.shape != y.shape:
                 raise DataError(f"exogenous column {name!r} length mismatch")
             if not np.all(np.isfinite(col)):
                 raise DataError(f"non-finite value in exogenous column {name!r}")
             cols[name] = _readonly(col)
-        self._exog = cols
-        self._exog_names = names
+        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "x", _readonly(x.astype(np.int64)))
+        object.__setattr__(self, "exog", cols)
 
-    # -- accessors ---------------------------------------------------------
+    def __reduce__(self):
+        return type(self), (self.y, self.x, self.exog)
 
     @property
     def m(self) -> int:
-        return len(self._y)
-
-    @property
-    def y(self) -> np.ndarray:
-        return self._y
-
-    @property
-    def x(self) -> np.ndarray:
-        return self._x
+        return len(self.y)
 
     @property
     def exog_names(self) -> tuple[str, ...]:
-        return self._exog_names
-
-    def exog(self, name: str) -> np.ndarray:
-        if name not in self._exog:
-            raise DataError(f"exogenous column {name!r} not present in dataset")
-        return self._exog[name]
+        return tuple(self.exog)
 
     def exog_matrix(self, names: Sequence[str]) -> np.ndarray:
-        if not names:
-            return np.empty((self.m, 0))
-        return np.column_stack([self.exog(n) for n in names])
-
-    def __len__(self) -> int:
-        return self.m
+        """The named covariate columns side by side, (m, len(names))."""
+        return np.column_stack([self.exog[n] for n in names]) if names else np.empty((self.m, 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeriesDataset):
             return NotImplemented
         return (
-            np.array_equal(self._y, other._y)
-            and np.array_equal(self._x, other._x)
-            and self._exog_names == other._exog_names
-            and all(np.array_equal(self._exog[n], other._exog[n]) for n in self._exog_names)
+            np.array_equal(self.y, other.y)
+            and np.array_equal(self.x, other.x)
+            and self.exog_names == other.exog_names
+            and all(np.array_equal(self.exog[n], other.exog[n]) for n in self.exog)
         )
 
     # -- CSV interchange ----------------------------------------------------
 
     def to_csv(self, path, header_comments: Iterable[str] = ()) -> None:
         """Write the dataset CSV (`t,y,x[,exog...]`); comment lines start with '#'."""
-        columns = (self._y, self._x, *(self._exog[n] for n in self._exog_names))
+        columns = (self.y, self.x, *self.exog.values())
         rows = zip(range(1, self.m + 1), *(c.tolist() for c in columns))
-        write_csv(path, ["t", "y", "x", *self._exog_names], rows, header_comments)
+        write_csv(path, ["t", "y", "x", *self.exog], rows, header_comments)
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesDataset":

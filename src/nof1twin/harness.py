@@ -24,6 +24,7 @@ from .core import (
     TimeSeriesDataset,
     as_seed,
     assemble_features,
+    setting_names,
 )
 from .errors import ConfigError, EstimatorError, Nof1TwinError
 from .models import (
@@ -61,6 +62,11 @@ class Method(str, enum.Enum):
             if member.value == key:
                 return member
         raise ConfigError(f"unknown method {name!r}; choose from {[m.value for m in cls]}")
+
+    @property
+    def label(self) -> str:
+        """The name as the CLI spells it, with hyphens."""
+        return self.value.replace("_", "-")
 
 
 ALL_METHODS = tuple(Method)
@@ -106,20 +112,10 @@ class MethodOptions:
 
     def to_echo(self) -> dict:
         """The MoTR budget, PSTn hygiene and forest settings as flat key/value pairs."""
-        motr, pstn, forest = self.motr, self.pstn, self.forest
-        return {
-            "r_min": motr.r_min,
-            "r_max": motr.r_max,
-            "stop_tol": motr.stop_tol,
-            "stop_window": motr.stop_window,
-            "trim_lo": pstn.trim_bounds[0],
-            "trim_hi": pstn.trim_bounds[1],
-            "use_overlap": pstn.use_overlap,
-            "use_stabilized": pstn.use_stabilized,
-            "n_trees": forest.n_trees,
-            "mtry": forest.mtry,
-            "min_node_size": forest.min_node_size,
-        }
+        configs = (self.motr, self.pstn, self.forest)
+        echo = {n: getattr(c, n) for c in configs for n in setting_names(c)}
+        echo["trim_lo"], echo["trim_hi"] = echo.pop("trim_bounds")
+        return echo
 
 
 @dataclass(frozen=True)
@@ -232,6 +228,8 @@ class StudyConfig:
                 )
         object.__setattr__(self, "seed", as_seed(self.seed))
         object.__setattr__(self, "methods", tuple(self.methods))
+        if len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods repeat: {[m.value for m in self.methods]}")
 
 
 @dataclass(frozen=True)
@@ -268,14 +266,14 @@ class ReplicationReport:
 
 
 def _dataset_for(study: StudyConfig, h: int) -> TimeSeriesDataset:
-    seed = as_seed(study.seed).child(h, _NS_SIM)
+    seed = study.seed.child(h, _NS_SIM)
     cfg = SimConfig(m_analysis=study.m_analysis, burn_in=study.burn_in, seed=seed)
     return simulate_dataset(study.params, study.propensity, cfg)
 
 
 def _run_one_dataset(study: StudyConfig, h: int) -> list[ReplicationRow]:
     ds = _dataset_for(study, h)
-    seed = as_seed(study.seed).child(h)
+    seed = study.seed.child(h)
     true = study.params.beta_x
     rows = []
     for method in study.methods:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .core import LAG_QUARTILE, FeatureMatrix, SeedSpec, as_seed
+from .core import LAG_QUARTILE, FeatureMatrix, FeatureSpec, SeedSpec, as_seed, setting_names
 from .errors import ConfigError, ConvergenceError, EstimatorError
 from .forest import FlatForest, IndexSampler, build_forest, oob_predictions
 
@@ -124,12 +124,21 @@ class FittedModel:
             if not self.is_outcome:
                 out["separation_warning"] = self.separation_warning
         if self.forest_config is not None:
-            out["forest"] = {
-                "n_trees": self.forest_config.n_trees,
-                "mtry": self.forest_config.mtry,
-                "min_node_size": self.forest_config.min_node_size,
-            }
+            fc = self.forest_config
+            out["forest"] = {name: getattr(fc, name) for name in setting_names(fc)}
         return out
+
+
+def check_twin(model: FittedModel, spec: FeatureSpec, method: str, outcome: bool) -> None:
+    """Reject a twin of the wrong kind for `method`, or one fitted on other columns than `spec`."""
+    if model.is_outcome != outcome:
+        need, got = ("an outcome", "propensity") if outcome else ("a propensity", "outcome")
+        raise EstimatorError(f"{method} needs {need} model, got a {model.kind} {got} model")
+    if tuple(model.columns) != spec.columns:
+        raise EstimatorError(
+            f"model was fitted on columns {tuple(model.columns)} but the feature "
+            f"spec defines {spec.columns}"
+        )
 
 
 def _target(fm: FeatureMatrix, values: np.ndarray, outcome: bool) -> np.ndarray:
@@ -278,9 +287,7 @@ def _fit_forest(
     if fm.n_rows < 5:
         raise EstimatorError(f"forest fit needs at least 5 rows, got {fm.n_rows}")
     mtry, node = cfg.resolve(len(fm.columns), classification)
-    forest, inbag = build_forest(
-        fm.values, target, cfg.n_trees, mtry, node, as_seed(cfg.seed), index_sampler
-    )
+    forest, inbag = build_forest(fm.values, target, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
     return forest, oob_predictions(forest, inbag, fm.values)
 
 

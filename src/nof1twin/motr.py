@@ -8,10 +8,11 @@ between the permuted arms.  Runs accumulate into cumulative averages of the
 effect and its per-run Welch interval bounds until a stopping rule fires.
 
 Runs are rolled out together, in blocks of at most _BLOCK_ROWS rollout rows
-(runs x (m - 1)); the stopping rule is checked on the cumulative prefix after
-each block, so the runs of the last block past the stopping run are computed
-and then discarded.  Every twin predicts row by row and the cumulative sums
-are sequential, so no output depends on the block size.
+(runs x (m - 1)), the first of at most _FIRST_BLOCK_RUNS runs and each later
+one twice the one before; the stopping rule is checked on the cumulative
+prefix after each block, so the runs of the last block past the stopping run
+are computed and then discarded.  Every twin predicts row by row and the
+cumulative sums are sequential, so no output depends on the block size.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
 then (when resid_sd > 0) the m-1 uniforms of its noise.  The uniforms of a
@@ -42,7 +43,7 @@ from .core import (
     quartile_bounds,
 )
 from .errors import ConfigError, EstimatorError
-from .models import FittedModel
+from .models import FittedModel, check_twin
 
 # Rollout rows (runs x (m - 1)) per block: at least one run, and all runs of
 # the default r_max = 200 in one block for m <= 656.  Each (runs, m - 1)
@@ -50,6 +51,10 @@ from .models import FittedModel
 # memory stays within a few MB whatever r_max is; only the six statistics
 # kept per run grow with the runs done.
 _BLOCK_ROWS = 2**17
+# Runs in the first block, the default r_max: a default call is one block,
+# and a larger r_max rolls out at most this many runs before the stopping
+# rule is first checked.
+_FIRST_BLOCK_RUNS = 200
 
 
 def welch_interval_from_moments(
@@ -129,18 +134,6 @@ class ApteEstimate:
     stop_reason: str  # "converged" when the stopping rule fired, "r_max" at the run cap
     degenerate_ci: bool = False
     mc_se: float | None = None  # SD (ddof 1) of the run deltas / sqrt(runs_used); None below 2 runs
-
-
-def _check_twin(ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec) -> None:
-    """Reject a propensity twin, a twin fitted on other columns, or data `spec` cannot assemble."""
-    if not model.is_outcome:
-        raise EstimatorError(f"MoTR needs an outcome model, got a {model.kind} propensity model")
-    if tuple(model.columns) != spec.columns:
-        raise EstimatorError(
-            f"model was fitted on columns {tuple(model.columns)} but the feature "
-            f"spec defines {spec.columns}"
-        )
-    assemble_features(ds, spec)
 
 
 class _Rollout:
@@ -238,7 +231,8 @@ def run_motr_once(
     which makes the run a deterministic function of the permutation, the
     form used when cross-checking against exact enumeration.
     """
-    _check_twin(ds, model, spec)
+    check_twin(model, spec, "MoTR", outcome=True)
+    assemble_features(ds, spec)  # rejects data the spec cannot assemble
     xb = np.asarray(permuted_x, dtype=np.int64).reshape(1, -1)
     if xb.shape[1] != ds.m or sorted(xb[0].tolist()) != sorted(ds.x.tolist()):
         raise EstimatorError("permuted_x must be a permutation of the observed exposures")
@@ -288,20 +282,23 @@ def run_motr(
             f"randomization needs at least 2 periods in each exposure arm, got "
             f"{m1} exposed and {ds.m - m1} unexposed"
         )
-    _check_twin(ds, model, spec)
-    seed = as_seed(cfg.seed)
+    check_twin(model, spec, "MoTR", outcome=True)
+    assemble_features(ds, spec)  # rejects data the spec cannot assemble
     m = ds.m
-    rollout = _Rollout(ds, model, spec, cfg.r_max * (m - 1))
     per_block = max(1, _BLOCK_ROWS // (m - 1))
+    size = min(cfg.r_max, _FIRST_BLOCK_RUNS, per_block)
+    # a step table must cost no more predictions than walking the first block
+    rollout = _Rollout(ds, model, spec, size * (m - 1))
     blocks: list[np.ndarray] = []
     done = 0
     stop = None
     while stop is None and done < cfg.r_max:
-        block = range(done + 1, min(done + per_block, cfg.r_max) + 1)
+        block = range(done + 1, min(done + size, cfg.r_max) + 1)
+        size = min(2 * size, per_block)
         xb = np.empty((len(block), m), dtype=np.int64)
         u = np.zeros((len(block), m - 1))
         for j, r in enumerate(block):
-            rng = seed.child(r).generator()
+            rng = cfg.seed.child(r).generator()
             xb[j] = ds.x[rng.permutation(m)]
             if model.resid_sd > 0:
                 rng.random(out=u[j])

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arco import ArcoParams
+from .core import validate_finite
 from .errors import ConfigError, EstimatorError
 
 MODE_PERMUTATION = "permutation"
@@ -76,6 +77,10 @@ class EnumSpec:
                 raise ConfigError("iid mode needs pi in [0, 1]")
         if self.exog_effect is not None and len(self.exog_effect) != self.m:
             raise ConfigError("exog_effect must supply one value per period")
+        if self.y_init is not None:
+            validate_finite("y_init", self.y_init)
+        for value in self.exog_effect or ():
+            validate_finite("exog_effect", value)
 
     def v_effect(self) -> np.ndarray:
         if self.exog_effect is None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import FeatureSpec, TimeSeriesDataset, assemble_features
 from .errors import ConfigError, EstimatorError
-from .models import FittedModel
+from .models import FittedModel, check_twin
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,10 @@ def run_pstn(
     averaging), those are used; otherwise the propensities are predicted
     from the assembled features.
     """
-    if model.is_outcome:
-        raise EstimatorError(f"PSTn needs a propensity model, got a {model.kind} outcome model")
+    check_twin(model, spec, "PSTn", outcome=False)
     if spec.include_current_exposure:
         raise EstimatorError("propensity features must not include the current exposure")
     fm = assemble_features(ds, spec)
-    if tuple(model.columns) != spec.columns:
-        raise EstimatorError(
-            f"model was fitted on columns {tuple(model.columns)} but the feature "
-            f"spec defines {spec.columns}"
-        )
     if model.insample_prob is not None and np.array_equal(fm.values, model.train_values):
         pi = np.asarray(model.insample_prob, dtype=float)
     else:

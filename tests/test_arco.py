@@ -126,7 +126,7 @@ class TestSimulate:
             exog={"v": v},
         )
         assert ds.exog_names == ("v",)
-        assert np.allclose(ds.y, 2.0 + 1.0 * ds.x + 3.0 * ds.exog("v"))
+        assert np.allclose(ds.y, 2.0 + 1.0 * ds.x + 3.0 * ds.exog["v"])
 
     def test_exog_length_must_cover_burn_in(self):
         params = ArcoParams(beta0=2.0, beta_ex=(1.0,))

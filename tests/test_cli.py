@@ -8,13 +8,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from nof1twin.cli import main
+from nof1twin.cli import _method_options, build_parser, main
 from nof1twin.core import SeedSpec, TimeSeriesDataset, assemble_features, normals
-from nof1twin.harness import OUTCOME_SPEC
-from nof1twin.models import fit_linear_outcome
-from nof1twin.motr import run_motr_once
+from nof1twin.harness import OUTCOME_SPEC, MethodOptions
+from nof1twin.models import ForestConfig, fit_linear_outcome
+from nof1twin.motr import MotrConfig, run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 from nof1twin.arco import ArcoParams
+from nof1twin.pstn import PstnConfig
 
 
 def run(args):
@@ -198,6 +199,28 @@ class TestEmpiricalPipeline:
         ]
 
 
+class TestMethodFlags:
+    def test_every_flag_reaches_its_config_field(self):
+        args = build_parser().parse_args([
+            "analyze", "--data", "d.csv", "--method", "motr-rf",
+            "--r-min", "7", "--r-max", "50", "--stop-tol", "0.01", "--stop-window", "3",
+            "--trim", "0.1", "0.8", "--no-overlap", "--no-stabilize",
+            "--n-trees", "20", "--mtry", "2", "--min-node-size", "4",
+        ])
+        assert _method_options(args) == MethodOptions(
+            motr=MotrConfig(r_min=7, r_max=50, stop_tol=0.01, stop_window=3),
+            pstn=PstnConfig(trim_bounds=(0.1, 0.8), use_overlap=False, use_stabilized=False),
+            forest=ForestConfig(n_trees=20, mtry=2, min_node_size=4),
+        )
+
+    def test_no_flags_keep_the_library_defaults(self):
+        parse = build_parser().parse_args
+        analyze = parse(["analyze", "--data", "d.csv", "--method", "raw"])
+        assert _method_options(analyze) == MethodOptions()
+        replicate = parse(["replicate", "-o", "rep"])
+        assert _method_options(replicate) == MethodOptions(forest=ForestConfig(n_trees=100))
+
+
 class TestReplicate:
     def test_smoke_run_emits_both_csvs(self, tmp_path):
         prefix = tmp_path / "rep"
@@ -316,6 +339,18 @@ class TestExitCodes:
         where = ["--data", str(study_csv), "--method", "motr-glm"] if command == "analyze" else [
             "--h-datasets", "2", "--methods", "motr-glm", "-o", str(tmp_path / "rep")]
         assert run([command, *where, "--stop-tol", "nan"]) == 2
+
+    def test_repeated_method(self, tmp_path, capsys):
+        assert run(["replicate", "--h-datasets", "3", "--m", "30", "--methods", "raw,raw,coef",
+                    "-o", str(tmp_path / "rep")]) == 2
+        assert "repeat" in capsys.readouterr().err
+        assert not (tmp_path / "rep_rows.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_oracle_start(self, tmp_path, value):
+        out = tmp_path / "o.json"
+        assert run(["oracle", "--m", "6", "--m1", "3", "--y-init", value, "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_estimator_error(self, tmp_path):
         path = tmp_path / "one_arm.csv"

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import pickle
 import tempfile
 
 import numpy as np
@@ -59,16 +61,21 @@ class TestDataset:
             TimeSeriesDataset.from_csv(path)
 
     def test_arrays_read_only(self):
-        ds = make_ds([1, 2, 3])
-        with pytest.raises(ValueError):
-            ds.y[0] = 9.0
+        ds = make_ds([1, 2, 3], exog={"v": [0.5, 1.5, 2.5]})
+        copy = pickle.loads(pickle.dumps(ds))
+        assert copy == ds
+        for arr in (ds.y, ds.x, ds.exog["v"], copy.y, copy.x, copy.exog["v"]):
+            with pytest.raises(ValueError):
+                arr[0] = 9
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.y = np.zeros(3)
 
     def test_csv_round_trip(self, tmp_path):
         ds = make_ds([1.5, 2.25, 3.125], x=[1, 0, 1], exog={"w": [0.0, 1.0, 1.0]})
         path = tmp_path / "ds.csv"
         ds.to_csv(path, header_comments=["seed=1"])
         again = TimeSeriesDataset.from_csv(path)
-        assert again == TimeSeriesDataset(y=ds.y, x=ds.x, exog={"w": ds.exog("w")})
+        assert again == TimeSeriesDataset(y=ds.y, x=ds.x, exog={"w": ds.exog["w"]})
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -124,6 +124,10 @@ class TestReplicate:
         with pytest.raises(ConfigError, match=name):
             small_study(params=params)
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigError, match="repeat"):
+            small_study(methods=(Method.RAW, Method.RAW, Method.COEF))
+
     def test_csv_outputs(self, tmp_path):
         # impossibly tight trimming makes every pstn-glm row a failure row
         tight = MethodOptions(pstn=PstnConfig(trim_bounds=(0.499, 0.501)))

@@ -398,13 +398,45 @@ def test_estimate_independent_of_block_rows(twin, monkeypatch):
         tabled = _Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)).table is not None
         assert tabled == (twin == "table")
         estimates = []
-        # one run per block; 7 runs per block, so the last block is partial; the default
-        for rows in (ds.m - 1, 7 * (ds.m - 1) + 3, default):
+        # one run per block; 7 runs per block, so the last block is partial;
+        # blocks of 3, 6, 12, ... runs; the default
+        for rows, first in ((ds.m - 1, 200), (7 * (ds.m - 1) + 3, 200), (default, 3),
+                            (default, 200)):
             monkeypatch.setattr(motr, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(motr, "_FIRST_BLOCK_RUNS", first)
             estimates.append(run_motr(ds, model, spec, cfg))
         assert estimates[0].stop_reason == reason
         assert estimates[0].runs_used % 7 != 0
-        assert estimates[0] == estimates[1] == estimates[2]
+        assert estimates[0] == estimates[1] == estimates[2] == estimates[3]
+
+
+def test_large_r_max_builds_no_table_the_first_block_would_not_pay_for(monkeypatch):
+    from nof1twin.core import assemble_features
+    from nof1twin.models import ForestConfig, fit_forest_outcome
+
+    m = 200
+    rng = np.random.default_rng(3)
+    x = rng.permutation(np.arange(m) % 2)
+    y = rng.normal(size=m) + x  # untied outcomes: many lag thresholds
+    ds = TimeSeriesDataset(y=y, x=x, exog={"temp": rng.normal(size=m)})
+    cfg = ForestConfig(n_trees=15, min_node_size=2, seed=3)
+    model = fit_forest_outcome(assemble_features(ds, WALK_SPEC), y[1:], cfg)
+    # the table needs more predictions than the first block's 200 runs walk
+    assert _Rollout(ds, model, WALK_SPEC, 10**5 * (m - 1)).table is not None
+    assert _Rollout(ds, model, WALK_SPEC, 200 * (m - 1)).table is None
+    tables = []
+
+    class Spy(_Rollout):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self.table)
+
+    monkeypatch.setattr(motr, "_Rollout", Spy)
+    small, large = (run_motr(ds, model, WALK_SPEC, MotrConfig(r_max=r, stop_tol=1e-2, seed=1))
+                    for r in (200, 10**5))
+    assert small.stop_reason == "converged"
+    assert [t is None for t in tables] == [True, True]
+    assert large == small
 
 
 class TestStepTable:

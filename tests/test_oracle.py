@@ -110,6 +110,13 @@ class TestEnumerate:
         with pytest.raises(ConfigError, match="m1"):
             perm_spec(AR_SET, m=6, m1=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_or_exog_effect_rejected(self, bad):
+        with pytest.raises(ConfigError, match="y_init"):
+            perm_spec(AR_SET, m=6, m1=3, y_init=bad)
+        with pytest.raises(ConfigError, match="exog_effect"):
+            iid_spec(AR_SET, m=3, exog_effect=(0.0, bad, 0.0))
+
     def test_summation_order_stable(self):
         spec = iid_spec(AR_SET, m=12)
         assert enumerate_apte(spec) == pytest.approx(enumerate_apte(spec), abs=1e-12)
