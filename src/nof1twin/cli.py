@@ -196,19 +196,8 @@ def _feature_specs(args: argparse.Namespace) -> tuple[FeatureSpec, FeatureSpec]:
 
 
 def _result_payload(res) -> dict:
-    if isinstance(res.detail, ApteEstimate):
-        est = res.detail
-        return {
-            "delta": est.delta,
-            "ci": [est.ci[0], est.ci[1]],
-            "runs_used": est.runs_used,
-            "stop_reason": est.stop_reason,
-            "trajectory": [[d, lo, hi] for d, lo, hi in est.trajectory],
-            "mean_po_1": est.mean_po_1,
-            "mean_po_0": est.mean_po_0,
-            "degenerate_ci": est.degenerate_ci,
-            "mc_se": est.mc_se,
-        }
+    if isinstance(res.detail, ApteEstimate):  # the runs go to --runs-csv
+        return {k: v for k, v in vars(res.detail).items() if k != "runs"}
     if isinstance(res.detail, PstnResult):
         pr = res.detail
         return {

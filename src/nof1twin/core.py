@@ -24,6 +24,7 @@ LAG_NONE = "none"
 _LAG_MODES = (LAG_CONTINUOUS, LAG_QUARTILE, LAG_NONE)
 
 QUARTILE_COLUMNS = ("y_lag1_q1", "y_lag1_q2", "y_lag1_q3", "y_lag1_q4")
+INTERCEPT = "intercept"  # the GLMs' constant term, named beside the feature columns
 
 # Uniforms are clipped away from {0, 1} before the inverse normal CDF.
 _U_EPS = 2.0 ** -53
@@ -85,7 +86,8 @@ def setting_names(config) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr)
+    """A read-only C-contiguous copy, so the caller's own array stays writeable."""
+    out = np.array(arr, order="C")
     out.setflags(write=False)
     return out
 
@@ -225,6 +227,8 @@ def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     header, data, data_lines = rows[0], rows[1:], line_nos[1:]
     if header[:3] != ["t", "y", "x"]:
         raise DataError(f"{path}: header must start with t,y,x (got {header[:3]})")
+    if repeated := sorted({name for name in header if header.count(name) > 1}):
+        raise DataError(f"{path}: column name {repeated[0]!r} repeats in the header")
     exog_names = header[3:]
     if not data:
         raise DataError(f"{path}: no data rows")
@@ -305,6 +309,11 @@ class FeatureSpec:
                 f"outcome_lag_mode must be one of {_LAG_MODES}, got {self.outcome_lag_mode!r}"
             )
         object.__setattr__(self, "exog_names", tuple(self.exog_names))
+        names = [INTERCEPT, *self.columns]
+        if repeated := sorted({n for n in self.exog_names if names.count(n) > 1}):
+            raise ConfigError(
+                f"exogenous column {repeated[0]!r} repeats or shadows a feature of {names}"
+            )
 
     @property
     def needs_lag(self) -> bool:

@@ -26,7 +26,7 @@ from .core import (
     assemble_features,
     setting_names,
 )
-from .errors import ConfigError, EstimatorError, Nof1TwinError
+from .errors import ConfigError, Nof1TwinError
 from .models import (
     ForestConfig,
     fit_forest_outcome,
@@ -34,7 +34,7 @@ from .models import (
     fit_linear_outcome,
     fit_logistic_propensity,
 )
-from .motr import MotrConfig, run_motr, welch_interval_from_moments
+from .motr import MotrConfig, arm_contrast, run_motr
 from .pstn import PstnConfig, run_pstn
 
 # Sub-stream labels under one dataset's SeedSpec.
@@ -131,20 +131,8 @@ class ApplyResult:
 
 def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
     """Difference of observed arm means with a Welch t 95% interval."""
-    y1 = ds.y[ds.x == 1]
-    y0 = ds.y[ds.x == 0]
-    if len(y1) == 0 or len(y0) == 0:
-        counts = {1: len(y1), 0: len(y0)}
-        raise EstimatorError(f"raw comparison needs both arms, got counts {counts}")
-    lo, hi, _ = welch_interval_from_moments(
-        y1.mean(),
-        y1.var(ddof=1) if len(y1) > 1 else 0.0,
-        len(y1),
-        y0.mean(),
-        y0.var(ddof=1) if len(y0) > 1 else 0.0,
-        len(y0),
-    )
-    return ApplyResult(Method.RAW, float(y1.mean() - y0.mean()), (float(lo), float(hi)))
+    delta, lo, hi = arm_contrast(ds.y[None], ds.x[None])[:3, 0].tolist()
+    return ApplyResult(Method.RAW, delta, (lo, hi))
 
 
 def estimate_coef(ds: TimeSeriesDataset) -> ApplyResult:

@@ -15,11 +15,10 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .core import LAG_QUARTILE, FeatureMatrix, FeatureSpec, SeedSpec, as_seed, setting_names
+from .core import (INTERCEPT, LAG_QUARTILE, FeatureMatrix, FeatureSpec, SeedSpec, as_seed,
+                   setting_names)
 from .errors import ConfigError, ConvergenceError, EstimatorError
 from .forest import FlatForest, IndexSampler, build_forest, oob_predictions
-
-INTERCEPT = "intercept"
 
 # Logit-scale magnitude beyond which a logistic fit is treated as separated.
 SEPARATION_LIMIT = 30.0

@@ -57,35 +57,34 @@ _BLOCK_ROWS = 2**17
 _FIRST_BLOCK_RUNS = 200
 
 
-def welch_interval_from_moments(
-    mean1: np.ndarray,
-    var1: np.ndarray,
-    n1: np.ndarray,
-    mean0: np.ndarray,
-    var0: np.ndarray,
-    n0: np.ndarray,
-    level: float = 0.95,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Welch t interval for mean1 - mean0.
+def arm_contrast(values: np.ndarray, arms: np.ndarray) -> np.ndarray:
+    """Welch contrast of the two arms of each row of `values`, split by its 0/1 `arms`.
 
-    Inputs are sample means, ddof-1 variances, and counts.  Where the
-    interval is undefined (an arm smaller than 2, or zero pooled standard
-    error) the bounds collapse onto the point estimate and the degenerate
-    mask is set.
+    Returns rows (delta, lo, hi, mean_1, mean_0, degenerate), one column per
+    row of `values`: the difference of the arm means and its Welch t 95%
+    interval.  Where the interval is undefined (an arm smaller than 2, or
+    zero variance in both) the bounds collapse onto delta and degenerate is 1.
     """
-    mean1, var1, n1 = np.asarray(mean1, float), np.asarray(var1, float), np.asarray(n1, float)
-    mean0, var0, n0 = np.asarray(mean0, float), np.asarray(var0, float), np.asarray(n0, float)
-    delta = mean1 - mean0
-    degenerate = (n1 < 2) | (n0 < 2)
-    v1 = np.where(degenerate, np.nan, var1 / np.maximum(n1, 1))
-    v0 = np.where(degenerate, np.nan, var0 / np.maximum(n0, 1))
-    se = np.sqrt(v1 + v0)
-    degenerate = degenerate | ~(se > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    w = np.asarray(arms, dtype=float)
+    n1 = w.sum(axis=1)
+    n0 = w.shape[1] - n1
+    if (empty := np.flatnonzero((n1 == 0) | (n0 == 0))).size:
+        i = empty[0]
+        raise EstimatorError(
+            f"exposure arm {int(n1[i] == 0)} is empty; an arm contrast needs both arms, "
+            f"got counts {{1: {n1[i]:.0f}, 0: {n0[i]:.0f}}}"
+        )
+    mean1 = (values * w).sum(axis=1) / n1
+    mean0 = (values * (1.0 - w)).sum(axis=1) / n0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        v1 = ((values - mean1[:, None]) ** 2 * w).sum(axis=1) / (n1 - 1) / n1
+        v0 = ((values - mean0[:, None]) ** 2 * (1.0 - w)).sum(axis=1) / (n0 - 1) / n0
+        degenerate = (n1 < 2) | (n0 < 2) | ~(v1 + v0 > 0)
         df = (v1 + v0) ** 2 / (v1**2 / (n1 - 1) + v0**2 / (n0 - 1))
-        quant = stdtrit(np.where(degenerate, 2.0, df), 0.5 + level / 2.0)
-        half = np.where(degenerate, 0.0, quant * se)
-    return delta - half, delta + half, degenerate
+        quant = stdtrit(np.where(degenerate, 2.0, df), 0.975)
+        half = np.where(degenerate, 0.0, quant * np.sqrt(v1 + v0))
+    delta = mean1 - mean0
+    return np.stack([delta, delta - half, delta + half, mean1, mean0, degenerate])
 
 
 @dataclass(frozen=True)
@@ -199,24 +198,6 @@ class _Rollout:
         return preds
 
 
-def _run_stats(preds: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Rows (delta, lo, hi, mean_po_1, mean_po_0, degenerate) over the generated periods."""
-    xg = xb[:, 1:].astype(float)
-    n1 = xg.sum(axis=1)
-    n0 = xg.shape[1] - n1
-    if np.any(n1 == 0) or np.any(n0 == 0):
-        raise EstimatorError(
-            "a permuted sequence left one exposure arm empty over the generated periods"
-        )
-    mean1 = (preds * xg).sum(axis=1) / n1
-    mean0 = (preds * (1.0 - xg)).sum(axis=1) / n0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var1 = ((preds - mean1[:, None]) ** 2 * xg).sum(axis=1) / (n1 - 1)
-        var0 = ((preds - mean0[:, None]) ** 2 * (1.0 - xg)).sum(axis=1) / (n0 - 1)
-    lo, hi, degenerate = welch_interval_from_moments(mean1, var1, n1, mean0, var0, n0)
-    return np.stack([mean1 - mean0, lo, hi, mean1, mean0, degenerate])
-
-
 def run_motr_once(
     ds: TimeSeriesDataset,
     model: FittedModel,
@@ -240,7 +221,7 @@ def run_motr_once(
     if nz.shape[1] != ds.m - 1:
         raise EstimatorError(f"noise must hold m - 1 = {ds.m - 1} values, got {nz.shape[1]}")
     preds = _Rollout(ds, model, spec, ds.m - 1)(xb, nz)
-    delta, lo, hi, mean1, mean0, degenerate = _run_stats(preds, xb)[:, 0].tolist()
+    delta, lo, hi, mean1, mean0, degenerate = arm_contrast(preds, xb[:, 1:])[:, 0].tolist()
     return MotrRun(r=r, permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
                    delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
 
@@ -303,7 +284,7 @@ def run_motr(
             if model.resid_sd > 0:
                 rng.random(out=u[j])
         noise = normals(u, model.resid_sd) if model.resid_sd > 0 else u
-        blocks.append(_run_stats(rollout(xb, noise), xb))
+        blocks.append(arm_contrast(rollout(xb, noise), xb[:, 1:]))
         done = block[-1]
         per_run = np.concatenate(blocks, axis=1)
         cum = np.cumsum(per_run[:3], axis=1) / np.arange(1, done + 1)

@@ -357,6 +357,30 @@ class TestExitCodes:
         path.write_text("t,y,x\n1,1,1\n2,2,1\n3,3,1\n")
         assert run(["analyze", "--data", str(path), "--method", "raw"]) == 4
 
+    def test_repeated_column_name(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("t,y,x,v,v\n1,1,1,0,5\n2,2,0,1,6\n3,3,1,0,7\n4,4,0,1,8\n")
+        assert run(["analyze", "--data", str(path), "--method", "raw"]) == 3
+        assert "'v' repeats in the header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, exog", [
+        ("motr-glm", "weekend,weekend"),
+        ("motr-rf", "weekend,weekend"),
+        ("motr-glm", "y_lag1"),
+        ("pstn-rf", "y_lag1"),
+    ])
+    def test_exog_name_repeats_or_shadows_a_feature(self, study_csv, tmp_path, capsys,
+                                                    method, exog):
+        ds = TimeSeriesDataset.from_csv(study_csv)
+        column = (np.arange(ds.m) % 7 >= 5).astype(float)
+        data = tmp_path / "exog.csv"
+        TimeSeriesDataset(y=ds.y, x=ds.x, exog={exog.split(",")[0]: column}).to_csv(data)
+        out = tmp_path / "out.json"
+        assert run(["analyze", "--data", str(data), "--method", method, "--exog", exog,
+                    "--r-max", "15", "--n-trees", "10", "-o", str(out)]) == 2
+        assert "repeats or shadows" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, name", [("betaXco", "beta_xco"), ("betaXar", "beta_xar")])
     def test_replicate_rejects_interaction_coefficients(self, tmp_path, key, name, capsys):
         assert run(["replicate", "--set", f"{key}=0.5", "--h-datasets", "2", "--m", "30",

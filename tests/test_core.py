@@ -70,6 +70,19 @@ class TestDataset:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.y = np.zeros(3)
 
+    def test_caller_arrays_stay_writeable(self):
+        y, v = np.arange(5.0), np.ones(5)
+        ds = TimeSeriesDataset(y=y, x=[0, 1, 0, 1, 0], exog={"v": v})
+        assert y.flags.writeable and v.flags.writeable
+        y[0] = v[0] = 9.0
+        assert ds.y[0] == 0.0 and ds.exog["v"][0] == 1.0
+
+    def test_csv_repeated_column_name_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("t,y,x,v,v\n1,1.0,1,0,5\n2,2.0,0,1,6\n")
+        with pytest.raises(DataError, match="'v' repeats in the header"):
+            TimeSeriesDataset.from_csv(path)
+
     def test_csv_round_trip(self, tmp_path):
         ds = make_ds([1.5, 2.25, 3.125], x=[1, 0, 1], exog={"w": [0.0, 1.0, 1.0]})
         path = tmp_path / "ds.csv"
@@ -84,9 +97,10 @@ class TestDataset:
         column = st.lists(
             st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m
         )
-        names = data.draw(
-            st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True), max_size=3, unique=True)
+        name = st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True).filter(
+            lambda n: n not in ("t", "y", "x")  # a repeated header name is rejected on read
         )
+        names = data.draw(st.lists(name, max_size=3, unique=True))
         ds = TimeSeriesDataset(
             y=data.draw(column),
             x=data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)),
@@ -261,6 +275,18 @@ class TestAssembleFeatures:
         ds = make_ds([1, 2, 3])
         with pytest.raises(DataError, match="'v'"):
             assemble_features(ds, FeatureSpec(True, exog_names=("v",)))
+
+    @pytest.mark.parametrize("mode, exog", [
+        (LAG_CONTINUOUS, ("v", "v")),
+        (LAG_CONTINUOUS, ("y_lag1",)),
+        (LAG_QUARTILE, ("y_lag1_q2",)),
+        (LAG_NONE, ("x",)),
+        (LAG_NONE, ("x_lag1",)),
+        (LAG_NONE, ("intercept",)),
+    ])
+    def test_exog_name_repeating_or_shadowing_a_column_rejected(self, mode, exog):
+        with pytest.raises(ConfigError, match=f"{exog[0]!r} repeats or shadows"):
+            FeatureSpec(True, mode, use_exposure_lag1=True, exog_names=exog)
 
     def test_bad_lag_mode_rejected(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nof1twin.arco import ArcoParams, PropensityParams
+from nof1twin.arco import ArcoParams, PropensityParams, SimConfig, simulate_dataset
 from nof1twin.core import TimeSeriesDataset, write_csv
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import (
@@ -44,6 +44,16 @@ class TestPointEstimators:
         res = estimate_raw(ds)
         assert res.estimate == pytest.approx(-2.0)
         assert res.ci[0] < -2.0 < res.ci[1]
+
+    def test_raw_equals_scipy_welch_interval(self):
+        from scipy.stats import ttest_ind
+
+        ds = simulate_dataset(*default_study_params(), SimConfig(m_analysis=220, seed=3))
+        y1, y0 = ds.y[ds.x == 1], ds.y[ds.x == 0]
+        ref = ttest_ind(y1, y0, equal_var=False).confidence_interval(0.95)
+        res = estimate_raw(ds)
+        np.testing.assert_allclose([res.estimate, *res.ci],
+                                   [y1.mean() - y0.mean(), ref.low, ref.high], rtol=0, atol=1e-12)
 
     def test_raw_single_arm_rejected(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0], x=[1, 1, 1])

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nof1twin import motr
@@ -18,7 +18,7 @@ from nof1twin.core import (
 )
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.models import glm_from_coefficients
-from nof1twin.motr import MotrConfig, _Rollout, run_motr, run_motr_once
+from nof1twin.motr import MotrConfig, _Rollout, arm_contrast, run_motr, run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 
 NO_LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
@@ -58,6 +58,60 @@ def all_permutation_average(ds, model, spec):
         perm[list(ones)] = 1
         deltas.append(run_motr_once(ds, model, spec, perm).delta)
     return float(np.mean(deltas))
+
+
+class TestArmContrast:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_scipy_welch_interval(self, data):
+        from scipy.stats import ttest_ind
+
+        n1, n0 = data.draw(st.integers(2, 15)), data.draw(st.integers(2, 15))
+        values = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n1 + n0,
+                                             max_size=n1 + n0)))
+        arms = np.array(data.draw(st.permutations([1] * n1 + [0] * n0)))
+        y1, y0 = values[arms == 1], values[arms == 0]
+        assume(min(np.ptp(y1), np.ptp(y0)) > 1e-3 * (1.0 + np.abs(values).max()))
+        delta, lo, hi, mean1, mean0, degenerate = arm_contrast(values[None], arms[None])[:, 0]
+        ref = ttest_ind(y1, y0, equal_var=False).confidence_interval(0.95)
+        np.testing.assert_allclose([delta, lo, hi], [y1.mean() - y0.mean(), ref.low, ref.high],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose([mean1, mean0], [y1.mean(), y0.mean()], rtol=1e-12, atol=1e-12)
+        assert degenerate == 0
+
+    @pytest.mark.parametrize("values, arms, delta", [
+        ([1.0, 2.0, 4.0], [1, 0, 0], -2.0),           # an arm of one
+        ([1.0, 1.0, 3.0, 3.0], [1, 1, 0, 0], -2.0),   # zero variance in both arms
+    ])
+    def test_undefined_interval_collapses_onto_delta(self, values, arms, delta):
+        out = arm_contrast(np.array([values]), np.array([arms]))[:, 0]
+        assert out.tolist() == [delta, delta, delta, out[3], out[4], 1.0]
+
+    def test_one_arm_with_variance_is_enough(self):
+        out = arm_contrast(np.array([[1.0, 1.0, 3.0, 5.0]]), np.array([[1, 1, 0, 0]]))[:, 0]
+        assert out[1] < out[0] < out[2] and out[5] == 0.0
+
+    def test_rows_are_independent(self):
+        # multi-row calls must equal row-by-row calls bit for bit: a MoTR
+        # estimate may not depend on how its runs are split into blocks
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(9, 31))
+        arms = np.stack([rng.permutation(np.arange(31) % 3 == 0) for _ in range(9)])
+        arms[0] = 0
+        arms[0, :2] = 1                 # an arm of two
+        arms[1] = 0
+        arms[1, 5] = 1                  # an arm of one
+        values[2] = np.where(arms[2], 1.5, -0.5)  # zero variance
+        rows = np.column_stack([arm_contrast(values[i : i + 1], arms[i : i + 1])[:, 0]
+                                for i in range(9)])
+        assert np.array_equal(arm_contrast(values, arms), rows)
+
+    @pytest.mark.parametrize("arm", [1, 0])
+    def test_empty_arm_named(self, arm):
+        arms = np.full((2, 4), 1 - arm)
+        arms[0, :2] = arm
+        with pytest.raises(EstimatorError, match=f"exposure arm {arm} is empty"):
+            arm_contrast(np.ones((2, 4)), arms)
 
 
 class TestSingleRun:
@@ -477,7 +531,7 @@ class TestStepTable:
            layout=st.sampled_from([*sorted(TABLE_SPECS), "continuous-exog"]))
     def test_run_motr_equals_step_by_step_reference(self, seed, layout):
         from nof1twin.core import _encode_block
-        from nof1twin.motr import _Rollout, _run_stats
+        from nof1twin.motr import _Rollout, arm_contrast
 
         spec = TABLE_SPECS.get(layout, WALK_SPEC)
         ds, model = _forest_case(seed, spec)
@@ -496,7 +550,7 @@ class TestStepTable:
                                   y_lag=[y_prev], exog=exog[t : t + 1], bounds=bounds)
                 y_prev = model.predict(f)[0] + noise[t - 1]
                 preds.append(y_prev)
-            stats = _run_stats(np.array([preds]), xp[None])[:3, 0]
+            stats = arm_contrast(np.array([preds]), xp[None, 1:])[:3, 0]
             assert est.runs[r - 1] == tuple(stats.tolist())
 
 
