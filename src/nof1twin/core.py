@@ -86,8 +86,7 @@ def setting_names(config) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous copy, so the caller's own array stays writeable."""
-    out = np.array(arr, order="C")
+    out = np.ascontiguousarray(arr)
     out.setflags(write=False)
     return out
 
@@ -109,7 +108,7 @@ class TimeSeriesDataset:
     exog: Mapping[str, Sequence[float] | np.ndarray] | None = None
 
     def __post_init__(self) -> None:
-        y, x = np.asarray(self.y, dtype=float), np.asarray(self.x)
+        y, x = np.array(self.y, dtype=float), np.asarray(self.x)
         if y.ndim != 1 or x.ndim != 1 or len(y) != len(x):
             raise DataError("y and x must be one-dimensional and equal length")
         if len(y) == 0:
@@ -125,7 +124,7 @@ class TimeSeriesDataset:
             )
         cols = {}
         for name, values in (self.exog or {}).items():
-            col = np.asarray(values, dtype=float)
+            col = np.array(values, dtype=float)
             if col.shape != y.shape:
                 raise DataError(f"exogenous column {name!r} length mismatch")
             if not np.all(np.isfinite(col)):
@@ -227,9 +226,9 @@ def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     header, data, data_lines = rows[0], rows[1:], line_nos[1:]
     if header[:3] != ["t", "y", "x"]:
         raise DataError(f"{path}: header must start with t,y,x (got {header[:3]})")
-    if repeated := sorted({name for name in header if header.count(name) > 1}):
-        raise DataError(f"{path}: column name {repeated[0]!r} repeats in the header")
     exog_names = header[3:]
+    if repeated := sorted({name for name in exog_names if exog_names.count(name) > 1}):
+        raise DataError(f"{path}: column name {repeated[0]!r} repeats in the header")
     if not data:
         raise DataError(f"{path}: no data rows")
     parsed = np.empty((len(data), len(header)))
