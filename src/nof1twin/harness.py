@@ -280,8 +280,9 @@ def replicate(study: StudyConfig) -> ReplicationReport:
     (h, method) so the report is identical for any worker count.
     """
     handles = range(1, study.h_datasets + 1)
-    if study.workers > 1:
-        with ProcessPoolExecutor(max_workers=study.workers) as pool:
+    workers = min(study.workers, study.h_datasets)  # a pool may start all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_one_dataset, [study] * len(handles), handles))
     else:
         chunks = [_run_one_dataset(study, h) for h in handles]

@@ -15,10 +15,13 @@ are computed and then discarded.  Every twin predicts row by row and the
 cumulative sums are sequential, so no output depends on the block size.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
-then (when resid_sd > 0) the m-1 uniforms of its noise.  The uniforms of a
-whole block become noise in one core.normals call at the fitted residual
-scale, which is frozen from the original fit and never re-estimated from
-generated data.
+then (when resid_sd > 0) the m-1 uniforms of its noise.  The runs of a block
+share one generator (SeedSpec.children), reset before each run to the key
+that SeedSequence derives for child(r) and a zero counter, so each run draws
+what child(r).generator() would and the layout is unchanged.  The uniforms
+of a whole block become noise in one core.normals call at the fitted
+residual scale, which is frozen from the original fit and never
+re-estimated from generated data.
 """
 
 from __future__ import annotations
@@ -98,8 +101,10 @@ class MotrConfig:
     seed: SeedSpec | int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.r_min <= self.r_max:
-            raise ConfigError(f"need 1 <= r_min <= r_max, got ({self.r_min}, {self.r_max})")
+        if not 1 <= self.r_min <= self.r_max <= 2**32 - 1:
+            raise ConfigError(
+                f"need 1 <= r_min <= r_max <= 2**32 - 1, got ({self.r_min}, {self.r_max})"
+            )
         if not (math.isfinite(self.stop_tol) and self.stop_tol > 0) or self.stop_window < 1:
             raise ConfigError("stop_tol must be finite and > 0, and stop_window >= 1")
         object.__setattr__(self, "seed", as_seed(self.seed))
@@ -278,8 +283,7 @@ def run_motr(
         size = min(2 * size, per_block)
         xb = np.empty((len(block), m), dtype=np.int64)
         u = np.zeros((len(block), m - 1))
-        for j, r in enumerate(block):
-            rng = cfg.seed.child(r).generator()
+        for j, rng in enumerate(cfg.seed.children(block)):
             xb[j] = ds.x[rng.permutation(m)]
             if model.resid_sd > 0:
                 rng.random(out=u[j])

@@ -340,6 +340,14 @@ class TestExitCodes:
             "--h-datasets", "2", "--methods", "motr-glm", "-o", str(tmp_path / "rep")]
         assert run([command, *where, "--stop-tol", "nan"]) == 2
 
+    @pytest.mark.parametrize("command", ["analyze", "replicate"])
+    def test_r_max_beyond_one_stream_label_word(self, study_csv, tmp_path, capsys, command):
+        where = ["--data", str(study_csv), "--method", "motr-glm"] if command == "analyze" else [
+            "--h-datasets", "2", "--methods", "motr-glm"]
+        assert run([command, *where, "-o", str(tmp_path / "out"), "--r-max", str(2**32)]) == 2
+        assert "r_max <= 2**32 - 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [study_csv]
+
     def test_repeated_method(self, tmp_path, capsys):
         assert run(["replicate", "--h-datasets", "3", "--m", "30", "--methods", "raw,raw,coef",
                     "-o", str(tmp_path / "rep")]) == 2

@@ -16,6 +16,7 @@ from nof1twin.core import (
     FeatureSpec,
     SeedSpec,
     TimeSeriesDataset,
+    _child_keys,
     assemble_features,
     dichotomize_exposure,
     encode_quartile,
@@ -307,6 +308,40 @@ class TestSeedSpec:
 
     def test_reproducible(self):
         assert np.array_equal(SeedSpec(5).child(3).uniforms(16), SeedSpec(5).child(3).uniforms(16))
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.integers(0, 2**128 - 1),
+           path=st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple),
+           labels=st.lists(st.integers(0, 2**32 - 1), max_size=8))
+    def test_child_keys_are_seed_sequence_keys(self, base, path, labels):
+        labels = [0, *labels, 2**32 - 1]
+        expected = [np.random.SeedSequence(base, spawn_key=path + (r,)).generate_state(2, np.uint64)
+                    for r in labels]
+        keys = _child_keys(base, path, labels)
+        assert keys.dtype == np.uint64 and keys.shape == (len(labels), 2)
+        assert np.array_equal(keys, expected)
+
+    @pytest.mark.parametrize("m", [7, 8, 221])
+    def test_children_draw_what_each_child_generator_draws(self, m):
+        def draws(rng, r):
+            # 32-bit draws may leave half a 64-bit word behind, 64-bit ones part of a block
+            out = [rng.permutation(m), rng.integers(0, 5, size=r % 3)]
+            return out + [rng.random(r % 5) if r % 2 else rng.integers(0, 2**40, size=1)]
+
+        seed = SeedSpec(11, (3,))
+        shared = set()
+        for r, rng in enumerate(seed.children(range(200))):
+            shared.add(id(rng))
+            for got, want in zip(draws(rng, r), draws(seed.child(r).generator(), r)):
+                assert np.array_equal(got, want)
+        assert len(shared) == 1
+
+    @pytest.mark.parametrize("base, path, labels", [
+        (1, (), [-1]), (1, (), [2**32]), (1, (), [3, 2**40]), (1, (-1,), [0]), (-1, (), [0]),
+    ])
+    def test_child_keys_reject_a_negative_word_or_a_label_beyond_one_word(self, base, path, labels):
+        with pytest.raises(ConfigError, match="non-negative|\\[0, 2\\*\\*32\\)"):
+            _child_keys(base, path, labels)
 
     def test_normals_scale(self):
         draws = SeedSpec(0).normals(20000, 2.0)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nof1twin import harness
 from nof1twin.arco import ArcoParams, PropensityParams, SimConfig, simulate_dataset
 from nof1twin.core import TimeSeriesDataset, write_csv
 from nof1twin.errors import ConfigError, EstimatorError
@@ -100,6 +101,29 @@ class TestReplicate:
         assert {row.method for row in a.rows if row.error is None} == set(study.methods)
         assert a.rows == b.rows
         assert a.summary == b.summary
+
+    @pytest.mark.parametrize("workers, h, expected", [(1000, 2, 2), (2, 3, 2), (3, 3, 3)])
+    def test_pool_has_at_most_one_worker_per_dataset(self, monkeypatch, workers, h, expected):
+        pools = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        study = small_study(h_datasets=h)
+        pooled, serial = replicate(replace(study, workers=workers)), replicate(study)
+        assert pooled.rows == serial.rows and pooled.summary == serial.summary
+        assert pools == [expected]
 
     def test_failures_counted_not_fatal(self):
         # impossibly tight trimming empties both arms for every dataset

@@ -193,6 +193,20 @@ class TestRunMotr:
         arco, prop = default_study_params()
         return arco, simulate_dataset(arco, prop, SimConfig(m_analysis=m, seed=seed))
 
+    @pytest.mark.parametrize("m, resid_sd", [(61, 0.0), (61, 0.5), (60, 0.0)])
+    def test_every_run_draws_its_own_child_stream(self, m, resid_sd):
+        # the runs share one generator; a 32-bit half-word or buffered block left
+        # over from one run would change the next run's permutation
+        arco, ds = self.make_study_ds(seed=6, m=m)
+        model = true_twin(arco, LAG_SPEC, resid_sd=resid_sd)
+        seed = SeedSpec(4, (2,))
+        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=200, r_max=200, seed=seed))
+        assert ds.m == m and est.runs_used == 200
+        for r in range(1, 201):
+            run = run_motr_once(ds, model, LAG_SPEC, _permutation_for(ds, seed, r),
+                                _noise_for(ds, seed, r, resid_sd), r)
+            assert est.runs[r - 1] == (run.delta, *run.ci)
+
     def test_deterministic_model_stops_at_r_min(self):
         params = ArcoParams(beta0=2.0, beta_x=1.1)
         ds = mechanism_dataset(params, [1, 0] * 6)
@@ -568,6 +582,11 @@ class TestPreconditions:
     def test_stop_tol_must_be_finite_and_positive(self, tol):
         with pytest.raises(ConfigError, match="stop_tol must be finite and > 0,"):
             MotrConfig(stop_tol=tol)
+
+    def test_r_max_within_one_stream_label_word(self):
+        assert MotrConfig(r_max=2**32 - 1).r_max == 2**32 - 1
+        with pytest.raises(ConfigError, match="r_max <= 2\\*\\*32 - 1"):
+            MotrConfig(r_max=2**32)
 
     def test_propensity_model_rejected(self):
         ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])
