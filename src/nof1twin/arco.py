@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import SeedSpec, TimeSeriesDataset, as_seed, validate_finite
+from .core import SeedSpec, TimeSeriesDataset, as_seed, normals, validate_finite
 from .errors import ConfigError, NonstationaryParamsError
 
 # Sub-stream labels under a simulation SeedSpec.
@@ -131,8 +131,8 @@ def simulate_dataset(
     v_out = v @ np.asarray(params.beta_ex) if params.beta_ex else np.zeros(total)
     v_prop = v @ np.asarray(prop.alpha_ex) if prop.alpha_ex else np.zeros(total)
 
-    eps = cfg.seed.child(_EPS_STREAM).normals(total, params.sigma_eps)
-    u = cfg.seed.child(_X_STREAM).uniforms(total).tolist()
+    u_eps, u = (rng.random(total) for rng in cfg.seed.children((_EPS_STREAM, _X_STREAM)))
+    eps, u = normals(u_eps, params.sigma_eps), u.tolist()
     p, vo, vp, e = params, v_out.tolist(), v_prop.tolist(), eps.tolist()
     xs = [int(u[0] < prop.pi1)]
     ys = [p.beta0 + vo[0] + e[0]]

@@ -88,11 +88,12 @@ def _parse_kv(text: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def load_params_config(path: str | None, overrides: list[str]) -> dict:
-    """Resolve the simulation-parameter configuration, defaults upward."""
+def load_params_config(path: str | None, overrides: list[str], **defaults) -> dict:
+    """Resolve the simulation-parameter configuration, defaults upward; `defaults`
+    replace the study's own defaults for the keys they name."""
     arco, prop = default_study_params()
     source = {ArcoParams: vars(arco), PropensityParams: vars(prop), SimConfig: _SIM_DEFAULTS}
-    resolved = {key: source[cls][name] for key, (cls, name) in _PARAM_FIELDS.items()}
+    resolved = {key: source[cls][name] for key, (cls, name) in _PARAM_FIELDS.items()} | defaults
 
     def apply(key: str, raw: str, origin: str) -> None:
         if key not in _PARAM_FIELDS:
@@ -121,9 +122,9 @@ def load_params_config(path: str | None, overrides: list[str]) -> dict:
     return resolved
 
 
-def _resolve_params(args: argparse.Namespace, *flags: str) -> dict:
+def _resolve_params(args: argparse.Namespace, *flags: str, **defaults) -> dict:
     """The parameter configuration with the given dedicated flags applied on top."""
-    cfg = load_params_config(args.params, args.set or [])
+    cfg = load_params_config(args.params, args.set or [], **defaults)
     for key in flags:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -281,7 +282,6 @@ def cmd_replicate(args: argparse.Namespace) -> int:
             **cfg,
             "h_datasets": args.h_datasets,
             "methods": args.methods,
-            "workers": args.workers,
             **opts.to_echo(),
         }
     )
@@ -302,8 +302,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _resolve_params(args, "m")
-    cfg["sigmaEps"] = 0.0
+    cfg = _resolve_params(args, "m", sigmaEps=0.0)  # EnumSpec rejects any other noise scale
     arco = _build(ArcoParams, cfg)
     mode = MODE_PERMUTATION if args.mode == "permutation" else MODE_IID
     spec = EnumSpec(

@@ -12,7 +12,6 @@ import io
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
-from itertools import permutations, product
 
 import numpy as np
 from scipy.special import ndtri
@@ -40,66 +39,74 @@ class SeedSpec:
     """Deterministic stream addressing: a base seed plus a label path.
 
     Each distinct label path owns an independent counter-based (Philox)
-    uniform stream, keyed by `np.random.SeedSequence(base_seed,
-    spawn_key=path)`.  Gaussian draws are produced by inverse-CDF transform
+    uniform stream, its key the one numpy's seed sequence derives from
+    (base_seed, path); `keys` derives sibling keys by mixing each label into
+    the parent's pool.  Gaussian draws are produced by inverse-CDF transform
     of that stream, so identical SeedSpec + config reproduce outputs
     bit-for-bit on the same build.  `children` serves many sibling streams
-    from one generator, reset to each one's key and a zero counter, so
-    each draws exactly what `child(label).generator()` would.
+    from one generator, reset to each one's key and a zero counter, so each
+    draws exactly what its own generator would.
     """
 
     base_seed: int
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be a non-negative integer")
+        if min((self.base_seed, *self.path)) < 0:
+            raise ConfigError("base_seed and path labels must be non-negative integers")
 
     def child(self, *labels: int) -> "SeedSpec":
         """Derive the sub-stream addressed by appending `labels` to the path."""
         return SeedSpec(self.base_seed, self.path + tuple(int(x) for x in labels))
 
-    def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.base_seed, spawn_key=self.path)
-        return np.random.Generator(np.random.Philox(seq))
+    def keys(self, labels: Iterable[int]) -> np.ndarray:
+        """The Philox key of child(label) for each label, as a (labels, 2) uint64 array.
+
+        Each is `SeedSequence(base_seed, spawn_key=path + (label,))
+        .generate_state(2, np.uint64)`.  Siblings differ only in their last
+        entropy word, the label, so numpy mixes the shared words into the
+        parent's pool once.  The labels, as one uint32 array, are hashed into
+        that pool from the hash constant SeedSequence has reached there, four
+        hashes per word mixed before, and out of it as generate_state hashes.
+        Each label must be one word.
+        """
+        labels = list(labels)
+        if labels and not 0 <= min(labels) <= max(labels) <= _MASK32:
+            raise ConfigError(
+                f"stream labels must lie in [0, 2**32), got {min(labels)}..{max(labels)}"
+            )
+        pool = np.random.SeedSequence(self.base_seed, spawn_key=self.path).pool.tolist()
+        # the words mixed so far: the base's, zero-padded to the pool's four, then the path's
+        base, *path = (max(1, -(-n.bit_length() // 32)) for n in (self.base_seed, *self.path))
+        const = _INIT_A * pow(_MULT_A, 4 * (max(4, base) + sum(path)), 2**32) & _MASK32
+        hashmix = _hasher(const, _MULT_A)
+        label = np.array(labels, dtype=np.uint32)
+        pool = [_mix(word, hashmix(label)) for word in pool]
+        state = [w.astype(np.uint64) for w in map(_hasher(_INIT_B, _MULT_B), pool)]
+        return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
     def children(self, labels: Iterable[int]) -> Iterator[np.random.Generator]:
         """The generator of child(label) for each label in turn, bit for bit.
 
         One Philox serves them all: before each yield its state is set to that
         child's key, a zero counter and empty buffers, so each yielded
-        generator is valid only until the next one is drawn.  The keys of all
-        labels come from one vectorized pass (`_child_keys`).
+        generator is valid only until the next one is drawn.
         """
         bits = np.random.Philox(key=0)
         rng, state = np.random.Generator(bits), bits.state
-        for key in _child_keys(self.base_seed, self.path, labels):
+        for key in self.keys(labels):
             state["state"]["key"] = key
             bits.state = state
             yield rng
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return self.generator().random(n)
 
-    def normals(self, n: int, scale: float = 1.0) -> np.ndarray:
-        """Gaussian draws via the inverse normal CDF on the uniform stream."""
-        return normals(self.uniforms(n), scale)
-
-
-# np.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+# The hash constants of numpy's entropy mixing (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 2**32 - 1
 
 
-def _words(n: int) -> list[int]:
-    """The uint32 words of a non-negative int, least significant first ([0] for 0)."""
-    if n < 0:
-        raise ConfigError(f"seed and stream labels must be non-negative, got {n}")
-    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
 def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, its running constant starting at `const`."""
+    """numpy's entropy hashmix, its running constant starting at `const`."""
     def hashmix(value):
         nonlocal const
         value, const = value ^ const, const * mult & _MASK32
@@ -111,32 +118,6 @@ def _hasher(const: int, mult: int):
 def _mix(x, y):
     out = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
     return out ^ out >> 16
-
-
-def _child_keys(base_seed: int, path: tuple[int, ...], labels: Iterable[int]) -> np.ndarray:
-    """Philox keys of SeedSequence(base_seed, spawn_key=path + (label,)), (labels, 2) uint64.
-
-    Re-implements numpy's SeedSequence: the entropy words (the base seed's,
-    zero-padded to the 4-word pool, then the spawn key's) are hashmixed into
-    the pool, which generate_state(2, uint64) hashes once more.  Each step
-    takes a Python int or a uint32 array, which wraps as the C code does, so
-    the words shared by every label are mixed once and only the last word,
-    the label, as an array.  Each label must be one word.
-    """
-    labels = list(labels)
-    if labels and not 0 <= min(labels) <= max(labels) <= _MASK32:
-        raise ConfigError(f"stream labels must lie in [0, 2**32), got {min(labels)}..{max(labels)}")
-    run = _words(base_seed)
-    entropy = run + [0] * (4 - len(run)) + [w for p in path for w in _words(p)]
-    entropy.append(np.array(labels, dtype=np.uint32))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in entropy[:4]]
-    for src, dst in permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word, dst in product(entropy[4:], range(4)):
-        pool[dst] = _mix(pool[dst], hashmix(word))
-    state = [w.astype(np.uint64) for w in map(_hasher(_INIT_B, _MULT_B), pool)]
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
 def normals(u: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -442,12 +423,7 @@ def quartile_bounds(values: Sequence[float] | np.ndarray) -> tuple[float, float,
 
 def encode_quartile(values: np.ndarray, bounds: tuple[float, float, float]) -> np.ndarray:
     """One-hot quartile slots; ties at a boundary go to the lower quartile."""
-    v = np.asarray(values, dtype=float)
-    q1, q2, q3 = bounds
-    slot = np.where(v <= q1, 0, np.where(v <= q2, 1, np.where(v <= q3, 2, 3)))
-    out = np.zeros((len(v), 4))
-    out[np.arange(len(v)), slot] = 1.0
-    return out
+    return np.eye(4)[np.searchsorted(bounds, np.asarray(values, dtype=float), side="left")]
 
 
 def _encode_block(

@@ -88,7 +88,7 @@ def build_forest(
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, p = x.shape
     sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
-    rngs = [seed.child(k).generator() for k in range(n_trees)]
+    rngs = [np.random.Generator(np.random.Philox(key=key)) for key in seed.keys(range(n_trees))]
     boots = [np.asarray(sampler(k, rng, n), dtype=np.intp) for k, rng in enumerate(rngs)]
     inbag = np.array([np.bincount(idx, minlength=n) for idx in boots], dtype=np.int32)
     ranks = [np.unique(x[:, f], return_inverse=True)[1] for f in range(p)]  # ties share a rank

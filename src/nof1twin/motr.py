@@ -16,12 +16,12 @@ cumulative sums are sequential, so no output depends on the block size.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
 then (when resid_sd > 0) the m-1 uniforms of its noise.  The runs of a block
-share one generator (SeedSpec.children), reset before each run to the key
-that SeedSequence derives for child(r) and a zero counter, so each run draws
-what child(r).generator() would and the layout is unchanged.  The uniforms
-of a whole block become noise in one core.normals call at the fitted
-residual scale, which is frozen from the original fit and never
-re-estimated from generated data.
+share one generator (SeedSpec.children), reset before each run to child(r)'s
+key and a zero counter, so each run draws what its own generator would and
+the layout is unchanged; SeedSpec.keys derives a block's keys by mixing each
+run label into the parent stream's pool.  The uniforms of a whole block
+become noise in one core.normals call at the fitted residual scale, which is
+frozen from the original fit and never re-estimated from generated data.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from nof1twin.arco import (
     long_run_mean,
     simulate_dataset,
 )
-from nof1twin.core import SeedSpec
+from nof1twin.core import SeedSpec, normals
 from nof1twin.errors import ConfigError, NonstationaryParamsError
 from nof1twin.harness import default_study_params
 
@@ -85,8 +85,12 @@ class TestSimulate:
         )
         m, seed = 60, SeedSpec(8)
         v = np.sin(np.arange(float(m)))
-        eps = seed.child(0).normals(m, params.sigma_eps)
-        u = seed.child(1).uniforms(m)
+        eps_rng, x_rng = (
+            np.random.Generator(np.random.Philox(np.random.SeedSequence(8, spawn_key=(k,))))
+            for k in (0, 1)
+        )
+        eps = normals(eps_rng.random(m), params.sigma_eps)
+        u = x_rng.random(m)
         for randomized_mode in (True, False):
             cfg = SimConfig(m_analysis=m, burn_in=0, seed=seed, randomized_mode=randomized_mode)
             ds, po1, po0 = simulate_dataset(params, prop, cfg, exog={"v": v}, return_potential=True)

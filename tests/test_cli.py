@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nof1twin.cli import _method_options, build_parser, main
-from nof1twin.core import SeedSpec, TimeSeriesDataset, assemble_features, normals
+from nof1twin.core import TimeSeriesDataset, assemble_features, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
 from nof1twin.models import ForestConfig, fit_linear_outcome
 from nof1twin.motr import MotrConfig, run_motr_once
@@ -103,12 +103,13 @@ class TestAnalyze:
                     "--runs-csv", str(runs), "-o", str(tmp_path / "motr.json")]) == 0
         ds = TimeSeriesDataset.from_csv(data)
         model = fit_linear_outcome(assemble_features(ds, OUTCOME_SPEC), ds.y[1:])
-        stream = SeedSpec(4).child(1)  # the motr-glm sub-stream of the analyze seed
         with open(runs, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) > 32
         for row in rows:
-            rng = stream.child(int(row["r"])).generator()
+            # run r of the motr-glm sub-stream (label 1) of the analyze seed
+            seq = np.random.SeedSequence(4, spawn_key=(1, int(row["r"])))
+            rng = np.random.Generator(np.random.Philox(seq))
             perm = ds.x[rng.permutation(ds.m)]
             noise = normals(rng.random(ds.m - 1), model.resid_sd)
             once = run_motr_once(ds, model, OUTCOME_SPEC, perm, noise)
@@ -264,7 +265,7 @@ class TestReplicate:
             line[2:].split("=", 1) for line in rows.decode().splitlines() if line.startswith("# ")
         )
         flags = {
-            "h_datasets": "--h-datasets", "methods": "--methods", "workers": "--workers",
+            "h_datasets": "--h-datasets", "methods": "--methods",
             "r_min": "--r-min", "r_max": "--r-max", "stop_tol": "--stop-tol",
             "stop_window": "--stop-window", "n_trees": "--n-trees", "mtry": "--mtry",
             "min_node_size": "--min-node-size",
@@ -286,14 +287,24 @@ class TestReplicate:
         assert run(argv) == 0
         assert (tmp_path / "b_rows.csv").read_bytes() == rows
 
+    def test_worker_count_leaves_both_csvs_byte_identical(self, tmp_path):
+        for workers in ("1", "2"):
+            assert run(["replicate", "--h-datasets", "2", "--m", "30", "--methods", "raw,motr-glm",
+                        "--r-max", "20", "--workers", workers, "-o", str(tmp_path / workers)]) == 0
+        for name in ("rows", "summary"):
+            one, two = ((tmp_path / f"{w}_{name}.csv").read_bytes() for w in ("1", "2"))
+            assert one == two
+
 
 class TestOracle:
-    def test_matches_library_enumeration(self, tmp_path):
+    @pytest.mark.parametrize("noise", [[], ["--set", "sigmaEps=0"]])
+    def test_matches_library_enumeration(self, tmp_path, noise):
         out = tmp_path / "oracle.json"
-        assert run(["oracle", "--m", "8", "--mode", "permutation", "--m1", "4",
-                    "--set", "sigmaEps=0", "-o", str(out)]) == 0
+        assert run(["oracle", "--m", "8", "--mode", "permutation", "--m1", "4", *noise,
+                    "-o", str(out)]) == 0
         payload = json.loads(out.read_text())
         validate(payload, "oracle.schema.json")
+        assert payload["config"]["sigmaEps"] == 0.0
         expected = enumerate_apte(EnumSpec(
             m=8, mode=MODE_PERMUTATION, m1=4,
             params=ArcoParams(beta0=2.0, beta_x=1.1, beta_ar=0.8),
@@ -358,6 +369,16 @@ class TestExitCodes:
     def test_non_finite_oracle_start(self, tmp_path, value):
         out = tmp_path / "o.json"
         assert run(["oracle", "--m", "6", "--m1", "3", "--y-init", value, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--set", "--params"])
+    def test_oracle_rejects_a_configured_noise_scale(self, tmp_path, capsys, source):
+        params = tmp_path / "p.cfg"
+        params.write_text("sigmaEps = 0.3\n")
+        where = ["--set", "sigmaEps=0.3"] if source == "--set" else ["--params", str(params)]
+        out = tmp_path / "o.json"
+        assert run(["oracle", "--m", "8", "--m1", "4", *where, "-o", str(out)]) == 2
+        assert "sigma_eps = 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_estimator_error(self, tmp_path):

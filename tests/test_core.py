@@ -16,12 +16,12 @@ from nof1twin.core import (
     FeatureSpec,
     SeedSpec,
     TimeSeriesDataset,
-    _child_keys,
     assemble_features,
     dichotomize_exposure,
     encode_quartile,
     load_table,
     log10_transform,
+    normals,
     quartile_bounds,
     write_csv,
 )
@@ -234,6 +234,15 @@ class TestQuartiles:
         slots = enc.argmax(axis=1)
         assert np.all(np.diff(slots) >= 0)
 
+    @pytest.mark.parametrize("bounds, slots", [
+        ((1.0, 1.0, 3.0), [0, 0, 0, 2, 2, 3, 3]),
+        ((1.0, 3.0, 3.0), [0, 0, 0, 1, 1, 3, 3]),
+        ((2.0, 2.0, 2.0), [0, 0, 0, 0, 3, 3, 3]),
+    ])
+    def test_ties_at_every_bound_go_low(self, bounds, slots):
+        values = np.array([-np.inf, 0.5, 1.0, 2.0, 3.0, 3.5, np.inf])
+        assert np.array_equal(encode_quartile(values, bounds), np.eye(4)[slots])
+
 
 class TestAssembleFeatures:
     def test_continuous_lag(self):
@@ -300,29 +309,35 @@ class TestAssembleFeatures:
             FeatureSpec(True, outcome_lag_mode="lag2")
 
 
+def seed_sequence_stream(base, path):
+    """The Philox stream numpy's own SeedSequence keys for (base, path)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(base, spawn_key=path)))
+
+
 class TestSeedSpec:
     def test_children_are_independent_streams(self):
-        a = SeedSpec(5).child(1).uniforms(8)
-        b = SeedSpec(5).child(2).uniforms(8)
+        a, b = (rng.random(8) for rng in SeedSpec(5).children([1, 2]))
         assert not np.array_equal(a, b)
 
     def test_reproducible(self):
-        assert np.array_equal(SeedSpec(5).child(3).uniforms(16), SeedSpec(5).child(3).uniforms(16))
+        a, b = (next(SeedSpec(5).children([3])).random(16) for _ in range(2))
+        assert np.array_equal(a, b)
 
     @settings(max_examples=200, deadline=None)
-    @given(base=st.integers(0, 2**128 - 1),
-           path=st.lists(st.integers(0, 2**64 - 1), max_size=4).map(tuple),
+    @given(base=st.one_of(st.integers(0, 2**128 - 1), st.integers(2**128, 2**160 - 1)),
+           path=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+                         max_size=4).map(tuple),
            labels=st.lists(st.integers(0, 2**32 - 1), max_size=8))
-    def test_child_keys_are_seed_sequence_keys(self, base, path, labels):
+    def test_keys_are_seed_sequence_keys(self, base, path, labels):
         labels = [0, *labels, 2**32 - 1]
         expected = [np.random.SeedSequence(base, spawn_key=path + (r,)).generate_state(2, np.uint64)
                     for r in labels]
-        keys = _child_keys(base, path, labels)
+        keys = SeedSpec(base, path).keys(labels)
         assert keys.dtype == np.uint64 and keys.shape == (len(labels), 2)
         assert np.array_equal(keys, expected)
 
     @pytest.mark.parametrize("m", [7, 8, 221])
-    def test_children_draw_what_each_child_generator_draws(self, m):
+    def test_children_draw_what_each_seed_sequence_stream_draws(self, m):
         def draws(rng, r):
             # 32-bit draws may leave half a 64-bit word behind, 64-bit ones part of a block
             out = [rng.permutation(m), rng.integers(0, 5, size=r % 3)]
@@ -332,18 +347,23 @@ class TestSeedSpec:
         shared = set()
         for r, rng in enumerate(seed.children(range(200))):
             shared.add(id(rng))
-            for got, want in zip(draws(rng, r), draws(seed.child(r).generator(), r)):
+            for got, want in zip(draws(rng, r), draws(seed_sequence_stream(11, (3, r)), r)):
                 assert np.array_equal(got, want)
         assert len(shared) == 1
 
-    @pytest.mark.parametrize("base, path, labels", [
-        (1, (), [-1]), (1, (), [2**32]), (1, (), [3, 2**40]), (1, (-1,), [0]), (-1, (), [0]),
+    @pytest.mark.parametrize("labels", [[-1], [2**32], [3, 2**40]])
+    def test_keys_reject_a_label_beyond_one_word(self, labels):
+        with pytest.raises(ConfigError, match="\\[0, 2\\*\\*32\\)"):
+            SeedSpec(1).keys(labels)
+
+    @pytest.mark.parametrize("build", [
+        lambda: SeedSpec(-1), lambda: SeedSpec(1, (-1,)), lambda: SeedSpec(1, (2,)).child(0, -3),
     ])
-    def test_child_keys_reject_a_negative_word_or_a_label_beyond_one_word(self, base, path, labels):
-        with pytest.raises(ConfigError, match="non-negative|\\[0, 2\\*\\*32\\)"):
-            _child_keys(base, path, labels)
+    def test_negative_base_or_path_label_rejected_at_construction(self, build):
+        with pytest.raises(ConfigError, match="non-negative"):
+            build()
 
     def test_normals_scale(self):
-        draws = SeedSpec(0).normals(20000, 2.0)
+        draws = normals(seed_sequence_stream(0, ()).random(20000), 2.0)
         assert abs(float(draws.std()) - 2.0) < 0.05
         assert abs(float(draws.mean())) < 0.05

@@ -42,7 +42,8 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
     roots = np.empty(n_trees, dtype=np.int32)
     inbag = np.zeros((n_trees, n), dtype=np.int32)
     for k in range(n_trees):
-        rng = seed.child(k).generator()
+        seq = np.random.SeedSequence(seed.base_seed, spawn_key=seed.path + (k,))
+        rng = np.random.Generator(np.random.Philox(seq))
         idx = np.asarray(sampler(k, rng, n), dtype=np.intp)
         np.add.at(inbag[k], idx, 1)
         xb, yb = x[idx], y[idx]

@@ -373,15 +373,21 @@ class TestRunMotr:
             run_motr(ds, model, NO_LAG_SPEC, MotrConfig(seed=0))
 
 
+def _run_stream(seed, r):
+    """Run r's stream, built from numpy's own SeedSequence."""
+    seq = np.random.SeedSequence(seed.base_seed, spawn_key=seed.path + (r,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def _permutation_for(ds, seed, r):
-    rng = seed.child(r).generator()
+    rng = _run_stream(seed, r)
     return ds.x[rng.permutation(ds.m)]
 
 
 def _noise_for(ds, seed, r, resid_sd):
     from scipy.special import ndtri
 
-    rng = seed.child(r).generator()
+    rng = _run_stream(seed, r)
     rng.permutation(ds.m)  # consume the permutation draw first
     if resid_sd == 0:
         return np.zeros(ds.m - 1)
