@@ -73,11 +73,22 @@ class _LinearPredictor:
         self.logistic = logistic
 
     def __call__(self, f: np.ndarray) -> np.ndarray:
-        f = np.atleast_2d(np.asarray(f, dtype=float))
-        eta = np.full(f.shape[0], self.beta[0])
-        for b, k in zip(self.beta[1:], self.keep):
-            eta += b * f[:, k]
+        eta = self.split(np.atleast_2d(np.asarray(f, dtype=float)))[0]
         return expit(eta) if self.logistic else eta
+
+    def split(self, f: np.ndarray, col: float = math.inf) -> tuple[np.ndarray, float, list]:
+        """The intercept plus the terms before design column `col` (all by default),
+        col's coefficient and each later term, on rows `f`: head + slope * v plus
+        each tail term in turn is __call__'s sum, bit for bit, with v in `col`."""
+        head, slope, tail = np.full(len(f), self.beta[0]), 0.0, []
+        for b, k in zip(self.beta[1:], self.keep):  # keep is ascending
+            if k < col:
+                head += b * f[:, k]
+            elif k == col:
+                slope = b
+            else:
+                tail.append(b * f[:, k])
+        return head, slope, tail
 
 
 @dataclass(frozen=True)
@@ -113,6 +124,11 @@ class FittedModel:
     def forest(self) -> FlatForest | None:
         """The trees behind a forest twin's `predict`; None for a GLM."""
         return self._predictor.__self__ if self.kind == "forest" else None
+
+    @property
+    def linear(self) -> _LinearPredictor | None:
+        """The linear predictor behind a linear outcome twin's `predict`; None otherwise."""
+        return self._predictor if self.kind == "linear" else None
 
     def summary(self) -> dict:
         out: dict = {"kind": self.kind, "columns": list(self.columns)}

@@ -15,13 +15,13 @@ are computed and then discarded.  Every twin predicts row by row and the
 cumulative sums are sequential, so no output depends on the block size.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
-then (when resid_sd > 0) the m-1 uniforms of its noise.  The runs of a block
-share one generator (SeedSpec.children), reset before each run to child(r)'s
-key and a zero counter, so each run draws what its own generator would and
-the layout is unchanged; SeedSpec.keys derives a block's keys by mixing each
-run label into the parent stream's pool.  The uniforms of a whole block
-become noise in one core.normals call at the fitted residual scale, which is
-frozen from the original fit and never re-estimated from generated data.
+then (when resid_sd > 0) the m-1 uniforms of its noise.  Each run shuffles
+its own copy of x in place, with the draws and swaps rng.permutation(m) makes
+on arange(m).  The runs of a block share one generator (SeedSpec.children),
+reset before each run to child(r)'s key and a zero counter, so each run draws
+what its own generator would.  The uniforms of a whole block become noise in
+one core.normals call at the fitted residual scale, which is frozen from the
+original fit and never re-estimated from generated data.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import stdtrit
 
 from .core import (
+    LAG_CONTINUOUS,
     LAG_QUARTILE,
     FeatureSpec,
     SeedSpec,
@@ -146,16 +147,19 @@ class _Rollout:
     Only the outcome lag changes between steps; the rest of a period's
     features, static row s = (x_t * n_lag + x_{t-1}) * n_exog + e (e the
     period's distinct exogenous row, n_lag = 1 without x_lag1), is encoded
-    once.  A forest twin becomes `table`: with s fixed, every lag in
-    (t_(c-1), t_c] between sorted lag thresholds reaches the same leaves, so
-    the forest's value at t_c (+inf past the last; the one-hot slots in
-    quartile mode) makes each step one lookup.  Other twins, and tables
-    larger than the `walk_rows` the rollout walks, predict every step.
+    once.  A linear twin with a continuous lag is `affine`: split around the
+    lag (FittedModel.linear.split), a step is head[s] + slope * lag plus each
+    tail[s] in turn, the operations of its predict.  Any other twin is
+    constant in the lag between sorted cuts (a forest's lag thresholds, the
+    quartile bounds, none without a lag); its value at cut t_c (+inf past the
+    last; the one-hot slots in quartile mode) holds on (t_(c-1), t_c], so a
+    step is one `table` lookup, unless the table would take more predictions
+    than the `walk_rows` the rollout walks: then it predicts every step.
     """
 
     def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec,
                  walk_rows: int):
-        self.y0, self.model, self.table = float(ds.y[0]), model, None
+        self.y0, self.model, self.affine, self.table = float(ds.y[0]), model, None, None
         own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
         self.lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
         exog, self.exog_row = np.unique(ds.exog_matrix(spec.exog_names)[1:], axis=0,
@@ -165,26 +169,31 @@ class _Rollout:
         s = np.arange(2 * self.n_lag * len(exog))
         x_t, x_lag, e = s // (self.n_lag * len(exog)), s // len(exog) % self.n_lag, s % len(exog)
         self.static = _encode_block(spec, x_t, x_lag, np.zeros(len(s)), exog[e], self.bounds)
-        if (forest := model.forest) is None:
+        if model.linear is not None and spec.outcome_lag_mode == LAG_CONTINUOUS:
+            self.affine = model.linear.split(self.static, self.lag[0])
             return
         if self.bounds is not None:
             self.cuts, reps = np.asarray(self.bounds), np.eye(4)
-        else:
-            self.cuts = np.unique(forest.threshold[np.isin(forest.feature, self.lag)])
+        else:  # a linear twin gets here only without a lag
+            forest = model.forest
+            self.cuts = np.unique(forest.threshold[np.isin(forest.feature, self.lag)]
+                                  if self.lag else [])
             reps = np.append(self.cuts, np.inf)[:, None]
         if len(s) * len(reps) <= walk_rows:
             points = np.repeat(self.static, len(reps), axis=0)
             points[:, self.lag] = np.tile(reps, (len(s), 1))  # no-op without a lag
-            self.table = forest.predict(points).reshape(len(s), -1)
+            self.table = model.predict(points).reshape(len(s), -1)
 
     def rows(self, xb: np.ndarray) -> np.ndarray:
         """Static row of each step (rows) and run (columns) of xb, (runs, m)."""
         n_exog = len(self.static) // (2 * self.n_lag)
-        lag = xb[:, :-1] * (self.n_lag - 1)
-        return ((xb[:, 1:] * self.n_lag + lag) * n_exog + self.exog_row).T
+        rows = xb[:, 1:] * (self.n_lag * n_exog) + self.exog_row
+        if self.n_lag == 2:
+            rows += xb[:, :-1] * n_exog
+        return rows.T
 
     def lookup(self, row: np.ndarray, y_lag: np.ndarray) -> np.ndarray:
-        """The forest's predictions for static rows `row` with outcome lags `y_lag`."""
+        """The twin's predictions for static rows `row` with outcome lags `y_lag`."""
         return self.table[row, np.searchsorted(self.cuts, y_lag, side="left")]
 
     def __call__(self, xb: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -192,13 +201,19 @@ class _Rollout:
         preds = np.empty((len(xb), xb.shape[1] - 1))
         y_lag = np.full(len(xb), self.y0)
         for i, row in enumerate(self.rows(xb)):
-            if self.table is None:  # walk: one feature block per step
+            if self.affine is not None:
+                head, slope, tail = self.affine
+                y_lag = head[row] + slope * y_lag
+                for term in tail:
+                    y_lag += term[row]
+            elif self.table is not None:
+                y_lag = self.lookup(row, y_lag)
+            else:  # walk: one feature block per step
                 step = self.static[row]
                 lag = y_lag[:, None] if self.bounds is None else encode_quartile(y_lag, self.bounds)
                 step[:, self.lag] = lag
-                y_lag = self.model.predict(step) + noise[:, i]
-            else:
-                y_lag = self.lookup(row, y_lag) + noise[:, i]
+                y_lag = self.model.predict(step)
+            y_lag += noise[:, i]
             preds[:, i] = y_lag
         return preds
 
@@ -219,12 +234,15 @@ def run_motr_once(
     """
     check_twin(model, spec, "MoTR", outcome=True)
     assemble_features(ds, spec)  # rejects data the spec cannot assemble
-    xb = np.asarray(permuted_x, dtype=np.int64).reshape(1, -1)
-    if xb.shape[1] != ds.m or sorted(xb[0].tolist()) != sorted(ds.x.tolist()):
+    xb = np.asarray(permuted_x, dtype=float).reshape(1, -1)
+    if xb.shape[1] != ds.m or not np.isin(xb, (0, 1)).all() or xb.sum() != ds.x.sum():
         raise EstimatorError("permuted_x must be a permutation of the observed exposures")
+    xb = xb.astype(np.int64)
     nz = np.zeros((1, ds.m - 1)) if noise is None else np.asarray(noise, float).reshape(1, -1)
     if nz.shape[1] != ds.m - 1:
         raise EstimatorError(f"noise must hold m - 1 = {ds.m - 1} values, got {nz.shape[1]}")
+    if (bad := np.flatnonzero(~np.isfinite(nz[0]))).size:
+        raise EstimatorError(f"noise must be finite, got {nz[0, bad[0]]} at position {bad[0]}")
     preds = _Rollout(ds, model, spec, ds.m - 1)(xb, nz)
     delta, lo, hi, mean1, mean0, degenerate = arm_contrast(preds, xb[:, 1:])[:, 0].tolist()
     return MotrRun(r=r, permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
@@ -276,15 +294,14 @@ def run_motr(
     # a step table must cost no more predictions than walking the first block
     rollout = _Rollout(ds, model, spec, size * (m - 1))
     blocks: list[np.ndarray] = []
-    done = 0
-    stop = None
+    done, stop = 0, None
     while stop is None and done < cfg.r_max:
         block = range(done + 1, min(done + size, cfg.r_max) + 1)
         size = min(2 * size, per_block)
-        xb = np.empty((len(block), m), dtype=np.int64)
+        xb = np.tile(ds.x, (len(block), 1))
         u = np.zeros((len(block), m - 1))
         for j, rng in enumerate(cfg.seed.children(block)):
-            xb[j] = ds.x[rng.permutation(m)]
+            rng.shuffle(xb[j])  # the swaps of rng.permutation(m), applied to x itself
             if model.resid_sd > 0:
                 rng.random(out=u[j])
         noise = normals(u, model.resid_sd) if model.resid_sd > 0 else u

@@ -151,6 +151,25 @@ class TestSingleRun:
         with pytest.raises(EstimatorError, match="permutation"):
             run_motr_once(ds, model, NO_LAG_SPEC, np.array([1, 1, 1, 0]))
 
+    def test_rejects_exposures_other_than_zero_or_one(self):
+        params = ArcoParams(beta0=1.0, beta_x=0.5)
+        ds = mechanism_dataset(params, [1, 0, 1, 0, 0])
+        model = true_twin(params, NO_LAG_SPEC)
+        assert run_motr_once(ds, model, NO_LAG_SPEC, [0.0, 1.0, 0.0, 0.0, 1.0]).delta == 0.5
+        for bad in ([1, 0.9, 1.5, 0, 0], [1, 0, 1, 0, -0.5], [1, 0, 1, 0, np.nan]):
+            with pytest.raises(EstimatorError, match="permutation"):
+                run_motr_once(ds, model, NO_LAG_SPEC, bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_noise(self, bad):
+        params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.6)
+        ds = mechanism_dataset(params, [1, 0] * 5)
+        model = true_twin(params, LAG_SPEC)
+        noise = np.ones(9)
+        noise[[3, 6]] = bad
+        with pytest.raises(EstimatorError, match=f"noise must be finite, got {bad} at position 3"):
+            run_motr_once(ds, model, LAG_SPEC, ds.x, noise=noise)
+
 
 class TestEnumerationAgreement:
     def test_paper_coefficients_m8(self):
@@ -427,19 +446,51 @@ class TestQuartileRollout:
         np.testing.assert_allclose(run.noisy_preds, expected, rtol=0, atol=1e-12)
 
 
-def _forest_case(seed, spec, m=40):
-    """A series with tied outcomes, a binary and a continuous exogenous column,
-    and a small forest twin fitted on it under `spec`."""
-    from nof1twin.core import assemble_features
-    from nof1twin.models import ForestConfig, fit_forest_outcome
-
+def _series(seed, m=40):
+    """A series with tied outcomes, a binary and a continuous exogenous column."""
     rng = np.random.default_rng(seed)
     x = rng.permutation(np.arange(m) % 2)
     y = np.round(rng.normal(size=m) + x, 1)  # ties in the outcome and so in the thresholds
     exog = {"weekend": (np.arange(m) % 7 >= 5).astype(float), "temp": rng.normal(size=m)}
-    ds = TimeSeriesDataset(y=y, x=x, exog=exog)
+    return TimeSeriesDataset(y=y, x=x, exog=exog)
+
+
+def _forest_case(seed, spec, m=40):
+    """_series(seed, m) and a small forest twin fitted on it under `spec`."""
+    from nof1twin.core import assemble_features
+    from nof1twin.models import ForestConfig, fit_forest_outcome
+
+    ds = _series(seed, m)
     cfg = ForestConfig(n_trees=12, min_node_size=2, seed=seed)
-    return ds, fit_forest_outcome(assemble_features(ds, spec), y[1:], cfg)
+    return ds, fit_forest_outcome(assemble_features(ds, spec), ds.y[1:], cfg)
+
+
+def _form(rollout):
+    """Which of its three forms a _Rollout took."""
+    if rollout.affine is not None:
+        return "affine"
+    return "walk" if rollout.table is None else "table"
+
+
+def _step_by_step_runs(ds, model, spec, seed, runs):
+    """(delta, lo, hi) of runs 1..runs, the twin predicting one period at a time
+    from each run's own stream."""
+    from nof1twin.core import _encode_block
+
+    bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
+    exog = ds.exog_matrix(spec.exog_names)
+    out = []
+    for r in range(1, runs + 1):
+        xp = _permutation_for(ds, SeedSpec(seed), r)
+        noise = _noise_for(ds, SeedSpec(seed), r, model.resid_sd)
+        preds, y_prev = [], ds.y[0]
+        for t in range(1, ds.m):
+            f = _encode_block(spec, x_t=xp[t : t + 1], x_lag=xp[t - 1 : t],
+                              y_lag=[y_prev], exog=exog[t : t + 1], bounds=bounds)
+            y_prev = model.predict(f)[0] + noise[t - 1]
+            preds.append(y_prev)
+        out.append(tuple(arm_contrast(np.array([preds]), xp[None, 1:])[:3, 0].tolist()))
+    return out
 
 
 TABLE_SPECS = {
@@ -469,8 +520,8 @@ def test_estimate_independent_of_block_rows(twin, monkeypatch):
     default = motr._BLOCK_ROWS
     for cfg, reason in ((MotrConfig(r_max=60, stop_tol=1e-2, seed=3), "converged"),
                         (MotrConfig(r_max=23, stop_tol=1e-2, seed=3), "r_max")):
-        tabled = _Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)).table is not None
-        assert tabled == (twin == "table")
+        form = _form(_Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)))
+        assert form == ("affine" if twin == "linear" else twin)
         estimates = []
         # one run per block; 7 runs per block, so the last block is partial;
         # blocks of 3, 6, 12, ... runs; the default
@@ -550,28 +601,73 @@ class TestStepTable:
     @given(seed=st.integers(0, 2**31 - 1),
            layout=st.sampled_from([*sorted(TABLE_SPECS), "continuous-exog"]))
     def test_run_motr_equals_step_by_step_reference(self, seed, layout):
-        from nof1twin.core import _encode_block
-        from nof1twin.motr import _Rollout, arm_contrast
-
         spec = TABLE_SPECS.get(layout, WALK_SPEC)
         ds, model = _forest_case(seed, spec)
         cfg = MotrConfig(r_min=35, r_max=35, seed=seed)
-        walked = _Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)).table is None
-        assert walked == (spec is WALK_SPEC)
+        form = _form(_Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)))
+        assert form == ("walk" if spec is WALK_SPEC else "table")
         est = run_motr(ds, model, spec, cfg)
-        bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
-        exog = ds.exog_matrix(spec.exog_names)
-        for r in range(1, est.runs_used + 1):
-            xp = _permutation_for(ds, SeedSpec(seed), r)
-            noise = _noise_for(ds, SeedSpec(seed), r, model.resid_sd)
-            preds, y_prev = [], ds.y[0]
-            for t in range(1, ds.m):
-                f = _encode_block(spec, x_t=xp[t : t + 1], x_lag=xp[t - 1 : t],
-                                  y_lag=[y_prev], exog=exog[t : t + 1], bounds=bounds)
-                y_prev = model.predict(f)[0] + noise[t - 1]
-                preds.append(y_prev)
-            stats = arm_contrast(np.array([preds]), xp[None, 1:])[:3, 0]
-            assert est.runs[r - 1] == tuple(stats.tolist())
+        assert list(est.runs) == _step_by_step_runs(ds, model, spec, seed, est.runs_used)
+
+
+LINEAR_SPECS = {
+    "continuous": LAG_SPEC,
+    "continuous-exog": WALK_SPEC,
+    "lag-x-exog": FeatureSpec(  # two exogenous terms after the lag
+        include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS,
+        use_exposure_lag1=True, exog_names=("weekend", "temp"),
+    ),
+    "quartile-lag-x-exog": TABLE_SPECS["quartile-lag-x-exog"],
+    "none": NO_LAG_SPEC,
+    "none-lag-x-exog": FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_NONE,
+        use_exposure_lag1=True, exog_names=("temp",),
+    ),
+}
+COEFFICIENTS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25]), st.floats(-1.5, 1.5))
+
+
+class TestLinearRollout:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), layout=st.sampled_from(sorted(LINEAR_SPECS)),
+           fitted=st.booleans(), noisy=st.booleans(),
+           coefs=st.lists(COEFFICIENTS, min_size=9, max_size=9))
+    def test_run_motr_equals_step_by_step_reference(self, seed, layout, fitted, noisy, coefs):
+        from dataclasses import replace
+
+        from nof1twin.core import assemble_features
+        from nof1twin.models import fit_linear_outcome
+
+        spec = LINEAR_SPECS[layout]
+        ds = _series(seed)
+        if fitted:
+            fm = assemble_features(ds, spec)
+            try:
+                model = fit_linear_outcome(fm, ds.y[fm.t_index - 1])
+            except EstimatorError:  # a rank-deficient draw
+                assume(False)
+            model = model if noisy else replace(model, resid_sd=0.0)
+        else:  # mixed signs and zeros, the first quartile slot included
+            names = ("intercept", *spec.columns)
+            model = glm_from_coefficients(spec.columns, dict(zip(names, coefs)),
+                                          resid_sd=0.7 if noisy else 0.0)
+        cfg = MotrConfig(r_min=20, r_max=20, seed=seed)
+        form = _form(_Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)))
+        assert form == ("affine" if spec.outcome_lag_mode == LAG_CONTINUOUS else "table")
+        est = run_motr(ds, model, spec, cfg)
+        reference = _step_by_step_runs(ds, model, spec, seed, est.runs_used)
+        # a coefficient near the smallest normal float can leave a NaN interval in both
+        assert np.array_equal(est.runs, reference, equal_nan=True)
+
+    def test_table_only_when_the_walk_would_predict_as_many_rows(self):
+        spec = LINEAR_SPECS["quartile-lag-x-exog"]
+        ds = _series(1)
+        model = glm_from_coefficients(spec.columns, {"x": 1.0, "y_lag1_q3": -0.5}, 0.3)
+        rows = 2 * 2 * 2 * 4  # x, x_lag1 and weekend values, times the quartile slots
+        assert _form(_Rollout(ds, model, spec, rows)) == "table"
+        assert _form(_Rollout(ds, model, spec, rows - 1)) == "walk"
+        model = glm_from_coefficients(LAG_SPEC.columns, {"x": 1.0, "y_lag1": 0.5}, 0.3)
+        assert _form(_Rollout(ds, model, LAG_SPEC, 1)) == "affine"
 
 
 class TestInitialConditions:
