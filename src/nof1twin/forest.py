@@ -4,7 +4,10 @@ Regression trees maximize the split criterion sum(S_c^2 / n_c) over children,
 equivalent to variance reduction; for 0/1 labels the same criterion is
 equivalent to Gini impurity reduction, so one scan serves both tasks.  Trees
 grow level by level over presorted bootstrap samples, so one numpy pass per
-feature scores every threshold of every node of a level.
+feature scores every threshold of every node of a level.  Each feature's
+order is stably sorted once by value, then stably by node at every level, so
+each node's rows stay sorted per feature with ties (-0.0 and +0.0 alike) in
+bootstrap order; a leaf sums its labels in feature 0's order.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -91,35 +94,34 @@ def build_forest(
     rngs = [np.random.Generator(np.random.Philox(key=key)) for key in seed.keys(range(n_trees))]
     boots = [np.asarray(sampler(k, rng, n), dtype=np.intp) for k, rng in enumerate(rngs)]
     inbag = np.array([np.bincount(idx, minlength=n) for idx in boots], dtype=np.int32)
-    ranks = [np.unique(x[:, f], return_inverse=True)[1] for f in range(p)]  # ties share a rank
     levels: list[tuple[np.ndarray, ...]] = []
     per_batch = max(1, _BATCH_ROWS // n)
     for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
         first = sum(len(level[0]) for level in levels)
-        levels += _grow(x, y, ranks, boots[trees], rngs[trees], mtry, min_node_size, first)
+        levels += _grow(x, y, boots[trees], rngs[trees], mtry, min_node_size, first)
     feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
     roots = np.setdiff1d(np.arange(len(feature), dtype=np.int32), np.append(left, right))
     return FlatForest(feature, threshold, left, right, value, roots), inbag
 
 
-def _grow(x, y, ranks, boots, rngs, mtry, min_node_size, first_id):
+def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
     """Grow a batch of trees level by level; returns each level's node arrays.
 
-    order[f] holds the positions (in the concatenated bootstrap samples) of
-    the live nodes, each node's as one segment sorted by feature f, ties in
-    bootstrap order.  Live nodes are in breadth-first order within each tree.
+    Positions index the concatenated bootstrap samples.  node_of maps each live
+    one to its node, breadth-first per tree; order[f] starts as the positions
+    stably sorted by feature f, and each level stably re-sorts it by node, so a
+    node's positions form one segment sorted by f, ties in position order.
     """
-    n, p = x.shape
-    size = np.array([len(b) for b in boots])
     row = np.concatenate(boots)
-    tree_of = np.repeat(np.arange(len(boots)), size)
-    order = np.stack([np.argsort(tree_of * n + r[row], kind="stable") for r in ranks]
-                     or [np.arange(len(row))]).astype(np.int32)
-    start, tree, levels, next_id = np.cumsum(size) - size, np.arange(len(boots)), [], first_id
+    node_of = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
+    p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
+    order = [np.argsort(x[row, f], kind="stable") for f in range(p)] or [np.arange(len(row))]
     while True:
-        k = len(start)
+        order = [o[np.argsort(node_of[o], kind="stable")] for o in order]
+        node = node_of[order[0]]
+        size = np.bincount(node)  # every live node holds a row
+        k, start = len(size), np.cumsum(size) - size
         next_id += k
-        node = np.repeat(np.arange(k), size)
         ys = y[row[order[0]]]
         cand = size > min_node_size
         cand &= np.minimum.reduceat(ys, start) < np.maximum.reduceat(ys, start)
@@ -146,25 +148,10 @@ def _grow(x, y, ranks, boots, rngs, mtry, min_node_size, first_id):
         levels.append((feat, thr, ids, np.where(split, ids + 1, ids), value))
         if not split.any():
             return levels
-        # stable partition of every order into the children's segments, left child first
-        go_left = np.zeros(len(row), dtype=bool)
-        go_left[order[0]] = x[row[order[0]], feat[node]] <= thr[node]
-        keep = split[node]
-        size = size[split]
-        start = np.cumsum(size) - size
-        seg = np.repeat(np.arange(len(size)), size)
-        n_left = np.add.reduceat(go_left[order[0][keep]], start, dtype=np.intp)
-        r_base = n_left[seg] + np.arange(len(seg)) - start[seg]
-        new_order = np.empty((len(order), len(seg)), dtype=np.int32)
-        for f, o in enumerate(order):
-            kept = o[keep]
-            lft = go_left[kept]
-            ahead = np.cumsum(lft) - lft  # left rows ahead of each row in its segment
-            ahead -= ahead[start][seg]
-            new_order[f, start[seg] + np.where(lft, ahead, r_base - ahead)] = kept
-        order = new_order
-        start = np.column_stack([start, start + n_left]).ravel()
-        size = np.column_stack([n_left, size - n_left]).ravel()
+        # a split node's rows move to its children by predict's <= rule; a leaf's drop out
+        went_right = ~(x[row[order[0]], feat[node]] <= thr[node])
+        node_of[order[0]] = np.where(split[node], ids[node] - next_id + went_right, _LEAF)
+        order = [o[node_of[o] != _LEAF] for o in order]
         tree = np.repeat(tree[split], 2)
 
 

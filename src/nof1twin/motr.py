@@ -78,6 +78,8 @@ def arm_contrast(values: np.ndarray, arms: np.ndarray) -> np.ndarray:
             f"exposure arm {int(n1[i] == 0)} is empty; an arm contrast needs both arms, "
             f"got counts {{1: {n1[i]:.0f}, 0: {n0[i]:.0f}}}"
         )
+    e = np.frexp(np.abs(values).max(axis=1))[1][:, None]
+    values = np.ldexp(values, -e)  # exact, max |v| in [0.5, 1): no square below leaves range
     mean1 = (values * w).sum(axis=1) / n1
     mean0 = (values * (1.0 - w)).sum(axis=1) / n0
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -88,7 +90,7 @@ def arm_contrast(values: np.ndarray, arms: np.ndarray) -> np.ndarray:
         quant = stdtrit(np.where(degenerate, 2.0, df), 0.975)
         half = np.where(degenerate, 0.0, quant * np.sqrt(v1 + v0))
     delta = mean1 - mean0
-    return np.stack([delta, delta - half, delta + half, mean1, mean0, degenerate])
+    return np.vstack([np.ldexp([delta, delta - half, delta + half, mean1, mean0], e.T), degenerate])
 
 
 @dataclass(frozen=True)

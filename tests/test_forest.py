@@ -59,8 +59,12 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
         while stack:
             node_id, rows = stack.pop()
             y_node = yb[rows]
+            # a leaf sums its labels in feature-0 order, ties in bootstrap order, with
+            # np.add.reduceat as the grower does
+            by_x0 = y_node[np.argsort(xb[rows, 0], kind="stable")]
+            mean = np.add.reduceat(by_x0, [0])[0] / len(rows)
             if len(rows) <= min_node_size or y_node.min() == y_node.max():
-                value[node_id] = float(y_node.mean())
+                value[node_id] = float(mean)
                 continue
             feats = rng.permutation(p)[:mtry]
             feats.sort()
@@ -70,7 +74,7 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
                 if gain > best_gain + 1e-12:
                     best_gain, best_feat, best_thr = gain, int(f_idx), thr
             if best_feat == _LEAF:
-                value[node_id] = float(y_node.mean())
+                value[node_id] = float(mean)
                 continue
             mask = xb[rows, best_feat] <= best_thr
             feature[node_id], threshold[node_id] = best_feat, best_thr
@@ -111,12 +115,21 @@ def _assert_same_forest(x, y, n_trees, mtry, min_node_size, seed):
 
 @st.composite
 def _labelled_rows(draw, p):
-    n = draw(st.integers(5, 40))
+    """Rows whose features tie often, zeros of both signs among them, with 0/1
+    or real labels.  Real labels make a leaf's value depend on the order in
+    which its tied rows are summed.  Samples have more than 16 rows, the size up
+    to which numpy's quicksort uses an insertion sort, which keeps ties in order."""
+    n = draw(st.integers(20, 60))
     levels = draw(st.integers(1, 6))
     x = np.array(draw(st.lists(st.lists(st.integers(0, levels), min_size=p, max_size=p),
                                min_size=n, max_size=n)), dtype=float)
     x *= draw(st.sampled_from([1.0, 0.1, -3.7]))
-    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=n * p, max_size=n * p)))
+    x[x == 0] = np.where(negative.reshape(n, p)[x == 0], -0.0, 0.0)
+    if draw(st.booleans()):
+        y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    else:
+        y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
     return x, y
 
 

@@ -91,6 +91,20 @@ class TestArmContrast:
         out = arm_contrast(np.array([[1.0, 1.0, 3.0, 5.0]]), np.array([[1, 1, 0, 0]]))[:, 0]
         assert out[1] < out[0] < out[2] and out[5] == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e155, 2.0**-500, 2.0**515])
+    def test_interval_does_not_depend_on_the_scale(self, scale):
+        # unscaled, the variances' squares underflow near 1e-150 (a NaN interval)
+        # and overflow near 1e155 (an interval collapsed onto delta)
+        values = np.random.default_rng(5).normal(size=(1, 20))
+        arms = (np.arange(20) % 2)[None]
+        base = arm_contrast(values, arms)[:, 0]
+        with np.errstate(all="raise"):
+            out = arm_contrast(values * scale, arms)[:, 0]
+        assert out[5] == 0.0
+        np.testing.assert_allclose(out[:5], base[:5] * scale, rtol=1e-13)
+        if np.frexp(scale)[0] == 0.5:  # a power of two: exactly the same interval
+            assert np.array_equal(out[:5], base[:5] * scale)
+
     def test_rows_are_independent(self):
         # multi-row calls must equal row-by-row calls bit for bit: a MoTR
         # estimate may not depend on how its runs are split into blocks
@@ -656,8 +670,7 @@ class TestLinearRollout:
         assert form == ("affine" if spec.outcome_lag_mode == LAG_CONTINUOUS else "table")
         est = run_motr(ds, model, spec, cfg)
         reference = _step_by_step_runs(ds, model, spec, seed, est.runs_used)
-        # a coefficient near the smallest normal float can leave a NaN interval in both
-        assert np.array_equal(est.runs, reference, equal_nan=True)
+        assert np.array_equal(est.runs, reference)
 
     def test_table_only_when_the_walk_would_predict_as_many_rows(self):
         spec = LINEAR_SPECS["quartile-lag-x-exog"]
