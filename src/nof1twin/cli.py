@@ -88,14 +88,25 @@ def _parse_kv(text: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def load_params_config(path: str | None, overrides: list[str], **defaults) -> dict:
-    """Resolve the simulation-parameter configuration, defaults upward; `defaults`
-    replace the study's own defaults for the keys they name."""
+def _resolve_params(args: argparse.Namespace, *flags: str, **defaults) -> dict:
+    """The simulation-parameter configuration, in rising precedence: the study's
+    defaults, `defaults`, the params file, `--set`, then each given flag of `flags`."""
     arco, prop = default_study_params()
     source = {ArcoParams: vars(arco), PropensityParams: vars(prop), SimConfig: _SIM_DEFAULTS}
     resolved = {key: source[cls][name] for key, (cls, name) in _PARAM_FIELDS.items()} | defaults
-
-    def apply(key: str, raw: str, origin: str) -> None:
+    entries: list[tuple[str, str]] = []  # (key=value text, origin)
+    if args.params is not None:
+        try:
+            with open(args.params, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read params file {args.params}: {exc}") from None
+        for lineno, text in enumerate(lines, start=1):
+            if line := text.split("#", 1)[0].strip():
+                entries.append((line, f"{args.params}:{lineno}"))
+    entries += [(item, "--set") for item in args.set or []]
+    for text, origin in entries:
+        key, raw = _parse_kv(text)
         if key not in _PARAM_FIELDS:
             raise ConfigError(f"{origin}: unknown configuration key {key!r}")
         kind = type(resolved[key])
@@ -103,32 +114,7 @@ def load_params_config(path: str | None, overrides: list[str], **defaults) -> di
             resolved[key] = _parse_bool(raw) if kind is bool else kind(raw)
         except ValueError:
             raise ConfigError(f"{origin}: key {key!r} expects {kind.__name__}, got {raw!r}") from None
-
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read params file {path}: {exc}") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, value = _parse_kv(line)
-            apply(key, value, f"{path}:{lineno}")
-    for item in overrides:
-        key, value = _parse_kv(item)
-        apply(key, value, "--set")
-    return resolved
-
-
-def _resolve_params(args: argparse.Namespace, *flags: str, **defaults) -> dict:
-    """The parameter configuration with the given dedicated flags applied on top."""
-    cfg = load_params_config(args.params, args.set or [], **defaults)
-    for key in flags:
-        if getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
+    return resolved | {key: v for key in flags if (v := getattr(args, key)) is not None}
 
 
 def _build(cls, cfg: dict):
@@ -143,6 +129,11 @@ def _method_options(args: argparse.Namespace, **specs: FeatureSpec) -> MethodOpt
         for cls in (MotrConfig, PstnConfig, ForestConfig)
     )
     return MethodOptions(motr=motr, pstn=pstn, forest=forest, **specs)
+
+
+def _echo(args: argparse.Namespace, names: tuple[str, ...], *configs: dict) -> dict:
+    """The configuration a result echoes: the resolved `configs`, then the flags `names`."""
+    return {k: v for cfg in configs for k, v in cfg.items()} | {n: getattr(args, n) for n in names}
 
 
 def _echo_lines(cfg: dict) -> list[str]:
@@ -183,11 +174,11 @@ def _load_analysis_dataset(args: argparse.Namespace) -> TimeSeriesDataset:
         raise DataError(
             f"{args.data}: exposure column is not binary; pass --dichotomize-x to median-split it"
         )
-    return TimeSeriesDataset(y=y, x=x.astype(np.int64), exog=exog or None)
+    return TimeSeriesDataset(y, x, exog)
 
 
 def _feature_specs(args: argparse.Namespace) -> tuple[FeatureSpec, FeatureSpec]:
-    exog = tuple(n for n in (args.exog or "").split(",") if n)
+    exog = tuple(n for n in args.exog.split(",") if n)
     lag = {"continuous": LAG_CONTINUOUS, "quartile": LAG_QUARTILE, "none": LAG_NONE}[args.lag_y]
     outcome, propensity = (
         FeatureSpec(current, outcome_lag_mode=lag, use_exposure_lag1=args.lag_x, exog_names=exog)
@@ -226,18 +217,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     outcome_spec, propensity_spec = _feature_specs(args)
     opts = _method_options(args, outcome_spec=outcome_spec, propensity_spec=propensity_spec)
     res = apply_method(ds, method, opts, SeedSpec(args.seed))
+    names = ("data", "method", "seed", "lag_y", "lag_x", "exog", "log10_y", "dichotomize_x")
     payload = {
-        "config": {
-            "data": args.data,
-            "method": method.label,
-            "seed": args.seed,
-            "lag_y": args.lag_y,
-            "lag_x": args.lag_x,
-            "exog": args.exog or "",
-            "log10_y": args.log10_y,
-            "dichotomize_x": args.dichotomize_x,
-            **opts.to_echo(),
-        },
+        "config": _echo(args, names, opts.to_echo()),
         "method": method.label,
         "result": _result_payload(res),
     }
@@ -277,14 +259,7 @@ def cmd_replicate(args: argparse.Namespace) -> int:
         workers=args.workers,
     )
     report = replicate(study)
-    lines = _echo_lines(
-        {
-            **cfg,
-            "h_datasets": args.h_datasets,
-            "methods": args.methods,
-            **opts.to_echo(),
-        }
-    )
+    lines = _echo_lines(_echo(args, ("h_datasets", "methods"), cfg, opts.to_echo()))
     rows = ([r.h, r.method.value, r.estimate, r.bias, r.error] for r in report.rows)
     header = ["h", "method", "estimate", "bias", "error"]
     write_csv(f"{args.out_prefix}_rows.csv", header, rows, lines)
@@ -315,13 +290,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     )
     value = enumerate_apte(spec)
     payload = {
-        "config": {
-            **{k: cfg[k] for k in sorted(cfg)},
-            "mode": args.mode,
-            "m1": args.m1,
-            "pi": args.pi,
-            "y_init": args.y_init,
-        },
+        "config": _echo(args, ("mode", "m1", "pi", "y_init"), cfg),
         "mode": args.mode,
         "m": cfg["m"],
         "apte_exact": value,
@@ -376,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ana.add_argument("--lag-y", choices=["continuous", "quartile", "none"], default="continuous")
     ana.add_argument("--lag-x", action="store_true", help="include the lagged exposure feature")
-    ana.add_argument("--exog", help="comma-separated exogenous column names")
+    ana.add_argument("--exog", default="", help="comma-separated exogenous column names")
     ana.add_argument("--log10-y", action="store_true", help="analyze log10 of the outcome")
     ana.add_argument("--dichotomize-x", action="store_true", help="median-split a continuous exposure")
     add_method_options(ana)

@@ -222,8 +222,7 @@ class TimeSeriesDataset:
 
     @classmethod
     def from_csv(cls, path) -> "TimeSeriesDataset":
-        y, x, exog = load_table(path)
-        return cls(y=y, x=x.astype(np.int64) if np.all(np.isin(x, (0, 1))) else x, exog=exog)
+        return cls(*load_table(path))
 
 
 def write_text(path, text: str) -> None:

@@ -42,8 +42,7 @@ class FlatForest:
 
     feature: np.ndarray    # int32, _LEAF marks a leaf
     threshold: np.ndarray  # float64, split at value <= threshold
-    left: np.ndarray       # int32 node ids
-    right: np.ndarray
+    left: np.ndarray       # int32 id of a split node's left child; the right one is left + 1
     value: np.ndarray      # float64 leaf payloads (mean / class-1 proportion)
     roots: np.ndarray      # int32, one per tree
 
@@ -63,7 +62,7 @@ class FlatForest:
             inner = feat != _LEAF
             live, cur, feat = live[inner], cur[inner], feat[inner]
             go_left = f[live // self.n_trees, feat] <= self.threshold[cur]
-            node[live] = np.where(go_left, self.left[cur], self.right[cur])
+            node[live] = self.left[cur] + ~go_left
         return self.value[node].reshape(len(f), self.n_trees)
 
     def predict(self, f: np.ndarray) -> np.ndarray:
@@ -72,6 +71,8 @@ class FlatForest:
         step = max(1, _PAIRS // self.n_trees)
         return np.concatenate([self.predict_trees(f[i : i + step]).mean(axis=1)
                                for i in range(0, max(len(f), 1), step)])
+
+    __call__ = predict
 
 
 def build_forest(
@@ -99,9 +100,10 @@ def build_forest(
     for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
         first = sum(len(level[0]) for level in levels)
         levels += _grow(x, y, boots[trees], rngs[trees], mtry, min_node_size, first)
-    feature, threshold, left, right, value = map(np.concatenate, zip(*levels))
-    roots = np.setdiff1d(np.arange(len(feature), dtype=np.int32), np.append(left, right))
-    return FlatForest(feature, threshold, left, right, value, roots), inbag
+    feature, threshold, left, value = map(np.concatenate, zip(*levels))
+    kids = left[left != _LEAF]
+    roots = np.setdiff1d(np.arange(len(feature), dtype=np.int32), np.append(kids, kids + 1))
+    return FlatForest(feature, threshold, left, value, roots), inbag
 
 
 def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
@@ -145,7 +147,7 @@ def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
         ids = np.full(k, _LEAF, dtype=np.int32)
         ids[split] = next_id + 2 * np.arange(split.sum())
         value = np.where(split, 0.0, np.add.reduceat(ys, start) / size)
-        levels.append((feat, thr, ids, np.where(split, ids + 1, ids), value))
+        levels.append((feat, thr, ids, value))
         if not split.any():
             return levels
         # a split node's rows move to its children by predict's <= rule; a leaf's drop out

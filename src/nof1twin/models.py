@@ -123,7 +123,7 @@ class FittedModel:
     @property
     def forest(self) -> FlatForest | None:
         """The trees behind a forest twin's `predict`; None for a GLM."""
-        return self._predictor.__self__ if self.kind == "forest" else None
+        return self._predictor if self.kind == "forest" else None
 
     @property
     def linear(self) -> _LinearPredictor | None:
@@ -327,7 +327,7 @@ def fit_forest_outcome(
         columns=fm.columns,
         resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
-        _predictor=forest.predict,
+        _predictor=forest,
     )
 
 
@@ -352,5 +352,5 @@ def fit_forest_propensity(
         forest_config=cfg,
         insample_prob=oob,
         train_values=fm.values,
-        _predictor=forest.predict,
+        _predictor=forest,
     )

@@ -87,6 +87,10 @@ def arm_contrast(values: np.ndarray, arms: np.ndarray) -> np.ndarray:
         v0 = ((values - mean0[:, None]) ** 2 * (1.0 - w)).sum(axis=1) / (n0 - 1) / n0
         degenerate = (n1 < 2) | (n0 < 2) | ~(v1 + v0 > 0)
         df = (v1 + v0) ** 2 / (v1**2 / (n1 - 1) + v0**2 / (n0 - 1))
+        # one arm constant and the other's variance subnormal: both squares underflow
+        # and df is 0/0, so there it comes from the variance shares v / (v1 + v0)
+        share = v1 / (v1 + v0)
+        df = np.where(np.isfinite(df), df, 1 / (share**2 / (n1 - 1) + (1 - share) ** 2 / (n0 - 1)))
         quant = stdtrit(np.where(degenerate, 2.0, df), 0.975)
         half = np.where(degenerate, 0.0, quant * np.sqrt(v1 + v0))
     delta = mean1 - mean0
@@ -117,7 +121,6 @@ class MotrConfig:
 class MotrRun:
     """One randomization run: permuted exposures, noisy rollout, arm contrast."""
 
-    r: int
     permuted_x: np.ndarray
     noisy_preds: np.ndarray  # generated periods t = 2..m
     mean_po_1: float
@@ -226,7 +229,6 @@ def run_motr_once(
     spec: FeatureSpec,
     permuted_x: np.ndarray,
     noise: np.ndarray | None = None,
-    r: int = 0,
 ) -> MotrRun:
     """Execute a single run under an explicitly supplied permutation.
 
@@ -247,7 +249,7 @@ def run_motr_once(
         raise EstimatorError(f"noise must be finite, got {nz[0, bad[0]]} at position {bad[0]}")
     preds = _Rollout(ds, model, spec, ds.m - 1)(xb, nz)
     delta, lo, hi, mean1, mean0, degenerate = arm_contrast(preds, xb[:, 1:])[:, 0].tolist()
-    return MotrRun(r=r, permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
+    return MotrRun(permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
                    delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
 
 
@@ -280,8 +282,6 @@ def run_motr(
     """
     if ds.m < 3:
         raise EstimatorError(f"randomization needs at least 3 periods, got {ds.m}")
-    if ds.x.min() == ds.x.max():
-        raise EstimatorError("observed exposure sequence has a single class")
     m1 = int(ds.x.sum())
     if min(m1, ds.m - m1) < 2:
         raise EstimatorError(

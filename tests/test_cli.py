@@ -1,13 +1,16 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import nof1twin
 from nof1twin.cli import _method_options, build_parser, main
 from nof1twin.core import TimeSeriesDataset, assemble_features, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
@@ -480,5 +483,10 @@ def test_cli_import_skips_scipy_stats_and_signal():
         "import sys, nof1twin.cli; "
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # pytest's own pythonpath setting does not reach a child process
+    root = str(Path(nof1twin.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=env)
     assert out.stdout.strip() == "[]"

@@ -38,7 +38,7 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
     y = np.asarray(y, dtype=float)
     n, p = x.shape
     sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
-    feature, threshold, left, right, value = [], [], [], [], []
+    feature, threshold, left, value = [], [], [], []
     roots = np.empty(n_trees, dtype=np.int32)
     inbag = np.zeros((n_trees, n), dtype=np.int32)
     for k in range(n_trees):
@@ -49,8 +49,7 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
         xb, yb = x[idx], y[idx]
 
         def new_node():
-            for col, v in ((feature, _LEAF), (threshold, 0.0), (left, _LEAF), (right, _LEAF),
-                           (value, 0.0)):
+            for col, v in ((feature, _LEAF), (threshold, 0.0), (left, _LEAF), (value, 0.0)):
                 col.append(v)
             return len(feature) - 1
 
@@ -79,14 +78,13 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
             mask = xb[rows, best_feat] <= best_thr
             feature[node_id], threshold[node_id] = best_feat, best_thr
             lid, rid = new_node(), new_node()
-            left[node_id], right[node_id] = lid, rid
+            left[node_id] = lid
             stack.append((rid, rows[~mask]))
             stack.append((lid, rows[mask]))
     forest = FlatForest(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold),
         left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
         value=np.asarray(value),
         roots=roots,
     )
@@ -181,7 +179,7 @@ def _visits(forest, x):
                 if forest.feature[node] == _LEAF:
                     break
                 go_left = r[forest.feature[node]] <= forest.threshold[node]
-                node = forest.left[node] if go_left else forest.right[node]
+                node = forest.left[node] + (not go_left)
     return seen
 
 

@@ -105,6 +105,15 @@ class TestArmContrast:
         if np.frexp(scale)[0] == 0.5:  # a power of two: exactly the same interval
             assert np.array_equal(out[:5], base[:5] * scale)
 
+    def test_constant_arm_beside_a_subnormal_variance(self):
+        # arm 0's variance (about 3e-311) is subnormal and its square underflows
+        # beside arm 1's zero variance; the half-width, t(2) * 5.8e-156, is far
+        # below the spacing of doubles at 0.9, so both bounds land on delta
+        values = np.array([[0.9, 0.9, 0.9, 1e-155, 2e-155, 3e-155]])
+        out = arm_contrast(values, np.array([[1, 1, 1, 0, 0, 0]]))[:, 0]
+        assert out.tolist() == [0.9, 0.9, 0.9, 0.9, out[4], 0.0]
+        assert out[4] == pytest.approx(2e-155, rel=1e-12)
+
     def test_rows_are_independent(self):
         # multi-row calls must equal row-by-row calls bit for bit: a MoTR
         # estimate may not depend on how its runs are split into blocks
@@ -237,7 +246,7 @@ class TestRunMotr:
         assert ds.m == m and est.runs_used == 200
         for r in range(1, 201):
             run = run_motr_once(ds, model, LAG_SPEC, _permutation_for(ds, seed, r),
-                                _noise_for(ds, seed, r, resid_sd), r)
+                                _noise_for(ds, seed, r, resid_sd))
             assert est.runs[r - 1] == (run.delta, *run.ci)
 
     def test_deterministic_model_stops_at_r_min(self):
@@ -324,7 +333,6 @@ class TestRunMotr:
                     ds, model, LAG_SPEC,
                     permuted_x=_permutation_for(ds, SeedSpec(9), r),
                     noise=_noise_for(ds, SeedSpec(9), r, model.resid_sd),
-                    r=r,
                 )
                 per_run.append(run)
             assert est.runs == tuple((run.delta, *run.ci) for run in per_run)
@@ -402,7 +410,7 @@ class TestRunMotr:
         params = ArcoParams(beta0=1.0, beta_x=0.5)
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 1, 1, 1])
         model = true_twin(params, NO_LAG_SPEC)
-        with pytest.raises(EstimatorError, match="single class"):
+        with pytest.raises(EstimatorError, match="2 periods in each exposure arm, got 4 exposed"):
             run_motr(ds, model, NO_LAG_SPEC, MotrConfig(seed=0))
 
 
