@@ -1,4 +1,6 @@
-"""The level-wise grower against the depth-first reference it replaced."""
+"""The level-wise grower against a one-node-at-a-time reference."""
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from nof1twin import forest as forest_module
 from nof1twin.core import SeedSpec
 from nof1twin.forest import _LEAF, FlatForest, build_forest
+from nof1twin.harness import Method, MethodOptions, StudyConfig, default_study_params, replicate
+from nof1twin.models import ForestConfig
 
 
 def _reference_best_split(x_col, y):
@@ -31,9 +35,10 @@ def _reference_best_split(x_col, y):
 
 
 def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampler=None):
-    """Depth-first growth, one Python iteration per node: the grower the
-    package used before level-wise growth, with the same midpoint guard.
-    Each node draws its feature subset in depth-first order."""
+    """One Python iteration per node, with the grower's midpoint guard.  Nodes
+    leave a queue breadth-first (level by level, left to right), and each node
+    that can split draws its `permutation(p)[:mtry]` feature subset as it
+    leaves, which is the order the determinism contract documents."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
@@ -54,9 +59,9 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
             return len(feature) - 1
 
         roots[k] = new_node()
-        stack = [(roots[k], np.arange(len(idx)))]
-        while stack:
-            node_id, rows = stack.pop()
+        queue = deque([(roots[k], np.arange(len(idx)))])
+        while queue:
+            node_id, rows = queue.popleft()
             y_node = yb[rows]
             # a leaf sums its labels in feature-0 order, ties in bootstrap order, with
             # np.add.reduceat as the grower does
@@ -79,8 +84,8 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
             feature[node_id], threshold[node_id] = best_feat, best_thr
             lid, rid = new_node(), new_node()
             left[node_id] = lid
-            stack.append((rid, rows[~mask]))
-            stack.append((lid, rows[mask]))
+            queue.append((lid, rows[mask]))
+            queue.append((rid, rows[~mask]))
     forest = FlatForest(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold),
@@ -102,9 +107,9 @@ def _probes(x):
     return np.vstack([x, grid, grid[::-1]])
 
 
-def _assert_same_forest(x, y, n_trees, mtry, min_node_size, seed):
-    new, inbag = build_forest(x, y, n_trees, mtry, min_node_size, seed)
-    ref, ref_inbag = reference_build_forest(x, y, n_trees, mtry, min_node_size, seed)
+def _assert_same_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampler=None):
+    new, inbag = build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampler)
+    ref, ref_inbag = reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampler)
     assert np.array_equal(inbag, ref_inbag)
     assert len(new.feature) == len(ref.feature)
     probes = _probes(x)
@@ -131,12 +136,19 @@ def _labelled_rows(draw, p):
     return x, y
 
 
-class TestLevelWiseEqualsDepthFirst:
+class TestLevelWiseEqualsReference:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), p=st.integers(1, 4), node=st.integers(1, 6), seed=st.integers(0, 99))
     def test_all_features_scanned(self, data, p, node, seed):
         x, y = data.draw(_labelled_rows(p))
         _assert_same_forest(x, y, 7, p, node, SeedSpec(seed))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), p=st.integers(2, 5), node=st.integers(1, 6), seed=st.integers(0, 99))
+    def test_feature_subsets(self, data, p, node, seed):
+        x, y = data.draw(_labelled_rows(p))
+        mtry = data.draw(st.integers(1, p - 1))
+        _assert_same_forest(x, y, 7, mtry, node, SeedSpec(seed))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99))
@@ -167,6 +179,26 @@ def test_tree_batches_do_not_change_the_forest(monkeypatch):
     y = (rng.random(30) < 0.5).astype(float)
     monkeypatch.setattr(forest_module, "_BATCH_ROWS", 60)  # two trees per batch
     _assert_same_forest(x, y, 9, 3, 1, SeedSpec(2))
+    # feature subsets drawn per batch, from bootstraps shorter and longer than n
+    for size in (len(x), len(x) // 2, 2 * len(x)):
+        sampler = lambda k, rng, n, size=size: rng.integers(0, n, size=size)
+        _assert_same_forest(x, y, 9, 2, 1, SeedSpec(2), sampler)
+        _assert_same_forest(x, y, 9, 1, 2, SeedSpec(5), sampler)
+
+
+def test_study_forest_estimates_are_pinned():
+    # motr-rf and pstn-rf on the first two study datasets (m = 220, 100 trees,
+    # seed 1); a forest that drifts by a single bit moves these values
+    arco, prop = default_study_params()
+    study = StudyConfig(h_datasets=2, m_analysis=220, params=arco, propensity=prop,
+                        methods=(Method.MOTR_RF, Method.PSTN_RF), seed=1,
+                        options=MethodOptions(forest=ForestConfig(n_trees=100)))
+    assert {(r.h, r.method.label): repr(r.estimate) for r in replicate(study).rows} == {
+        (1, "motr-rf"): "0.89147939328246",
+        (1, "pstn-rf"): "2.7049951381029977",
+        (2, "motr-rf"): "0.7872666357775785",
+        (2, "pstn-rf"): "-6.037596929883488",
+    }
 
 
 def _visits(forest, x):
