@@ -3,20 +3,23 @@
 Regression trees maximize the split criterion sum(S_c^2 / n_c) over children,
 equivalent to variance reduction; for 0/1 labels the same criterion is
 equivalent to Gini impurity reduction, so one scan serves both tasks.  Trees
-grow level by level over presorted bootstrap samples, so one numpy pass per
-feature scores every threshold of every node of a level.  Each feature's
-order is stably sorted once by value, then stably by node at every level, so
-each node's rows stay sorted per feature with ties (-0.0 and +0.0 alike) in
-bootstrap order; a leaf sums its labels in feature 0's order.
+grow level by level in batches of at most 2^15 bootstrap rows, so one numpy
+pass per feature scores every threshold of every node of a level, and the
+node arrays are level-major within each batch.  Each feature's order is
+sorted once by the dense ranks of its values (-0.0 and +0.0 share one), then
+stably by node at every level, so each node's rows stay sorted per feature
+with ties in bootstrap order; a leaf sums its labels in feature 0's order.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
 rows in the order given), followed by one `permutation(p)[:mtry]` feature
 subset per node larger than min_node_size with non-constant labels, in
 breadth-first order (level by level, left to right); with mtry == p none is
-drawn.  Features are scanned in ascending index, thresholds in ascending
-value, and ties keep the first candidate, so a tree is a pure function of
-(bootstrap sequence, per-tree stream).
+drawn.  The tree draws these subsets in one call right after its bootstrap,
+one per node that could split, so each takes the stream position its node's
+own draw would.  Features are scanned in ascending index, thresholds in
+ascending value, and ties keep the first candidate, so a tree is a pure
+function of (bootstrap sequence, per-tree stream).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ IndexSampler = Callable[[int, np.random.Generator, int], np.ndarray]
 
 _LEAF = -1
 _PAIRS = 1 << 14  # (row, tree) pairs per predict_trees call in predict; bounds its memory
-_BATCH_ROWS = 1 << 13  # bootstrap rows grown together; bounds the grower's working memory
+_BATCH_ROWS = 1 << 15  # rows grown together: bounds memory; 16-bit sort keys get numpy's radix sort
 
 
 @dataclass
@@ -96,14 +99,14 @@ def build_forest(
     boots = [np.asarray(sampler(k, rng, n), dtype=np.intp) for k, rng in enumerate(rngs)]
     inbag = np.array([np.bincount(idx, minlength=n) for idx in boots], dtype=np.int32)
     levels: list[tuple[np.ndarray, ...]] = []
+    roots: list[int] = []
     per_batch = max(1, _BATCH_ROWS // n)
     for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
         first = sum(len(level[0]) for level in levels)
+        roots += range(first, first + len(boots[trees]))
         levels += _grow(x, y, boots[trees], rngs[trees], mtry, min_node_size, first)
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
-    kids = left[left != _LEAF]
-    roots = np.setdiff1d(np.arange(len(feature), dtype=np.int32), np.append(kids, kids + 1))
-    return FlatForest(feature, threshold, left, value, roots), inbag
+    return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32)), inbag
 
 
 def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
@@ -111,13 +114,22 @@ def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
 
     Positions index the concatenated bootstrap samples.  node_of maps each live
     one to its node, breadth-first per tree; order[f] starts as the positions
-    stably sorted by feature f, and each level stably re-sorts it by node, so a
-    node's positions form one segment sorted by f, ties in position order.
+    stably sorted by feature f's value ranks, and each level stably re-sorts it
+    by node, so a node's positions form one segment sorted by f, ties in
+    position order.  A tree over N positions has at most N - 1 nodes that draw
+    a feature subset; cursor[t] is tree t's next unread row of `drawn`.
     """
     row = np.concatenate(boots)
-    node_of = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
     p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
-    order = [np.argsort(x[row, f], kind="stable") for f in range(p)] or [np.arange(len(row))]
+    node_of = np.repeat(tree, [len(b) for b in boots]).astype(np.min_scalar_type(-len(row)))
+    ranks = (np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for col in x.T)
+    order = [np.argsort(r[row], kind="stable") for r in ranks] or [np.arange(len(row))]
+    if mtry < p:
+        draws = [len(b) - 1 for b in boots]
+        feats = np.arange(p, dtype=np.min_scalar_type(p))
+        drawn = np.concatenate([rng.permuted(np.tile(feats, (r, 1)), axis=1)[:, :mtry]
+                                for rng, r in zip(rngs, draws)])
+        cursor = np.cumsum(draws) - draws
     while True:
         order = [o[np.argsort(node_of[o], kind="stable")] for o in order]
         node = node_of[order[0]]
@@ -128,13 +140,12 @@ def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
         cand = size > min_node_size
         cand &= np.minimum.reduceat(ys, start) < np.maximum.reduceat(ys, start)
         subset = np.ones((k, p), dtype=bool)
-        if mtry < p:  # one permutation(p)[:mtry] per candidate, in node order per tree
+        if mtry < p:  # each candidate takes its tree's next subset, in node order
+            per_tree = np.bincount(tree[cand], minlength=len(boots))
+            pick = (cursor - np.cumsum(per_tree) + per_tree)[tree[cand]] + np.arange(per_tree.sum())
+            cursor += per_tree
             subset[cand] = False
-            nodes = np.flatnonzero(cand)
-            for t in np.unique(tree[nodes]).tolist():
-                mine = nodes[tree[nodes] == t]
-                drawn = rngs[t].permuted(np.tile(np.arange(p), (len(mine), 1)), axis=1)
-                subset[mine[:, None], drawn[:, :mtry]] = True
+            subset[np.flatnonzero(cand)[:, None], drawn[pick]] = True
         gain, feat, thr = np.zeros(k), np.full(k, _LEAF, dtype=np.int32), np.zeros(k)
         for f, o in enumerate(order[:p]):
             scan = cand & subset[:, f]

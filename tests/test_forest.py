@@ -179,9 +179,11 @@ def test_tree_batches_do_not_change_the_forest(monkeypatch):
     y = (rng.random(30) < 0.5).astype(float)
     monkeypatch.setattr(forest_module, "_BATCH_ROWS", 60)  # two trees per batch
     _assert_same_forest(x, y, 9, 3, 1, SeedSpec(2))
-    # feature subsets drawn per batch, from bootstraps shorter and longer than n
-    for size in (len(x), len(x) // 2, 2 * len(x)):
-        sampler = lambda k, rng, n, size=size: rng.integers(0, n, size=size)
+    # feature subsets drawn per batch; tree k's bootstrap has sizes[k % len(sizes)]
+    # rows: fewer than n, more, and a short and a long one in the same batch
+    n = len(x)
+    for sizes in ((n // 2,), (2 * n,), (n // 4, 2 * n)):
+        sampler = lambda k, rng, n_, sizes=sizes: rng.integers(0, n_, size=sizes[k % len(sizes)])
         _assert_same_forest(x, y, 9, 2, 1, SeedSpec(2), sampler)
         _assert_same_forest(x, y, 9, 1, 2, SeedSpec(5), sampler)
 
