@@ -17,9 +17,10 @@ subset per node larger than min_node_size with non-constant labels, in
 breadth-first order (level by level, left to right); with mtry == p none is
 drawn.  The tree draws these subsets in one call right after its bootstrap,
 one per node that could split, so each takes the stream position its node's
-own draw would.  Features are scanned in ascending index, thresholds in
-ascending value, and ties keep the first candidate, so a tree is a pure
-function of (bootstrap sequence, per-tree stream).
+own draw would.  One generator serves every tree (SeedSpec.children), reset
+to each tree's stream before its draws.  Features are scanned in ascending
+index, thresholds in ascending value, and ties keep the first candidate, so a
+tree is a pure function of (bootstrap sequence, per-tree stream).
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ import numpy as np
 
 from .core import SeedSpec
 
-# Sampler signature: (tree_index, rng, n_rows) -> integer row positions.
+# Sampler signature: (tree_index, rng, n_rows) -> integer row positions.  The
+# rng is valid only during the call: the next tree reuses it.
 IndexSampler = Callable[[int, np.random.Generator, int], np.ndarray]
 
 _LEAF = -1
-_PAIRS = 1 << 14  # (row, tree) pairs per predict_trees call in predict; bounds its memory
+_PAIRS = 1 << 14  # (point, tree) values per block in predict and step_table: bounds memory
 _BATCH_ROWS = 1 << 15  # rows grown together: bounds memory; 16-bit sort keys get numpy's radix sort
 
 
@@ -54,19 +56,10 @@ class FlatForest:
         return len(self.roots)
 
     def predict_trees(self, f: np.ndarray) -> np.ndarray:
-        """Per-tree predictions, (rows, trees); each (row, tree) pair descends
-        one level per pass until it reaches its leaf."""
+        """Per-tree predictions, (rows, trees)."""
         f = np.atleast_2d(np.asarray(f, dtype=float))
-        node = np.tile(self.roots, len(f))  # (rows, trees) flattened row-major
-        live = np.arange(len(node))
-        while live.size:
-            cur = node[live]
-            feat = self.feature[cur]
-            inner = feat != _LEAF
-            live, cur, feat = live[inner], cur[inner], feat[inner]
-            go_left = f[live // self.n_trees, feat] <= self.threshold[cur]
-            node[live] = self.left[cur] + ~go_left
-        return self.value[node].reshape(len(f), self.n_trees)
+        row, tree = np.indices((len(f), self.n_trees)).reshape(2, -1)
+        return self.value[self._descend(f, row, tree)[0]].reshape(len(f), self.n_trees)
 
     def predict(self, f: np.ndarray) -> np.ndarray:
         """Mean over the trees, in blocks of at most _PAIRS (row, tree) pairs."""
@@ -76,6 +69,50 @@ class FlatForest:
                                for i in range(0, max(len(f), 1), step)])
 
     __call__ = predict
+
+    def step_table(self, f: np.ndarray, col: int | None, cuts: np.ndarray) -> np.ndarray:
+        """predict at each row of f with f[row, col] set to each of cuts, then +inf,
+        (rows, len(cuts) + 1), in blocks of at most _PAIRS (point, tree) values.
+        On one row a tree is a step function of f[:, col], so each (row, tree)
+        pair descends once, in pieces that each cover a run of cuts."""
+        f, n_col, n_trees = np.asarray(f, dtype=float), len(cuts) + 1, self.n_trees
+        step, size, means = max(1, _PAIRS // n_trees), len(f) * n_col, []
+        for a in range(0, size, step):
+            b = min(a + step, size)
+            row, tree = np.divmod(np.arange(a // n_col * n_trees, -(-b // n_col) * n_trees), n_trees)
+            lo, hi = np.maximum(row * n_col, a), np.minimum(row * n_col + n_col, b)
+            node, tree, lo, hi = self._descend(f, row, tree, lo, hi, col, cuts)
+            by_tree = np.lexsort((lo, tree))  # the pieces tile the block's (tree, point) grid
+            per_tree = np.repeat(self.value[node[by_tree]], (hi - lo)[by_tree])
+            # C-contiguous (points, trees) as predict_trees returns it: the same mean, to the bit
+            means.append(np.ascontiguousarray(per_tree.reshape(n_trees, b - a).T).mean(axis=1))
+        return np.concatenate(means).reshape(len(f), n_col)
+
+    def _descend(self, f, row, tree, lo=None, hi=None, col=None, cuts=()):
+        """(leaf, tree, lo, hi) of each item (row of f, tree), one level per pass;
+        without col no item splits, and the leaves come in item order.  Item i
+        covers the points lo[i]..hi[i] - 1; point r * (len(cuts) + 1) + c is row
+        r of f with f[r, col] = cuts[c] (+inf past the last), which a split on
+        col sends left iff cuts[c] <= threshold: the split cuts the item in two."""
+        node, live = self.roots[tree], np.arange(len(tree))
+        while live.size:
+            cur = node[live]
+            feat = self.feature[cur]
+            inner = feat != _LEAF
+            live, cur, feat = live[inner], cur[inner], feat[inner]
+            thr = self.threshold[cur]
+            node[live] = self.left[cur] + ~(f[row[live], feat] <= thr)
+            if col is not None and (on := np.flatnonzero(feat == col)).size:
+                i, kid = live[on], self.left[cur[on]]
+                cut = row[i] * (len(cuts) + 1) + np.searchsorted(cuts, thr[on], side="right")
+                node[i] = kid + (cut <= lo[i])
+                both = (lo[i] < cut) & (cut < hi[i])  # the right part becomes a new item
+                i, kid, cut = i[both], kid[both], cut[both]
+                live = np.concatenate((live, np.arange(len(node), len(node) + len(i))))
+                node, row, tree, lo, hi = (np.concatenate(v) for v in zip(
+                    (node, row, tree, lo, hi), (kid + 1, row[i], tree[i], cut, hi[i])))
+                hi[i] = cut
+        return node, tree, lo, hi
 
 
 def build_forest(
@@ -95,29 +132,35 @@ def build_forest(
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     n, p = x.shape
     sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
-    rngs = [np.random.Generator(np.random.Philox(key=key)) for key in seed.keys(range(n_trees))]
-    boots = [np.asarray(sampler(k, rng, n), dtype=np.intp) for k, rng in enumerate(rngs)]
-    inbag = np.array([np.bincount(idx, minlength=n) for idx in boots], dtype=np.int32)
+    feats = np.arange(p, dtype=np.min_scalar_type(p))
+    boots, drawn = [], []
+    for k, rng in enumerate(seed.children(range(n_trees))):
+        boots.append(np.asarray(sampler(k, rng, n), dtype=np.intp))
+        if mtry < p:  # a tree over N positions has at most N - 1 nodes that draw a subset
+            subsets = rng.permuted(np.tile(feats, (len(boots[-1]) - 1, 1)), axis=1)
+            drawn.append(subsets[:, :mtry].copy())
+    inbag = np.repeat(np.arange(n_trees) * n, [len(b) for b in boots]) + np.concatenate(boots)
+    inbag = np.bincount(inbag, minlength=n_trees * n).reshape(n_trees, n).astype(np.int32)
     levels: list[tuple[np.ndarray, ...]] = []
     roots: list[int] = []
     per_batch = max(1, _BATCH_ROWS // n)
     for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
         first = sum(len(level[0]) for level in levels)
         roots += range(first, first + len(boots[trees]))
-        levels += _grow(x, y, boots[trees], rngs[trees], mtry, min_node_size, first)
+        levels += _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first)
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
     return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32)), inbag
 
 
-def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
+def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
     """Grow a batch of trees level by level; returns each level's node arrays.
 
     Positions index the concatenated bootstrap samples.  node_of maps each live
     one to its node, breadth-first per tree; order[f] starts as the positions
     stably sorted by feature f's value ranks, and each level stably re-sorts it
     by node, so a node's positions form one segment sorted by f, ties in
-    position order.  A tree over N positions has at most N - 1 nodes that draw
-    a feature subset; cursor[t] is tree t's next unread row of `drawn`.
+    position order.  With mtry < p, drawn[t] holds tree t's feature subsets in
+    stream order, and cursor[t] is its next unread row of their concatenation.
     """
     row = np.concatenate(boots)
     p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
@@ -125,13 +168,11 @@ def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
     ranks = (np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for col in x.T)
     order = [np.argsort(r[row], kind="stable") for r in ranks] or [np.arange(len(row))]
     if mtry < p:
-        draws = [len(b) - 1 for b in boots]
-        feats = np.arange(p, dtype=np.min_scalar_type(p))
-        drawn = np.concatenate([rng.permuted(np.tile(feats, (r, 1)), axis=1)[:, :mtry]
-                                for rng, r in zip(rngs, draws)])
-        cursor = np.cumsum(draws) - draws
+        draws = [len(d) for d in drawn]
+        cursor, drawn = np.cumsum(draws) - draws, np.concatenate(drawn)
     while True:
-        order = [o[np.argsort(node_of[o], kind="stable")] for o in order]
+        for i in range(len(order)):  # one at a time: the old and new orders are never all alive
+            order[i] = order[i][np.argsort(node_of[order[i]], kind="stable")]
         node = node_of[order[0]]
         size = np.bincount(node)  # every live node holds a row
         k, start = len(size), np.cumsum(size) - size
@@ -164,7 +205,8 @@ def _grow(x, y, boots, rngs, mtry, min_node_size, first_id):
         # a split node's rows move to its children by predict's <= rule; a leaf's drop out
         went_right = ~(x[row[order[0]], feat[node]] <= thr[node])
         node_of[order[0]] = np.where(split[node], ids[node] - next_id + went_right, _LEAF)
-        order = [o[node_of[o] != _LEAF] for o in order]
+        for i in range(len(order)):
+            order[i] = order[i][node_of[order[i]] != _LEAF]
         tree = np.repeat(tree[split], 2)
 
 
@@ -199,13 +241,14 @@ def _best_cuts(xs, ys, node, start, size, scan):
 
 
 def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Out-of-bag averaged predictions for the training rows.
-
-    Rows that were in-bag for every tree (vanishingly rare) fall back to the
-    all-trees average.
-    """
-    per_tree = forest.predict_trees(x)
+    """Out-of-bag averaged predictions for the training rows, from the
+    out-of-bag (row, tree) pairs only.  A row in-bag in every tree (about
+    0.632^T of the rows: 63% at T = 1, 1% at T = 10) falls back to the
+    all-trees average, so all its pairs descend."""
     oob = inbag.T == 0
     n_oob = oob.sum(axis=1)
+    row, tree = np.nonzero(oob | (n_oob == 0)[:, None])
+    per_tree = np.zeros(oob.shape)
+    per_tree[row, tree] = forest.value[forest._descend(np.asarray(x, dtype=float), row, tree)[0]]
     oob_mean = (per_tree * oob).sum(axis=1) / np.maximum(n_oob, 1)
     return np.where(n_oob > 0, oob_mean, per_tree.mean(axis=1))

@@ -159,7 +159,9 @@ class _Rollout:
     quartile bounds, none without a lag); its value at cut t_c (+inf past the
     last; the one-hot slots in quartile mode) holds on (t_(c-1), t_c], so a
     step is one `table` lookup, unless the table would take more predictions
-    than the `walk_rows` the rollout walks: then it predicts every step.
+    than the `walk_rows` the rollout walks: then it predicts every step.  A
+    forest's continuous-lag table comes from pieces of its trees
+    (FlatForest.step_table), any other from predict at each (row, cut) point.
     """
 
     def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec,
@@ -184,7 +186,12 @@ class _Rollout:
             self.cuts = np.unique(forest.threshold[np.isin(forest.feature, self.lag)]
                                   if self.lag else [])
             reps = np.append(self.cuts, np.inf)[:, None]
-        if len(s) * len(reps) <= walk_rows:
+        if len(s) * len(reps) > walk_rows:
+            return
+        if self.bounds is None and model.forest is not None:
+            self.table = model.forest.step_table(self.static, self.lag[0] if self.lag else None,
+                                                 self.cuts)
+        else:
             points = np.repeat(self.static, len(reps), axis=0)
             points[:, self.lag] = np.tile(reps, (len(s), 1))  # no-op without a lag
             self.table = model.predict(points).reshape(len(s), -1)

@@ -1,4 +1,5 @@
-"""The level-wise grower against a one-node-at-a-time reference."""
+"""The level-wise grower against a one-node-at-a-time reference, and the
+forest's read paths (step tables, out-of-bag averages) against predict."""
 
 from collections import deque
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from nof1twin import forest as forest_module
 from nof1twin.core import SeedSpec
-from nof1twin.forest import _LEAF, FlatForest, build_forest
+from nof1twin.forest import _LEAF, FlatForest, build_forest, oob_predictions
 from nof1twin.harness import Method, MethodOptions, StudyConfig, default_study_params, replicate
 from nof1twin.models import ForestConfig
 
@@ -228,3 +229,87 @@ class TestMidpointGuard:
         forest, _ = build_forest(x, y, 3, 1, 1, SeedSpec(0), index_sampler=identity)
         assert np.all(_visits(forest, x) > 0)  # no child is empty
         assert np.array_equal(forest.predict(x), y)
+
+
+def reference_oob_predictions(forest, inbag, x):
+    """Every (row, tree) pair walked, the in-bag ones then masked out."""
+    per_tree = forest.predict_trees(x)
+    oob = inbag.T == 0
+    n_oob = oob.sum(axis=1)
+    oob_mean = (per_tree * oob).sum(axis=1) / np.maximum(n_oob, 1)
+    return np.where(n_oob > 0, oob_mean, per_tree.mean(axis=1))
+
+
+class TestOutOfBag:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_trees=st.integers(1, 12), mtry=st.integers(1, 3),
+           seed=st.integers(0, 99))
+    def test_equals_all_pairs_reference(self, data, n_trees, mtry, seed):
+        x, _ = data.draw(_labelled_rows(3))
+        y = np.random.default_rng(seed).normal(size=len(x))  # labels of both signs
+        forest, inbag = build_forest(x, y, n_trees, mtry, 2, SeedSpec(seed))
+        assert np.array_equal(oob_predictions(forest, inbag, x),
+                              reference_oob_predictions(forest, inbag, x))
+
+    @pytest.mark.parametrize("n_trees", [1, 2, 3])
+    def test_rows_in_every_bootstrap_take_the_all_trees_mean(self, n_trees):
+        # a row is in-bag in every tree with probability about 0.632^T
+        rng = np.random.default_rng(n_trees)
+        x = rng.integers(0, 4, size=(40, 2)).astype(float)
+        y = rng.normal(size=40)
+        forest, inbag = build_forest(x, y, n_trees, 2, 1, SeedSpec(n_trees))
+        fallback = (inbag > 0).all(axis=0)
+        assert fallback.any() and not fallback.all()
+        oob = oob_predictions(forest, inbag, x)
+        assert np.array_equal(oob, reference_oob_predictions(forest, inbag, x))
+        assert np.array_equal(oob[fallback], forest.predict(x[fallback]))
+
+
+# outcome lags with ties, zeros of both signs and two pairs of neighbouring
+# doubles whose midpoint rounds up to (or overflows past) the upper one, so
+# the threshold falls back to the lower value
+_LAGS = np.array([-1.5, -0.0, 0.0, 0.25, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 3.0, 1e308, 1.5e308])
+
+
+def _assert_table_is_predict(forest, f, col):
+    """step_table at the static rows f equals predict at every (row, cut) point, to the bit."""
+    cuts = np.unique(forest.threshold[forest.feature == col])
+    points = np.repeat(f, len(cuts) + 1, axis=0)
+    points[:, col] = np.tile(np.append(cuts, np.inf), len(f))
+    expected = forest.predict(points).reshape(len(f), -1)
+    assert forest.step_table(f, col, cuts).tobytes() == expected.tobytes()
+    return cuts
+
+
+class TestStepTable:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_static=st.integers(1, 3), n_trees=st.integers(1, 12),
+           node=st.integers(1, 5), seed=st.integers(0, 99),
+           pairs=st.sampled_from([1, 7, 100, 1 << 14]))
+    def test_equals_predict_at_every_cut(self, data, n_static, n_trees, node, seed, pairs):
+        n = data.draw(st.integers(20, 60))
+        codes = lambda hi: np.array(data.draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)))
+        # a binary exposure, then exogenous columns of few levels with -0.0 among them
+        static = [codes(1).astype(float)] + [codes(3) * -0.5 for _ in range(n_static - 1)]
+        col = data.draw(st.integers(0, n_static))
+        x = np.insert(np.column_stack(static), col, _LAGS[codes(len(_LAGS) - 1)], axis=1)
+        y = np.random.default_rng(seed).normal(size=n)
+        mtry = data.draw(st.integers(1, n_static + 1))
+        forest, _ = build_forest(x, y, n_trees, mtry, node, SeedSpec(seed))
+        f = np.unique(x, axis=0)
+        f[:, col] = 0.0
+        with pytest.MonkeyPatch.context() as mp:  # blocks that end inside a row's columns
+            mp.setattr(forest_module, "_PAIRS", pairs)
+            _assert_table_is_predict(forest, f, col)
+            no_lag = forest.step_table(f, None, np.zeros(0))
+        assert no_lag.tobytes() == forest.predict(f)[:, None].tobytes()
+
+    @pytest.mark.parametrize("a", [1.0 + 2.0**-52, 1e308], ids=["adjacent-doubles", "overflow"])
+    def test_threshold_at_the_lower_value(self, a):
+        b = np.nextafter(a, np.inf) if a < 2 else 1.5e308
+        x = np.column_stack([np.tile([0.0, 1.0], 6), [a] * 6 + [b] * 6])
+        y = np.array([0.0] * 6 + [1.0] * 6) + x[:, 0]
+        identity = lambda k, rng, n: np.arange(n)
+        forest, _ = build_forest(x, y, 3, 2, 1, SeedSpec(0), index_sampler=identity)
+        f = np.array([[0.0, 0.0], [1.0, 0.0], [-0.0, 0.0], [2.0, 0.0]])
+        assert a in _assert_table_is_predict(forest, f, 1)

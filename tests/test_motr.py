@@ -598,6 +598,11 @@ class TestStepTable:
         table = _Rollout(ds, model, spec, walk_rows=10**6)
         assert table.table is not None
         quartile = spec.outcome_lag_mode == LAG_QUARTILE
+        # the table is predict at each (static row, lag cut) point, to the bit
+        reps = np.eye(4) if quartile else np.append(table.cuts, np.inf)[:, None]
+        points = np.repeat(table.static, len(reps), axis=0)
+        points[:, table.lag] = np.tile(reps, (len(table.static), 1))
+        assert table.table.tobytes() == model.predict(points).tobytes()
         bounds = quartile_bounds(ds.y) if quartile else None
         lag_col = spec.columns.index("y_lag1_q1" if quartile else "y_lag1")
         forest = model.forest
