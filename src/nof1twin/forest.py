@@ -6,9 +6,12 @@ equivalent to Gini impurity reduction, so one scan serves both tasks.  Trees
 grow level by level in batches of at most 2^15 bootstrap rows, so one numpy
 pass per feature scores every threshold of every node of a level, and the
 node arrays are level-major within each batch.  Each feature's order is
-sorted once by the dense ranks of its values (-0.0 and +0.0 share one), then
-stably by node at every level, so each node's rows stay sorted per feature
-with ties in bootstrap order; a leaf sums its labels in feature 0's order.
+sorted once by tree and the dense ranks of its values (-0.0 and +0.0 share
+one), then stably by node after each level where a node split on another
+feature (in its split feature's order a node's rows are already in child
+order, as in SPRINT's presorted lists), so each node's rows stay sorted per
+feature with ties in bootstrap order; a leaf sums its labels in feature 0's
+order.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeedSpec
+from .errors import ConfigError
 
 # Sampler signature: (tree_index, rng, n_rows) -> integer row positions.  The
 # rng is valid only during the call: the next tree reuses it.
@@ -72,21 +76,30 @@ class FlatForest:
 
     def step_table(self, f: np.ndarray, col: int | None, cuts: np.ndarray) -> np.ndarray:
         """predict at each row of f with f[row, col] set to each of cuts, then +inf,
-        (rows, len(cuts) + 1), in blocks of at most _PAIRS (point, tree) values.
-        On one row a tree is a step function of f[:, col], so each (row, tree)
-        pair descends once, in pieces that each cover a run of cuts."""
+        (rows, len(cuts) + 1).  On one row a tree is a step function of f[:, col],
+        so each (row, tree) pair descends once, in blocks of whole rows of at most
+        _PAIRS // 4 pairs (a pair leaves a few pieces), into pieces that each cover
+        a run of cuts; they fill the (points, trees) matrix in _PAIRS-value blocks."""
         f, n_col, n_trees = np.asarray(f, dtype=float), len(cuts) + 1, self.n_trees
-        step, size, means = max(1, _PAIRS // n_trees), len(f) * n_col, []
-        for a in range(0, size, step):
-            b = min(a + step, size)
-            row, tree = np.divmod(np.arange(a // n_col * n_trees, -(-b // n_col) * n_trees), n_trees)
-            lo, hi = np.maximum(row * n_col, a), np.minimum(row * n_col + n_col, b)
-            node, tree, lo, hi = self._descend(f, row, tree, lo, hi, col, cuts)
-            by_tree = np.lexsort((lo, tree))  # the pieces tile the block's (tree, point) grid
-            per_tree = np.repeat(self.value[node[by_tree]], (hi - lo)[by_tree])
-            # C-contiguous (points, trees) as predict_trees returns it: the same mean, to the bit
-            means.append(np.ascontiguousarray(per_tree.reshape(n_trees, b - a).T).mean(axis=1))
-        return np.concatenate(means).reshape(len(f), n_col)
+        step, out = max(1, _PAIRS // n_trees), np.empty(len(f) * n_col)
+        rows, edge = max(1, step // 4), np.arange(n_trees) * len(out)
+        for r in range(0, len(f), rows):
+            row, tree = np.divmod(np.arange(r * n_trees, min(r + rows, len(f)) * n_trees), n_trees)
+            node, tree, lo, hi = self._descend(f, row, tree, row * n_col, row * n_col + n_col, col, cuts)
+            key, width = edge[tree] + lo, hi - lo  # sorted, key orders pieces by tree, then point
+            del tree, lo, hi  # freed before filling: the pieces bound the memory
+            by_key = np.argsort(key)
+            value, key, width = self.value[node[by_key]], key[by_key], width[by_key]
+            for a in range(r * n_col, row[-1] * n_col + n_col, step):
+                b = min(a + step, row[-1] * n_col + n_col)
+                first = np.searchsorted(key, edge + a, side="right") - 1  # each tree's piece at a
+                count = np.searchsorted(key, edge + b) - first
+                i = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+                lo = key[i] - np.repeat(edge, count)
+                per_tree = np.repeat(value[i], np.minimum(lo + width[i], b) - np.maximum(lo, a))
+                # C-contiguous (points, trees) as predict_trees returns it: the same mean, to the bit
+                out[a:b] = np.ascontiguousarray(per_tree.reshape(n_trees, b - a).T).mean(axis=1)
+        return out.reshape(len(f), n_col)
 
     def _descend(self, f, row, tree, lo=None, hi=None, col=None, cuts=()):
         """(leaf, tree, lo, hi) of each item (row of f, tree), one level per pass;
@@ -135,7 +148,10 @@ def build_forest(
     feats = np.arange(p, dtype=np.min_scalar_type(p))
     boots, drawn = [], []
     for k, rng in enumerate(seed.children(range(n_trees))):
-        boots.append(np.asarray(sampler(k, rng, n), dtype=np.intp))
+        b = np.asarray(sampler(k, rng, n))
+        if b.ndim != 1 or not b.size or b.dtype.kind not in "iu" or not 0 <= b.min() <= b.max() < n:
+            raise ConfigError(f"index_sampler gave tree {k} no non-empty 1-D integer array in [0, {n})")
+        boots.append(b.astype(np.intp))
         if mtry < p:  # a tree over N positions has at most N - 1 nodes that draw a subset
             subsets = rng.permuted(np.tile(feats, (len(boots[-1]) - 1, 1)), axis=1)
             drawn.append(subsets[:, :mtry].copy())
@@ -156,26 +172,29 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
     """Grow a batch of trees level by level; returns each level's node arrays.
 
     Positions index the concatenated bootstrap samples.  node_of maps each live
-    one to its node, breadth-first per tree; order[f] starts as the positions
-    stably sorted by feature f's value ranks, and each level stably re-sorts it
-    by node, so a node's positions form one segment sorted by f, ties in
-    position order.  With mtry < p, drawn[t] holds tree t's feature subsets in
-    stream order, and cursor[t] is its next unread row of their concatenation.
+    one to its node, breadth-first per tree; order[f] holds each node's positions
+    as one segment sorted by feature f's value ranks, ties in position order,
+    the segments alike in every order.  A node's segment of the order of its
+    split feature is already its left child's then its right child's, so
+    order[i] is re-sorted only after a level where a node split on another
+    feature.  With mtry < p, drawn[t] holds tree t's feature subsets in stream
+    order, and cursor[t] is its next unread row of their concatenation.
     """
-    row = np.concatenate(boots)
+    row, xt = np.concatenate(boots), np.ascontiguousarray(x.T)
     p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
-    node_of = np.repeat(tree, [len(b) for b in boots]).astype(np.min_scalar_type(-len(row)))
+    size = np.array([len(b) for b in boots])
+    node_of = np.repeat(tree, size).astype(np.min_scalar_type(-len(row)))
     ranks = (np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for col in x.T)
     order = [np.argsort(r[row], kind="stable") for r in ranks] or [np.arange(len(row))]
+    resort = range(len(order))
     if mtry < p:
         draws = [len(d) for d in drawn]
         cursor, drawn = np.cumsum(draws) - draws, np.concatenate(drawn)
     while True:
-        for i in range(len(order)):  # one at a time: the old and new orders are never all alive
+        for i in resort:  # one at a time: the old and new orders are never all alive
             order[i] = order[i][np.argsort(node_of[order[i]], kind="stable")]
-        node = node_of[order[0]]
-        size = np.bincount(node)  # every live node holds a row
         k, start = len(size), np.cumsum(size) - size
+        node = np.repeat(np.arange(k), size)  # every live node holds a row
         next_id += k
         ys = y[row[order[0]]]
         cand = size > min_node_size
@@ -188,13 +207,15 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
             subset[cand] = False
             subset[np.flatnonzero(cand)[:, None], drawn[pick]] = True
         gain, feat, thr = np.zeros(k), np.full(k, _LEAF, dtype=np.int32), np.zeros(k)
+        n_left = np.zeros(k, dtype=np.intp)
         for f, o in enumerate(order[:p]):
             scan = cand & subset[:, f]
             if scan.any():
-                nodes, g, t = _best_cuts(x[row[o], f], y[row[o]], node, start, size, scan)
+                at = row[o]
+                nodes, g, t, n = _best_cuts(xt[f][at], y[at], node, start, size, scan)
                 better = g > gain[nodes] + 1e-12
                 nodes = nodes[better]
-                gain[nodes], feat[nodes], thr[nodes] = g[better], f, t[better]
+                gain[nodes], feat[nodes], thr[nodes], n_left[nodes] = g[better], f, t[better], n[better]
         split = feat != _LEAF
         ids = np.full(k, _LEAF, dtype=np.int32)
         ids[split] = next_id + 2 * np.arange(split.sum())
@@ -202,16 +223,19 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
         levels.append((feat, thr, ids, value))
         if not split.any():
             return levels
-        # a split node's rows move to its children by predict's <= rule; a leaf's drop out
-        went_right = ~(x[row[order[0]], feat[node]] <= thr[node])
-        node_of[order[0]] = np.where(split[node], ids[node] - next_id + went_right, _LEAF)
+        resort = [i for i in range(len(order)) if (feat[split] != i).any()]
+        if resort:  # a split node's rows move to its children by predict's <= rule
+            went_right = ~(xt.ravel()[feat[node] * len(x) + row[order[0]]] <= thr[node])
+            node_of[order[0]] = (2 * np.cumsum(split) - 2)[node] + went_right  # 2 * rank + side
+        keep = split[node]  # a leaf's rows drop out
         for i in range(len(order)):
-            order[i] = order[i][node_of[order[i]] != _LEAF]
+            order[i] = order[i][keep]
+        size = np.column_stack((n_left, size - n_left))[split].ravel()
         tree = np.repeat(tree[split], 2)
 
 
 def _best_cuts(xs, ys, node, start, size, scan):
-    """(nodes, gain, threshold) of each scanned node's first best cut on one feature.
+    """(nodes, gain, threshold, rows left) of each scanned node's first best cut on one feature.
 
     `xs`, `ys` are the live positions in this feature's order; the gain is
     sum(S_c^2/n_c) - S^2/n over the two children.
@@ -223,7 +247,7 @@ def _best_cuts(xs, ys, node, start, size, scan):
     ok[(start + size - 1)[:-1]] = False  # a cut never spans two nodes
     cut = np.flatnonzero(ok)
     if cut.size == 0:
-        return cut, np.zeros(0), np.zeros(0)
+        return cut, np.zeros(0), np.zeros(0), cut
     c_node = node[cut]
     n_left = (cut - start[c_node] + 1).astype(float)
     s_left = csum[cut] - before[c_node]
@@ -237,7 +261,7 @@ def _best_cuts(xs, ys, node, start, size, scan):
         mid = (xs[i] + xs[i + 1]) / 2.0
     # a midpoint that rounds up to (or overflows past) xs[i + 1] would send every row left
     gain = score[hit] - total[nodes] * total[nodes] / size[nodes]
-    return nodes, gain, np.where(mid < xs[i + 1], mid, xs[i])
+    return nodes, gain, np.where(mid < xs[i + 1], mid, xs[i]), i + 1 - start[nodes]
 
 
 def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.ndarray:

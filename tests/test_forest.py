@@ -1,6 +1,7 @@
 """The level-wise grower against a one-node-at-a-time reference, and the
 forest's read paths (step tables, out-of-bag averages) against predict."""
 
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nof1twin import forest as forest_module
-from nof1twin.core import SeedSpec
+from nof1twin import harness
+from nof1twin.core import SeedSpec, assemble_features
+from nof1twin.errors import ConfigError
 from nof1twin.forest import _LEAF, FlatForest, build_forest, oob_predictions
 from nof1twin.harness import Method, MethodOptions, StudyConfig, default_study_params, replicate
 from nof1twin.models import ForestConfig
@@ -152,10 +155,24 @@ class TestLevelWiseEqualsReference:
         _assert_same_forest(x, y, 7, mtry, node, SeedSpec(seed))
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99))
-    def test_single_feature(self, data, node, seed):
+    @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99),
+           rows=st.sampled_from([None, 0.5, 2.0]))
+    def test_single_feature(self, data, node, seed, rows):
+        # no order is re-sorted after the presort; bootstraps of n, n/2 and 2n rows
         x, y = data.draw(_labelled_rows(1))
-        _assert_same_forest(x, y, 7, 1, node, SeedSpec(seed))
+        sampler = rows and (lambda k, rng, n: rng.integers(0, n, size=int(rows * n)))
+        _assert_same_forest(x, y, 7, 1, node, SeedSpec(seed), sampler)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99),
+           mtry=st.integers(1, 2), at=st.integers(0, 1), twin=st.booleans())
+    def test_splits_on_one_feature(self, data, node, seed, mtry, at, twin):
+        # a constant column never splits, and with both columns scanned a
+        # duplicated one never beats its twin: one feature takes every split,
+        # so its own order is never re-sorted and the other one is
+        x, y = data.draw(_labelled_rows(1))
+        x = np.insert(x, at, x[:, 0] if twin else 2.5, axis=1)
+        _assert_same_forest(x, y, 7, mtry, node, SeedSpec(seed))
 
 
 def test_gains_within_the_margin_keep_the_earlier_feature():
@@ -187,6 +204,17 @@ def test_tree_batches_do_not_change_the_forest(monkeypatch):
         sampler = lambda k, rng, n_, sizes=sizes: rng.integers(0, n_, size=sizes[k % len(sizes)])
         _assert_same_forest(x, y, 9, 2, 1, SeedSpec(2), sampler)
         _assert_same_forest(x, y, 9, 1, 2, SeedSpec(5), sampler)
+        _assert_same_forest(x[:, 1:2], y, 9, 1, 1, SeedSpec(7), sampler)  # p = 1: no re-sort
+
+
+@pytest.mark.parametrize("boot", [[0, -1, 2], [], [0, 30], [[0, 1]], [0.0, 1.0]],
+                         ids=["negative", "empty", "past-the-end", "2-d", "floats"])
+def test_bootstraps_outside_the_rows_are_refused(boot):
+    # position -1 would train tree 1 on row n - 1 but count it in-bag for tree 0
+    x, y = np.arange(30.0)[:, None], np.arange(30.0)
+    sampler = lambda k, rng, n: np.arange(n) if k != 1 else np.array(boot)
+    with pytest.raises(ConfigError, match="tree 1"):
+        build_forest(x, y, 3, 1, 1, SeedSpec(0), sampler)
 
 
 def test_study_forest_estimates_are_pinned():
@@ -202,6 +230,59 @@ def test_study_forest_estimates_are_pinned():
         (2, "motr-rf"): "0.7872666357775785",
         (2, "pstn-rf"): "-6.037596929883488",
     }
+
+
+def _forest_digest(forest, inbag, x, col):
+    """SHA-256 over the node arrays, the in-bag matrix, the out-of-bag values and
+    the step table on column `col` at every distinct row of x with `col` zeroed."""
+    f = np.unique(np.where(np.arange(x.shape[1]) == col, 0.0, x), axis=0)
+    cuts = np.unique(forest.threshold[forest.feature == col])
+    digest = hashlib.sha256()
+    for a in (forest.feature, forest.threshold, forest.left, forest.value, forest.roots, inbag,
+              oob_predictions(forest, inbag, x), forest.step_table(f, col, cuts)):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _pinned_forests():
+    """name -> (x, y, n_trees, mtry, min_node_size, seed, sampler, lag column) of each
+    forest whose bytes are pinned."""
+    arco, prop = default_study_params()
+    study = StudyConfig(h_datasets=2, m_analysis=220, params=arco, propensity=prop, seed=1,
+                        options=MethodOptions(forest=ForestConfig(n_trees=100)))
+    ds, seed, opts = harness._dataset_for(study, 1), study.seed.child(1), study.options
+    # the outcome and propensity forests that motr-rf and pstn-rf grow on study dataset h = 1
+    for name, spec, target, ns, classification in (
+            ("study-outcome", opts.outcome_spec, ds.y, harness._NS_FOREST_OUTCOME, False),
+            ("study-propensity", opts.propensity_spec, ds.x, harness._NS_FOREST_PROPENSITY, True)):
+        fm = assemble_features(ds, spec)
+        yield name, (fm.values, target[fm.dropped_head:].astype(float), 100,
+                     *opts.forest.resolve(len(fm.columns), classification), seed.child(ns), None,
+                     fm.columns.index("y_lag1"))
+    rng = np.random.default_rng(7)  # 364 rows: 90 trees per batch, so batches of 90 and 10
+    x = np.column_stack([rng.integers(0, 2, (364, 3)), rng.integers(0, 3, (364, 3)),
+                         rng.normal(size=364)]).astype(float)
+    yield "p7-mtry2", (x, x[:, 0] + x[:, 6] + rng.normal(size=364), 100, 2, 5, SeedSpec(11), None, 6)
+    x = rng.normal(size=(80, 1)).round(1)
+    halves = lambda k, rng, n: rng.integers(0, n, size=n // 2 if k % 2 else 2 * n)
+    yield "p1-unequal-boots", (x, (rng.random(80) < 0.4).astype(float), 30, 1, 1, SeedSpec(4),
+                               halves, 0)
+
+
+# a faster grower or read path must keep every one of these bytes
+_FOREST_DIGESTS = {
+    "study-outcome": "4503aa0fc5f551d625db86f1777411e11702f54ea31673f37ab591400a83bfa7",
+    "study-propensity": "08605fcc10df69ba31376d73a213d918f78270c1e42d066ad8fe456b95fd7040",
+    "p7-mtry2": "74a2be12f48f6fdb71066c9a3f120de111a4301aaa74067db4b85a2c4ae1680a",
+    "p1-unequal-boots": "8b821e92f7b27fd0175571971ac43db7906fda2c836912f69948dd4412080ac9",
+}
+
+
+@pytest.mark.parametrize("name", list(_FOREST_DIGESTS))
+def test_forest_bytes_are_pinned(name):
+    x, y, n_trees, mtry, node, seed, sampler, col = dict(_pinned_forests())[name]
+    forest, inbag = build_forest(x, y, n_trees, mtry, node, seed, sampler)
+    assert _forest_digest(forest, inbag, x, col) == _FOREST_DIGESTS[name]
 
 
 def _visits(forest, x):
@@ -300,9 +381,14 @@ class TestStepTable:
         f[:, col] = 0.0
         with pytest.MonkeyPatch.context() as mp:  # blocks that end inside a row's columns
             mp.setattr(forest_module, "_PAIRS", pairs)
-            _assert_table_is_predict(forest, f, col)
+            cuts = _assert_table_is_predict(forest, f, col)
             no_lag = forest.step_table(f, None, np.zeros(0))
+            descended = []  # each (row, tree) pair reaches the descent once
+            mp.setattr(forest, "_descend", lambda f_, row, tree, *rest: descended.append(
+                row * n_trees + tree) or FlatForest._descend(forest, f_, row, tree, *rest))
+            forest.step_table(f, col, cuts)
         assert no_lag.tobytes() == forest.predict(f)[:, None].tobytes()
+        assert np.array_equal(np.sort(np.concatenate(descended)), np.arange(len(f) * n_trees))
 
     @pytest.mark.parametrize("a", [1.0 + 2.0**-52, 1e308], ids=["adjacent-doubles", "overflow"])
     def test_threshold_at_the_lower_value(self, a):
