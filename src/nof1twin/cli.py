@@ -10,6 +10,7 @@ artifacts alone.  Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -383,9 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parsing leaves a parser as it was: one serves every call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -262,19 +262,17 @@ def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
     with '#' are ignored.  Missing or non-numeric cells raise DataError with
     the offending line number.
     """
-    rows: list[list[str]] = []
-    line_nos: list[int] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if raw.startswith("#") or not raw.strip():
-                    continue
-                rows.append(next(csv.reader([raw])))
-                line_nos.append(lineno)
+            kept = [(n, raw) for n, raw in enumerate(fh, 1) if raw.strip() and not raw.startswith("#")]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if not rows:
+    if not kept:
         raise DataError(f"{path}: no header row found")
+    line_nos, lines = zip(*kept)
+    rows = list(csv.reader(lines))
+    if len(rows) != len(lines):  # a quoted cell ran past its line: read each line on its own
+        rows = [next(csv.reader([raw])) for raw in lines]
     header, data, data_lines = rows[0], rows[1:], line_nos[1:]
     if header[:3] != ["t", "y", "x"]:
         raise DataError(f"{path}: header must start with t,y,x (got {header[:3]})")
@@ -283,19 +281,23 @@ def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
         raise DataError(f"{path}: column name {repeated[0]!r} repeats in the header")
     if not data:
         raise DataError(f"{path}: no data rows")
-    parsed = np.empty((len(data), len(header)))
-    for i, (cells, lineno) in enumerate(zip(data, data_lines)):
-        if len(cells) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
-        for j, cell in enumerate(cells):
-            if cell.strip() == "":
-                raise DataError(f"{path}:{lineno}: missing value in column {header[j]!r}")
-            try:
-                parsed[i, j] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column {header[j]!r}"
-                ) from None
+    try:
+        parsed = np.array([list(map(float, cells)) for cells in data])
+    except ValueError:  # a ragged row or a bad cell
+        parsed = np.empty(0)
+    if parsed.shape != (len(data), len(header)):  # find the first bad row or cell and name its line
+        for cells, lineno in zip(data, data_lines):
+            if len(cells) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}")
+            for name, cell in zip(header, cells):
+                if cell.strip() == "":
+                    raise DataError(f"{path}:{lineno}: missing value in column {name!r}")
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: non-numeric value {cell!r} in column {name!r}"
+                    ) from None
     if not np.array_equal(parsed[:, 0], np.arange(1, len(parsed) + 1)):
         raise DataError(f"{path}: period column t must be contiguous integers starting at 1")
     exog = {name: parsed[:, 3 + k] for k, name in enumerate(exog_names)}

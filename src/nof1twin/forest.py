@@ -11,7 +11,11 @@ one), then stably by node after each level where a node split on another
 feature (in its split feature's order a node's rows are already in child
 order, as in SPRINT's presorted lists), so each node's rows stay sorted per
 feature with ties in bootstrap order; a leaf sums its labels in feature 0's
-order.
+order.  A forest over one feature with labels exactly 0.0 or 1.0 (every
+default pstn-rf propensity forest) grows on slots instead (_grow_slots).  Its
+label sums are integers below 2^53, the same doubles in any order, and it
+scores the same cuts in the same order through _first_best, so its node
+arrays are _grow's, bit for bit.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -160,10 +164,13 @@ def build_forest(
     levels: list[tuple[np.ndarray, ...]] = []
     roots: list[int] = []
     per_batch = max(1, _BATCH_ROWS // n)
+    # 0/1 labels, exactly: every label sum is an integer, so in any order the same double
+    slots = p == 1 and mtry >= 1 and y.tobytes() == (y == 1).astype(float).tobytes()
     for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
         first = sum(len(level[0]) for level in levels)
         roots += range(first, first + len(boots[trees]))
-        levels += _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first)
+        levels += (_grow_slots(x[:, 0], y, boots[trees], min_node_size, first) if slots
+                   else _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first))
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
     return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32)), inbag
 
@@ -234,34 +241,78 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
         tree = np.repeat(tree[split], 2)
 
 
-def _best_cuts(xs, ys, node, start, size, scan):
-    """(nodes, gain, threshold, rows left) of each scanned node's first best cut on one feature.
+def _grow_slots(x, y, boots, min_node_size, next_id):
+    """_grow for one feature `x` and 0/1 labels, on slots: the runs of one tree's
+    positions that share a value rank, in _grow's presorted order.  A node is a
+    slot range [a, b) and splits at a slot boundary into [a, j) and [j, b).  Its
+    size and label sum are differences of two prefix sums; a cut between slots
+    reads the values at their first and last positions (-0.0 and +0.0 share a rank)."""
+    row, ranks = np.concatenate(boots), np.unique(x, return_inverse=True)[1]
+    tree = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
+    key = (tree * (ranks.max() + 1) + ranks[row]).astype(np.min_scalar_type(len(boots) * len(x)))
+    order = np.argsort(key, kind="stable")
+    head = np.flatnonzero(np.concatenate(([True], key[order[1:]] != key[order[:-1]])))
+    count = np.append(head, len(row))  # count[s]: positions ahead of slot s
+    xs, label = x[row[order]], np.concatenate(([0.0], np.cumsum(y[row[order]])))[count]
+    first, last = xs[head], xs[count[1:] - 1]
+    valid = last[:-1] < first[1:]  # cut c between slots c and c + 1, as _best_cuts' xs[i] < xs[i + 1]
+    a = np.searchsorted(tree[order[head]], np.arange(len(boots)))
+    b, count, levels = np.append(a[1:], len(head)), count.astype(float), []
+    while True:
+        k, size, total = len(a), count[b] - count[a], label[b] - label[a]
+        cand = np.flatnonzero((size > min_node_size) & (total > 0) & (total < size))
+        width = (b - a - 1)[cand]
+        cut = np.repeat(a[cand] - np.cumsum(width) + width, width) + np.arange(width.sum())
+        c_node = np.repeat(cand, width)
+        cut, c_node = cut[ok := valid[cut]], c_node[ok]
+        at, up = a[c_node], cut + 1
+        nodes, gain, thr, hit = _first_best(cut, c_node, count[up] - count[at],
+                                            label[up] - label[at], total, size, last, first)
+        nodes, thr, cut = nodes[better := gain > 1e-12], thr[better], cut[hit[better]] + 1
+        (feat, ids), thresh = np.full((2, k), _LEAF, dtype=np.int32), np.zeros(k)
+        next_id += k
+        feat[nodes], thresh[nodes], ids[nodes] = 0, thr, next_id + 2 * np.arange(len(nodes))
+        value = total / size
+        value[nodes] = 0.0
+        levels.append((feat, thresh, ids, value))
+        if not nodes.size:
+            return levels
+        a, b = np.column_stack((a[nodes], cut, cut, b[nodes])).reshape(-1, 2).T  # [a, j), [j, b)
 
-    `xs`, `ys` are the live positions in this feature's order; the gain is
-    sum(S_c^2/n_c) - S^2/n over the two children.
-    """
+
+def _best_cuts(xs, ys, node, start, size, scan):
+    """(nodes, gain, threshold, rows left) of each scanned node's first best cut on one
+    feature; `xs`, `ys` are the live positions in this feature's order."""
     csum = np.cumsum(ys)
     before = np.concatenate(([0.0], csum))[start]  # label sum ahead of each segment
     total = csum[start + size - 1] - before
     ok = (xs[:-1] < xs[1:]) & scan[node[:-1]]
     ok[(start + size - 1)[:-1]] = False  # a cut never spans two nodes
     cut = np.flatnonzero(ok)
-    if cut.size == 0:
-        return cut, np.zeros(0), np.zeros(0), cut
     c_node = node[cut]
     n_left = (cut - start[c_node] + 1).astype(float)
     s_left = csum[cut] - before[c_node]
+    nodes, gain, thr, hit = _first_best(cut, c_node, n_left, s_left, total, size, xs, xs)
+    return nodes, gain, thr, cut[hit] + 1 - start[nodes]
+
+
+def _first_best(cut, c_node, n_left, s_left, total, size, last, first):
+    """(nodes, gain, threshold, index into cut) of each node's first best cut.  Cut c
+    (ascending, grouped by c_node) leaves n_left rows with label sum s_left below
+    it, between values last[c] and first[c + 1]; the gain is sum(S_c^2/n_c) - S^2/n."""
+    if cut.size == 0:
+        return cut, np.zeros(0), np.zeros(0), cut
     score = s_left**2 / n_left + (total[c_node] - s_left) ** 2 / (size[c_node] - n_left)
     head = np.flatnonzero(np.concatenate(([True], c_node[1:] != c_node[:-1])))
     top = np.repeat(np.maximum.reduceat(score, head), np.diff(np.append(head, len(cut))))
     hit = np.flatnonzero(score == top)
     hit = hit[np.concatenate(([True], c_node[hit[1:]] != c_node[hit[:-1]]))]  # first per node
-    nodes, i = c_node[hit], cut[hit]
+    nodes, lo, hi = c_node[hit], last[cut[hit]], first[cut[hit] + 1]
     with np.errstate(over="ignore"):
-        mid = (xs[i] + xs[i + 1]) / 2.0
-    # a midpoint that rounds up to (or overflows past) xs[i + 1] would send every row left
+        mid = (lo + hi) / 2.0
+    # a midpoint that rounds up to (or overflows past) the value above would send every row left
     gain = score[hit] - total[nodes] * total[nodes] / size[nodes]
-    return nodes, gain, np.where(mid < xs[i + 1], mid, xs[i]), i + 1 - start[nodes]
+    return nodes, gain, np.where(mid < hi, mid, lo), hit
 
 
 def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.ndarray:

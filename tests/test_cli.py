@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nof1twin
+from nof1twin import cli
 from nof1twin.cli import _method_options, build_parser, main
 from nof1twin.core import TimeSeriesDataset, assemble_features, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
@@ -223,6 +224,28 @@ class TestMethodFlags:
         assert _method_options(analyze) == MethodOptions()
         replicate = parse(["replicate", "-o", "rep"])
         assert _method_options(replicate) == MethodOptions(forest=ForestConfig(n_trees=100))
+
+    def test_consecutive_calls_match_fresh_parsers(self, tmp_path, monkeypatch):
+        # main reuses one parser: no call's flags may reach the next call
+        monkeypatch.chdir(tmp_path)
+        sim = ["simulate", "--m", "60", "-o", "s.csv"]
+        pstn = ["analyze", "--data", "s.csv", "--method", "pstn-glm", "-o", "a.json"]
+        argvs = [[*sim, "--set", "betaAr=0.3"], sim,
+                 [*sim, "--set", "betaAr=0.3", "--set", "beta0=1"], sim,
+                 [*pstn, "--trim", "0.2", "0.8"], pstn, [*pstn, "--no-overlap"], pstn]
+
+        def outputs(fresh):
+            files = []
+            for argv in argvs:
+                if fresh:
+                    cli._parser.cache_clear()
+                assert main(argv) == 0
+                files.append(Path(argv[argv.index("-o") + 1]).read_bytes())
+            return files
+
+        expected = outputs(fresh=True)
+        assert len(set(expected[:4])) == 3 and len(set(expected[4:])) == 3  # each flag tells
+        assert outputs(fresh=False) == expected
 
 
 class TestReplicate:

@@ -138,6 +138,24 @@ class TestDataset:
         with pytest.raises(DataError, match="bad.csv:3"):
             load_table(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,y,x\n1,1.0,0\n2,2.0\n", "3: expected 3 cells, got 2"),
+        ("t,y,x\n1,1.0,0,7\n2,2.0,1,7\n", "2: expected 3 cells, got 4"),
+        ("t,y,x\n1,1.0,0\n2,,1\n", "3: missing value in column 'y'"),
+        ("t,y,x\n1,1.0,  \n", "2: missing value in column 'x'"),
+        ("t,y,x\n1,1.0,0\n2,oops,1\n", "3: non-numeric value 'oops' in column 'y'"),
+        ("# a\n\nt,y,x\n# b\n1,1.0,0\n  \n\n2,2.0,1,\n", "8: expected 3 cells, got 4"),
+        ("# a\nt,y,x\n\n1,1.0,0\n# 2,x,1\n2,x,1\n", "6: non-numeric value 'x' in column 'y'"),
+        ('t,y,x\n1,"2,0\n2,3",1\n', "2: expected 3 cells, got 2"),
+    ], ids=["short-row", "long-rows", "empty-cell", "blank-cell", "non-numeric",
+            "ragged-after-comments", "non-numeric-after-comments", "quote-past-its-line"])
+    def test_csv_error_names_its_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_table(path)
+        assert str(err.value) == f"{path}:{message}"
+
 
 class TestWriteCsv:
     def test_cell_rule(self, tmp_path):

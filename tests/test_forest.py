@@ -399,3 +399,64 @@ class TestStepTable:
         forest, _ = build_forest(x, y, 3, 2, 1, SeedSpec(0), index_sampler=identity)
         f = np.array([[0.0, 0.0], [1.0, 0.0], [-0.0, 0.0], [2.0, 0.0]])
         assert a in _assert_table_is_predict(forest, f, 1)
+
+
+def _grow_by_positions(x, y, boots, min_node_size, first_id):
+    """The general grower in the slot grower's place."""
+    return forest_module._grow(x[:, None], y, boots, [], 1, min_node_size, first_id)
+
+
+class TestSlotGrower:
+    """A forest over one feature with 0/1 labels grows on slots; its bytes are _grow's."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99),
+           rows=st.sampled_from([0.5, 1.0, 2.0]), per_batch=st.sampled_from([1, 3, None]))
+    def test_node_arrays_equal_grow(self, data, node, seed, rows, per_batch):
+        # ties, zeros of both signs and the subnormals beside them, infinities, NaN,
+        # neighbouring doubles whose midpoint rounds up or overflows; bootstraps of
+        # n/2, n and 2n rows, in batches of one tree, three trees or all seven
+        values = np.append(_LAGS, [5e-324, -5e-324, np.inf, -np.inf, np.nan])
+        n = data.draw(st.integers(20, 60))
+        x = values[data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))]
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+        sampler = lambda k, rng, n_: rng.integers(0, n_, size=int(rows * n_))
+        grown = []
+        with pytest.MonkeyPatch.context() as mp:
+            if per_batch:
+                mp.setattr(forest_module, "_BATCH_ROWS", per_batch * n)
+            for grower in (forest_module._grow_slots, _grow_by_positions):
+                mp.setattr(forest_module, "_grow_slots", grower)
+                forest, inbag = build_forest(x[:, None], y, 7, 1, node, SeedSpec(seed), sampler)
+                grown.append([forest.feature, forest.threshold, forest.left, forest.value,
+                              forest.roots, inbag])
+        for new, ref in zip(*grown):
+            assert new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("zeros", [[-0.0, 0.0], [0.0, -0.0]], ids=["last-plus", "last-minus"])
+    def test_threshold_below_infinity_is_the_zero_at_the_last_position(self, zeros):
+        # (0 + inf) / 2 is no midpoint, so the threshold falls back to the lower
+        # value, read at the last position of the zeros' slot as _best_cuts reads it
+        x = np.array(zeros * 3 + [np.inf] * 6)[:, None]
+        identity = lambda k, rng, n: np.arange(n)
+        forest, _ = build_forest(x, np.repeat([0.0, 1.0], 6), 1, 1, 1, SeedSpec(0), identity)
+        assert forest.threshold[:1].tobytes() == np.array(zeros[-1:]).tobytes()
+
+    @pytest.mark.parametrize("labels, p, slots", [
+        ([0.0, 1.0], 1, True),
+        ([0.0, 1.0], 2, False),
+        ([0.0, 1.0, 0.5], 1, False),
+        ([0.0, 2.0], 1, False),
+        ([0.0, 1.0, -0.0], 1, False),  # a leaf of -0.0 labels sums to -0.0 in _grow
+        ([0.0, 1.0, np.nan], 1, False),
+    ], ids=["0/1", "p=2", "real", "0/2", "negative-zero", "nan"])
+    def test_only_one_feature_and_0_1_labels_take_slots(self, monkeypatch, labels, p, slots):
+        rng = np.random.default_rng(1)
+        x = rng.integers(0, 5, size=(30, p)).astype(float)
+        y = np.resize(np.array(labels), 30)
+        calls = []
+        grow_slots = forest_module._grow_slots
+        monkeypatch.setattr(forest_module, "_grow_slots",
+                            lambda *args: calls.append(args) or grow_slots(*args))
+        build_forest(x, y, 3, p, 1, SeedSpec(0))
+        assert bool(calls) == slots
