@@ -369,11 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("-o", "--out-prefix", required=True, help="prefix for _rows.csv/_summary.csv")
     rep.set_defaults(func=cmd_replicate)
 
-    orc = sub.add_parser("oracle", help="exact enumeration for small noise-free systems")
+    orc = sub.add_parser("oracle", help="exact average effect of the noise-free system")
     add_params(orc)
-    orc.add_argument(
-        "--m", type=int, help="periods to enumerate (<= 12 permutation mode, <= 20 iid mode)"
-    )
+    orc.add_argument("--m", type=int, help="series length (default 220)")
     orc.add_argument("--mode", choices=["permutation", "iid"], default="permutation")
     orc.add_argument("--m1", type=int, help="number of exposed periods (permutation mode)")
     orc.add_argument("--pi", type=float, help="exposure probability (iid mode)")

@@ -166,8 +166,9 @@ def _target(fm: FeatureMatrix, values: np.ndarray, outcome: bool) -> np.ndarray:
     return values
 
 
-def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """Intercept-augmented, full-rank design matrix for the GLM fitters.
+def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray, tuple]:
+    """Intercept-augmented, full-rank design matrix for the GLM fitters, with
+    the pivoted QR (Q, R, pivot) of its rank check: ``design[:, pivot] == Q @ R``.
 
     A full quartile indicator block is collinear with the intercept, so the
     first slot is dropped as the reference level (its effect is absorbed by
@@ -184,32 +185,32 @@ def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray]:
     n, p = design.shape
     if n < p + 1:
         raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
-    _, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
+    q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = _RANK_TOL * max(design.shape) * (diag[0] if diag.size else 1.0)
     rank = int((diag > tol).sum())
     if rank < p:
         collinear = [names[j] for j in pivot[rank:]]
         raise EstimatorError(f"design matrix is rank deficient; collinear column(s): {collinear}")
-    return design, names, keep
+    return design, names, keep, (q, r, pivot)
 
 
 def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedModel:
     """Least-squares outcome fit with intercept.
 
-    Coefficients minimize the sum of squared residuals via QR; resid_sd is
-    the sample SD of residuals with denominator n - p.
+    Coefficients minimize the sum of squared residuals via the design's
+    pivoted QR; resid_sd is the sample SD of residuals with denominator n - p.
     """
     y = _target(fm, y, outcome=True)
-    design, names, keep = _design(fm)
+    design, names, keep, (q, r, pivot) = _design(fm)
     n, p = design.shape
-    q, r = np.linalg.qr(design)
-    beta = scipy.linalg.solve_triangular(r, q.T @ y)
+    beta, se = np.empty(p), np.empty(p)
+    beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
     resid = y - design @ beta
     ssr = float(resid @ resid)
     resid_sd = math.sqrt(max(ssr, 0.0) / (n - p))
     r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
-    se = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
+    se[pivot] = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
     return FittedModel(
         kind="linear",
         columns=fm.columns,
@@ -229,7 +230,7 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
     downstream trimming still functions.
     """
     x = _target(fm, x, outcome=False)
-    design, names, keep = _design(fm)
+    design, names, keep, _ = _design(fm)
     beta = np.zeros(design.shape[1])
     separated = False
     trace: list[float] = []

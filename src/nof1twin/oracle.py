@@ -1,52 +1,50 @@
-"""Exact enumeration of small noise-free linear systems.
+"""Exact average effects of noise-free linear systems.
 
-This is the anti-drift ground truth for the randomization estimator: every
-admissible exposure sequence is enumerated, potential outcomes are rolled
-forward recursively with the noise term at zero (valid because the mechanism
-is linear in the noise), and contemporaneous average potential outcomes are
-combined into the exact effect.
+This is the anti-drift ground truth for the randomization estimator.  Every
+mechanism has the form y_t = a(x_t, x_{t-1}) + v_t + b(x_t) y_{t-1}, so one
+forward recursion over the states (period, exposures used so far, current
+exposure) is exact: each state carries only its probability mass and its
+mass-weighted outcome, and one step maps both linearly.  The noise term has
+mean zero and drops out.
 
 Two history laws are supported:
 
-* ``iid``: histories weighted by Bernoulli(pi) products, the current slot
-  forced to each exposure level.  This is the randomized-experiment average
-  effect, with contrasts averaged over the generated periods t = 2..m.
-* ``permutation``: histories weighted uniformly over all fixed-margin
-  arrangements, with per-period averages normalized by each sequence's
-  realized arm sizes over the generated periods.  This matches the
+* ``iid``: exposures i.i.d. Bernoulli(pi), each period's contrast taken
+  between its two exposure levels.  This is the randomized-experiment average
+  effect, averaged over the generated periods t = 2..m; the state is x_t
+  alone, so the cost is O(m).
+* ``permutation``: exposures uniform over all fixed-margin arrangements, so
+  the next exposure is 1 with probability (m1 - k) / (m - t) after k of the
+  first t.  Per-period averages are normalized by the realized arm sizes
+  over the generated periods, which x_1 fixes.  This matches the
   randomization estimator's arm means exactly, so the two routes can be
-  compared at 1e-10 while remaining independently implemented.
-
-Sums are accumulated with numpy's pairwise summation, so results are
-invariant to enumeration order at the 1e-12 level.
+  compared at 1e-10 while remaining independently implemented.  The cost is
+  O(m * m1) time and O(m1) memory.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arco import ArcoParams
 from .core import validate_finite
-from .errors import ConfigError, EstimatorError
+from .errors import ConfigError
 
 MODE_PERMUTATION = "permutation"
 MODE_IID = "iid"
 
-MAX_M_PERMUTATION = 12
-MAX_M_IID = 20
-
 
 @dataclass(frozen=True)
 class EnumSpec:
-    """What to enumerate: length, history law, coefficients, initial level.
+    """What to solve: length, history law, coefficients, initial level.
 
     ``y_init`` seeds the lagged outcome for generating t = 2 (the same
     convention as the randomization estimator's rollouts); when omitted it
     defaults to the mechanism's noise-free first-period level ``beta0`` (plus
-    any exogenous contribution).
+    any exogenous contribution).  Each mode takes its own margin only:
+    ``m1`` in permutation mode, ``pi`` in iid mode.
     """
 
     m: int
@@ -61,18 +59,20 @@ class EnumSpec:
         if self.mode not in (MODE_PERMUTATION, MODE_IID):
             raise ConfigError(f"mode must be {MODE_PERMUTATION!r} or {MODE_IID!r}")
         if self.params.sigma_eps != 0.0:
-            raise ConfigError("enumeration requires sigma_eps = 0 (expectations at the mean)")
+            raise ConfigError("the oracle requires sigma_eps = 0 (expectations at the mean)")
+        if self.m < 2:
+            raise ConfigError("the oracle needs m >= 2")
         if self.mode == MODE_PERMUTATION:
-            if not 2 <= self.m <= MAX_M_PERMUTATION:
-                raise ConfigError(f"permutation mode supports 2 <= m <= {MAX_M_PERMUTATION}")
+            if self.pi is not None:
+                raise ConfigError("permutation mode takes m1, not pi")
             if self.m1 is None or not 2 <= self.m1 <= self.m - 2:
                 raise ConfigError(
                     "permutation mode needs 2 <= m1 <= m-2 so every arrangement keeps "
                     "both arms populated over the generated periods"
                 )
         else:
-            if not 2 <= self.m <= MAX_M_IID:
-                raise ConfigError(f"iid mode supports 2 <= m <= {MAX_M_IID}")
+            if self.m1 is not None:
+                raise ConfigError("iid mode takes pi, not m1")
             if self.pi is None or not 0.0 <= self.pi <= 1.0:
                 raise ConfigError("iid mode needs pi in [0, 1]")
         if self.exog_effect is not None and len(self.exog_effect) != self.m:
@@ -93,25 +93,18 @@ class EnumSpec:
         return self.params.beta0 + float(self.v_effect()[0])
 
 
-def _po(params: ArcoParams, s: float, x_prev: np.ndarray, y_prev: np.ndarray, v_t: float):
-    """Potential outcome at exposure level s given the previous period's state."""
+def _arrive(p: ArcoParams, s: float, v_t: float, mass: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Mass-weighted outcome of moving every state to exposure level s.
+
+    Axis 0 of ``mass`` and ``wy`` is the previous exposure; the mechanism is
+    linear in the previous outcome, so its mass-weighted value ``wy`` is all
+    the history it needs.
+    """
     return (
-        params.beta0
-        + params.beta_x * s
-        + params.beta_co * x_prev
-        + params.beta_xco * s * x_prev
-        + params.beta_ar * y_prev
-        + params.beta_xar * s * y_prev
-        + v_t
+        (p.beta0 + p.beta_x * s + v_t) * mass.sum(axis=0)
+        + (p.beta_co + p.beta_xco * s) * mass[1]
+        + (p.beta_ar + p.beta_xar * s) * wy.sum(axis=0)
     )
-
-
-def _permutation_matrix(m: int, m1: int) -> np.ndarray:
-    combos = list(itertools.combinations(range(m), m1))
-    x = np.zeros((len(combos), m), dtype=np.int8)
-    for i, ones in enumerate(combos):
-        x[i, list(ones)] = 1
-    return x
 
 
 def enumerate_apte(spec: EnumSpec) -> float:
@@ -121,45 +114,33 @@ def enumerate_apte(spec: EnumSpec) -> float:
     m = spec.m
 
     if spec.mode == MODE_PERMUTATION:
-        x = _permutation_matrix(m, spec.m1)
-        n_seq = x.shape[0]
-        n1 = x[:, 1:].sum(axis=1).astype(float)
+        m1 = spec.m1
+        used = np.arange(m1 + 1)
+        n1 = m1 - np.arange(2.0)  # exposed generated periods, given x_1 = 0, 1
         n0 = (m - 1) - n1
-        if np.any(n1 == 0) or np.any(n0 == 0):
-            raise EstimatorError("an arrangement leaves an arm empty over generated periods")
-        # Weight of sequence q for the level-s average at period t:
-        #   I(x_qt = s) / (n_seq * arm size of s in q over t >= 2)
-        y_prev = np.full(n_seq, spec.initial_level())
-        contrast_sum = 0.0
-        for t in range(2, m + 1):
-            x_prev = x[:, t - 2].astype(float)
-            x_t = x[:, t - 1].astype(float)
-            po1 = _po(p, 1.0, x_prev, y_prev, v[t - 1])
-            po0 = _po(p, 0.0, x_prev, y_prev, v[t - 1])
-            capo1 = float(np.sum(po1 * x_t / n1)) / n_seq
-            capo0 = float(np.sum(po0 * (1.0 - x_t) / n0)) / n_seq
-            contrast_sum += capo1 - capo0
-            y_prev = np.where(x_t == 1.0, po1, po0)
-        # Each per-period weighted average carries total mass 1/(m-1), so the
-        # sum of contrasts is already the mean over generated periods.
-        return contrast_sum
+        # States indexed (x_t, x_1, exposures used so far); P(x_1 = 1) = m1 / m.
+        mass = np.zeros((2, 2, m1 + 1))
+        mass[0, 0, 0] = (m - m1) / m
+        mass[1, 1, 1] = m1 / m
+        wy = mass * spec.initial_level()
+        total = 0.0
+        for t in range(1, m):  # t periods drawn, draw period t + 1
+            p_one = (m1 - used) / (m - t)  # 0 at used == m1: the rolls wrap zeros
+            one = p_one * _arrive(p, 1.0, v[t], mass, wy)
+            zero = (1.0 - p_one) * _arrive(p, 0.0, v[t], mass, wy)
+            total += float(np.sum(one.sum(axis=1) / n1 - zero.sum(axis=1) / n0))
+            prior = mass.sum(axis=0)
+            mass = np.stack([(1.0 - p_one) * prior, np.roll(p_one * prior, 1, axis=1)])
+            wy = np.stack([zero, np.roll(one, 1, axis=1)])
+        # each period's arm-normalized contrast carries mass 1/(m-1): the sum is the mean
+        return total
 
-    # iid mode: enumerate all 2^m sequences, weighted by Bernoulli products.
-    pi = float(spec.pi)
-    n_seq = 1 << m
-    idx = np.arange(n_seq, dtype=np.uint32)
-    ones = np.zeros(n_seq, dtype=np.int64)
-    for b in range(m):
-        ones += (idx >> b) & 1
-    w = np.power(pi, ones) * np.power(1.0 - pi, m - ones)
-    y_prev = np.full(n_seq, spec.initial_level())
+    # iid mode: x_t has the same law at every period, so it is the whole state
+    law = np.array([1.0 - spec.pi, spec.pi])
+    wy = law * spec.initial_level()
     total = 0.0
-    for t in range(2, m + 1):
-        x_prev = ((idx >> (t - 2)) & 1).astype(float)
-        x_t = ((idx >> (t - 1)) & 1).astype(float)
-        po1 = _po(p, 1.0, x_prev, y_prev, v[t - 1])
-        po0 = _po(p, 0.0, x_prev, y_prev, v[t - 1])
-        total += float(np.sum(w * (po1 - po0)))
-        y_prev = np.where(x_t == 1.0, po1, po0)
+    for t in range(1, m):
+        arrive = np.array([_arrive(p, s, v[t], law, wy) for s in (0.0, 1.0)])
+        total += float(arrive[1] - arrive[0])
+        wy = law * arrive
     return total / (m - 1)
-
