@@ -89,12 +89,13 @@ def _parse_kv(text: str) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _resolve_params(args: argparse.Namespace, *flags: str, **defaults) -> dict:
-    """The simulation-parameter configuration, in rising precedence: the study's
-    defaults, `defaults`, the params file, `--set`, then each given flag of `flags`."""
+def _resolve_params(args: argparse.Namespace, *flags: str, read=_PARAM_FIELDS, **defaults) -> dict:
+    """The configuration of the simulation-parameter keys `read`, in rising precedence:
+    the study's defaults, `defaults`, the params file, `--set`, then each given flag of
+    `flags`.  A params-file line or `--set` of any other key is a config error."""
     arco, prop = default_study_params()
     source = {ArcoParams: vars(arco), PropensityParams: vars(prop), SimConfig: _SIM_DEFAULTS}
-    resolved = {key: source[cls][name] for key, (cls, name) in _PARAM_FIELDS.items()} | defaults
+    resolved = {k: source[cls][name] for k, (cls, name) in _PARAM_FIELDS.items() if k in read} | defaults
     entries: list[tuple[str, str]] = []  # (key=value text, origin)
     if args.params is not None:
         try:
@@ -110,6 +111,8 @@ def _resolve_params(args: argparse.Namespace, *flags: str, **defaults) -> dict:
         key, raw = _parse_kv(text)
         if key not in _PARAM_FIELDS:
             raise ConfigError(f"{origin}: unknown configuration key {key!r}")
+        if key not in resolved:
+            raise ConfigError(f"{origin}: {args.command} does not read configuration key {key!r}")
         kind = type(resolved[key])
         try:
             resolved[key] = _parse_bool(raw) if kind is bool else kind(raw)
@@ -278,24 +281,13 @@ def cmd_replicate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _resolve_params(args, "m", sigmaEps=0.0)  # EnumSpec rejects any other noise scale
-    arco = _build(ArcoParams, cfg)
+    read = [key for key, (cls, _) in _PARAM_FIELDS.items() if cls is ArcoParams or key == "m"]
+    cfg = _resolve_params(args, "m", read=read, sigmaEps=0.0)  # EnumSpec rejects other noise
     mode = MODE_PERMUTATION if args.mode == "permutation" else MODE_IID
-    spec = EnumSpec(
-        m=cfg["m"],
-        mode=mode,
-        params=arco,
-        m1=args.m1,
-        pi=args.pi,
-        y_init=args.y_init,
-    )
-    value = enumerate_apte(spec)
-    payload = {
-        "config": _echo(args, ("mode", "m1", "pi", "y_init"), cfg),
-        "mode": args.mode,
-        "m": cfg["m"],
-        "apte_exact": value,
-    }
+    spec = EnumSpec(m=cfg["m"], mode=mode, params=_build(ArcoParams, cfg), m1=args.m1, pi=args.pi,
+                    y_init=args.y_init)
+    payload = {"config": _echo(args, ("mode", "m1", "pi", "y_init"), cfg), "mode": args.mode,
+               "m": cfg["m"], "apte_exact": enumerate_apte(spec)}
     _write_json(payload, args.output)
     return 0
 

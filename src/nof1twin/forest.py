@@ -45,7 +45,7 @@ from .errors import ConfigError
 IndexSampler = Callable[[int, np.random.Generator, int], np.ndarray]
 
 _LEAF = -1
-_PAIRS = 1 << 14  # (point, tree) values per block in predict and step_table: bounds memory
+_PAIRS = 1 << 14  # (row, tree) pairs per block in predict, a quarter in step_table: bounds memory
 _BATCH_ROWS = 1 << 15  # rows grown together: bounds memory; 16-bit sort keys get numpy's radix sort
 
 
@@ -78,35 +78,28 @@ class FlatForest:
 
     __call__ = predict
 
-    def step_table(self, f: np.ndarray, col: int | None, cuts: np.ndarray) -> np.ndarray:
+    def step_table(self, f: np.ndarray, col: int, cuts: np.ndarray) -> np.ndarray:
         """predict at each row of f with f[row, col] set to each of cuts, then +inf,
-        (rows, len(cuts) + 1).  On one row a tree is a step function of f[:, col],
-        so each (row, tree) pair descends once, in blocks of whole rows of at most
-        _PAIRS // 4 pairs (a pair leaves a few pieces), into pieces that each cover
-        a run of cuts; they fill the (points, trees) matrix in _PAIRS-value blocks."""
+        (rows, len(cuts) + 1), to within rounding.  On one row a tree is a step function
+        of f[:, col], so each (row, tree) pair descends once, in blocks of whole rows, into
+        pieces of one leaf value over a run of cuts.  A piece adds its value at its first
+        point and subtracts it past its last (in a spare column past each row's end), and
+        a cumulative sum along the row sums the trees: O(pieces + points).  A row's sums
+        run in its own pieces' order, so no other row changes its values."""
         f, n_col, n_trees = np.asarray(f, dtype=float), len(cuts) + 1, self.n_trees
-        step, out = max(1, _PAIRS // n_trees), np.empty(len(f) * n_col)
-        rows, edge = max(1, step // 4), np.arange(n_trees) * len(out)
+        out, rows = np.empty((len(f), n_col)), max(1, _PAIRS // (4 * n_trees))
         for r in range(0, len(f), rows):
-            row, tree = np.divmod(np.arange(r * n_trees, min(r + rows, len(f)) * n_trees), n_trees)
-            node, tree, lo, hi = self._descend(f, row, tree, row * n_col, row * n_col + n_col, col, cuts)
-            key, width = edge[tree] + lo, hi - lo  # sorted, key orders pieces by tree, then point
-            del tree, lo, hi  # freed before filling: the pieces bound the memory
-            by_key = np.argsort(key)
-            value, key, width = self.value[node[by_key]], key[by_key], width[by_key]
-            for a in range(r * n_col, row[-1] * n_col + n_col, step):
-                b = min(a + step, row[-1] * n_col + n_col)
-                first = np.searchsorted(key, edge + a, side="right") - 1  # each tree's piece at a
-                count = np.searchsorted(key, edge + b) - first
-                i = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-                lo = key[i] - np.repeat(edge, count)
-                per_tree = np.repeat(value[i], np.minimum(lo + width[i], b) - np.maximum(lo, a))
-                # C-contiguous (points, trees) as predict_trees returns it: the same mean, to the bit
-                out[a:b] = np.ascontiguousarray(per_tree.reshape(n_trees, b - a).T).mean(axis=1)
-        return out.reshape(len(f), n_col)
+            part = f[r : r + rows]
+            row, tree = np.divmod(np.arange(len(part) * n_trees), n_trees)
+            node, lo, hi = self._descend(part, row, tree, row * n_col, row * n_col + n_col, col, cuts)
+            value, spare = self.value[node], lo // n_col  # one spare column per row before lo
+            edges = (np.bincount(lo + spare, value, len(part) * (n_col + 1))
+                     - np.bincount(hi + spare, value, len(part) * (n_col + 1)))
+            out[r : r + rows] = np.cumsum(edges.reshape(-1, n_col + 1), axis=1)[:, :-1] / n_trees
+        return out
 
     def _descend(self, f, row, tree, lo=None, hi=None, col=None, cuts=()):
-        """(leaf, tree, lo, hi) of each item (row of f, tree), one level per pass;
+        """(leaf, lo, hi) of each item (row of f, tree), one level per pass;
         without col no item splits, and the leaves come in item order.  Item i
         covers the points lo[i]..hi[i] - 1; point r * (len(cuts) + 1) + c is row
         r of f with f[r, col] = cuts[c] (+inf past the last), which a split on
@@ -126,10 +119,10 @@ class FlatForest:
                 both = (lo[i] < cut) & (cut < hi[i])  # the right part becomes a new item
                 i, kid, cut = i[both], kid[both], cut[both]
                 live = np.concatenate((live, np.arange(len(node), len(node) + len(i))))
-                node, row, tree, lo, hi = (np.concatenate(v) for v in zip(
-                    (node, row, tree, lo, hi), (kid + 1, row[i], tree[i], cut, hi[i])))
+                node, row, lo, hi = (np.concatenate(v) for v in zip(
+                    (node, row, lo, hi), (kid + 1, row[i], cut, hi[i])))
                 hi[i] = cut
-        return node, tree, lo, hi
+        return node, lo, hi
 
 
 def build_forest(

@@ -11,8 +11,10 @@ Runs are rolled out together, in blocks of at most _BLOCK_ROWS rollout rows
 (runs x (m - 1)), the first of at most _FIRST_BLOCK_RUNS runs and each later
 one twice the one before; the stopping rule is checked on the cumulative
 prefix after each block, so the runs of the last block past the stopping run
-are computed and then discarded.  Every twin predicts row by row and the
-cumulative sums are sequential, so no output depends on the block size.
+are computed and then discarded.  A step is one of two forms (_Rollout): an
+affine map for a linear twin with a continuous lag, a table lookup for every
+other twin.  Each acts on its own run's row alone and the cumulative sums
+are sequential, so no output depends on the block size.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
 then (when resid_sd > 0) the m-1 uniforms of its noise.  Each run shuffles
@@ -42,7 +44,6 @@ from .core import (
     _encode_block,
     as_seed,
     assemble_features,
-    encode_quartile,
     normals,
     quartile_bounds,
 )
@@ -59,6 +60,7 @@ _BLOCK_ROWS = 2**17
 # and a larger r_max rolls out at most this many runs before the stopping
 # rule is first checked.
 _FIRST_BLOCK_RUNS = 200
+_TABLE_VALUES = 2**22  # values (32 MiB) in a table built once; a larger one is built per chunk
 
 
 def arm_contrast(values: np.ndarray, arms: np.ndarray) -> np.ndarray:
@@ -154,47 +156,49 @@ class _Rollout:
     period's distinct exogenous row, n_lag = 1 without x_lag1), is encoded
     once.  A linear twin with a continuous lag is `affine`: split around the
     lag (FittedModel.linear.split), a step is head[s] + slope * lag plus each
-    tail[s] in turn, the operations of its predict.  Any other twin is
+    tail[s] in turn, the operations of its predict.  Every other twin is
     constant in the lag between sorted cuts (a forest's lag thresholds, the
     quartile bounds, none without a lag); its value at cut t_c (+inf past the
     last; the one-hot slots in quartile mode) holds on (t_(c-1), t_c], so a
-    step is one `table` lookup, unless the table would take more predictions
-    than the `walk_rows` the rollout walks: then it predicts every step.  A
-    forest's continuous-lag table comes from pieces of its trees
-    (FlatForest.step_table), any other from predict at each (row, cut) point.
+    step is one `table` lookup.  A forest's continuous-lag table is summed from
+    its trees' pieces (FlatForest.step_table), any other is predict at each
+    (row, cut) point.  A larger table than _TABLE_VALUES is built for `chunk`
+    periods at a time, over the static rows they use, as the steps reach them;
+    a table row depends on its static row alone, so chunks change no value.
     """
 
-    def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec,
-                 walk_rows: int):
-        self.y0, self.model, self.affine, self.table = float(ds.y[0]), model, None, None
+    def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec):
+        self.y0, self.affine, self.chunk = float(ds.y[0]), None, None
         own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
         self.lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
         exog, self.exog_row = np.unique(ds.exog_matrix(spec.exog_names)[1:], axis=0,
                                         return_inverse=True)
-        self.bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
+        bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
         self.n_lag = 2 if spec.use_exposure_lag1 else 1
         s = np.arange(2 * self.n_lag * len(exog))
         x_t, x_lag, e = s // (self.n_lag * len(exog)), s // len(exog) % self.n_lag, s % len(exog)
-        self.static = _encode_block(spec, x_t, x_lag, np.zeros(len(s)), exog[e], self.bounds)
+        self.static = _encode_block(spec, x_t, x_lag, np.zeros(len(s)), exog[e], bounds)
         if model.linear is not None and spec.outcome_lag_mode == LAG_CONTINUOUS:
             self.affine = model.linear.split(self.static, self.lag[0])
             return
-        if self.bounds is not None:
-            self.cuts, reps = np.asarray(self.bounds), np.eye(4)
+        if bounds is not None:
+            self.cuts, reps = np.asarray(bounds), np.eye(4)
         else:  # a linear twin gets here only without a lag
             forest = model.forest
-            self.cuts = np.unique(forest.threshold[np.isin(forest.feature, self.lag)]
-                                  if self.lag else [])
+            self.cuts = np.unique(forest.threshold[forest.feature == self.lag[0]] if self.lag else [])
             reps = np.append(self.cuts, np.inf)[:, None]
-        if len(s) * len(reps) > walk_rows:
-            return
-        if self.bounds is None and model.forest is not None:
-            self.table = model.forest.step_table(self.static, self.lag[0] if self.lag else None,
-                                                 self.cuts)
-        else:
-            points = np.repeat(self.static, len(reps), axis=0)
-            points[:, self.lag] = np.tile(reps, (len(s), 1))  # no-op without a lag
-            self.table = model.predict(points).reshape(len(s), -1)
+
+        def fill(static: np.ndarray) -> np.ndarray:
+            if bounds is None and self.lag:  # a forest with a continuous lag
+                return model.forest.step_table(static, self.lag[0], self.cuts)
+            points = np.repeat(static, len(reps), axis=0)
+            points[:, self.lag] = np.tile(reps, (len(static), 1))  # no-op without a lag
+            return model.predict(points).reshape(len(static), -1)
+
+        self.fill, self.table = fill, None
+        self.chunk = max(1, _TABLE_VALUES // (2 * self.n_lag * len(reps)))  # periods whose rows fit
+        if self.chunk >= len(exog):  # every static row fits: one table serves every call
+            self.chunk, self.table = None, fill(self.static)
 
     def rows(self, xb: np.ndarray) -> np.ndarray:
         """Static row of each step (rows) and run (columns) of xb, (runs, m)."""
@@ -205,26 +209,27 @@ class _Rollout:
         return rows.T
 
     def lookup(self, row: np.ndarray, y_lag: np.ndarray) -> np.ndarray:
-        """The twin's predictions for static rows `row` with outcome lags `y_lag`."""
+        """The twin's predictions for table rows `row` with outcome lags `y_lag`."""
         return self.table[row, np.searchsorted(self.cuts, y_lag, side="left")]
 
     def __call__(self, xb: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """Noisy predictions for periods 2..m of each run of xb, (runs, m); y_1 seeds the lag."""
         preds = np.empty((len(xb), xb.shape[1] - 1))
         y_lag = np.full(len(xb), self.y0)
-        for i, row in enumerate(self.rows(xb)):
-            if self.affine is not None:
+        rows = self.rows(xb)
+        for i, row in enumerate(rows):
+            if self.chunk and i % self.chunk == 0:  # a table of the next chunk's static rows
+                used, local = np.unique(rows[i : i + self.chunk], return_inverse=True)
+                rows[i : i + self.chunk] = local.reshape(-1, len(xb))  # `row` is a view
+                self.table = None  # freed first: one chunk's table at a time
+                self.table = self.fill(self.static[used])
+            if self.affine is None:
+                y_lag = self.lookup(row, y_lag)
+            else:
                 head, slope, tail = self.affine
                 y_lag = head[row] + slope * y_lag
                 for term in tail:
                     y_lag += term[row]
-            elif self.table is not None:
-                y_lag = self.lookup(row, y_lag)
-            else:  # walk: one feature block per step
-                step = self.static[row]
-                lag = y_lag[:, None] if self.bounds is None else encode_quartile(y_lag, self.bounds)
-                step[:, self.lag] = lag
-                y_lag = self.model.predict(step)
             y_lag += noise[:, i]
             preds[:, i] = y_lag
         return preds
@@ -254,7 +259,7 @@ def run_motr_once(
         raise EstimatorError(f"noise must hold m - 1 = {ds.m - 1} values, got {nz.shape[1]}")
     if (bad := np.flatnonzero(~np.isfinite(nz[0]))).size:
         raise EstimatorError(f"noise must be finite, got {nz[0, bad[0]]} at position {bad[0]}")
-    preds = _Rollout(ds, model, spec, ds.m - 1)(xb, nz)
+    preds = _Rollout(ds, model, spec)(xb, nz)
     delta, lo, hi, mean1, mean0, degenerate = arm_contrast(preds, xb[:, 1:])[:, 0].tolist()
     return MotrRun(permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
                    delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
@@ -300,8 +305,7 @@ def run_motr(
     m = ds.m
     per_block = max(1, _BLOCK_ROWS // (m - 1))
     size = min(cfg.r_max, _FIRST_BLOCK_RUNS, per_block)
-    # a step table must cost no more predictions than walking the first block
-    rollout = _Rollout(ds, model, spec, size * (m - 1))
+    rollout = _Rollout(ds, model, spec)
     blocks: list[np.ndarray] = []
     done, stop = 0, None
     while stop is None and done < cfg.r_max:

@@ -378,6 +378,28 @@ class TestOracle:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--set", "--params"])
+    @pytest.mark.parametrize("setting", ["pi1=0.9", "burnin=50", "seed=9", "alpha0=0.1",
+                                         "randomized=true"])
+    def test_simulation_only_setting_is_a_config_error(self, tmp_path, capsys, source, setting):
+        params = tmp_path / "p.cfg"
+        params.write_text(f"betaX = 1.0\n{setting}  # not a mechanism key\n")
+        where = ["--set", setting] if source == "--set" else ["--params", str(params)]
+        out = tmp_path / "o.json"
+        assert run(["oracle", "--m1", "110", *where, "-o", str(out)]) == 2
+        origin = "--set" if source == "--set" else f"{params}:2"
+        key = setting.split("=")[0]
+        assert f"{origin}: oracle does not read configuration key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_carries_only_the_keys_it_reads(self, tmp_path):
+        out = tmp_path / "o.json"
+        assert run(["oracle", "--m1", "110", "--set", "betaX=1.0", "-o", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        assert set(config) == {"beta0", "betaX", "betaCo", "betaXco", "betaAr", "betaXar",
+                               "sigmaEps", "m", "mode", "m1", "pi", "y_init"}
+        assert config["betaX"] == 1.0
+
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
         for name in ("o1.json", "o2.json"):

@@ -20,6 +20,7 @@ from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.models import glm_from_coefficients
 from nof1twin.motr import MotrConfig, _Rollout, arm_contrast, run_motr, run_motr_once
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
+from test_forest import summed_table_tolerance
 
 NO_LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
 LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS)
@@ -484,14 +485,13 @@ def _forest_case(seed, spec, m=40):
 
     ds = _series(seed, m)
     cfg = ForestConfig(n_trees=12, min_node_size=2, seed=seed)
-    return ds, fit_forest_outcome(assemble_features(ds, spec), ds.y[1:], cfg)
+    fm = assemble_features(ds, spec)
+    return ds, fit_forest_outcome(fm, ds.y[fm.dropped_head :], cfg)
 
 
 def _form(rollout):
-    """Which of its three forms a _Rollout took."""
-    if rollout.affine is not None:
-        return "affine"
-    return "walk" if rollout.table is None else "table"
+    """Which of its two forms a _Rollout took."""
+    return "affine" if rollout.affine is not None else "table"
 
 
 def _step_by_step_runs(ds, model, spec, seed, runs):
@@ -525,25 +525,25 @@ TABLE_SPECS = {
         include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS,
         use_exposure_lag1=True, exog_names=("weekend",),
     ),
+    "none": NO_LAG_SPEC,
 }
-WALK_SPEC = FeatureSpec(  # a continuous exogenous column: the trees are walked
+EXOG_SPEC = FeatureSpec(  # a continuous exogenous column: about two table rows per period
     include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS, exog_names=("temp",)
 )
 
 
-@pytest.mark.parametrize("twin", ["linear", "table", "walk"])
+@pytest.mark.parametrize("twin", ["linear", "table", "exog-table"])
 def test_estimate_independent_of_block_rows(twin, monkeypatch):
     if twin == "linear":
         arco, ds = TestRunMotr().make_study_ds(seed=5)
         spec, model = LAG_SPEC, true_twin(arco, LAG_SPEC, resid_sd=0.5)
     else:
-        spec = LAG_SPEC if twin == "table" else WALK_SPEC
+        spec = LAG_SPEC if twin == "table" else EXOG_SPEC
         ds, model = _forest_case(11, spec)
+    assert _form(_Rollout(ds, model, spec)) == ("affine" if twin == "linear" else "table")
     default = motr._BLOCK_ROWS
     for cfg, reason in ((MotrConfig(r_max=60, stop_tol=1e-2, seed=3), "converged"),
                         (MotrConfig(r_max=23, stop_tol=1e-2, seed=3), "r_max")):
-        form = _form(_Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)))
-        assert form == ("affine" if twin == "linear" else twin)
         estimates = []
         # one run per block; 7 runs per block, so the last block is partial;
         # blocks of 3, 6, 12, ... runs; the default
@@ -557,33 +557,56 @@ def test_estimate_independent_of_block_rows(twin, monkeypatch):
         assert estimates[0] == estimates[1] == estimates[2] == estimates[3]
 
 
-def test_large_r_max_builds_no_table_the_first_block_would_not_pay_for(monkeypatch):
-    from nof1twin.core import assemble_features
-    from nof1twin.models import ForestConfig, fit_forest_outcome
+CHUNK_TWINS = {  # (spec, forest twin) of each tabled layout
+    "forest-exog": (EXOG_SPEC, True),
+    "forest-lag-x-exog": (FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS,
+        use_exposure_lag1=True, exog_names=("weekend", "temp"),
+    ), True),
+    "forest-quartile-exog": (FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_QUARTILE, exog_names=("temp",),
+    ), True),
+    "forest-none-exog": (FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_NONE, exog_names=("temp",),
+    ), True),
+    "glm-quartile-exog": (FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_QUARTILE, exog_names=("temp",),
+    ), False),
+}
 
-    m = 200
-    rng = np.random.default_rng(3)
-    x = rng.permutation(np.arange(m) % 2)
-    y = rng.normal(size=m) + x  # untied outcomes: many lag thresholds
-    ds = TimeSeriesDataset(y=y, x=x, exog={"temp": rng.normal(size=m)})
-    cfg = ForestConfig(n_trees=15, min_node_size=2, seed=3)
-    model = fit_forest_outcome(assemble_features(ds, WALK_SPEC), y[1:], cfg)
-    # the table needs more predictions than the first block's 200 runs walk
-    assert _Rollout(ds, model, WALK_SPEC, 10**5 * (m - 1)).table is not None
-    assert _Rollout(ds, model, WALK_SPEC, 200 * (m - 1)).table is None
-    tables = []
+
+@pytest.mark.parametrize("layout", sorted(CHUNK_TWINS))
+def test_table_built_in_period_chunks_equals_the_whole_table(layout, monkeypatch):
+    # a table of more than _TABLE_VALUES values is built for 5 periods at a time
+    # (the last chunk holds 4), again in every block, over the rows those periods use
+    spec, forest = CHUNK_TWINS[layout]
+    if forest:
+        ds, model = _forest_case(4, spec)
+    else:
+        ds = _series(4)
+        model = glm_from_coefficients(spec.columns, {"x": 1.0, "y_lag1_q3": -0.5, "temp": 0.3}, 0.7)
+    cfg = MotrConfig(r_max=90, stop_tol=1e-2, seed=2)
+    whole = _Rollout(ds, model, spec)
+    assert whole.chunk is None and whole.table.shape[0] >= ds.m - 1  # a row per period, or more
+    per_period = 2 * whole.n_lag * whole.table.shape[1]
+    expected = run_motr(ds, model, spec, cfg)
+    monkeypatch.setattr(motr, "_TABLE_VALUES", 5 * per_period + per_period - 1)
+    monkeypatch.setattr(motr, "_BLOCK_ROWS", 16 * (ds.m - 1))  # blocks of 16 runs
+    sizes = []
 
     class Spy(_Rollout):
         def __init__(self, *args):
             super().__init__(*args)
-            tables.append(self.table)
+            fill = self.fill
+            self.fill = lambda static: sizes.append(len(static)) or fill(static)
 
     monkeypatch.setattr(motr, "_Rollout", Spy)
-    small, large = (run_motr(ds, model, WALK_SPEC, MotrConfig(r_max=r, stop_tol=1e-2, seed=1))
-                    for r in (200, 10**5))
-    assert small.stop_reason == "converged"
-    assert [t is None for t in tables] == [True, True]
-    assert large == small
+    chunked = run_motr(ds, model, spec, cfg)
+    assert chunked == expected
+    assert expected.stop_reason == "converged" and expected.runs_used > 16
+    blocks = -(-expected.runs_used // 16)
+    assert len(sizes) == blocks * 8  # 39 periods in chunks of 5
+    assert 0 < max(sizes) * whole.table.shape[1] <= motr._TABLE_VALUES
 
 
 class TestStepTable:
@@ -595,17 +618,21 @@ class TestStepTable:
 
         spec = TABLE_SPECS[layout]
         ds, model = _forest_case(seed, spec)
-        table = _Rollout(ds, model, spec, walk_rows=10**6)
-        assert table.table is not None
+        table = _Rollout(ds, model, spec)
+        assert table.chunk is None
         quartile = spec.outcome_lag_mode == LAG_QUARTILE
-        # the table is predict at each (static row, lag cut) point, to the bit
         reps = np.eye(4) if quartile else np.append(table.cuts, np.inf)[:, None]
         points = np.repeat(table.static, len(reps), axis=0)
         points[:, table.lag] = np.tile(reps, (len(table.static), 1))
-        assert table.table.tobytes() == model.predict(points).tobytes()
+        expected = model.predict(points).reshape(len(table.static), -1)
+        forest, lag_col = model.forest, (table.lag or [0])[0]
+        if spec.outcome_lag_mode == LAG_CONTINUOUS:  # summed from tree pieces: within rounding
+            tol = summed_table_tolerance(forest, table.static, lag_col, table.cuts)
+            assert (np.abs(table.table - expected) <= tol).all()
+        else:  # predict at each (static row, lag cut) point, to the bit
+            tol = np.zeros((len(table.static), 1))
+            assert table.table.tobytes() == expected.tobytes()
         bounds = quartile_bounds(ds.y) if quartile else None
-        lag_col = spec.columns.index("y_lag1_q1" if quartile else "y_lag1")
-        forest = model.forest
         # every lag threshold, the quartile bounds, both infinities, their neighbours
         special = np.concatenate([forest.threshold[forest.feature == lag_col],
                                   quartile_bounds(ds.y), [-np.inf, np.inf]])
@@ -620,7 +647,7 @@ class TestStepTable:
             f = _encode_block(spec, x_t=xb[:, i + 1], x_lag=xb[:, i], y_lag=y_lag,
                               exog=np.repeat(exog[i + 1 : i + 2], len(xb), axis=0),
                               bounds=bounds)
-            assert np.array_equal(looked_up, model.predict(f))
+            assert (np.abs(looked_up - model.predict(f)) <= tol[row, 0]).all()
             if quartile:
                 assert np.array_equal(f[:, lag_col : lag_col + 4], encode_quartile(y_lag, bounds))
 
@@ -628,18 +655,23 @@ class TestStepTable:
     @given(seed=st.integers(0, 2**31 - 1),
            layout=st.sampled_from([*sorted(TABLE_SPECS), "continuous-exog"]))
     def test_run_motr_equals_step_by_step_reference(self, seed, layout):
-        spec = TABLE_SPECS.get(layout, WALK_SPEC)
+        spec = TABLE_SPECS.get(layout, EXOG_SPEC)
         ds, model = _forest_case(seed, spec)
         cfg = MotrConfig(r_min=35, r_max=35, seed=seed)
-        form = _form(_Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)))
-        assert form == ("walk" if spec is WALK_SPEC else "table")
+        assert _form(_Rollout(ds, model, spec)) == "table"
         est = run_motr(ds, model, spec, cfg)
-        assert list(est.runs) == _step_by_step_runs(ds, model, spec, seed, est.runs_used)
+        reference = _step_by_step_runs(ds, model, spec, seed, est.runs_used)
+        if spec.outcome_lag_mode == LAG_CONTINUOUS:
+            # a summed table is predict to about 1e-14 here (summed_table_tolerance), and a
+            # run's (delta, lo, hi) moves by a few times its steps' moves
+            np.testing.assert_allclose(est.runs, reference, rtol=0, atol=1e-12)
+        else:  # predict's own values
+            assert list(est.runs) == reference
 
 
 LINEAR_SPECS = {
     "continuous": LAG_SPEC,
-    "continuous-exog": WALK_SPEC,
+    "continuous-exog": EXOG_SPEC,
     "lag-x-exog": FeatureSpec(  # two exogenous terms after the lag
         include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS,
         use_exposure_lag1=True, exog_names=("weekend", "temp"),
@@ -679,21 +711,11 @@ class TestLinearRollout:
             model = glm_from_coefficients(spec.columns, dict(zip(names, coefs)),
                                           resid_sd=0.7 if noisy else 0.0)
         cfg = MotrConfig(r_min=20, r_max=20, seed=seed)
-        form = _form(_Rollout(ds, model, spec, cfg.r_max * (ds.m - 1)))
+        form = _form(_Rollout(ds, model, spec))
         assert form == ("affine" if spec.outcome_lag_mode == LAG_CONTINUOUS else "table")
         est = run_motr(ds, model, spec, cfg)
         reference = _step_by_step_runs(ds, model, spec, seed, est.runs_used)
         assert np.array_equal(est.runs, reference)
-
-    def test_table_only_when_the_walk_would_predict_as_many_rows(self):
-        spec = LINEAR_SPECS["quartile-lag-x-exog"]
-        ds = _series(1)
-        model = glm_from_coefficients(spec.columns, {"x": 1.0, "y_lag1_q3": -0.5}, 0.3)
-        rows = 2 * 2 * 2 * 4  # x, x_lag1 and weekend values, times the quartile slots
-        assert _form(_Rollout(ds, model, spec, rows)) == "table"
-        assert _form(_Rollout(ds, model, spec, rows - 1)) == "walk"
-        model = glm_from_coefficients(LAG_SPEC.columns, {"x": 1.0, "y_lag1": 0.5}, 0.3)
-        assert _form(_Rollout(ds, model, LAG_SPEC, 1)) == "affine"
 
 
 class TestInitialConditions:
