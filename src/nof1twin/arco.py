@@ -132,10 +132,11 @@ def simulate_dataset(
     v_prop = v @ np.asarray(prop.alpha_ex) if prop.alpha_ex else np.zeros(total)
 
     u_eps, u = (rng.random(total) for rng in cfg.seed.children((_EPS_STREAM, _X_STREAM)))
-    eps, u = normals(u_eps, params.sigma_eps), u.tolist()
-    p, vo, vp, e = params, v_out.tolist(), v_prop.tolist(), eps.tolist()
+    p, u, e = params, u.tolist(), normals(u_eps, params.sigma_eps).tolist()
+    vo, vp = v_out.tolist(), v_prop.tolist()
     xs = [int(u[0] < prop.pi1)]
     ys = [p.beta0 + vo[0] + e[0]]
+    po0, po1 = ys[:], ys[:]
     for t in range(1, total):
         xl, yl = xs[-1], ys[-1]
         if cfg.randomized_mode:
@@ -143,27 +144,18 @@ def simulate_dataset(
         else:
             eta = prop.alpha0 + prop.alpha_en * yl + prop.alpha_ar * xl + vp[t]
             xs.append(int(u[t] < expit(eta)))
-        common = p.beta0 + p.beta_co * xl + p.beta_ar * yl + vo[t] + e[t]
-        ys.append(common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl if xs[-1] else common)
-    x = np.array(xs, dtype=np.int64)
-    y = np.array(ys)
-    # Both potential outcomes, rebuilt with the loop's arithmetic; a diverging
-    # series overflows here, and the finiteness check below names the period.
-    xl, yl = x[:-1], y[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        common = p.beta0 + p.beta_co * xl + p.beta_ar * yl + v_out[1:] + eps[1:]
-        po0 = np.concatenate([y[:1], common])
-        po1 = np.concatenate([y[:1], common + p.beta_x + p.beta_xco * xl + p.beta_xar * yl])
-
-    finite = np.isfinite(y) & np.isfinite(po1) & np.isfinite(po0)
+        po0.append(p.beta0 + p.beta_co * xl + p.beta_ar * yl + vo[t] + e[t])
+        po1.append(po0[-1] + p.beta_x + p.beta_xco * xl + p.beta_xar * yl)
+        ys.append(po1[-1] if xs[-1] else po0[-1])
+    x, y, po0, po1 = np.array(xs, dtype=np.int64), np.array(ys), np.array(po0), np.array(po1)
+    # Python floats overflow to inf without a warning; y is po1 or po0 at every period
+    finite = np.isfinite(po1) & np.isfinite(po0)
     if not finite.all():
         bad = int(np.flatnonzero(~finite)[0]) + 1
         raise ConfigError(
             f"simulated outcome is not finite at period {bad} of {total} (burn-in included); "
             "the parameters make the series diverge"
         )
-    if not np.array_equal(y, po1 * x + po0 * (1 - x)):
-        raise RuntimeError("simulated outcomes violate causal consistency")
     keep = slice(cfg.burn_in, total)
     ds = TimeSeriesDataset(
         y=y[keep],
@@ -171,7 +163,7 @@ def simulate_dataset(
         exog={n: v[keep, k] for k, n in enumerate(names)} or None,
     )
     if return_potential:
-        return ds, po1[keep].copy(), po0[keep].copy()
+        return ds, po1[keep], po0[keep]
     return ds
 
 

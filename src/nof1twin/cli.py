@@ -249,7 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_replicate(args: argparse.Namespace) -> int:
-    cfg = _resolve_params(args, "m", "seed")
+    cfg = _resolve_params(args, "m", "seed", read=_PARAM_FIELDS.keys() - {"randomized"})
     opts = _method_options(args)
     study = StudyConfig(
         h_datasets=args.h_datasets,

@@ -1,8 +1,11 @@
 """Domain types, feature assembly, transforms, and the seeding contract.
 
-Everything here is deterministic and immutable after construction: datasets
-and feature matrices expose read-only numpy arrays and are safe to share
-across parallel workers.
+FeatureSpec states the feature layout once: its `columns`, the positions of
+the outcome lag among them (`lag`), and `encode`, which builds rows in that
+order for assemble_features and for the MoTR rollout alike; no other module
+works the layout out from column names.  Everything here is deterministic
+and immutable after construction: datasets and feature matrices expose
+read-only numpy arrays and are safe to share across parallel workers.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from .errors import ConfigError, DataError
 LAG_CONTINUOUS = "continuous_lag1"
 LAG_QUARTILE = "quartile_lag1"
 LAG_NONE = "none"
-_LAG_MODES = (LAG_CONTINUOUS, LAG_QUARTILE, LAG_NONE)
 
 QUARTILE_COLUMNS = ("y_lag1_q1", "y_lag1_q2", "y_lag1_q3", "y_lag1_q4")
+_LAG_COLUMNS = {LAG_CONTINUOUS: ("y_lag1",), LAG_QUARTILE: QUARTILE_COLUMNS, LAG_NONE: ()}
 INTERCEPT = "intercept"  # the GLMs' constant term, named beside the feature columns
 
 # Uniforms are clipped away from {0, 1} before the inverse normal CDF.
@@ -357,9 +360,10 @@ class FeatureSpec:
     exog_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.outcome_lag_mode not in _LAG_MODES:
+        if self.outcome_lag_mode not in _LAG_COLUMNS:
             raise ConfigError(
-                f"outcome_lag_mode must be one of {_LAG_MODES}, got {self.outcome_lag_mode!r}"
+                f"outcome_lag_mode must be one of {tuple(_LAG_COLUMNS)}, "
+                f"got {self.outcome_lag_mode!r}"
             )
         object.__setattr__(self, "exog_names", tuple(self.exog_names))
         names = [INTERCEPT, *self.columns]
@@ -372,19 +376,32 @@ class FeatureSpec:
     def needs_lag(self) -> bool:
         return self.use_exposure_lag1 or self.outcome_lag_mode != LAG_NONE
 
+    def _blocks(self) -> tuple[tuple[str, ...], ...]:
+        """The column names fed by each input of `encode`, in order; () for an unused one."""
+        return (("x",) * self.include_current_exposure, ("x_lag1",) * self.use_exposure_lag1,
+                _LAG_COLUMNS[self.outcome_lag_mode], self.exog_names)
+
     @property
     def columns(self) -> tuple[str, ...]:
-        cols: list[str] = []
-        if self.include_current_exposure:
-            cols.append("x")
-        if self.use_exposure_lag1:
-            cols.append("x_lag1")
-        if self.outcome_lag_mode == LAG_CONTINUOUS:
-            cols.append("y_lag1")
-        elif self.outcome_lag_mode == LAG_QUARTILE:
-            cols.extend(QUARTILE_COLUMNS)
-        cols.extend(self.exog_names)
-        return tuple(cols)
+        return sum(self._blocks(), ())
+
+    @property
+    def lag(self) -> tuple[int, ...]:
+        """Positions in `columns` of the outcome lag: y_lag1, its four quartile slots, or none."""
+        x_t, x_lag, y_lag, _ = map(len, self._blocks())
+        return tuple(range(x_t + x_lag, x_t + x_lag + y_lag))
+
+    def encode(self, x_t, x_lag, y_lag, exog, bounds) -> np.ndarray:
+        """Feature rows in `columns` order, one per entry of the current exposures `x_t`,
+        from the lagged exposures `x_lag` and outcomes `y_lag`, the exogenous rows `exog`
+        and, in quartile mode, the quartile `bounds`; an input the spec does not use is
+        ignored and may be None."""
+        if self.outcome_lag_mode == LAG_QUARTILE:
+            y_lag = encode_quartile(y_lag, bounds)
+        n = len(x_t)
+        blocks = zip((x_t, x_lag, y_lag, exog), self._blocks())
+        used = [np.reshape(v, (n, -1)) for v, names in blocks if names]
+        return np.hstack([np.empty((n, 0)), *used])  # floats, (n, 0) without features
 
 
 @dataclass(frozen=True)
@@ -427,34 +444,8 @@ def encode_quartile(values: np.ndarray, bounds: tuple[float, float, float]) -> n
     return np.eye(4)[np.searchsorted(bounds, np.asarray(values, dtype=float), side="left")]
 
 
-def _encode_block(
-    spec: FeatureSpec,
-    x_t: np.ndarray,
-    x_lag: np.ndarray | None,
-    y_lag: np.ndarray | None,
-    exog: np.ndarray | None,
-    bounds: tuple[float, float, float] | None,
-) -> np.ndarray:
-    """Stack feature columns in the canonical FeatureSpec order."""
-    cols: list[np.ndarray] = []
-    n = len(x_t)
-    if spec.include_current_exposure:
-        cols.append(np.asarray(x_t, dtype=float).reshape(n, 1))
-    if spec.use_exposure_lag1:
-        cols.append(np.asarray(x_lag, dtype=float).reshape(n, 1))
-    if spec.outcome_lag_mode == LAG_CONTINUOUS:
-        cols.append(np.asarray(y_lag, dtype=float).reshape(n, 1))
-    elif spec.outcome_lag_mode == LAG_QUARTILE:
-        cols.append(encode_quartile(np.asarray(y_lag, dtype=float), bounds))
-    if spec.exog_names:
-        cols.append(np.asarray(exog, dtype=float))
-    if not cols:
-        return np.empty((n, 0))
-    return np.hstack(cols)
-
-
 def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix:
-    """Build the per-period design described by `spec`.
+    """Build the per-period design described by `spec`, its rows encoded by `spec.encode`.
 
     Lag-1 values come from the previous period of the same dataset; periods
     lacking a lag are dropped (never imputed).  Quartile boundaries are the
@@ -467,14 +458,9 @@ def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix
         raise DataError(f"exogenous column(s) {missing} missing from dataset records")
     dropped = 1 if spec.needs_lag else 0
     sl = slice(dropped, ds.m)
-    values = _encode_block(
-        spec,
-        x_t=ds.x[sl],
-        x_lag=ds.x[: ds.m - 1] if spec.use_exposure_lag1 else None,
-        y_lag=ds.y[: ds.m - 1] if spec.outcome_lag_mode != LAG_NONE else None,
-        exog=ds.exog_matrix(spec.exog_names)[sl] if spec.exog_names else None,
-        bounds=quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None,
-    )
+    exog = ds.exog_matrix(spec.exog_names)[sl]
+    bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
+    values = spec.encode(ds.x[sl], ds.x[:-1], ds.y[:-1], exog, bounds)
     return FeatureMatrix(
         values=values,
         columns=spec.columns,

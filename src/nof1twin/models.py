@@ -161,6 +161,8 @@ def _target(fm: FeatureMatrix, values: np.ndarray, outcome: bool) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if outcome and not fm.spec.include_current_exposure:
         raise EstimatorError("outcome models must include the current exposure feature")
+    if len(values) != fm.n_rows:
+        raise EstimatorError(f"got {len(values)} labels for {fm.n_rows} feature rows")
     if not outcome and not (np.any(values == 1) and np.any(values == 0)):
         raise EstimatorError("propensity fit needs both exposure classes present")
     return values
@@ -174,14 +176,10 @@ def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray, tuple
     first slot is dropped as the reference level (its effect is absorbed by
     the intercept), matching standard factor coding.
     """
-    cols = list(fm.columns)
-    keep = np.arange(len(cols))
-    if fm.spec.outcome_lag_mode == LAG_QUARTILE:
-        ref = cols.index("y_lag1_q1")
-        keep = np.delete(keep, ref)
-        cols.pop(ref)
+    ref = fm.spec.lag[:1] if fm.spec.outcome_lag_mode == LAG_QUARTILE else ()
+    keep = np.delete(np.arange(len(fm.columns)), ref)
     design = np.hstack([np.ones((fm.n_rows, 1)), fm.values[:, keep]])
-    names = [INTERCEPT, *cols]
+    names = [INTERCEPT, *(fm.columns[k] for k in keep)]
     n, p = design.shape
     if n < p + 1:
         raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")

@@ -41,7 +41,6 @@ from .core import (
     FeatureSpec,
     SeedSpec,
     TimeSeriesDataset,
-    _encode_block,
     as_seed,
     assemble_features,
     normals,
@@ -154,9 +153,10 @@ class _Rollout:
     Only the outcome lag changes between steps; the rest of a period's
     features, static row s = (x_t * n_lag + x_{t-1}) * n_exog + e (e the
     period's distinct exogenous row, n_lag = 1 without x_lag1), is encoded
-    once.  A linear twin with a continuous lag is `affine`: split around the
-    lag (FittedModel.linear.split), a step is head[s] + slope * lag plus each
-    tail[s] in turn, the operations of its predict.  Every other twin is
+    once by spec.encode with a zero lag; `lag` (spec.lag) holds the lag's
+    column positions.  A linear twin with a continuous lag is `affine`: split
+    around the lag (FittedModel.linear.split), a step is head[s] + slope * lag
+    plus each tail[s] in turn, the operations of its predict.  Every other twin is
     constant in the lag between sorted cuts (a forest's lag thresholds, the
     quartile bounds, none without a lag); its value at cut t_c (+inf past the
     last; the one-hot slots in quartile mode) holds on (t_(c-1), t_c], so a
@@ -168,16 +168,14 @@ class _Rollout:
     """
 
     def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec):
-        self.y0, self.affine, self.chunk = float(ds.y[0]), None, None
-        own = spec.columns[: len(spec.columns) - len(spec.exog_names)]
-        self.lag = [j for j, c in enumerate(own) if c.startswith("y_lag1")]
+        self.y0, self.affine, self.chunk, self.lag = float(ds.y[0]), None, None, spec.lag
         exog, self.exog_row = np.unique(ds.exog_matrix(spec.exog_names)[1:], axis=0,
                                         return_inverse=True)
         bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
         self.n_lag = 2 if spec.use_exposure_lag1 else 1
         s = np.arange(2 * self.n_lag * len(exog))
         x_t, x_lag, e = s // (self.n_lag * len(exog)), s // len(exog) % self.n_lag, s % len(exog)
-        self.static = _encode_block(spec, x_t, x_lag, np.zeros(len(s)), exog[e], bounds)
+        self.static = spec.encode(x_t, x_lag, np.zeros(len(s)), exog[e], bounds)
         if model.linear is not None and spec.outcome_lag_mode == LAG_CONTINUOUS:
             self.affine = model.linear.split(self.static, self.lag[0])
             return

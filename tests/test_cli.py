@@ -261,6 +261,19 @@ class TestReplicate:
         assert "# h_datasets=2" in summary
         assert "# m=30" in summary
         assert "# methods=raw,coef" in summary
+        assert "randomized" not in rows + summary  # the study's exposure is always endogenous
+
+    @pytest.mark.parametrize("source", ["--set", "--params"])
+    def test_randomized_setting_is_a_config_error(self, tmp_path, capsys, source):
+        params = tmp_path / "p.cfg"
+        params.write_text("betaX = 1.1\nrandomized = true\n")
+        where = ["--set", "randomized=true"] if source == "--set" else ["--params", str(params)]
+        assert run(["replicate", "--h-datasets", "2", "--m", "30", "--methods", "raw", *where,
+                    "-o", str(tmp_path / "rep")]) == 2
+        origin = "--set" if source == "--set" else f"{params}:2"
+        err = capsys.readouterr().err
+        assert f"{origin}: replicate does not read configuration key 'randomized'" in err
+        assert not (tmp_path / "rep_rows.csv").exists()
 
     def test_summary_cells_parse_as_numbers(self, tmp_path):
         assert run(["replicate", "--h-datasets", "3", "--m", "30",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import pickle
@@ -26,6 +27,11 @@ from nof1twin.core import (
     write_csv,
 )
 from nof1twin.errors import ConfigError, DataError
+
+
+# SHA-256 of every layout's feature values and rollout static rows in
+# test_every_layout_encodes_the_sources_its_columns_name
+LAYOUT_DIGEST = "1b7209b925b62abbd7356c00f855162a8d009dc759c997cfe91aeaab5ef9f602"
 
 
 def make_ds(y, x=None, exog=None):
@@ -325,6 +331,37 @@ class TestAssembleFeatures:
     def test_bad_lag_mode_rejected(self):
         with pytest.raises(ConfigError):
             FeatureSpec(True, outcome_lag_mode="lag2")
+
+    def test_every_layout_encodes_the_sources_its_columns_name(self):
+        from nof1twin.models import glm_from_coefficients
+        from nof1twin.motr import _Rollout
+
+        t = np.arange(42)  # exact arithmetic, and outcomes tied with quartile bounds
+        ds = make_ds((t * 37 % 23) / 4 + 5, x=t * 5 % 7 % 2,
+                     exog={"temp": t * 13 % 17 * 0.37, "y_lag1_mean": t * 3 % 11 / 2})
+        digest = hashlib.sha256()
+        for current in (True, False):
+            for mode in (LAG_CONTINUOUS, LAG_QUARTILE, LAG_NONE):
+                for lag_x in (False, True):
+                    for exog in ((), ("y_lag1_mean",), ("temp", "y_lag1_mean")):
+                        spec = FeatureSpec(current, mode, lag_x, exog)
+                        fm = assemble_features(ds, spec)
+                        period = fm.t_index - 1  # 0-based
+                        y_lag = ds.y[period - 1]
+                        slot = 1 + (y_lag[:, None] > quartile_bounds(ds.y)).sum(axis=1)
+                        sources = {"x": ds.x[period], "x_lag1": ds.x[period - 1], "y_lag1": y_lag,
+                                   **{f"y_lag1_q{k}": slot == k for k in range(1, 5)},
+                                   **{n: ds.exog[n][period] for n in exog}}
+                        assert fm.values.shape == (len(period), len(spec.columns))
+                        for j, name in enumerate(spec.columns):
+                            assert np.array_equal(fm.values[:, j], sources[name]), (spec, name)
+                        lag = [j for j, c in enumerate(spec.columns)
+                               if c == "y_lag1" or c.startswith("y_lag1_q")]
+                        assert list(spec.lag) == lag, spec
+                        model = glm_from_coefficients(spec.columns, {}, resid_sd=1.0)
+                        digest.update(fm.values.tobytes())
+                        digest.update(_Rollout(ds, model, spec).static.tobytes())
+        assert digest.hexdigest() == LAYOUT_DIGEST
 
 
 def seed_sequence_stream(base, path):

@@ -95,6 +95,22 @@ class TestLinear:
         assert pred == pytest.approx([2.0 + 1.1 + 8.0, 2.0 + 8.0])
 
 
+@pytest.mark.parametrize("fit, outcome", [
+    (fit_linear_outcome, True),
+    (fit_logistic_propensity, False),
+    (lambda fm, v: fit_forest_outcome(fm, v, ForestConfig(n_trees=5)), True),
+    (lambda fm, v: fit_forest_propensity(fm, v, ForestConfig(n_trees=5)), False),
+], ids=["ols", "irls", "forest-outcome", "forest-propensity"])
+@pytest.mark.parametrize("extra", [-3, 3], ids=["short", "long"])
+def test_labels_must_match_the_feature_rows(fit, outcome, extra):
+    rng = np.random.default_rng(8)
+    ds = TimeSeriesDataset(y=rng.normal(size=40), x=np.arange(40) % 2)
+    fm = assemble_features(ds, FeatureSpec(include_current_exposure=outcome))
+    labels = np.resize(ds.y[1:] if outcome else ds.x[1:], 39 + extra)
+    with pytest.raises(EstimatorError, match=f"got {39 + extra} labels for 39 feature rows"):
+        fit(fm, labels)
+
+
 class TestLogistic:
     def test_intercept_only_half(self):
         fm = fmatrix(np.empty((40, 0)), (), include_x=False)

@@ -497,8 +497,6 @@ def _form(rollout):
 def _step_by_step_runs(ds, model, spec, seed, runs):
     """(delta, lo, hi) of runs 1..runs, the twin predicting one period at a time
     from each run's own stream."""
-    from nof1twin.core import _encode_block
-
     bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
     exog = ds.exog_matrix(spec.exog_names)
     out = []
@@ -507,8 +505,7 @@ def _step_by_step_runs(ds, model, spec, seed, runs):
         noise = _noise_for(ds, SeedSpec(seed), r, model.resid_sd)
         preds, y_prev = [], ds.y[0]
         for t in range(1, ds.m):
-            f = _encode_block(spec, x_t=xp[t : t + 1], x_lag=xp[t - 1 : t],
-                              y_lag=[y_prev], exog=exog[t : t + 1], bounds=bounds)
+            f = spec.encode(xp[t : t + 1], xp[t - 1 : t], [y_prev], exog[t : t + 1], bounds)
             y_prev = model.predict(f)[0] + noise[t - 1]
             preds.append(y_prev)
         out.append(tuple(arm_contrast(np.array([preds]), xp[None, 1:])[:3, 0].tolist()))
@@ -613,7 +610,7 @@ class TestStepTable:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), layout=st.sampled_from(sorted(TABLE_SPECS)))
     def test_lookup_equals_forest_predict(self, seed, layout):
-        from nof1twin.core import _encode_block, encode_quartile
+        from nof1twin.core import encode_quartile
         from nof1twin.motr import _Rollout
 
         spec = TABLE_SPECS[layout]
@@ -644,9 +641,8 @@ class TestStepTable:
         for i, row in enumerate(table.rows(xb)):
             y_lag = rng.choice(special, size=len(xb))
             looked_up = table.lookup(row, y_lag)
-            f = _encode_block(spec, x_t=xb[:, i + 1], x_lag=xb[:, i], y_lag=y_lag,
-                              exog=np.repeat(exog[i + 1 : i + 2], len(xb), axis=0),
-                              bounds=bounds)
+            f = spec.encode(xb[:, i + 1], xb[:, i], y_lag,
+                            np.repeat(exog[i + 1 : i + 2], len(xb), axis=0), bounds)
             assert (np.abs(looked_up - model.predict(f)) <= tol[row, 0]).all()
             if quartile:
                 assert np.array_equal(f[:, lag_col : lag_col + 4], encode_quartile(y_lag, bounds))
