@@ -193,7 +193,8 @@ def _feature_specs(args: argparse.Namespace) -> tuple[FeatureSpec, FeatureSpec]:
 
 def _result_payload(res) -> dict:
     if isinstance(res.detail, ApteEstimate):  # the runs go to --runs-csv
-        return {k: v for k, v in vars(res.detail).items() if k != "runs"}
+        est = res.detail
+        return {k: v for k, v in vars(est).items() if k != "runs"} | {"trajectory": est.trajectory}
     if isinstance(res.detail, PstnResult):
         pr = res.detail
         return {

@@ -406,21 +406,32 @@ class FeatureSpec:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-period feature rows aligned to period indices t_index."""
+    """Per-period feature rows laid out by `spec`: one row per period from the
+    first that has every lag `spec` needs, to the last."""
 
     values: np.ndarray
-    columns: tuple[str, ...]
-    t_index: np.ndarray
-    dropped_head: int
     spec: FeatureSpec
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
-        object.__setattr__(self, "t_index", _readonly(np.asarray(self.t_index, dtype=np.int64)))
 
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return self.spec.columns
+
+    @property
+    def dropped_head(self) -> int:
+        """Leading periods without a row: 1 when the spec needs a lag, else 0."""
+        return int(self.spec.needs_lag)
+
+    @property
+    def t_index(self) -> np.ndarray:
+        """The period index of each row."""
+        return np.arange(1 + self.dropped_head, 1 + self.dropped_head + self.n_rows)
 
 
 def quartile_bounds(values: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
@@ -456,18 +467,10 @@ def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix
     missing = [n for n in spec.exog_names if n not in ds.exog_names]
     if missing:
         raise DataError(f"exogenous column(s) {missing} missing from dataset records")
-    dropped = 1 if spec.needs_lag else 0
-    sl = slice(dropped, ds.m)
+    sl = slice(int(spec.needs_lag), ds.m)
     exog = ds.exog_matrix(spec.exog_names)[sl]
     bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
-    values = spec.encode(ds.x[sl], ds.x[:-1], ds.y[:-1], exog, bounds)
-    return FeatureMatrix(
-        values=values,
-        columns=spec.columns,
-        t_index=np.arange(1 + dropped, ds.m + 1),
-        dropped_head=dropped,
-        spec=spec,
-    )
+    return FeatureMatrix(spec.encode(ds.x[sl], ds.x[:-1], ds.y[:-1], exog, bounds), spec)
 
 
 def validate_finite(name: str, value: float) -> float:

@@ -163,8 +163,7 @@ def apply_method(
         return estimate_coef(ds)
 
     if method in (Method.MOTR_GLM, Method.MOTR_RF):
-        spec = opts.outcome_spec
-        fm = assemble_features(ds, spec)
+        fm = assemble_features(ds, opts.outcome_spec)
         y = ds.y[fm.dropped_head:]
         if method is Method.MOTR_GLM:
             model = fit_linear_outcome(fm, y)
@@ -173,18 +172,18 @@ def apply_method(
             fc = replace(opts.forest, seed=seed.child(_NS_FOREST_OUTCOME))
             model = fit_forest_outcome(fm, y, fc)
             motr_seed = seed.child(_NS_MOTR_RF)
-        est = run_motr(ds, model, spec, replace(opts.motr, seed=motr_seed))
+        # cfg by keyword: bench/spans.py's run_motr hook reads it by name or as argument 3
+        est = run_motr(ds, model, cfg=replace(opts.motr, seed=motr_seed))
         return ApplyResult(method, est.delta, est.ci, detail=est, model_summary=model.summary())
 
-    spec = opts.propensity_spec
-    fm = assemble_features(ds, spec)
+    fm = assemble_features(ds, opts.propensity_spec)
     x = ds.x[fm.dropped_head:]
     if method is Method.PSTN_GLM:
         model = fit_logistic_propensity(fm, x)
     else:
         fc = replace(opts.forest, seed=seed.child(_NS_FOREST_PROPENSITY))
         model = fit_forest_propensity(fm, x, fc)
-    res = run_pstn(ds, model, spec, opts.pstn)
+    res = run_pstn(ds, model, opts.pstn)
     return ApplyResult(method, res.delta, None, detail=res, model_summary=model.summary())
 
 

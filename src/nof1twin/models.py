@@ -2,7 +2,9 @@
 
 Linear least squares (QR), logistic regression via IRLS, and bagged CART
 forests for both regression and classification.  Every fit is a
-deterministic function of (data, config, seed).
+deterministic function of (data, config, seed) and returns a FittedModel
+that carries the FeatureSpec of its rows, so the estimators that use a twin
+take no layout of their own.
 """
 
 from __future__ import annotations
@@ -93,16 +95,17 @@ class _LinearPredictor:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A trained twin: an outcome mean or an exposure probability.
+    """A trained twin: an outcome mean or an exposure probability, on rows laid
+    out by `spec`.
 
     Outcome models carry their residual scale in `resid_sd`; propensity
     models leave it None.  Forest propensity models also keep their
     out-of-bag in-sample probabilities together with the (read-only)
-    feature matrix they were trained on.
+    feature rows and exposures they were trained on.
     """
 
     kind: str  # "linear" | "logistic" | "forest"
-    columns: tuple[str, ...]
+    spec: FeatureSpec
     resid_sd: float | None = None
     coefficients: dict[str, float] | None = None
     coefficient_se: dict[str, float] | None = None
@@ -110,6 +113,7 @@ class FittedModel:
     forest_config: ForestConfig | None = None
     insample_prob: np.ndarray | None = field(default=None, compare=False)
     train_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    train_labels: np.ndarray | None = field(default=None, repr=False, compare=False)
     _predictor: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -131,7 +135,7 @@ class FittedModel:
         return self._predictor if self.kind == "linear" else None
 
     def summary(self) -> dict:
-        out: dict = {"kind": self.kind, "columns": list(self.columns)}
+        out: dict = {"kind": self.kind, "columns": list(self.spec.columns)}
         if self.is_outcome:
             out["resid_sd"] = self.resid_sd
         if self.coefficients is not None:
@@ -144,16 +148,11 @@ class FittedModel:
         return out
 
 
-def check_twin(model: FittedModel, spec: FeatureSpec, method: str, outcome: bool) -> None:
-    """Reject a twin of the wrong kind for `method`, or one fitted on other columns than `spec`."""
+def check_twin(model: FittedModel, method: str, outcome: bool) -> None:
+    """Reject a twin of the wrong kind for `method`: an outcome or a propensity model."""
     if model.is_outcome != outcome:
         need, got = ("an outcome", "propensity") if outcome else ("a propensity", "outcome")
         raise EstimatorError(f"{method} needs {need} model, got a {model.kind} {got} model")
-    if tuple(model.columns) != spec.columns:
-        raise EstimatorError(
-            f"model was fitted on columns {tuple(model.columns)} but the feature "
-            f"spec defines {spec.columns}"
-        )
 
 
 def _target(fm: FeatureMatrix, values: np.ndarray, outcome: bool) -> np.ndarray:
@@ -211,7 +210,7 @@ def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedModel:
     se[pivot] = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
     return FittedModel(
         kind="linear",
-        columns=fm.columns,
+        spec=fm.spec,
         resid_sd=resid_sd,
         coefficients=dict(zip(names, beta.tolist())),
         coefficient_se=dict(zip(names, se.tolist())),
@@ -259,7 +258,7 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
         )
     return FittedModel(
         kind="logistic",
-        columns=fm.columns,
+        spec=fm.spec,
         coefficients=dict(zip(names, beta.tolist())),
         separation_warning=separated,
         _predictor=_LinearPredictor(beta, keep, logistic=True),
@@ -267,23 +266,24 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
 
 
 def glm_from_coefficients(
-    columns: tuple[str, ...],
+    spec: FeatureSpec,
     coefficients: Mapping[str, float],
     resid_sd: float | None = None,
 ) -> FittedModel:
-    """Assemble a GLM twin from given coefficients (no fitting).
+    """Assemble a GLM twin on the layout `spec` from given coefficients (no fitting).
 
     With `resid_sd` the model is a linear outcome twin; without it, a
     logistic propensity twin.  `coefficients` maps "intercept" and each
     feature column to its weight; missing columns default to 0.
     """
+    columns = spec.columns
     beta = np.array(
         [coefficients.get(INTERCEPT, 0.0)] + [coefficients.get(c, 0.0) for c in columns]
     )
     outcome = resid_sd is not None
     return FittedModel(
         kind="linear" if outcome else "logistic",
-        columns=tuple(columns),
+        spec=spec,
         resid_sd=float(resid_sd) if outcome else None,
         coefficients={INTERCEPT: beta[0], **{c: coefficients.get(c, 0.0) for c in columns}},
         _predictor=_LinearPredictor(beta, np.arange(len(columns)), logistic=not outcome),
@@ -323,7 +323,7 @@ def fit_forest_outcome(
     resid = y - oob
     return FittedModel(
         kind="forest",
-        columns=fm.columns,
+        spec=fm.spec,
         resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
         _predictor=forest,
@@ -340,16 +340,17 @@ def fit_forest_propensity(
 
     predict averages per-tree terminal-node class-1 proportions.  The stored
     in-sample propensities use out-of-bag averaging for the same reason as
-    the outcome forest's residuals; they belong to `train_values`, the
-    feature matrix of the fit.
+    the outcome forest's residuals; they belong to `train_values` and
+    `train_labels`, the feature rows and exposures of the fit.
     """
     x = _target(fm, x, outcome=False)
     forest, oob = _fit_forest(fm, x, cfg, True, index_sampler)
     return FittedModel(
         kind="forest",
-        columns=fm.columns,
+        spec=fm.spec,
         forest_config=cfg,
         insample_prob=oob,
         train_values=fm.values,
+        train_labels=x,
         _predictor=forest,
     )

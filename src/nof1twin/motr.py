@@ -2,10 +2,11 @@
 
 Each run permutes the observed exposure sequence, rolls the fitted model
 forward sequentially (generated lagged outcomes feed the next period's
-features; exogenous covariates keep their observed values), adds Gaussian
-noise at the fitted residual scale, and contrasts the noisy predictions
-between the permuted arms.  Runs accumulate into cumulative averages of the
-effect and its per-run Welch interval bounds until a stopping rule fires.
+features, laid out by the twin's own FittedModel.spec; exogenous covariates
+keep their observed values), adds Gaussian noise at the fitted residual
+scale, and contrasts the noisy predictions between the permuted arms.  Runs
+accumulate into cumulative averages of the effect and its per-run Welch
+interval bounds until a stopping rule fires.
 
 Runs are rolled out together, in blocks of at most _BLOCK_ROWS rollout rows
 (runs x (m - 1)), the first of at most _FIRST_BLOCK_RUNS runs and each later
@@ -38,7 +39,6 @@ from scipy.special import stdtrit
 from .core import (
     LAG_CONTINUOUS,
     LAG_QUARTILE,
-    FeatureSpec,
     SeedSpec,
     TimeSeriesDataset,
     as_seed,
@@ -138,7 +138,6 @@ class ApteEstimate:
     delta: float
     ci: tuple[float, float]
     runs_used: int
-    trajectory: tuple[tuple[float, float, float], ...]  # cumulative (delta, lo, hi) per run
     runs: tuple[tuple[float, float, float], ...]  # each run's own (delta, lo, hi)
     mean_po_1: float
     mean_po_0: float
@@ -146,9 +145,16 @@ class ApteEstimate:
     degenerate_ci: bool = False
     mc_se: float | None = None  # SD (ddof 1) of the run deltas / sqrt(runs_used); None below 2 runs
 
+    @property
+    def trajectory(self) -> tuple[tuple[float, float, float], ...]:
+        """The cumulative (delta, lo, hi) after each run: running means of `runs`."""
+        cum = np.cumsum(self.runs, axis=0) / np.arange(1, len(self.runs) + 1)[:, None]
+        return tuple(map(tuple, cum.tolist()))
+
 
 class _Rollout:
-    """A twin's noisy sequential predictions for permuted exposure sequences.
+    """A twin's noisy sequential predictions for permuted exposure sequences,
+    on rows laid out by the twin's own spec (model.spec).
 
     Only the outcome lag changes between steps; the rest of a period's
     features, static row s = (x_t * n_lag + x_{t-1}) * n_exog + e (e the
@@ -167,7 +173,10 @@ class _Rollout:
     a table row depends on its static row alone, so chunks change no value.
     """
 
-    def __init__(self, ds: TimeSeriesDataset, model: FittedModel, spec: FeatureSpec):
+    def __init__(self, ds: TimeSeriesDataset, model: FittedModel):
+        check_twin(model, "MoTR", outcome=True)
+        spec = model.spec
+        assemble_features(ds, spec)  # rejects data the spec cannot assemble
         self.y0, self.affine, self.chunk, self.lag = float(ds.y[0]), None, None, spec.lag
         exog, self.exog_row = np.unique(ds.exog_matrix(spec.exog_names)[1:], axis=0,
                                         return_inverse=True)
@@ -236,7 +245,6 @@ class _Rollout:
 def run_motr_once(
     ds: TimeSeriesDataset,
     model: FittedModel,
-    spec: FeatureSpec,
     permuted_x: np.ndarray,
     noise: np.ndarray | None = None,
 ) -> MotrRun:
@@ -246,8 +254,7 @@ def run_motr_once(
     which makes the run a deterministic function of the permutation, the
     form used when cross-checking against exact enumeration.
     """
-    check_twin(model, spec, "MoTR", outcome=True)
-    assemble_features(ds, spec)  # rejects data the spec cannot assemble
+    rollout = _Rollout(ds, model)
     xb = np.asarray(permuted_x, dtype=float).reshape(1, -1)
     if xb.shape[1] != ds.m or not np.isin(xb, (0, 1)).all() or xb.sum() != ds.x.sum():
         raise EstimatorError("permuted_x must be a permutation of the observed exposures")
@@ -257,7 +264,7 @@ def run_motr_once(
         raise EstimatorError(f"noise must hold m - 1 = {ds.m - 1} values, got {nz.shape[1]}")
     if (bad := np.flatnonzero(~np.isfinite(nz[0]))).size:
         raise EstimatorError(f"noise must be finite, got {nz[0, bad[0]]} at position {bad[0]}")
-    preds = _Rollout(ds, model, spec)(xb, nz)
+    preds = rollout(xb, nz)
     delta, lo, hi, mean1, mean0, degenerate = arm_contrast(preds, xb[:, 1:])[:, 0].tolist()
     return MotrRun(permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
                    delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
@@ -278,12 +285,7 @@ def _first_stop(cum: np.ndarray, cfg: MotrConfig) -> int | None:
     return int(stops[0]) if stops.size else None
 
 
-def run_motr(
-    ds: TimeSeriesDataset,
-    model: FittedModel,
-    spec: FeatureSpec,
-    cfg: MotrConfig,
-) -> ApteEstimate:
+def run_motr(ds: TimeSeriesDataset, model: FittedModel, cfg: MotrConfig) -> ApteEstimate:
     """Run the model twin through permutation runs until the estimate settles.
 
     Stops at the first run r >= max(r_min, stop_window + 1) where all three
@@ -298,12 +300,10 @@ def run_motr(
             f"randomization needs at least 2 periods in each exposure arm, got "
             f"{m1} exposed and {ds.m - m1} unexposed"
         )
-    check_twin(model, spec, "MoTR", outcome=True)
-    assemble_features(ds, spec)  # rejects data the spec cannot assemble
     m = ds.m
     per_block = max(1, _BLOCK_ROWS // (m - 1))
     size = min(cfg.r_max, _FIRST_BLOCK_RUNS, per_block)
-    rollout = _Rollout(ds, model, spec)
+    rollout = _Rollout(ds, model)
     blocks: list[np.ndarray] = []
     done, stop = 0, None
     while stop is None and done < cfg.r_max:
@@ -329,7 +329,6 @@ def run_motr(
         delta=delta,
         ci=(lo, hi),
         runs_used=n,
-        trajectory=tuple(map(tuple, cum[:, :n].T.tolist())),
         runs=tuple(map(tuple, per_run[:3, :n].T.tolist())),
         mean_po_1=float(np.mean(per_run[3, :n])),
         mean_po_0=float(np.mean(per_run[4, :n])),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeatureSpec, TimeSeriesDataset, assemble_features
+from .core import TimeSeriesDataset, assemble_features
 from .errors import ConfigError, EstimatorError
 from .models import FittedModel, check_twin
 
@@ -123,26 +123,22 @@ def pstn_from_propensities(
     )
 
 
-def run_pstn(
-    ds: TimeSeriesDataset,
-    model: FittedModel,
-    spec: FeatureSpec,
-    cfg: PstnConfig,
-) -> PstnResult:
+def run_pstn(ds: TimeSeriesDataset, model: FittedModel, cfg: PstnConfig) -> PstnResult:
     """Predict each period's propensity once, then weight the observed outcomes.
 
-    When the model was trained on exactly these feature rows and stored
-    in-sample propensities for them (forest fits do, via out-of-bag
+    The feature rows are those of the twin's own layout, `model.spec`.  When
+    the model was trained on exactly these feature rows and exposures and
+    stored in-sample propensities for them (forest fits do, via out-of-bag
     averaging), those are used; otherwise the propensities are predicted
     from the assembled features.
     """
-    check_twin(model, spec, "PSTn", outcome=False)
-    if spec.include_current_exposure:
+    check_twin(model, "PSTn", outcome=False)
+    if model.spec.include_current_exposure:
         raise EstimatorError("propensity features must not include the current exposure")
-    fm = assemble_features(ds, spec)
-    if model.insample_prob is not None and np.array_equal(fm.values, model.train_values):
+    fm = assemble_features(ds, model.spec)
+    y, x = ds.y[fm.dropped_head:], ds.x[fm.dropped_head:]
+    if np.array_equal(fm.values, model.train_values) and np.array_equal(x, model.train_labels):
         pi = np.asarray(model.insample_prob, dtype=float)
     else:
         pi = model.predict(fm.values)
-    rows = slice(fm.dropped_head, ds.m)
-    return pstn_from_propensities(ds.y[rows], ds.x[rows], pi, fm.t_index, cfg)
+    return pstn_from_propensities(y, x, pi, fm.t_index, cfg)

@@ -92,13 +92,13 @@ def test_criterion_1_oracle_equivalence():
     ds = TimeSeriesDataset(y=y, x=x0)
     spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS)
     twin = glm_from_coefficients(
-        spec.columns, {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, resid_sd=0.0
+        spec, {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, resid_sd=0.0
     )
     deltas = []
     for ones in itertools.combinations(range(m), m1):
         perm = np.zeros(m, dtype=np.int64)
         perm[list(ones)] = 1
-        deltas.append(run_motr_once(ds, twin, spec, perm).delta)
+        deltas.append(run_motr_once(ds, twin, perm).delta)
     motr_value = float(np.mean(deltas))
     oracle_value = enumerate_apte(
         EnumSpec(m=m, mode=MODE_PERMUTATION, params=params, m1=m1, y_init=float(y[0]))
@@ -223,9 +223,7 @@ def test_criterion_9_micro_fixtures():
     w = np.array([0.0] * 40 + [1.0] * 40)
     x = np.array([1] * 10 + [0] * 30 + [1] * 30 + [0] * 10)
     spec = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
-    fm = FeatureMatrix(
-        values=w[:, None], columns=("w",), t_index=np.arange(1, 81), dropped_head=0, spec=spec
-    )
+    fm = FeatureMatrix(values=w[:, None], spec=spec)
     logit = fit_logistic_propensity(fm, x)
     irls_ok = (
         abs(logit.coefficients["intercept"] - math.log(1 / 3)) < 1e-8
@@ -244,13 +242,7 @@ def test_criterion_9_micro_fixtures():
 
     # OLS two-point interpolation exact
     ospec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
-    ofm = FeatureMatrix(
-        values=np.array([[0.0], [1.0], [0.0], [1.0]]),
-        columns=("x",),
-        t_index=np.arange(1, 5),
-        dropped_head=0,
-        spec=ospec,
-    )
+    ofm = FeatureMatrix(values=np.array([[0.0], [1.0], [0.0], [1.0]]), spec=ospec)
     ols = fit_linear_outcome(ofm, np.array([1.0, 3.0, 1.0, 3.0]))
     ols_ok = (
         abs(ols.coefficients["intercept"] - 1.0) < 1e-12

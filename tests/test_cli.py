@@ -116,7 +116,7 @@ class TestAnalyze:
             rng = np.random.Generator(np.random.Philox(seq))
             perm = ds.x[rng.permutation(ds.m)]
             noise = normals(rng.random(ds.m - 1), model.resid_sd)
-            once = run_motr_once(ds, model, OUTCOME_SPEC, perm, noise)
+            once = run_motr_once(ds, model, perm, noise)
             assert (float(row["delta_r"]), float(row["lo_r"]), float(row["hi_r"])) == (
                 once.delta, *once.ci
             )
@@ -285,26 +285,6 @@ class TestReplicate:
         for row in table[1:]:
             values = [float(cell) for cell in row[1:]]
             assert values[1] <= values[0] <= values[2]
-
-    def test_study_length_matches_closed_form(self, tmp_path):
-        out = tmp_path / "oracle.json"
-        assert run(["oracle", "--m1", "110", "-o", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        validate(payload, "oracle.schema.json")
-        m, c, b = 220, 0.8, 1.1
-        correction = sum((m - 1 - g) * c**g for g in range(1, m - 1)) / ((m - 1) * (m - 2))
-        assert payload["m"] == m
-        assert payload["apte_exact"] == pytest.approx(b * (1 - correction), abs=1e-12)
-
-    @pytest.mark.parametrize("argv, message", [
-        (["--mode", "iid", "--pi", "0.5", "--m1", "3"], "iid mode takes pi, not m1"),
-        (["--mode", "permutation", "--m1", "4", "--pi", "0.3"], "permutation mode takes m1, not pi"),
-    ])
-    def test_other_modes_margin_is_a_config_error(self, tmp_path, capsys, argv, message):
-        out = tmp_path / "o.json"
-        assert run(["oracle", "--m", "8", *argv, "-o", str(out)]) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []

@@ -358,9 +358,9 @@ class TestAssembleFeatures:
                         lag = [j for j, c in enumerate(spec.columns)
                                if c == "y_lag1" or c.startswith("y_lag1_q")]
                         assert list(spec.lag) == lag, spec
-                        model = glm_from_coefficients(spec.columns, {}, resid_sd=1.0)
+                        model = glm_from_coefficients(spec, {}, resid_sd=1.0)
                         digest.update(fm.values.tobytes())
-                        digest.update(_Rollout(ds, model, spec).static.tobytes())
+                        digest.update(_Rollout(ds, model).static.tobytes())
         assert digest.hexdigest() == LAYOUT_DIGEST
 
 

@@ -25,6 +25,8 @@ from nof1twin.models import (
     glm_from_coefficients,
 )
 
+W_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
+
 
 def fmatrix(values, columns, include_x=True):
     values = np.atleast_2d(np.asarray(values, dtype=float))
@@ -32,13 +34,7 @@ def fmatrix(values, columns, include_x=True):
     spec = FeatureSpec(
         include_current_exposure=include_x, outcome_lag_mode=LAG_NONE, exog_names=exog
     )
-    return FeatureMatrix(
-        values=values,
-        columns=tuple(columns),
-        t_index=np.arange(1, values.shape[0] + 1),
-        dropped_head=0,
-        spec=spec,
-    )
+    return FeatureMatrix(values, spec)
 
 
 class TestLinear:
@@ -90,7 +86,7 @@ class TestLinear:
         assert {"y_lag1_q2", "y_lag1_q3", "y_lag1_q4"} <= set(model.coefficients)
 
     def test_from_coefficients(self):
-        model = glm_from_coefficients(("x", "y_lag1"), {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, 0.0)
+        model = glm_from_coefficients(FeatureSpec(True), {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, 0.0)
         pred = model.predict(np.array([[1.0, 10.0], [0.0, 10.0]]))
         assert pred == pytest.approx([2.0 + 1.1 + 8.0, 2.0 + 8.0])
 
@@ -156,11 +152,11 @@ class TestLogistic:
             fit_logistic_propensity(fm, np.ones(10))
 
     def test_from_coefficients(self):
-        model = glm_from_coefficients(("w",), {"intercept": 0.0, "w": 1.0})
+        model = glm_from_coefficients(W_SPEC, {"intercept": 0.0, "w": 1.0})
         assert model.predict(np.array([[0.0]]))[0] == pytest.approx(0.5)
 
     def test_far_negative_linear_predictor_gives_zero_without_warning(self):
-        model = glm_from_coefficients(("w",), {"intercept": 0.0, "w": 1.0})
+        model = glm_from_coefficients(W_SPEC, {"intercept": 0.0, "w": 1.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prob = model.predict(np.array([[-800.0], [-709.9], [800.0]]))

@@ -33,7 +33,7 @@ def true_twin(params: ArcoParams, spec: FeatureSpec, resid_sd: float = 0.0):
     coefs = {"intercept": params.beta0, "x": params.beta_x, "y_lag1": params.beta_ar}
     if spec.use_exposure_lag1:
         coefs["x_lag1"] = params.beta_co
-    return glm_from_coefficients(spec.columns, coefs, resid_sd)
+    return glm_from_coefficients(spec, coefs, resid_sd)
 
 
 def mechanism_dataset(params: ArcoParams, x, y1=None):
@@ -51,13 +51,13 @@ def mechanism_dataset(params: ArcoParams, x, y1=None):
     return TimeSeriesDataset(y=y, x=x)
 
 
-def all_permutation_average(ds, model, spec):
+def all_permutation_average(ds, model):
     m1 = int(ds.x.sum())
     deltas = []
     for ones in itertools.combinations(range(ds.m), m1):
         perm = np.zeros(ds.m, dtype=np.int64)
         perm[list(ones)] = 1
-        deltas.append(run_motr_once(ds, model, spec, perm).delta)
+        deltas.append(run_motr_once(ds, model, perm).delta)
     return float(np.mean(deltas))
 
 
@@ -143,7 +143,7 @@ class TestSingleRun:
         params = ArcoParams(beta0=2.0, beta_x=1.1)
         ds = mechanism_dataset(params, [1, 0, 1, 0, 1, 0])
         model = true_twin(params, NO_LAG_SPEC)
-        run = run_motr_once(ds, model, NO_LAG_SPEC, np.array([0, 1, 1, 0, 0, 1]))
+        run = run_motr_once(ds, model, np.array([0, 1, 1, 0, 0, 1]))
         assert run.delta == pytest.approx(1.1, abs=1e-12)
         assert run.ci == (run.delta, run.delta)
         assert run.degenerate_ci
@@ -153,7 +153,7 @@ class TestSingleRun:
         ds = mechanism_dataset(params, [1, 1, 0, 0, 1, 0, 1, 0])
         model = true_twin(params, LAG_SPEC)
         perm = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        run = run_motr_once(ds, model, LAG_SPEC, perm)
+        run = run_motr_once(ds, model, perm)
         assert run.delta == run.mean_po_1 - run.mean_po_0
         assert run.permuted_x.sum() == ds.x.sum()
         assert len(run.noisy_preds) == ds.m - 1
@@ -163,26 +163,26 @@ class TestSingleRun:
         params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.6)
         ds = mechanism_dataset(params, [1, 0] * 15)
         model = true_twin(params, LAG_SPEC)
-        run = run_motr_once(ds, model, LAG_SPEC, ds.x, noise=np.ones(29))
+        run = run_motr_once(ds, model, ds.x, noise=np.ones(29))
         assert len(run.noisy_preds) == 29
         with pytest.raises(EstimatorError, match="noise must hold m - 1 = 29 values"):
-            run_motr_once(ds, model, LAG_SPEC, ds.x, noise=np.ones(length))
+            run_motr_once(ds, model, ds.x, noise=np.ones(length))
 
     def test_rejects_non_permutation(self):
         params = ArcoParams(beta0=1.0, beta_x=0.5)
         ds = mechanism_dataset(params, [1, 0, 1, 0])
         model = true_twin(params, NO_LAG_SPEC)
         with pytest.raises(EstimatorError, match="permutation"):
-            run_motr_once(ds, model, NO_LAG_SPEC, np.array([1, 1, 1, 0]))
+            run_motr_once(ds, model, np.array([1, 1, 1, 0]))
 
     def test_rejects_exposures_other_than_zero_or_one(self):
         params = ArcoParams(beta0=1.0, beta_x=0.5)
         ds = mechanism_dataset(params, [1, 0, 1, 0, 0])
         model = true_twin(params, NO_LAG_SPEC)
-        assert run_motr_once(ds, model, NO_LAG_SPEC, [0.0, 1.0, 0.0, 0.0, 1.0]).delta == 0.5
+        assert run_motr_once(ds, model, [0.0, 1.0, 0.0, 0.0, 1.0]).delta == 0.5
         for bad in ([1, 0.9, 1.5, 0, 0], [1, 0, 1, 0, -0.5], [1, 0, 1, 0, np.nan]):
             with pytest.raises(EstimatorError, match="permutation"):
-                run_motr_once(ds, model, NO_LAG_SPEC, bad)
+                run_motr_once(ds, model, bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_noise(self, bad):
@@ -192,7 +192,7 @@ class TestSingleRun:
         noise = np.ones(9)
         noise[[3, 6]] = bad
         with pytest.raises(EstimatorError, match=f"noise must be finite, got {bad} at position 3"):
-            run_motr_once(ds, model, LAG_SPEC, ds.x, noise=noise)
+            run_motr_once(ds, model, ds.x, noise=noise)
 
 
 class TestEnumerationAgreement:
@@ -200,7 +200,7 @@ class TestEnumerationAgreement:
         params = ArcoParams(beta0=2.0, beta_x=1.1, beta_ar=0.8)
         ds = mechanism_dataset(params, [1, 1, 1, 1, 0, 0, 0, 0])
         model = true_twin(params, LAG_SPEC)
-        motr_value = all_permutation_average(ds, model, LAG_SPEC)
+        motr_value = all_permutation_average(ds, model)
         oracle_value = enumerate_apte(
             EnumSpec(m=8, mode=MODE_PERMUTATION, params=params, m1=4, y_init=float(ds.y[0]))
         )
@@ -221,7 +221,7 @@ class TestEnumerationAgreement:
         x[:m1] = 1
         ds = mechanism_dataset(params, x, y1=y1)
         model = true_twin(params, XLAG_SPEC)
-        motr_value = all_permutation_average(ds, model, XLAG_SPEC)
+        motr_value = all_permutation_average(ds, model)
         oracle_value = enumerate_apte(
             EnumSpec(m=m, mode=MODE_PERMUTATION, params=params, m1=m1, y_init=y1)
         )
@@ -243,10 +243,10 @@ class TestRunMotr:
         arco, ds = self.make_study_ds(seed=6, m=m)
         model = true_twin(arco, LAG_SPEC, resid_sd=resid_sd)
         seed = SeedSpec(4, (2,))
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=200, r_max=200, seed=seed))
+        est = run_motr(ds, model, MotrConfig(r_min=200, r_max=200, seed=seed))
         assert ds.m == m and est.runs_used == 200
         for r in range(1, 201):
-            run = run_motr_once(ds, model, LAG_SPEC, _permutation_for(ds, seed, r),
+            run = run_motr_once(ds, model, _permutation_for(ds, seed, r),
                                 _noise_for(ds, seed, r, resid_sd))
             assert est.runs[r - 1] == (run.delta, *run.ci)
 
@@ -254,7 +254,7 @@ class TestRunMotr:
         params = ArcoParams(beta0=2.0, beta_x=1.1)
         ds = mechanism_dataset(params, [1, 0] * 6)
         model = true_twin(params, NO_LAG_SPEC)
-        est = run_motr(ds, model, NO_LAG_SPEC, MotrConfig(seed=0))
+        est = run_motr(ds, model, MotrConfig(seed=0))
         assert est.delta == pytest.approx(1.1, abs=1e-12)
         assert est.runs_used == 10
         assert est.stop_reason == "converged"
@@ -269,19 +269,19 @@ class TestRunMotr:
         x[:4] = [1, 0, 1, 0]
         ds = mechanism_dataset(params, x)
         model = glm_from_coefficients(
-            spec.columns, {"intercept": 3.0, "x": 0.0, "y_lag1": 0.4}, resid_sd=0.5
+            spec, {"intercept": 3.0, "x": 0.0, "y_lag1": 0.4}, resid_sd=0.5
         )
-        est = run_motr(ds, model, spec, MotrConfig(r_max=60, seed=5))
+        est = run_motr(ds, model, MotrConfig(r_max=60, seed=5))
         assert abs(est.delta) < 0.2
         assert est.ci[0] < 0.0 < est.ci[1]
 
     def test_trajectory_is_deterministic_in_seed(self):
         arco, ds = self.make_study_ds()
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
-        a = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=40, seed=SeedSpec(3)))
-        b = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=40, seed=SeedSpec(3)))
+        a = run_motr(ds, model, MotrConfig(r_max=40, seed=SeedSpec(3)))
+        b = run_motr(ds, model, MotrConfig(r_max=40, seed=SeedSpec(3)))
         assert a.trajectory == b.trajectory
-        c = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=40, seed=SeedSpec(4)))
+        c = run_motr(ds, model, MotrConfig(r_max=40, seed=SeedSpec(4)))
         assert a.trajectory != c.trajectory
 
     def test_initial_outcome_feeds_only_the_lag_channel(self):
@@ -291,22 +291,22 @@ class TestRunMotr:
         ds_b = mechanism_dataset(params, x, y1=2.0)
         lag_model = true_twin(params, LAG_SPEC)
         cfg = MotrConfig(r_max=5, r_min=1, seed=2)
-        est_a = run_motr(ds_a, lag_model, LAG_SPEC, cfg)
-        est_b = run_motr(ds_b, lag_model, LAG_SPEC, cfg)
+        est_a = run_motr(ds_a, lag_model, cfg)
+        est_b = run_motr(ds_b, lag_model, cfg)
         assert est_a.trajectory != est_b.trajectory
 
         flat = ArcoParams(beta0=1.0, beta_x=0.5)
         ds_c = mechanism_dataset(flat, x, y1=1.0)
         ds_d = mechanism_dataset(flat, x, y1=2.0)
         no_lag_model = true_twin(flat, NO_LAG_SPEC)
-        est_c = run_motr(ds_c, no_lag_model, NO_LAG_SPEC, cfg)
-        est_d = run_motr(ds_d, no_lag_model, NO_LAG_SPEC, cfg)
+        est_c = run_motr(ds_c, no_lag_model, cfg)
+        est_d = run_motr(ds_d, no_lag_model, cfg)
         assert est_c.trajectory == est_d.trajectory
 
     def test_averaging_contraction(self):
         arco, ds = self.make_study_ds(seed=2)
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=30, seed=1))
+        est = run_motr(ds, model, MotrConfig(r_max=30, seed=1))
         cums = [t[0] for t in est.trajectory]
         deltas = [run[0] for run in est.runs]
         assert len(deltas) == len(cums) == est.runs_used
@@ -326,12 +326,12 @@ class TestRunMotr:
             assemble_features(ds, LAG_SPEC), ds.y[1:], ForestConfig(n_trees=20, seed=2)
         )
         for model in (true_twin(arco, LAG_SPEC, resid_sd=0.5), forest):
-            est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=45, r_max=45, seed=9))
+            est = run_motr(ds, model, MotrConfig(r_min=45, r_max=45, seed=9))
             assert est.runs_used == len(est.runs) == 45
             per_run = []
             for r in range(1, est.runs_used + 1):
                 run = run_motr_once(
-                    ds, model, LAG_SPEC,
+                    ds, model,
                     permuted_x=_permutation_for(ds, SeedSpec(9), r),
                     noise=_noise_for(ds, SeedSpec(9), r, model.resid_sd),
                 )
@@ -344,10 +344,10 @@ class TestRunMotr:
     def test_mc_se_is_standard_error_of_run_deltas(self):
         arco, ds = self.make_study_ds(seed=4)
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=30, seed=2))
+        est = run_motr(ds, model, MotrConfig(r_max=30, seed=2))
         deltas = [run[0] for run in est.runs]
         assert est.mc_se == np.std(deltas, ddof=1) / np.sqrt(est.runs_used)
-        one = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=1, r_max=1, seed=2))
+        one = run_motr(ds, model, MotrConfig(r_min=1, r_max=1, seed=2))
         assert one.runs_used == 1 and one.mc_se is None
 
     def test_memory_bounded_at_large_run_cap(self):
@@ -357,7 +357,7 @@ class TestRunMotr:
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
         tracemalloc.start()
         try:
-            est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_max=10**6, stop_tol=1e-2, seed=3))
+            est = run_motr(ds, model, MotrConfig(r_max=10**6, stop_tol=1e-2, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -367,7 +367,7 @@ class TestRunMotr:
     def test_run_cap_reported_when_not_settled(self):
         arco, ds = self.make_study_ds(seed=4)
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(r_min=5, r_max=12, seed=3))
+        est = run_motr(ds, model, MotrConfig(r_min=5, r_max=12, seed=3))
         assert est.runs_used == 12
         assert est.stop_reason == "r_max"
 
@@ -381,7 +381,7 @@ class TestRunMotr:
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
         fm = assemble_features(ds, LAG_SPEC)
         model = fit_linear_outcome(fm, ds.y[1:])
-        est = run_motr(ds, model, LAG_SPEC, MotrConfig(seed=SeedSpec(1).child(1)))
+        est = run_motr(ds, model, MotrConfig(seed=SeedSpec(1).child(1)))
         assert est.ci[0] < 1.1 < est.ci[1]
         assert est.runs_used <= 200
 
@@ -395,24 +395,17 @@ class TestRunMotr:
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
         fm = assemble_features(ds, LAG_SPEC)
         glm = fit_linear_outcome(fm, ds.y[1:])
-        glm_est = run_motr(ds, glm, LAG_SPEC, MotrConfig(seed=SeedSpec(1).child(1)))
+        glm_est = run_motr(ds, glm, MotrConfig(seed=SeedSpec(1).child(1)))
         forest = fit_forest_outcome(fm, ds.y[1:], ForestConfig(n_trees=100, seed=SeedSpec(1).child(3)))
-        rf_est = run_motr(ds, forest, LAG_SPEC, MotrConfig(seed=SeedSpec(1).child(2)))
+        rf_est = run_motr(ds, forest, MotrConfig(seed=SeedSpec(1).child(2)))
         assert 0.0 < rf_est.delta < glm_est.ci[1]
-
-    def test_model_spec_mismatch(self):
-        params = ArcoParams(beta0=1.0, beta_x=0.5)
-        ds = mechanism_dataset(params, [1, 0, 1, 0])
-        model = true_twin(params, NO_LAG_SPEC)
-        with pytest.raises(EstimatorError, match="columns"):
-            run_motr(ds, model, LAG_SPEC, MotrConfig(seed=0))
 
     def test_single_class_exposure_rejected(self):
         params = ArcoParams(beta0=1.0, beta_x=0.5)
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 1, 1, 1])
         model = true_twin(params, NO_LAG_SPEC)
         with pytest.raises(EstimatorError, match="2 periods in each exposure arm, got 4 exposed"):
-            run_motr(ds, model, NO_LAG_SPEC, MotrConfig(seed=0))
+            run_motr(ds, model, MotrConfig(seed=0))
 
 
 def _run_stream(seed, r):
@@ -453,9 +446,9 @@ class TestQuartileRollout:
         slot_effect = (0.0, 0.8, -0.6, -1.5)  # the first quartile is the reference level
         coefs = {"intercept": 0.3, "x": 1.1, "x_lag1": -0.4, "v": 0.25}
         coefs.update(zip(("y_lag1_q2", "y_lag1_q3", "y_lag1_q4"), slot_effect[1:]))
-        model = glm_from_coefficients(spec.columns, coefs, resid_sd=0.0)
+        model = glm_from_coefficients(spec, coefs, resid_sd=0.0)
         perm = ds.x[rng.permutation(m)]
-        run = run_motr_once(ds, model, spec, perm)
+        run = run_motr_once(ds, model, perm)
 
         q1, q2, q3 = quartile_bounds(y)
         expected, slots = [], set()
@@ -537,7 +530,7 @@ def test_estimate_independent_of_block_rows(twin, monkeypatch):
     else:
         spec = LAG_SPEC if twin == "table" else EXOG_SPEC
         ds, model = _forest_case(11, spec)
-    assert _form(_Rollout(ds, model, spec)) == ("affine" if twin == "linear" else "table")
+    assert _form(_Rollout(ds, model)) == ("affine" if twin == "linear" else "table")
     default = motr._BLOCK_ROWS
     for cfg, reason in ((MotrConfig(r_max=60, stop_tol=1e-2, seed=3), "converged"),
                         (MotrConfig(r_max=23, stop_tol=1e-2, seed=3), "r_max")):
@@ -548,7 +541,7 @@ def test_estimate_independent_of_block_rows(twin, monkeypatch):
                             (default, 200)):
             monkeypatch.setattr(motr, "_BLOCK_ROWS", rows)
             monkeypatch.setattr(motr, "_FIRST_BLOCK_RUNS", first)
-            estimates.append(run_motr(ds, model, spec, cfg))
+            estimates.append(run_motr(ds, model, cfg))
         assert estimates[0].stop_reason == reason
         assert estimates[0].runs_used % 7 != 0
         assert estimates[0] == estimates[1] == estimates[2] == estimates[3]
@@ -581,12 +574,12 @@ def test_table_built_in_period_chunks_equals_the_whole_table(layout, monkeypatch
         ds, model = _forest_case(4, spec)
     else:
         ds = _series(4)
-        model = glm_from_coefficients(spec.columns, {"x": 1.0, "y_lag1_q3": -0.5, "temp": 0.3}, 0.7)
+        model = glm_from_coefficients(spec, {"x": 1.0, "y_lag1_q3": -0.5, "temp": 0.3}, 0.7)
     cfg = MotrConfig(r_max=90, stop_tol=1e-2, seed=2)
-    whole = _Rollout(ds, model, spec)
+    whole = _Rollout(ds, model)
     assert whole.chunk is None and whole.table.shape[0] >= ds.m - 1  # a row per period, or more
     per_period = 2 * whole.n_lag * whole.table.shape[1]
-    expected = run_motr(ds, model, spec, cfg)
+    expected = run_motr(ds, model, cfg)
     monkeypatch.setattr(motr, "_TABLE_VALUES", 5 * per_period + per_period - 1)
     monkeypatch.setattr(motr, "_BLOCK_ROWS", 16 * (ds.m - 1))  # blocks of 16 runs
     sizes = []
@@ -598,7 +591,7 @@ def test_table_built_in_period_chunks_equals_the_whole_table(layout, monkeypatch
             self.fill = lambda static: sizes.append(len(static)) or fill(static)
 
     monkeypatch.setattr(motr, "_Rollout", Spy)
-    chunked = run_motr(ds, model, spec, cfg)
+    chunked = run_motr(ds, model, cfg)
     assert chunked == expected
     assert expected.stop_reason == "converged" and expected.runs_used > 16
     blocks = -(-expected.runs_used // 16)
@@ -615,7 +608,7 @@ class TestStepTable:
 
         spec = TABLE_SPECS[layout]
         ds, model = _forest_case(seed, spec)
-        table = _Rollout(ds, model, spec)
+        table = _Rollout(ds, model)
         assert table.chunk is None
         quartile = spec.outcome_lag_mode == LAG_QUARTILE
         reps = np.eye(4) if quartile else np.append(table.cuts, np.inf)[:, None]
@@ -654,8 +647,8 @@ class TestStepTable:
         spec = TABLE_SPECS.get(layout, EXOG_SPEC)
         ds, model = _forest_case(seed, spec)
         cfg = MotrConfig(r_min=35, r_max=35, seed=seed)
-        assert _form(_Rollout(ds, model, spec)) == "table"
-        est = run_motr(ds, model, spec, cfg)
+        assert _form(_Rollout(ds, model)) == "table"
+        est = run_motr(ds, model, cfg)
         reference = _step_by_step_runs(ds, model, spec, seed, est.runs_used)
         if spec.outcome_lag_mode == LAG_CONTINUOUS:
             # a summed table is predict to about 1e-14 here (summed_table_tolerance), and a
@@ -704,12 +697,12 @@ class TestLinearRollout:
             model = model if noisy else replace(model, resid_sd=0.0)
         else:  # mixed signs and zeros, the first quartile slot included
             names = ("intercept", *spec.columns)
-            model = glm_from_coefficients(spec.columns, dict(zip(names, coefs)),
+            model = glm_from_coefficients(spec, dict(zip(names, coefs)),
                                           resid_sd=0.7 if noisy else 0.0)
         cfg = MotrConfig(r_min=20, r_max=20, seed=seed)
-        form = _form(_Rollout(ds, model, spec))
+        form = _form(_Rollout(ds, model))
         assert form == ("affine" if spec.outcome_lag_mode == LAG_CONTINUOUS else "table")
-        est = run_motr(ds, model, spec, cfg)
+        est = run_motr(ds, model, cfg)
         reference = _step_by_step_runs(ds, model, spec, seed, est.runs_used)
         assert np.array_equal(est.runs, reference)
 
@@ -718,8 +711,8 @@ class TestInitialConditions:
     def test_returns_first_observed_values(self):
         # the first observed outcome seeds the lag of the first generated period
         ds = TimeSeriesDataset(y=[4.5, 2.0, 1.0, 3.0], x=[1, 0, 1, 0])
-        model = glm_from_coefficients(LAG_SPEC.columns, {"intercept": 1.0, "x": 0.5, "y_lag1": 2.0}, 0.0)
-        run = run_motr_once(ds, model, LAG_SPEC, [1, 0, 0, 1])
+        model = glm_from_coefficients(LAG_SPEC, {"intercept": 1.0, "x": 0.5, "y_lag1": 2.0}, 0.0)
+        run = run_motr_once(ds, model, [1, 0, 0, 1])
         assert run.noisy_preds[0] == 1.0 + 2.0 * 4.5
 
 
@@ -736,11 +729,11 @@ class TestPreconditions:
 
     def test_propensity_model_rejected(self):
         ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])
-        propensity = glm_from_coefficients(NO_LAG_SPEC.columns, {"intercept": 0.0})
+        propensity = glm_from_coefficients(NO_LAG_SPEC, {"intercept": 0.0})
         with pytest.raises(EstimatorError, match="needs an outcome model"):
-            run_motr(ds, propensity, NO_LAG_SPEC, MotrConfig(seed=0))
+            run_motr(ds, propensity, MotrConfig(seed=0))
         with pytest.raises(EstimatorError, match="needs an outcome model"):
-            run_motr_once(ds, propensity, NO_LAG_SPEC, ds.x)
+            run_motr_once(ds, propensity, ds.x)
 
     @pytest.mark.parametrize("arm", [1, 0])
     def test_single_period_arm_rejected_for_every_seed(self, arm):
@@ -751,4 +744,4 @@ class TestPreconditions:
         model = true_twin(params, LAG_SPEC, resid_sd=0.1)
         for seed in range(10):
             with pytest.raises(EstimatorError, match="at least 2 periods in each exposure arm"):
-                run_motr(ds, model, LAG_SPEC, MotrConfig(seed=seed))
+                run_motr(ds, model, MotrConfig(seed=seed))

@@ -150,23 +150,23 @@ class TestRunPstn:
         ds = TimeSeriesDataset(y=y, x=x)
         fm = assemble_features(ds, FLAT_SPEC)
         model = fit_logistic_propensity(fm, ds.x)
-        res = run_pstn(ds, model, FLAT_SPEC, NO_TRIM)
+        res = run_pstn(ds, model, NO_TRIM)
         raw = estimate_raw(ds)
         assert res.delta == pytest.approx(raw.estimate, abs=1e-9)
 
     def test_current_exposure_feature_rejected(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0], x=[1, 0, 1])
         spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
-        model = glm_from_coefficients(spec.columns, {"intercept": 0.0})
+        model = glm_from_coefficients(spec, {"intercept": 0.0})
         with pytest.raises(EstimatorError, match="current exposure"):
-            run_pstn(ds, model, spec, PstnConfig())
+            run_pstn(ds, model, PstnConfig())
 
     def test_improves_on_raw_for_study_dataset(self):
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
         fm = assemble_features(ds, PROP_SPEC)
         model = fit_logistic_propensity(fm, ds.x[1:])
-        res = run_pstn(ds, model, PROP_SPEC, PstnConfig())
+        res = run_pstn(ds, model, PstnConfig())
         raw = estimate_raw(ds)
         assert abs(res.delta - 1.1) < abs(raw.estimate - 1.1)
 
@@ -174,17 +174,18 @@ class TestRunPstn:
         from dataclasses import replace
 
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[1, 0, 1, 0, 1])
-        model = glm_from_coefficients(PROP_SPEC.columns, {"intercept": 0.0})
+        model = glm_from_coefficients(PROP_SPEC, {"intercept": 0.0})
         stored = replace(
             model,
             insample_prob=np.array([0.4, 0.45, 0.55, 0.6]),
             train_values=assemble_features(ds, PROP_SPEC).values,
+            train_labels=ds.x[1:],
         )
-        res = run_pstn(ds, stored, PROP_SPEC, NO_TRIM)
+        res = run_pstn(ds, stored, NO_TRIM)
         assert res.pi_hat == pytest.approx((0.4, 0.45, 0.55, 0.6))
         # same length, other feature rows: the model predicts instead
         other = TimeSeriesDataset(y=[5.0, 4.0, 3.0, 2.0, 1.0], x=[1, 0, 1, 0, 1])
-        assert run_pstn(other, stored, PROP_SPEC, NO_TRIM).pi_hat == (0.5, 0.5, 0.5, 0.5)
+        assert run_pstn(other, stored, NO_TRIM).pi_hat == (0.5, 0.5, 0.5, 0.5)
 
     def test_forest_oob_propensities_not_reused_on_another_dataset(self):
         arco, prop = default_study_params()
@@ -193,22 +194,36 @@ class TestRunPstn:
         model = fit_forest_propensity(
             assemble_features(a, PROP_SPEC), a.x[1:], ForestConfig(n_trees=20, seed=3)
         )
-        own = run_pstn(a, model, PROP_SPEC, PstnConfig())
+        own = run_pstn(a, model, PstnConfig())
         assert np.array_equal(own.pi_hat, model.insample_prob)
-        res = run_pstn(b, model, PROP_SPEC, PstnConfig())
+        res = run_pstn(b, model, PstnConfig())
         assert np.array_equal(res.pi_hat, model.predict(assemble_features(b, PROP_SPEC).values))
+        assert not np.array_equal(res.pi_hat, model.insample_prob)
+
+    def test_forest_oob_propensities_not_reused_for_other_exposures(self):
+        # the lagged outcomes alone make the feature rows, so flipping every exposure
+        # keeps the rows the forest was trained on but not its labels
+        arco, prop = default_study_params()
+        a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
+        model = fit_forest_propensity(
+            assemble_features(a, PROP_SPEC), a.x[1:], ForestConfig(n_trees=20, seed=3)
+        )
+        flipped = TimeSeriesDataset(y=a.y, x=1 - a.x)
+        assert np.array_equal(assemble_features(flipped, PROP_SPEC).values, model.train_values)
+        res = run_pstn(flipped, model, PstnConfig())
+        assert np.array_equal(res.pi_hat, model.predict(model.train_values))
         assert not np.array_equal(res.pi_hat, model.insample_prob)
 
     def test_outcome_model_rejected(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 0, 1, 0])
-        outcome = glm_from_coefficients(FLAT_SPEC.columns, {"intercept": 0.0}, resid_sd=1.0)
+        outcome = glm_from_coefficients(FLAT_SPEC, {"intercept": 0.0}, resid_sd=1.0)
         with pytest.raises(EstimatorError, match="needs a propensity model"):
-            run_pstn(ds, outcome, FLAT_SPEC, NO_TRIM)
+            run_pstn(ds, outcome, NO_TRIM)
 
     def test_reports_periods_for_csv(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 0, 1, 0])
-        model = glm_from_coefficients(FLAT_SPEC.columns, {"intercept": 0.0})
-        res = run_pstn(ds, model, FLAT_SPEC, NO_TRIM)
+        model = glm_from_coefficients(FLAT_SPEC, {"intercept": 0.0})
+        res = run_pstn(ds, model, NO_TRIM)
         assert res.t_index == (1, 2, 3, 4)
         assert res.pi_hat == pytest.approx((0.5, 0.5, 0.5, 0.5))
         assert len(res.weights) == len(res.retained)
