@@ -415,6 +415,11 @@ class FeatureMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FeatureMatrix):
+            return NotImplemented
+        return self.spec == other.spec and np.array_equal(self.values, other.values)
+
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]

@@ -3,8 +3,9 @@
 Generates H synthetic series, applies each requested estimation method, and
 reports per-dataset empirical bias against the known effect plus a
 cross-dataset mean-bias summary with a symmetric 95% interval.  Per-dataset
-estimator failures are recorded and excluded from that method's summary
-with a count rather than aborting the study.
+data and estimator failures are recorded and excluded from that method's
+summary with a count rather than aborting the study; a configuration error
+stops it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (
     assemble_features,
     setting_names,
 )
-from .errors import ConfigError, Nof1TwinError
+from .errors import ConfigError, DataError, EstimatorError
 from .models import (
     ForestConfig,
     fit_forest_outcome,
@@ -267,7 +268,7 @@ def _run_one_dataset(study: StudyConfig, h: int) -> list[ReplicationRow]:
         try:
             res = apply_method(ds, method, study.options, seed)
             rows.append(ReplicationRow(h, method, res.estimate, res.estimate - true))
-        except Nof1TwinError as exc:
+        except (DataError, EstimatorError) as exc:
             rows.append(ReplicationRow(h, method, None, None, error=str(exc)))
     return rows
 
@@ -276,8 +277,16 @@ def replicate(study: StudyConfig) -> ReplicationReport:
     """Generate H datasets, apply every requested method, summarize biases.
 
     Dataset h draws from seed sub-stream (h,); rows are sorted by
-    (h, method) so the report is identical for any worker count.
+    (h, method) so the report is identical for any worker count.  Each
+    requested forest's settings are resolved against its layout first.
     """
+    for method, kind in ((Method.MOTR_RF, "outcome"), (Method.PSTN_RF, "propensity")):
+        if method in study.methods:
+            p = len(getattr(study.options, f"{kind}_spec").columns)
+            try:
+                study.options.forest.resolve(p, classification=kind == "propensity")
+            except ConfigError as exc:
+                raise ConfigError(f"{method.label}: the {kind} forest: {exc}") from None
     handles = range(1, study.h_datasets + 1)
     workers = min(study.workers, study.h_datasets)  # a pool may start all its workers at once
     if workers > 1:

@@ -119,19 +119,6 @@ class MotrConfig:
 
 
 @dataclass(frozen=True)
-class MotrRun:
-    """One randomization run: permuted exposures, noisy rollout, arm contrast."""
-
-    permuted_x: np.ndarray
-    noisy_preds: np.ndarray  # generated periods t = 2..m
-    mean_po_1: float
-    mean_po_0: float
-    delta: float
-    ci: tuple[float, float]
-    degenerate_ci: bool
-
-
-@dataclass(frozen=True)
 class ApteEstimate:
     """Cumulative effect estimate with its run trajectory and diagnostics."""
 
@@ -240,34 +227,6 @@ class _Rollout:
             y_lag += noise[:, i]
             preds[:, i] = y_lag
         return preds
-
-
-def run_motr_once(
-    ds: TimeSeriesDataset,
-    model: FittedModel,
-    permuted_x: np.ndarray,
-    noise: np.ndarray | None = None,
-) -> MotrRun:
-    """Execute a single run under an explicitly supplied permutation.
-
-    `noise` (m - 1 values, one per generated period) defaults to zeros,
-    which makes the run a deterministic function of the permutation, the
-    form used when cross-checking against exact enumeration.
-    """
-    rollout = _Rollout(ds, model)
-    xb = np.asarray(permuted_x, dtype=float).reshape(1, -1)
-    if xb.shape[1] != ds.m or not np.isin(xb, (0, 1)).all() or xb.sum() != ds.x.sum():
-        raise EstimatorError("permuted_x must be a permutation of the observed exposures")
-    xb = xb.astype(np.int64)
-    nz = np.zeros((1, ds.m - 1)) if noise is None else np.asarray(noise, float).reshape(1, -1)
-    if nz.shape[1] != ds.m - 1:
-        raise EstimatorError(f"noise must hold m - 1 = {ds.m - 1} values, got {nz.shape[1]}")
-    if (bad := np.flatnonzero(~np.isfinite(nz[0]))).size:
-        raise EstimatorError(f"noise must be finite, got {nz[0, bad[0]]} at position {bad[0]}")
-    preds = rollout(xb, nz)
-    delta, lo, hi, mean1, mean0, degenerate = arm_contrast(preds, xb[:, 1:])[:, 0].tolist()
-    return MotrRun(permuted_x=xb[0], noisy_preds=preds[0], mean_po_1=mean1, mean_po_0=mean0,
-                   delta=delta, ci=(lo, hi), degenerate_ci=bool(degenerate))
 
 
 def _first_stop(cum: np.ndarray, cfg: MotrConfig) -> int | None:

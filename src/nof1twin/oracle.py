@@ -1,11 +1,15 @@
 """Exact average effects of noise-free linear systems.
 
 This is the anti-drift ground truth for the randomization estimator.  Every
-mechanism has the form y_t = a(x_t, x_{t-1}) + v_t + b(x_t) y_{t-1}, so one
-forward recursion over the states (period, exposures used so far, current
-exposure) is exact: each state carries only its probability mass and its
-mass-weighted outcome, and one step maps both linearly.  The noise term has
-mean zero and drops out.
+mechanism has the form y_t = const[t, x_t, x_{t-1}] + slope[x_t] * y_{t-1}.
+const holds the constant part of each generated period's level (b0 + bx x_t
++ bco x_{t-1} + bxco x_t x_{t-1} + v_t), slope the lag slope (bar + bxar x_t);
+both are built once from ArcoParams and the exogenous effects.  One forward
+recursion on these two arrays over the states (period, exposures used so
+far, current exposure) is exact: each state carries only its probability
+mass and its mass-weighted outcome, and one step maps both linearly.  The
+noise term has mean zero and drops out.  `permutation_apte` takes the two
+arrays alone, so a linear twin's own levels and slope can feed it too.
 
 Two history laws are supported:
 
@@ -19,7 +23,7 @@ Two history laws are supported:
   over the generated periods, which x_1 fixes.  This matches the
   randomization estimator's arm means exactly, so the two routes can be
   compared at 1e-10 while remaining independently implemented.  The cost is
-  O(m * m1) time and O(m1) memory.
+  O(m * m1) time and O(m + m1) memory.
 """
 
 from __future__ import annotations
@@ -93,54 +97,55 @@ class EnumSpec:
         return self.params.beta0 + float(self.v_effect()[0])
 
 
-def _arrive(p: ArcoParams, s: float, v_t: float, mass: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    """Mass-weighted outcome of moving every state to exposure level s.
-
-    Axis 0 of ``mass`` and ``wy`` is the previous exposure; the mechanism is
-    linear in the previous outcome, so its mass-weighted value ``wy`` is all
-    the history it needs.
-    """
-    return (
-        (p.beta0 + p.beta_x * s + v_t) * mass.sum(axis=0)
-        + (p.beta_co + p.beta_xco * s) * mass[1]
-        + (p.beta_ar + p.beta_xar * s) * wy.sum(axis=0)
-    )
+def permutation_apte(const: np.ndarray, slope: np.ndarray, m1: int, y1: float) -> float:
+    """Exact average effect over the generated periods t = 2..m (m = len(const) + 1)
+    of levels const[t - 2, x_t, x_(t-1)] + slope[x_t] * y_(t-1), y_1 = y1, under
+    the permutation law with m1 exposed periods."""
+    m = len(const) + 1
+    left = m1 - np.arange(m1 + 1.0)  # exposures still to place, by exposures used so far
+    # the law of x_t given those used: 1 - left / (m - t) and left / (m - t), 0 past m1
+    stay, go = np.array([1.0, 0.0])[:, None, None], np.stack([-left, left])[:, None]
+    # step[t - 2] maps the (mass, mass-weighted outcome) of each x_(t-1) to those of each x_t
+    step = np.zeros((m - 1, 2, 2, 2, 2))  # (period, quantity, x_t, quantity, x_(t-1))
+    step[:, 0, :, 0] = 1.0
+    step[:, 1, :, 0] = const
+    step[:, 1, :, 1] = slope[:, None]
+    step = step.reshape(m - 1, 4, 4)
+    # state[quantity, x_t, x_1, exposures used so far]; P(x_1 = 1) = m1 / m
+    state = np.zeros((2, 2, 2, m1 + 1))
+    state[0, 0, 0, 0] = (m - m1) / m
+    state[0, 1, 1, 1] = m1 / m
+    state[1] = state[0] * y1
+    n1 = m1 - np.arange(2.0)  # exposed generated periods, given x_1 = 0, 1
+    # a period's arm means: its mass-weighted outcomes over the arm sizes x_1 fixes
+    arm = np.repeat([-1.0 / ((m - 1) - n1), 1.0 / n1], m1 + 1).reshape(2, 2, m1 + 1)
+    total = 0.0
+    for t in range(1, m):  # t periods drawn, draw period t + 1
+        moved = (step[t - 1] @ state.reshape(4, -1)).reshape(state.shape)
+        moved *= stay + go / (m - t)
+        total += float(np.vdot(arm, moved[1]))
+        state[:, 0] = moved[:, 0]
+        state[:, 1, :, 1:] = moved[:, 1, :, :-1]  # x_t = 1 uses one more exposure
+    # each period's arm-normalized contrast carries mass 1/(m-1): the sum is the mean
+    return total
 
 
 def enumerate_apte(spec: EnumSpec) -> float:
     """Exact average effect over the generated periods t = 2..m."""
     p = spec.params
-    v = spec.v_effect()
-    m = spec.m
-
+    x_t, x_prev = np.arange(2.0)[:, None], np.arange(2.0)
+    const = (p.beta0 + p.beta_x * x_t + p.beta_co * x_prev + p.beta_xco * x_t * x_prev
+             + spec.v_effect()[1:, None, None])
+    slope = p.beta_ar + p.beta_xar * np.arange(2.0)
     if spec.mode == MODE_PERMUTATION:
-        m1 = spec.m1
-        used = np.arange(m1 + 1)
-        n1 = m1 - np.arange(2.0)  # exposed generated periods, given x_1 = 0, 1
-        n0 = (m - 1) - n1
-        # States indexed (x_t, x_1, exposures used so far); P(x_1 = 1) = m1 / m.
-        mass = np.zeros((2, 2, m1 + 1))
-        mass[0, 0, 0] = (m - m1) / m
-        mass[1, 1, 1] = m1 / m
-        wy = mass * spec.initial_level()
-        total = 0.0
-        for t in range(1, m):  # t periods drawn, draw period t + 1
-            p_one = (m1 - used) / (m - t)  # 0 at used == m1: the rolls wrap zeros
-            one = p_one * _arrive(p, 1.0, v[t], mass, wy)
-            zero = (1.0 - p_one) * _arrive(p, 0.0, v[t], mass, wy)
-            total += float(np.sum(one.sum(axis=1) / n1 - zero.sum(axis=1) / n0))
-            prior = mass.sum(axis=0)
-            mass = np.stack([(1.0 - p_one) * prior, np.roll(p_one * prior, 1, axis=1)])
-            wy = np.stack([zero, np.roll(one, 1, axis=1)])
-        # each period's arm-normalized contrast carries mass 1/(m-1): the sum is the mean
-        return total
+        return permutation_apte(const, slope, spec.m1, spec.initial_level())
 
     # iid mode: x_t has the same law at every period, so it is the whole state
     law = np.array([1.0 - spec.pi, spec.pi])
-    wy = law * spec.initial_level()
+    y = spec.initial_level()  # mean outcome
     total = 0.0
-    for t in range(1, m):
-        arrive = np.array([_arrive(p, s, v[t], law, wy) for s in (0.0, 1.0)])
+    for level in const:
+        arrive = level @ law + slope * y
         total += float(arrive[1] - arrive[0])
-        wy = law * arrive
-    return total / (m - 1)
+        y = float(law @ arrive)
+    return total / (spec.m - 1)

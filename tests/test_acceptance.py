@@ -35,7 +35,7 @@ from nof1twin.models import (
     fit_logistic_propensity,
     glm_from_coefficients,
 )
-from nof1twin.motr import run_motr_once
+from nof1twin.motr import _Rollout, arm_contrast
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 from nof1twin.pstn import PstnConfig, pstn_from_propensities
 
@@ -94,11 +94,13 @@ def test_criterion_1_oracle_equivalence():
     twin = glm_from_coefficients(
         spec, {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, resid_sd=0.0
     )
-    deltas = []
-    for ones in itertools.combinations(range(m), m1):
-        perm = np.zeros(m, dtype=np.int64)
-        perm[list(ones)] = 1
-        deltas.append(run_motr_once(ds, twin, perm).delta)
+    combos = list(itertools.combinations(range(m), m1))
+    perms = np.zeros((len(combos), m), dtype=np.int64)
+    for i, ones in enumerate(combos):
+        perms[i, list(ones)] = 1
+    # every permutation in one zero-noise rollout, as run_motr rolls out its runs
+    preds = _Rollout(ds, twin)(perms, np.zeros((len(perms), m - 1)))
+    deltas = arm_contrast(preds, perms[:, 1:])[0]
     motr_value = float(np.mean(deltas))
     oracle_value = enumerate_apte(
         EnumSpec(m=m, mode=MODE_PERMUTATION, params=params, m1=m1, y_init=float(y[0]))

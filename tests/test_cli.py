@@ -16,7 +16,7 @@ from nof1twin.cli import _method_options, build_parser, main
 from nof1twin.core import TimeSeriesDataset, assemble_features, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
 from nof1twin.models import ForestConfig, fit_linear_outcome
-from nof1twin.motr import MotrConfig, run_motr_once
+from nof1twin.motr import MotrConfig, _Rollout, arm_contrast
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 from nof1twin.arco import ArcoParams
 from nof1twin.pstn import PstnConfig
@@ -110,16 +110,17 @@ class TestAnalyze:
         with open(runs, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) > 32
+        perms, uniforms = [], []
         for row in rows:
             # run r of the motr-glm sub-stream (label 1) of the analyze seed
             seq = np.random.SeedSequence(4, spawn_key=(1, int(row["r"])))
             rng = np.random.Generator(np.random.Philox(seq))
-            perm = ds.x[rng.permutation(ds.m)]
-            noise = normals(rng.random(ds.m - 1), model.resid_sd)
-            once = run_motr_once(ds, model, perm, noise)
-            assert (float(row["delta_r"]), float(row["lo_r"]), float(row["hi_r"])) == (
-                once.delta, *once.ci
-            )
+            perms.append(ds.x[rng.permutation(ds.m)])
+            uniforms.append(rng.random(ds.m - 1))
+        xb = np.stack(perms)
+        preds = _Rollout(ds, model)(xb, normals(np.stack(uniforms), model.resid_sd))
+        expected = arm_contrast(preds, xb[:, 1:])[:3].T.tolist()
+        assert [[float(row[k]) for k in ("delta_r", "lo_r", "hi_r")] for row in rows] == expected
 
     def test_pstn_constant_model_equals_raw(self, study_csv, tmp_path):
         raw_out = tmp_path / "raw.json"
@@ -439,6 +440,14 @@ class TestExitCodes:
         assert run([command, *where, "-o", str(tmp_path / "out"), "--r-max", str(2**32)]) == 2
         assert "r_max <= 2**32 - 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [study_csv]
+
+    def test_forest_setting_no_layout_can_run_stops_the_study(self, tmp_path, capsys):
+        # mtry 2 fits the outcome forest's two columns but not the propensity forest's one
+        assert run(["replicate", "--h-datasets", "3", "--m", "40", "--methods", "motr-rf,pstn-rf",
+                    "--mtry", "2", "--n-trees", "20", "-o", str(tmp_path / "mt")]) == 2
+        err = capsys.readouterr().err
+        assert "pstn-rf: the propensity forest: mtry must lie in [1, 1], got 2" in err
+        assert not (tmp_path / "mt_rows.csv").exists()
 
     def test_repeated_method(self, tmp_path, capsys):
         assert run(["replicate", "--h-datasets", "3", "--m", "30", "--methods", "raw,raw,coef",

@@ -269,6 +269,14 @@ class TestQuartiles:
 
 
 class TestAssembleFeatures:
+    def test_equal_matrices_compare_equal(self):
+        ds = make_ds([1, 2, 3, 4], x=[0, 1, 0, 1])
+        spec = FeatureSpec(True, LAG_CONTINUOUS)
+        assert assemble_features(ds, spec) == assemble_features(ds, spec)
+        assert assemble_features(ds, spec) != assemble_features(make_ds([1, 2, 5, 4], x=ds.x), spec)
+        lag_x = FeatureSpec(True, LAG_NONE, use_exposure_lag1=True)
+        assert assemble_features(ds, lag_x) != assemble_features(ds, FeatureSpec(True, LAG_NONE))
+
     def test_continuous_lag(self):
         ds = make_ds([1, 2, 3, 4], x=[0, 1, 0, 1])
         fm = assemble_features(ds, FeatureSpec(True, LAG_CONTINUOUS))

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,9 +16,10 @@ from nof1twin.core import (
 )
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.models import glm_from_coefficients
-from nof1twin.motr import MotrConfig, _Rollout, arm_contrast, run_motr, run_motr_once
-from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
+from nof1twin.motr import MotrConfig, _Rollout, arm_contrast, run_motr
+from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte, permutation_apte
 from test_forest import summed_table_tolerance
+from test_oracle import _permutation_matrix
 
 NO_LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
 LAG_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS)
@@ -51,14 +50,19 @@ def mechanism_dataset(params: ArcoParams, x, y1=None):
     return TimeSeriesDataset(y=y, x=x)
 
 
+def rollout_runs(ds, model, xb, noise=None):
+    """What run_motr computes for the runs with exposures xb (runs, m) and noise
+    (runs, m - 1; zeros by default): each run's arm contrast (rows delta, lo, hi,
+    mean_1, mean_0, degenerate; a column per run) and its noisy predictions."""
+    xb = np.atleast_2d(np.asarray(xb, dtype=np.int64))
+    noise = np.zeros((len(xb), ds.m - 1)) if noise is None else np.atleast_2d(noise)
+    preds = _Rollout(ds, model)(xb, noise)
+    return arm_contrast(preds, xb[:, 1:]), preds
+
+
 def all_permutation_average(ds, model):
-    m1 = int(ds.x.sum())
-    deltas = []
-    for ones in itertools.combinations(range(ds.m), m1):
-        perm = np.zeros(ds.m, dtype=np.int64)
-        perm[list(ones)] = 1
-        deltas.append(run_motr_once(ds, model, perm).delta)
-    return float(np.mean(deltas))
+    contrast, _ = rollout_runs(ds, model, _permutation_matrix(ds.m, int(ds.x.sum())))
+    return float(np.mean(contrast[0]))
 
 
 class TestArmContrast:
@@ -143,56 +147,20 @@ class TestSingleRun:
         params = ArcoParams(beta0=2.0, beta_x=1.1)
         ds = mechanism_dataset(params, [1, 0, 1, 0, 1, 0])
         model = true_twin(params, NO_LAG_SPEC)
-        run = run_motr_once(ds, model, np.array([0, 1, 1, 0, 0, 1]))
-        assert run.delta == pytest.approx(1.1, abs=1e-12)
-        assert run.ci == (run.delta, run.delta)
-        assert run.degenerate_ci
+        contrast, _ = rollout_runs(ds, model, [0, 1, 1, 0, 0, 1])
+        delta, lo, hi, _, _, degenerate = contrast[:, 0].tolist()
+        assert delta == pytest.approx(1.1, abs=1e-12)
+        assert (lo, hi) == (delta, delta)
+        assert degenerate
 
     def test_delta_identity_and_counts(self):
         params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.6)
         ds = mechanism_dataset(params, [1, 1, 0, 0, 1, 0, 1, 0])
         model = true_twin(params, LAG_SPEC)
-        perm = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        run = run_motr_once(ds, model, perm)
-        assert run.delta == run.mean_po_1 - run.mean_po_0
-        assert run.permuted_x.sum() == ds.x.sum()
-        assert len(run.noisy_preds) == ds.m - 1
-
-    @pytest.mark.parametrize("length", [28, 30, 40])
-    def test_rejects_noise_of_wrong_length(self, length):
-        params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.6)
-        ds = mechanism_dataset(params, [1, 0] * 15)
-        model = true_twin(params, LAG_SPEC)
-        run = run_motr_once(ds, model, ds.x, noise=np.ones(29))
-        assert len(run.noisy_preds) == 29
-        with pytest.raises(EstimatorError, match="noise must hold m - 1 = 29 values"):
-            run_motr_once(ds, model, ds.x, noise=np.ones(length))
-
-    def test_rejects_non_permutation(self):
-        params = ArcoParams(beta0=1.0, beta_x=0.5)
-        ds = mechanism_dataset(params, [1, 0, 1, 0])
-        model = true_twin(params, NO_LAG_SPEC)
-        with pytest.raises(EstimatorError, match="permutation"):
-            run_motr_once(ds, model, np.array([1, 1, 1, 0]))
-
-    def test_rejects_exposures_other_than_zero_or_one(self):
-        params = ArcoParams(beta0=1.0, beta_x=0.5)
-        ds = mechanism_dataset(params, [1, 0, 1, 0, 0])
-        model = true_twin(params, NO_LAG_SPEC)
-        assert run_motr_once(ds, model, [0.0, 1.0, 0.0, 0.0, 1.0]).delta == 0.5
-        for bad in ([1, 0.9, 1.5, 0, 0], [1, 0, 1, 0, -0.5], [1, 0, 1, 0, np.nan]):
-            with pytest.raises(EstimatorError, match="permutation"):
-                run_motr_once(ds, model, bad)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_noise(self, bad):
-        params = ArcoParams(beta0=1.0, beta_x=0.5, beta_ar=0.6)
-        ds = mechanism_dataset(params, [1, 0] * 5)
-        model = true_twin(params, LAG_SPEC)
-        noise = np.ones(9)
-        noise[[3, 6]] = bad
-        with pytest.raises(EstimatorError, match=f"noise must be finite, got {bad} at position 3"):
-            run_motr_once(ds, model, ds.x, noise=noise)
+        contrast, preds = rollout_runs(ds, model, [0, 1, 0, 1, 0, 1, 0, 1])
+        delta, _, _, mean1, mean0, _ = contrast[:, 0].tolist()
+        assert delta == mean1 - mean0
+        assert preds.shape == (1, ds.m - 1)
 
 
 class TestEnumerationAgreement:
@@ -228,6 +196,27 @@ class TestEnumerationAgreement:
         assert motr_value == pytest.approx(oracle_value, abs=1e-9)
 
 
+    @pytest.mark.parametrize("spec", [LAG_SPEC, FeatureSpec(
+        include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS,
+        use_exposure_lag1=True, exog_names=("weekend",),
+    )], ids=["default", "lag-x-exog"])
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_engine_on_the_twins_own_rows(self, spec, m):
+        # the exact engine fed a linear twin's levels and slope, read off its rollout
+        ds = _series(3, m)
+        coefs = {"intercept": 0.7, "x": 1.1, "x_lag1": -0.4, "y_lag1": 0.6, "weekend": 0.9}
+        model = glm_from_coefficients(spec, coefs, resid_sd=0.0)
+        rollout = _Rollout(ds, model)
+        head, slope, tail = rollout.affine
+        n_exog = len(rollout.static) // (2 * rollout.n_lag)
+        x_t, x_prev = np.arange(2)[:, None], np.arange(2)
+        rows = (x_t * rollout.n_lag + x_prev * (rollout.n_lag - 1)) * n_exog
+        rows = rows + rollout.exog_row[:, None, None]  # (period, x_t, x_(t-1))
+        const = sum((term[rows] for term in tail), head[rows])
+        exact = permutation_apte(const, np.full(2, slope), int(ds.x.sum()), ds.y[0])
+        assert exact == pytest.approx(all_permutation_average(ds, model), abs=1e-10)
+
+
 class TestRunMotr:
     def make_study_ds(self, seed=1, m=60):
         from nof1twin.arco import SimConfig, simulate_dataset
@@ -245,10 +234,8 @@ class TestRunMotr:
         seed = SeedSpec(4, (2,))
         est = run_motr(ds, model, MotrConfig(r_min=200, r_max=200, seed=seed))
         assert ds.m == m and est.runs_used == 200
-        for r in range(1, 201):
-            run = run_motr_once(ds, model, _permutation_for(ds, seed, r),
-                                _noise_for(ds, seed, r, resid_sd))
-            assert est.runs[r - 1] == (run.delta, *run.ci)
+        contrast, _ = rollout_runs(ds, model, *_runs_for(ds, seed, 200, resid_sd))
+        assert est.runs == tuple(map(tuple, contrast[:3].T.tolist()))
 
     def test_deterministic_model_stops_at_r_min(self):
         params = ArcoParams(beta0=2.0, beta_x=1.1)
@@ -328,18 +315,12 @@ class TestRunMotr:
         for model in (true_twin(arco, LAG_SPEC, resid_sd=0.5), forest):
             est = run_motr(ds, model, MotrConfig(r_min=45, r_max=45, seed=9))
             assert est.runs_used == len(est.runs) == 45
-            per_run = []
-            for r in range(1, est.runs_used + 1):
-                run = run_motr_once(
-                    ds, model,
-                    permuted_x=_permutation_for(ds, SeedSpec(9), r),
-                    noise=_noise_for(ds, SeedSpec(9), r, model.resid_sd),
-                )
-                per_run.append(run)
-            assert est.runs == tuple((run.delta, *run.ci) for run in per_run)
-            assert est.ci[0] == pytest.approx(np.mean([r.ci[0] for r in per_run]), abs=1e-12)
-            assert est.ci[1] == pytest.approx(np.mean([r.ci[1] for r in per_run]), abs=1e-12)
-            assert est.delta == pytest.approx(np.mean([r.delta for r in per_run]), abs=1e-12)
+            contrast, _ = rollout_runs(ds, model, *_runs_for(ds, SeedSpec(9), 45, model.resid_sd))
+            delta, lo, hi = contrast[:3]
+            assert est.runs == tuple(zip(delta.tolist(), lo.tolist(), hi.tolist()))
+            assert est.ci[0] == pytest.approx(np.mean(lo), abs=1e-12)
+            assert est.ci[1] == pytest.approx(np.mean(hi), abs=1e-12)
+            assert est.delta == pytest.approx(np.mean(delta), abs=1e-12)
 
     def test_mc_se_is_standard_error_of_run_deltas(self):
         arco, ds = self.make_study_ds(seed=4)
@@ -430,6 +411,12 @@ def _noise_for(ds, seed, r, resid_sd):
     return ndtri(u) * resid_sd
 
 
+def _runs_for(ds, seed, runs, resid_sd):
+    """The exposures (runs, m) and noise (runs, m - 1) of runs 1..runs."""
+    return (np.stack([_permutation_for(ds, seed, r) for r in range(1, runs + 1)]),
+            np.stack([_noise_for(ds, seed, r, resid_sd) for r in range(1, runs + 1)]))
+
+
 class TestQuartileRollout:
     def test_quartile_lag_x_exog_rollout_matches_step_by_step_reference(self):
         spec = FeatureSpec(
@@ -448,7 +435,7 @@ class TestQuartileRollout:
         coefs.update(zip(("y_lag1_q2", "y_lag1_q3", "y_lag1_q4"), slot_effect[1:]))
         model = glm_from_coefficients(spec, coefs, resid_sd=0.0)
         perm = ds.x[rng.permutation(m)]
-        run = run_motr_once(ds, model, perm)
+        _, preds = rollout_runs(ds, model, perm)
 
         q1, q2, q3 = quartile_bounds(y)
         expected, slots = [], set()
@@ -459,7 +446,7 @@ class TestQuartileRollout:
             y_prev = 0.3 + 1.1 * perm[t] - 0.4 * perm[t - 1] + slot_effect[slot] + 0.25 * v[t]
             expected.append(y_prev)
         assert slots == {0, 1, 2, 3}
-        np.testing.assert_allclose(run.noisy_preds, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(preds[0], expected, rtol=0, atol=1e-12)
 
 
 def _series(seed, m=40):
@@ -712,8 +699,8 @@ class TestInitialConditions:
         # the first observed outcome seeds the lag of the first generated period
         ds = TimeSeriesDataset(y=[4.5, 2.0, 1.0, 3.0], x=[1, 0, 1, 0])
         model = glm_from_coefficients(LAG_SPEC, {"intercept": 1.0, "x": 0.5, "y_lag1": 2.0}, 0.0)
-        run = run_motr_once(ds, model, [1, 0, 0, 1])
-        assert run.noisy_preds[0] == 1.0 + 2.0 * 4.5
+        _, preds = rollout_runs(ds, model, [1, 0, 0, 1])
+        assert preds[0, 0] == 1.0 + 2.0 * 4.5
 
 
 class TestPreconditions:
@@ -733,7 +720,7 @@ class TestPreconditions:
         with pytest.raises(EstimatorError, match="needs an outcome model"):
             run_motr(ds, propensity, MotrConfig(seed=0))
         with pytest.raises(EstimatorError, match="needs an outcome model"):
-            run_motr_once(ds, propensity, ds.x)
+            _Rollout(ds, propensity)
 
     @pytest.mark.parametrize("arm", [1, 0])
     def test_single_period_arm_rejected_for_every_seed(self, arm):
