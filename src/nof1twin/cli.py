@@ -19,9 +19,7 @@ import numpy as np
 from . import __version__
 from .arco import ArcoParams, PropensityParams, SimConfig, simulate_dataset
 from .core import (
-    LAG_CONTINUOUS,
-    LAG_NONE,
-    LAG_QUARTILE,
+    LAG_MODES,
     FeatureSpec,
     SeedSpec,
     TimeSeriesDataset,
@@ -99,7 +97,7 @@ def _resolve_params(args: argparse.Namespace, *flags: str, read=_PARAM_FIELDS, *
     entries: list[tuple[str, str]] = []  # (key=value text, origin)
     if args.params is not None:
         try:
-            with open(args.params, encoding="utf-8") as fh:
+            with open(args.params, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read params file {args.params}: {exc}") from None
@@ -181,14 +179,10 @@ def _load_analysis_dataset(args: argparse.Namespace) -> TimeSeriesDataset:
     return TimeSeriesDataset(y, x, exog)
 
 
-def _feature_specs(args: argparse.Namespace) -> tuple[FeatureSpec, FeatureSpec]:
+def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
+    """The analysis's outcome layout from the layout flags."""
     exog = tuple(n for n in args.exog.split(",") if n)
-    lag = {"continuous": LAG_CONTINUOUS, "quartile": LAG_QUARTILE, "none": LAG_NONE}[args.lag_y]
-    outcome, propensity = (
-        FeatureSpec(current, outcome_lag_mode=lag, use_exposure_lag1=args.lag_x, exog_names=exog)
-        for current in (True, False)
-    )
-    return outcome, propensity
+    return FeatureSpec(True, outcome_lag_mode=args.lag_y, use_exposure_lag1=args.lag_x, exog_names=exog)
 
 
 def _result_payload(res) -> dict:
@@ -219,8 +213,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.periods_csv and method not in (Method.PSTN_GLM, Method.PSTN_RF):
         raise ConfigError("--periods-csv applies to pstn-glm / pstn-rf only")
     ds = _load_analysis_dataset(args)
-    outcome_spec, propensity_spec = _feature_specs(args)
-    opts = _method_options(args, outcome_spec=outcome_spec, propensity_spec=propensity_spec)
+    opts = _method_options(args, outcome_spec=_feature_spec(args))
     res = apply_method(ds, method, opts, SeedSpec(args.seed))
     names = ("data", "method", "seed", "lag_y", "lag_x", "exog", "log10_y", "dichotomize_x")
     payload = {
@@ -337,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--data", required=True, help="input dataset CSV")
     ana.add_argument("--method", required=True, choices=[m.label for m in Method])
     ana.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ana.add_argument("--lag-y", choices=["continuous", "quartile", "none"], default="continuous")
+    ana.add_argument("--lag-y", choices=LAG_MODES, default="continuous")
     ana.add_argument("--lag-x", action="store_true", help="include the lagged exposure feature")
     ana.add_argument("--exog", default="", help="comma-separated exogenous column names")
     ana.add_argument("--log10-y", action="store_true", help="analyze log10 of the outcome")

@@ -21,12 +21,13 @@ from scipy.special import ndtri
 
 from .errors import ConfigError, DataError
 
-LAG_CONTINUOUS = "continuous_lag1"
-LAG_QUARTILE = "quartile_lag1"
+LAG_CONTINUOUS = "continuous"
+LAG_QUARTILE = "quartile"
 LAG_NONE = "none"
 
 QUARTILE_COLUMNS = ("y_lag1_q1", "y_lag1_q2", "y_lag1_q3", "y_lag1_q4")
 _LAG_COLUMNS = {LAG_CONTINUOUS: ("y_lag1",), LAG_QUARTILE: QUARTILE_COLUMNS, LAG_NONE: ()}
+LAG_MODES = tuple(_LAG_COLUMNS)  # the outcome-lag encodings, as `--lag-y` names them
 INTERCEPT = "intercept"  # the GLMs' constant term, named beside the feature columns
 
 # Uniforms are clipped away from {0, 1} before the inverse normal CDF.
@@ -202,7 +203,10 @@ class TimeSeriesDataset:
         return tuple(self.exog)
 
     def exog_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """The named covariate columns side by side, (m, len(names))."""
+        """The named covariate columns side by side, (m, len(names)); a name the
+        dataset lacks raises DataError."""
+        if missing := [n for n in names if n not in self.exog]:
+            raise DataError(f"exogenous column(s) {missing} missing from dataset records")
         return np.column_stack([self.exog[n] for n in names]) if names else np.empty((self.m, 0))
 
     def __eq__(self, other: object) -> bool:
@@ -222,10 +226,6 @@ class TimeSeriesDataset:
         columns = (self.y, self.x, *self.exog.values())
         rows = zip(range(1, self.m + 1), *(c.tolist() for c in columns))
         write_csv(path, ["t", "y", "x", *self.exog], rows, header_comments)
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeriesDataset":
-        return cls(*load_table(path))
 
 
 def write_text(path, text: str) -> None:
@@ -262,11 +262,11 @@ def load_table(path) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
 
     Returns (y, x, exog) where x may still be continuous, after checking that
     the period column t holds the contiguous integers 1..m.  Lines starting
-    with '#' are ignored.  Missing or non-numeric cells raise DataError with
-    the offending line number.
+    with '#' are ignored, and so is a leading UTF-8 byte-order mark.  Missing
+    or non-numeric cells raise DataError with the offending line number.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             kept = [(n, raw) for n, raw in enumerate(fh, 1) if raw.strip() and not raw.startswith("#")]
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
@@ -469,9 +469,6 @@ def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix
     """
     if ds.m < 3:
         raise DataError(f"dataset too short for feature assembly (m={ds.m}, need >= 3)")
-    missing = [n for n in spec.exog_names if n not in ds.exog_names]
-    if missing:
-        raise DataError(f"exogenous column(s) {missing} missing from dataset records")
     sl = slice(int(spec.needs_lag), ds.m)
     exog = ds.exog_matrix(spec.exog_names)[sl]
     bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None

@@ -18,15 +18,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simulate_dataset
-from .core import (
-    LAG_CONTINUOUS,
-    FeatureSpec,
-    SeedSpec,
-    TimeSeriesDataset,
-    as_seed,
-    assemble_features,
-    setting_names,
-)
+from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed, assemble_features, setting_names
 from .errors import ConfigError, DataError, EstimatorError
 from .models import (
     ForestConfig,
@@ -72,10 +64,8 @@ class Method(str, enum.Enum):
 
 ALL_METHODS = tuple(Method)
 
-# Feature layouts used by the study: outcome models see (X_t, Y_{t-1}),
-# propensity models see (Y_{t-1}).
-OUTCOME_SPEC = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS)
-PROPENSITY_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_CONTINUOUS)
+# The study's feature layout: outcome models see (X_t, Y_{t-1}), propensity models (Y_{t-1}).
+OUTCOME_SPEC = FeatureSpec(include_current_exposure=True)
 
 
 def default_study_params() -> tuple[ArcoParams, PropensityParams]:
@@ -103,13 +93,18 @@ def default_study_params() -> tuple[ArcoParams, PropensityParams]:
 
 @dataclass(frozen=True)
 class MethodOptions:
-    """Per-method configuration shared by the CLI and the study driver."""
+    """Per-method configuration shared by the CLI and the study driver.  The one
+    feature layout, `outcome_spec`, is what coef and MoTR fit on; PSTn fits on
+    it without the current exposure (`propensity_spec`)."""
 
     outcome_spec: FeatureSpec = OUTCOME_SPEC
-    propensity_spec: FeatureSpec = PROPENSITY_SPEC
     motr: MotrConfig = MotrConfig()
     pstn: PstnConfig = PstnConfig()
     forest: ForestConfig = ForestConfig()
+
+    @property
+    def propensity_spec(self) -> FeatureSpec:
+        return replace(self.outcome_spec, include_current_exposure=False)
 
     def to_echo(self) -> dict:
         """The MoTR budget, PSTn hygiene and forest settings as flat key/value pairs."""
@@ -136,9 +131,9 @@ def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
     return ApplyResult(Method.RAW, delta, (lo, hi))
 
 
-def estimate_coef(ds: TimeSeriesDataset) -> ApplyResult:
-    """Exposure coefficient of the linear lag-1 outcome fit, with t interval."""
-    fm = assemble_features(ds, OUTCOME_SPEC)
+def estimate_coef(ds: TimeSeriesDataset, spec: FeatureSpec) -> ApplyResult:
+    """Exposure coefficient of the linear outcome fit on layout `spec`, with t interval."""
+    fm = assemble_features(ds, spec)
     model = fit_linear_outcome(fm, ds.y[fm.dropped_head:])
     est = model.coefficients["x"]
     se = model.coefficient_se["x"]
@@ -161,7 +156,7 @@ def apply_method(
     if method is Method.RAW:
         return estimate_raw(ds)
     if method is Method.COEF:
-        return estimate_coef(ds)
+        return estimate_coef(ds, opts.outcome_spec)
 
     if method in (Method.MOTR_GLM, Method.MOTR_RF):
         fm = assemble_features(ds, opts.outcome_spec)

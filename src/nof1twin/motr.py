@@ -42,7 +42,6 @@ from .core import (
     SeedSpec,
     TimeSeriesDataset,
     as_seed,
-    assemble_features,
     normals,
     quartile_bounds,
 )
@@ -163,7 +162,6 @@ class _Rollout:
     def __init__(self, ds: TimeSeriesDataset, model: FittedModel):
         check_twin(model, "MoTR", outcome=True)
         spec = model.spec
-        assemble_features(ds, spec)  # rejects data the spec cannot assemble
         self.y0, self.affine, self.chunk, self.lag = float(ds.y[0]), None, None, spec.lag
         exog, self.exog_row = np.unique(ds.exog_matrix(spec.exog_names)[1:], axis=0,
                                         return_inverse=True)

@@ -13,7 +13,7 @@ import pytest
 import nof1twin
 from nof1twin import cli
 from nof1twin.cli import _method_options, build_parser, main
-from nof1twin.core import TimeSeriesDataset, assemble_features, normals
+from nof1twin.core import LAG_MODES, FeatureSpec, TimeSeriesDataset, assemble_features, load_table, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
 from nof1twin.models import ForestConfig, fit_linear_outcome
 from nof1twin.motr import MotrConfig, _Rollout, arm_contrast
@@ -51,7 +51,7 @@ def study_csv(tmp_path):
 
 class TestSimulate:
     def test_default_dataset_shape(self, study_csv):
-        ds = TimeSeriesDataset.from_csv(study_csv)
+        ds = TimeSeriesDataset(*load_table(study_csv))
         assert ds.m == 220
         assert set(np.unique(ds.x)) <= {0, 1}
 
@@ -61,7 +61,7 @@ class TestSimulate:
             "simulate", "--set", "sigmaEps=0", "--set", "betaAr=0",
             "--set", "alphaEn=0", "--set", "alpha0=0", "-o", str(out),
         ]) == 0
-        ds = TimeSeriesDataset.from_csv(out)
+        ds = TimeSeriesDataset(*load_table(out))
         assert len(np.unique(ds.y)) == 2
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -105,7 +105,7 @@ class TestAnalyze:
         assert run(["simulate", "--m", "365", "-o", str(data)]) == 0
         assert run(["analyze", "--data", str(data), "--method", "motr-glm", "--seed", "4",
                     "--runs-csv", str(runs), "-o", str(tmp_path / "motr.json")]) == 0
-        ds = TimeSeriesDataset.from_csv(data)
+        ds = TimeSeriesDataset(*load_table(data))
         model = fit_linear_outcome(assemble_features(ds, OUTCOME_SPEC), ds.y[1:])
         with open(runs, newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -146,6 +146,18 @@ class TestAnalyze:
         summary = json.loads(model_out.read_text())
         assert summary["kind"] == "linear"
         assert "x" in summary["coefficients"]
+
+    @pytest.mark.parametrize("mode", LAG_MODES)
+    def test_coef_fits_on_the_layout_flags(self, study_csv, tmp_path, mode):
+        model_out, out = tmp_path / "model.json", tmp_path / "c.json"
+        assert run(["analyze", "--data", str(study_csv), "--method", "coef", "--lag-y", mode,
+                    "--lag-x", "--dump-model", str(model_out), "-o", str(out)]) == 0
+        spec = FeatureSpec(True, mode, True)
+        ds = TimeSeriesDataset(*load_table(study_csv))
+        fm = assemble_features(ds, spec)
+        model = fit_linear_outcome(fm, ds.y[fm.dropped_head:])
+        assert json.loads(model_out.read_text())["columns"] == list(spec.columns)
+        assert json.loads(out.read_text())["result"]["delta"] == model.coefficients["x"]
 
     def test_deterministic_outputs(self, study_csv, tmp_path):
         outs = []
@@ -471,6 +483,13 @@ class TestExitCodes:
         assert "sigma_eps = 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_exog_column_missing_from_the_data(self, study_csv, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        argv = ["analyze", "--data", str(study_csv), "--method", "coef", "--exog", "nosuch"]
+        assert run([*argv, "-o", str(out)]) == 3
+        assert "['nosuch'] missing from dataset records" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_estimator_error(self, tmp_path):
         path = tmp_path / "one_arm.csv"
         path.write_text("t,y,x\n1,1,1\n2,2,1\n3,3,1\n")
@@ -490,7 +509,7 @@ class TestExitCodes:
     ])
     def test_exog_name_repeats_or_shadows_a_feature(self, study_csv, tmp_path, capsys,
                                                     method, exog):
-        ds = TimeSeriesDataset.from_csv(study_csv)
+        ds = TimeSeriesDataset(*load_table(study_csv))
         column = (np.arange(ds.m) % 7 >= 5).astype(float)
         data = tmp_path / "exog.csv"
         TimeSeriesDataset(y=ds.y, x=ds.x, exog={exog.split(",")[0]: column}).to_csv(data)
@@ -561,8 +580,15 @@ class TestExitCodes:
         out = tmp_path / "sim.csv"
         assert run(["simulate", "--params", str(params), "--set", "alphaEn=0",
                     "--set", "alpha0=0", "-o", str(out)]) == 0
-        ds = TimeSeriesDataset.from_csv(out)
+        ds = TimeSeriesDataset(*load_table(out))
         assert set(np.round(np.unique(ds.y), 9)) == {3.0, 3.5}
+
+    def test_params_file_byte_order_mark_is_not_data(self, tmp_path):
+        params = tmp_path / "p.cfg"
+        params.write_text("betaX = 0.5\n", encoding="utf-8-sig")
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--params", str(params), "--m", "10", "-o", str(out)]) == 0
+        assert "# betaX=0.5" in out.read_text().splitlines()
 
 
 def test_cli_import_skips_scipy_stats_and_signal():

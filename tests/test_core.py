@@ -65,7 +65,7 @@ class TestDataset:
         path = tmp_path / "gap.csv"
         path.write_text("t,y,x\n1,1.0,1\n2,2.0,0\n4,3.0,1\n")
         with pytest.raises(DataError, match="contiguous"):
-            TimeSeriesDataset.from_csv(path)
+            TimeSeriesDataset(*load_table(path))
 
     def test_arrays_read_only(self):
         ds = make_ds([1, 2, 3], exog={"v": [0.5, 1.5, 2.5]})
@@ -88,20 +88,20 @@ class TestDataset:
         path = tmp_path / "dup.csv"
         path.write_text("t,y,x,v,v\n1,1.0,1,0,5\n2,2.0,0,1,6\n")
         with pytest.raises(DataError, match="'v' repeats in the header"):
-            TimeSeriesDataset.from_csv(path)
+            TimeSeriesDataset(*load_table(path))
 
     @pytest.mark.parametrize("name", ["t", "y", "x"])
     def test_csv_round_trip_exog_named_like_a_leading_column(self, tmp_path, name):
         ds = make_ds([1.5, 2.25, 3.125], x=[1, 0, 1], exog={name: [0.0, 1.0, 1.0]})
         path = tmp_path / "ds.csv"
         ds.to_csv(path)
-        assert TimeSeriesDataset.from_csv(path) == ds
+        assert TimeSeriesDataset(*load_table(path)) == ds
 
     def test_csv_round_trip(self, tmp_path):
         ds = make_ds([1.5, 2.25, 3.125], x=[1, 0, 1], exog={"w": [0.0, 1.0, 1.0]})
         path = tmp_path / "ds.csv"
         ds.to_csv(path, header_comments=["seed=1"])
-        again = TimeSeriesDataset.from_csv(path)
+        again = TimeSeriesDataset(*load_table(path))
         assert again == TimeSeriesDataset(y=ds.y, x=ds.x, exog={"w": ds.exog["w"]})
 
     @settings(max_examples=40, deadline=None)
@@ -122,7 +122,7 @@ class TestDataset:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "ds.csv")
             ds.to_csv(path)
-            assert TimeSeriesDataset.from_csv(path) == ds
+            assert TimeSeriesDataset(*load_table(path)) == ds
 
     def test_simulated_series_round_trips_through_csv(self, tmp_path):
         from nof1twin.arco import SimConfig, simulate_dataset
@@ -130,7 +130,16 @@ class TestDataset:
 
         ds = simulate_dataset(*default_study_params(), SimConfig(m_analysis=30, burn_in=2, seed=3))
         ds.to_csv(tmp_path / "sim.csv")
-        assert TimeSeriesDataset.from_csv(tmp_path / "sim.csv") == ds
+        assert TimeSeriesDataset(*load_table(tmp_path / "sim.csv")) == ds
+
+    @pytest.mark.parametrize("head", ["", "# exported\n"], ids=["header-first", "comment-first"])
+    def test_csv_byte_order_mark_is_not_data(self, tmp_path, head):
+        # spreadsheets that save "CSV UTF-8" start the file with a byte-order mark
+        path = tmp_path / "bom.csv"
+        path.write_text(f"{head}t,y,x,w\n1,1.5,0,3\n2,2.5,1,4\n", encoding="utf-8-sig")
+        y, x, exog = load_table(path)
+        assert (y.tolist(), x.tolist(), list(exog), exog["w"].tolist()) == (
+            [1.5, 2.5], [0.0, 1.0], ["w"], [3.0, 4.0])
 
     def test_csv_missing_value_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -66,7 +66,7 @@ class TestPointEstimators:
         x = rng.integers(0, 2, 30)
         x[:2] = [0, 1]
         ds = TimeSeriesDataset(y=2.0 + 1.1 * x, x=x)
-        res = estimate_coef(ds)
+        res = estimate_coef(ds, harness.OUTCOME_SPEC)
         assert res.estimate == pytest.approx(1.1, abs=1e-10)
 
 

@@ -14,7 +14,7 @@ from nof1twin.core import (
     TimeSeriesDataset,
     quartile_bounds,
 )
-from nof1twin.errors import ConfigError, EstimatorError
+from nof1twin.errors import ConfigError, DataError, EstimatorError
 from nof1twin.models import glm_from_coefficients
 from nof1twin.motr import MotrConfig, _Rollout, arm_contrast, run_motr
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte, permutation_apte
@@ -721,6 +721,13 @@ class TestPreconditions:
             run_motr(ds, propensity, MotrConfig(seed=0))
         with pytest.raises(EstimatorError, match="needs an outcome model"):
             _Rollout(ds, propensity)
+
+    def test_exog_column_missing_from_the_data_rejected(self):
+        ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])
+        spec = FeatureSpec(include_current_exposure=True, exog_names=("temp",))
+        twin = glm_from_coefficients(spec, {"intercept": 1.0, "x": 0.5, "temp": 0.1}, 0.0)
+        with pytest.raises(DataError, match=r"\['temp'\] missing from dataset records"):
+            run_motr(ds, twin, MotrConfig(seed=0))
 
     @pytest.mark.parametrize("arm", [1, 0])
     def test_single_period_arm_rejected_for_every_seed(self, arm):
