@@ -3,9 +3,9 @@
 FeatureSpec states the feature layout once: its `columns`, the positions of
 the outcome lag among them (`lag`), and `encode`, which builds rows in that
 order for assemble_features and for the MoTR rollout alike; no other module
-works the layout out from column names.  Everything here is deterministic
-and immutable after construction: datasets and feature matrices expose
-read-only numpy arrays and are safe to share across parallel workers.
+works the layout out from column names.  Everything here is deterministic;
+datasets are immutable after construction, expose read-only numpy arrays
+and are safe to share across parallel workers.
 """
 
 from __future__ import annotations
@@ -404,41 +404,6 @@ class FeatureSpec:
         return np.hstack([np.empty((n, 0)), *used])  # floats, (n, 0) without features
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Per-period feature rows laid out by `spec`: one row per period from the
-    first that has every lag `spec` needs, to the last."""
-
-    values: np.ndarray
-    spec: FeatureSpec
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FeatureMatrix):
-            return NotImplemented
-        return self.spec == other.spec and np.array_equal(self.values, other.values)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return self.spec.columns
-
-    @property
-    def dropped_head(self) -> int:
-        """Leading periods without a row: 1 when the spec needs a lag, else 0."""
-        return int(self.spec.needs_lag)
-
-    @property
-    def t_index(self) -> np.ndarray:
-        """The period index of each row."""
-        return np.arange(1 + self.dropped_head, 1 + self.dropped_head + self.n_rows)
-
-
 def quartile_bounds(values: Sequence[float] | np.ndarray) -> tuple[float, float, float]:
     """Order-statistic quartile boundaries (median-of-halves).
 
@@ -460,8 +425,9 @@ def encode_quartile(values: np.ndarray, bounds: tuple[float, float, float]) -> n
     return np.eye(4)[np.searchsorted(bounds, np.asarray(values, dtype=float), side="left")]
 
 
-def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix:
-    """Build the per-period design described by `spec`, its rows encoded by `spec.encode`.
+def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> np.ndarray:
+    """The per-period feature rows laid out by `spec`, encoded by `spec.encode`: one
+    row per period from 1 + spec.needs_lag to the last, as a fresh float array.
 
     Lag-1 values come from the previous period of the same dataset; periods
     lacking a lag are dropped (never imputed).  Quartile boundaries are the
@@ -472,7 +438,7 @@ def assemble_features(ds: TimeSeriesDataset, spec: FeatureSpec) -> FeatureMatrix
     sl = slice(int(spec.needs_lag), ds.m)
     exog = ds.exog_matrix(spec.exog_names)[sl]
     bounds = quartile_bounds(ds.y) if spec.outcome_lag_mode == LAG_QUARTILE else None
-    return FeatureMatrix(spec.encode(ds.x[sl], ds.x[:-1], ds.y[:-1], exog, bounds), spec)
+    return spec.encode(ds.x[sl], ds.x[:-1], ds.y[:-1], exog, bounds)
 
 
 def validate_finite(name: str, value: float) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simulate_dataset
-from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed, assemble_features, setting_names
+from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed, setting_names
 from .errors import ConfigError, DataError, EstimatorError
 from .models import (
     ForestConfig,
@@ -133,11 +133,10 @@ def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
 
 def estimate_coef(ds: TimeSeriesDataset, spec: FeatureSpec) -> ApplyResult:
     """Exposure coefficient of the linear outcome fit on layout `spec`, with t interval."""
-    fm = assemble_features(ds, spec)
-    model = fit_linear_outcome(fm, ds.y[fm.dropped_head:])
+    model = fit_linear_outcome(ds, spec)
     est = model.coefficients["x"]
     se = model.coefficient_se["x"]
-    df = fm.n_rows - len(model.coefficients)
+    df = ds.m - spec.needs_lag - len(model.coefficients)
     half = float(stdtrit(df, 0.975)) * se
     return ApplyResult(Method.COEF, est, (est - half, est + half), model_summary=model.summary())
 
@@ -159,26 +158,22 @@ def apply_method(
         return estimate_coef(ds, opts.outcome_spec)
 
     if method in (Method.MOTR_GLM, Method.MOTR_RF):
-        fm = assemble_features(ds, opts.outcome_spec)
-        y = ds.y[fm.dropped_head:]
         if method is Method.MOTR_GLM:
-            model = fit_linear_outcome(fm, y)
+            model = fit_linear_outcome(ds, opts.outcome_spec)
             motr_seed = seed.child(_NS_MOTR_GLM)
         else:
             fc = replace(opts.forest, seed=seed.child(_NS_FOREST_OUTCOME))
-            model = fit_forest_outcome(fm, y, fc)
+            model = fit_forest_outcome(ds, opts.outcome_spec, fc)
             motr_seed = seed.child(_NS_MOTR_RF)
         # cfg by keyword: bench/spans.py's run_motr hook reads it by name or as argument 3
         est = run_motr(ds, model, cfg=replace(opts.motr, seed=motr_seed))
         return ApplyResult(method, est.delta, est.ci, detail=est, model_summary=model.summary())
 
-    fm = assemble_features(ds, opts.propensity_spec)
-    x = ds.x[fm.dropped_head:]
     if method is Method.PSTN_GLM:
-        model = fit_logistic_propensity(fm, x)
+        model = fit_logistic_propensity(ds, opts.propensity_spec)
     else:
         fc = replace(opts.forest, seed=seed.child(_NS_FOREST_PROPENSITY))
-        model = fit_forest_propensity(fm, x, fc)
+        model = fit_forest_propensity(ds, opts.propensity_spec, fc)
     res = run_pstn(ds, model, opts.pstn)
     return ApplyResult(method, res.delta, None, detail=res, model_summary=model.summary())
 

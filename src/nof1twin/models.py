@@ -1,10 +1,12 @@
 """Outcome and propensity model fits behind one common interface.
 
 Linear least squares (QR), logistic regression via IRLS, and bagged CART
-forests for both regression and classification.  Every fit is a
-deterministic function of (data, config, seed) and returns a FittedModel
-that carries the FeatureSpec of its rows, so the estimators that use a twin
-take no layout of their own.
+forests for both regression and classification.  Every fitter takes a
+dataset and a FeatureSpec, assembles the rows and their labels (outcomes or
+exposures of the same periods) itself, and is a deterministic function of
+(data, layout, config, seed).  It returns a FittedModel that carries the
+FeatureSpec of its rows, so the estimators that use a twin take no layout
+of their own.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .core import (INTERCEPT, LAG_QUARTILE, FeatureMatrix, FeatureSpec, SeedSpec, as_seed,
-                   setting_names)
+from .core import (INTERCEPT, LAG_QUARTILE, FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed,
+                   assemble_features)
 from .errors import ConfigError, ConvergenceError, EstimatorError
 from .forest import FlatForest, IndexSampler, build_forest, oob_predictions
 
@@ -100,8 +102,8 @@ class FittedModel:
 
     Outcome models carry their residual scale in `resid_sd`; propensity
     models leave it None.  Forest propensity models also keep their
-    out-of-bag in-sample probabilities together with the (read-only)
-    feature rows and exposures they were trained on.
+    out-of-bag in-sample probabilities together with `train`, the dataset
+    they were fitted on.
     """
 
     kind: str  # "linear" | "logistic" | "forest"
@@ -112,8 +114,7 @@ class FittedModel:
     separation_warning: bool = False
     forest_config: ForestConfig | None = None
     insample_prob: np.ndarray | None = field(default=None, compare=False)
-    train_values: np.ndarray | None = field(default=None, repr=False, compare=False)
-    train_labels: np.ndarray | None = field(default=None, repr=False, compare=False)
+    train: TimeSeriesDataset | None = field(default=None, repr=False, compare=False)
     _predictor: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -143,8 +144,8 @@ class FittedModel:
             if not self.is_outcome:
                 out["separation_warning"] = self.separation_warning
         if self.forest_config is not None:
-            fc = self.forest_config
-            out["forest"] = {name: getattr(fc, name) for name in setting_names(fc)}
+            mtry, node = self.forest_config.resolve(len(self.spec.columns), not self.is_outcome)
+            out["forest"] = {"n_trees": self.forest_config.n_trees, "mtry": mtry, "min_node_size": node}
         return out
 
 
@@ -155,19 +156,20 @@ def check_twin(model: FittedModel, method: str, outcome: bool) -> None:
         raise EstimatorError(f"{method} needs {need} model, got a {model.kind} {got} model")
 
 
-def _target(fm: FeatureMatrix, values: np.ndarray, outcome: bool) -> np.ndarray:
-    """The response as floats, after the checks shared by GLM and forest fits."""
-    values = np.asarray(values, dtype=float)
-    if outcome and not fm.spec.include_current_exposure:
+def _rows(ds: TimeSeriesDataset, spec: FeatureSpec, outcome: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows of `ds` laid out by `spec` and their labels, the outcomes
+    (or exposures) of the same periods as floats, after the checks shared by
+    GLM and forest fits."""
+    values = assemble_features(ds, spec)
+    labels = np.asarray((ds.y if outcome else ds.x)[spec.needs_lag:], dtype=float)
+    if outcome and not spec.include_current_exposure:
         raise EstimatorError("outcome models must include the current exposure feature")
-    if len(values) != fm.n_rows:
-        raise EstimatorError(f"got {len(values)} labels for {fm.n_rows} feature rows")
-    if not outcome and not (np.any(values == 1) and np.any(values == 0)):
+    if not outcome and not (np.any(labels == 1) and np.any(labels == 0)):
         raise EstimatorError("propensity fit needs both exposure classes present")
-    return values
+    return values, labels
 
 
-def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray, tuple]:
+def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str], np.ndarray, tuple]:
     """Intercept-augmented, full-rank design matrix for the GLM fitters, with
     the pivoted QR (Q, R, pivot) of its rank check: ``design[:, pivot] == Q @ R``.
 
@@ -175,10 +177,10 @@ def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray, tuple
     first slot is dropped as the reference level (its effect is absorbed by
     the intercept), matching standard factor coding.
     """
-    ref = fm.spec.lag[:1] if fm.spec.outcome_lag_mode == LAG_QUARTILE else ()
-    keep = np.delete(np.arange(len(fm.columns)), ref)
-    design = np.hstack([np.ones((fm.n_rows, 1)), fm.values[:, keep]])
-    names = [INTERCEPT, *(fm.columns[k] for k in keep)]
+    ref = spec.lag[:1] if spec.outcome_lag_mode == LAG_QUARTILE else ()
+    keep = np.delete(np.arange(len(spec.columns)), ref)
+    design = np.hstack([np.ones((len(values), 1)), values[:, keep]])
+    names = [INTERCEPT, *(spec.columns[k] for k in keep)]
     n, p = design.shape
     if n < p + 1:
         raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
@@ -192,14 +194,14 @@ def _design(fm: FeatureMatrix) -> tuple[np.ndarray, list[str], np.ndarray, tuple
     return design, names, keep, (q, r, pivot)
 
 
-def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedModel:
-    """Least-squares outcome fit with intercept.
+def fit_linear_outcome(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
+    """Least-squares fit of the outcomes of `ds` on its rows laid out by `spec`, with intercept.
 
     Coefficients minimize the sum of squared residuals via the design's
     pivoted QR; resid_sd is the sample SD of residuals with denominator n - p.
     """
-    y = _target(fm, y, outcome=True)
-    design, names, keep, (q, r, pivot) = _design(fm)
+    values, y = _rows(ds, spec, outcome=True)
+    design, names, keep, (q, r, pivot) = _design(values, spec)
     n, p = design.shape
     beta, se = np.empty(p), np.empty(p)
     beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
@@ -210,7 +212,7 @@ def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedModel:
     se[pivot] = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
     return FittedModel(
         kind="linear",
-        spec=fm.spec,
+        spec=spec,
         resid_sd=resid_sd,
         coefficients=dict(zip(names, beta.tolist())),
         coefficient_se=dict(zip(names, se.tolist())),
@@ -218,16 +220,17 @@ def fit_linear_outcome(fm: FeatureMatrix, y: np.ndarray) -> FittedModel:
     )
 
 
-def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
-    """Bernoulli maximum likelihood via IRLS.
+def fit_logistic_propensity(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
+    """Bernoulli maximum likelihood of the exposures of `ds` via IRLS, on its rows
+    laid out by `spec`.
 
     Converges when the largest absolute coefficient change drops below 1e-10
     (at most 50 iterations).  If a coefficient passes the separation limit
     the fit stops there and the model carries a separation warning so
     downstream trimming still functions.
     """
-    x = _target(fm, x, outcome=False)
-    design, names, keep, _ = _design(fm)
+    values, x = _rows(ds, spec, outcome=False)
+    design, names, keep, _ = _design(values, spec)
     beta = np.zeros(design.shape[1])
     separated = False
     trace: list[float] = []
@@ -258,7 +261,7 @@ def fit_logistic_propensity(fm: FeatureMatrix, x: np.ndarray) -> FittedModel:
         )
     return FittedModel(
         kind="logistic",
-        spec=fm.spec,
+        spec=spec,
         coefficients=dict(zip(names, beta.tolist())),
         separation_warning=separated,
         _predictor=_LinearPredictor(beta, keep, logistic=True),
@@ -274,56 +277,59 @@ def glm_from_coefficients(
 
     With `resid_sd` the model is a linear outcome twin; without it, a
     logistic propensity twin.  `coefficients` maps "intercept" and each
-    feature column to its weight; missing columns default to 0.
+    feature column to its weight; missing columns default to 0, and a name
+    outside them raises ConfigError.
     """
-    columns = spec.columns
-    beta = np.array(
-        [coefficients.get(INTERCEPT, 0.0)] + [coefficients.get(c, 0.0) for c in columns]
-    )
+    names = (INTERCEPT, *spec.columns)
+    if unknown := [name for name in coefficients if name not in names]:
+        raise ConfigError(f"coefficient(s) {unknown} name no term of {list(names)}")
+    coefs = {name: float(coefficients.get(name, 0.0)) for name in names}
     outcome = resid_sd is not None
     return FittedModel(
         kind="linear" if outcome else "logistic",
         spec=spec,
         resid_sd=float(resid_sd) if outcome else None,
-        coefficients={INTERCEPT: beta[0], **{c: coefficients.get(c, 0.0) for c in columns}},
-        _predictor=_LinearPredictor(beta, np.arange(len(columns)), logistic=not outcome),
+        coefficients=coefs,
+        _predictor=_LinearPredictor(list(coefs.values()), range(len(spec.columns)), logistic=not outcome),
     )
 
 
 def _fit_forest(
-    fm: FeatureMatrix,
+    values: np.ndarray,
     target: np.ndarray,
     cfg: ForestConfig,
     classification: bool,
     index_sampler: IndexSampler | None,
 ) -> tuple[FlatForest, np.ndarray]:
-    """Grow the forest and return it with its out-of-bag training predictions."""
-    if fm.n_rows < 5:
-        raise EstimatorError(f"forest fit needs at least 5 rows, got {fm.n_rows}")
-    mtry, node = cfg.resolve(len(fm.columns), classification)
-    forest, inbag = build_forest(fm.values, target, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
-    return forest, oob_predictions(forest, inbag, fm.values)
+    """Grow the forest on rows `values` and return it with its out-of-bag training predictions."""
+    n_rows, p = values.shape
+    if n_rows < 5:
+        raise EstimatorError(f"forest fit needs at least 5 rows, got {n_rows}")
+    mtry, node = cfg.resolve(p, classification)
+    forest, inbag = build_forest(values, target, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
+    return forest, oob_predictions(forest, inbag, values)
 
 
 def fit_forest_outcome(
-    fm: FeatureMatrix,
-    y: np.ndarray,
+    ds: TimeSeriesDataset,
+    spec: FeatureSpec,
     cfg: ForestConfig,
     index_sampler: IndexSampler | None = None,
 ) -> FittedModel:
-    """Bagged regression trees; resid_sd from out-of-bag training residuals.
+    """Bagged regression trees of the outcomes of `ds` on its rows laid out by
+    `spec`; resid_sd from out-of-bag training residuals.
 
     Out-of-bag averaging keeps in-sample predictions honest (an all-trees
     average would be dominated by each row's own bootstrap copies); new
     inputs are predicted with the all-trees average.  resid_sd divides by n
     (no parameter count is available for a forest).
     """
-    y = _target(fm, y, outcome=True)
-    forest, oob = _fit_forest(fm, y, cfg, False, index_sampler)
+    values, y = _rows(ds, spec, outcome=True)
+    forest, oob = _fit_forest(values, y, cfg, False, index_sampler)
     resid = y - oob
     return FittedModel(
         kind="forest",
-        spec=fm.spec,
+        spec=spec,
         resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
         _predictor=forest,
@@ -331,26 +337,26 @@ def fit_forest_outcome(
 
 
 def fit_forest_propensity(
-    fm: FeatureMatrix,
-    x: np.ndarray,
+    ds: TimeSeriesDataset,
+    spec: FeatureSpec,
     cfg: ForestConfig,
     index_sampler: IndexSampler | None = None,
 ) -> FittedModel:
-    """Bagged classification trees (Gini splits).
+    """Bagged classification trees (Gini splits) of the exposures of `ds` on its
+    rows laid out by `spec`.
 
     predict averages per-tree terminal-node class-1 proportions.  The stored
     in-sample propensities use out-of-bag averaging for the same reason as
-    the outcome forest's residuals; they belong to `train_values` and
-    `train_labels`, the feature rows and exposures of the fit.
+    the outcome forest's residuals; they belong to `train`, the dataset of
+    the fit.
     """
-    x = _target(fm, x, outcome=False)
-    forest, oob = _fit_forest(fm, x, cfg, True, index_sampler)
+    values, x = _rows(ds, spec, outcome=False)
+    forest, oob = _fit_forest(values, x, cfg, True, index_sampler)
     return FittedModel(
         kind="forest",
-        spec=fm.spec,
+        spec=spec,
         forest_config=cfg,
         insample_prob=oob,
-        train_values=fm.values,
-        train_labels=x,
+        train=ds,
         _predictor=forest,
     )

@@ -126,19 +126,15 @@ def pstn_from_propensities(
 def run_pstn(ds: TimeSeriesDataset, model: FittedModel, cfg: PstnConfig) -> PstnResult:
     """Predict each period's propensity once, then weight the observed outcomes.
 
-    The feature rows are those of the twin's own layout, `model.spec`.  When
-    the model was trained on exactly these feature rows and exposures and
-    stored in-sample propensities for them (forest fits do, via out-of-bag
-    averaging), those are used; otherwise the propensities are predicted
-    from the assembled features.
+    The feature rows are those of the twin's own layout, `model.spec`, for
+    periods 1 + spec.needs_lag on.  When `ds` is the dataset the model was
+    fitted on (`model.train`; forest fits keep it with their out-of-bag
+    in-sample propensities), those stored propensities are used; otherwise
+    the propensities are predicted from the assembled features.
     """
     check_twin(model, "PSTn", outcome=False)
     if model.spec.include_current_exposure:
         raise EstimatorError("propensity features must not include the current exposure")
-    fm = assemble_features(ds, model.spec)
-    y, x = ds.y[fm.dropped_head:], ds.x[fm.dropped_head:]
-    if np.array_equal(fm.values, model.train_values) and np.array_equal(x, model.train_labels):
-        pi = np.asarray(model.insample_prob, dtype=float)
-    else:
-        pi = model.predict(fm.values)
-    return pstn_from_propensities(y, x, pi, fm.t_index, cfg)
+    lag = int(model.spec.needs_lag)
+    pi = model.insample_prob if ds == model.train else model.predict(assemble_features(ds, model.spec))
+    return pstn_from_propensities(ds.y[lag:], ds.x[lag:], pi, np.arange(1 + lag, ds.m + 1), cfg)

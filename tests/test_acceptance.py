@@ -17,9 +17,9 @@ from nof1twin.cli import main as cli_main
 from nof1twin.core import (
     LAG_CONTINUOUS,
     LAG_NONE,
-    FeatureMatrix,
     FeatureSpec,
     SeedSpec,
+    TimeSeriesDataset,
 )
 from nof1twin.harness import (
     Method,
@@ -87,8 +87,6 @@ def test_criterion_1_oracle_equivalence():
     y[0] = params.beta0
     for t in range(1, m):
         y[t] = params.beta0 + params.beta_x * x0[t] + params.beta_ar * y[t - 1]
-    from nof1twin.core import TimeSeriesDataset
-
     ds = TimeSeriesDataset(y=y, x=x0)
     spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_CONTINUOUS)
     twin = glm_from_coefficients(
@@ -225,8 +223,7 @@ def test_criterion_9_micro_fixtures():
     w = np.array([0.0] * 40 + [1.0] * 40)
     x = np.array([1] * 10 + [0] * 30 + [1] * 30 + [0] * 10)
     spec = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
-    fm = FeatureMatrix(values=w[:, None], spec=spec)
-    logit = fit_logistic_propensity(fm, x)
+    logit = fit_logistic_propensity(TimeSeriesDataset(np.zeros(80), x, {"w": w}), spec)
     irls_ok = (
         abs(logit.coefficients["intercept"] - math.log(1 / 3)) < 1e-8
         and abs(logit.coefficients["w"] - math.log(9.0)) < 1e-8
@@ -244,8 +241,7 @@ def test_criterion_9_micro_fixtures():
 
     # OLS two-point interpolation exact
     ospec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
-    ofm = FeatureMatrix(values=np.array([[0.0], [1.0], [0.0], [1.0]]), spec=ospec)
-    ols = fit_linear_outcome(ofm, np.array([1.0, 3.0, 1.0, 3.0]))
+    ols = fit_linear_outcome(TimeSeriesDataset(np.array([1.0, 3.0, 1.0, 3.0]), [0, 1, 0, 1]), ospec)
     ols_ok = (
         abs(ols.coefficients["intercept"] - 1.0) < 1e-12
         and abs(ols.coefficients["x"] - 2.0) < 1e-12

@@ -13,7 +13,7 @@ import pytest
 import nof1twin
 from nof1twin import cli
 from nof1twin.cli import _method_options, build_parser, main
-from nof1twin.core import LAG_MODES, FeatureSpec, TimeSeriesDataset, assemble_features, load_table, normals
+from nof1twin.core import LAG_MODES, FeatureSpec, TimeSeriesDataset, load_table, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
 from nof1twin.models import ForestConfig, fit_linear_outcome
 from nof1twin.motr import MotrConfig, _Rollout, arm_contrast
@@ -106,7 +106,7 @@ class TestAnalyze:
         assert run(["analyze", "--data", str(data), "--method", "motr-glm", "--seed", "4",
                     "--runs-csv", str(runs), "-o", str(tmp_path / "motr.json")]) == 0
         ds = TimeSeriesDataset(*load_table(data))
-        model = fit_linear_outcome(assemble_features(ds, OUTCOME_SPEC), ds.y[1:])
+        model = fit_linear_outcome(ds, OUTCOME_SPEC)
         with open(runs, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) > 32
@@ -147,6 +147,21 @@ class TestAnalyze:
         assert summary["kind"] == "linear"
         assert "x" in summary["coefficients"]
 
+    @pytest.mark.parametrize("method, flags, grown", [
+        ("motr-rf", [], (1, 5)),
+        ("pstn-rf", [], (1, 1)),
+        ("motr-rf", ["--lag-y", "quartile", "--lag-x"], (2, 5)),
+        ("pstn-rf", ["--lag-x"], (2, 1)),
+        ("pstn-rf", ["--mtry", "1", "--min-node-size", "3"], (1, 3)),
+    ], ids=["motr-rf", "pstn-rf", "motr-rf-quartile-lag-x", "pstn-rf-lag-x", "pstn-rf-set"])
+    def test_dump_model_states_the_forest_it_grew(self, study_csv, tmp_path, method, flags, grown):
+        model_out = tmp_path / "model.json"
+        assert run(["analyze", "--data", str(study_csv), "--method", method, *flags,
+                    "--n-trees", "10", "--dump-model", str(model_out),
+                    "-o", str(tmp_path / "out.json")]) == 0
+        forest = json.loads(model_out.read_text())["forest"]
+        assert forest == {"n_trees": 10, "mtry": grown[0], "min_node_size": grown[1]}
+
     @pytest.mark.parametrize("mode", LAG_MODES)
     def test_coef_fits_on_the_layout_flags(self, study_csv, tmp_path, mode):
         model_out, out = tmp_path / "model.json", tmp_path / "c.json"
@@ -154,8 +169,7 @@ class TestAnalyze:
                     "--lag-x", "--dump-model", str(model_out), "-o", str(out)]) == 0
         spec = FeatureSpec(True, mode, True)
         ds = TimeSeriesDataset(*load_table(study_csv))
-        fm = assemble_features(ds, spec)
-        model = fit_linear_outcome(fm, ds.y[fm.dropped_head:])
+        model = fit_linear_outcome(ds, spec)
         assert json.loads(model_out.read_text())["columns"] == list(spec.columns)
         assert json.loads(out.read_text())["result"]["delta"] == model.coefficients["x"]
 

@@ -278,32 +278,25 @@ class TestQuartiles:
 
 
 class TestAssembleFeatures:
-    def test_equal_matrices_compare_equal(self):
-        ds = make_ds([1, 2, 3, 4], x=[0, 1, 0, 1])
-        spec = FeatureSpec(True, LAG_CONTINUOUS)
-        assert assemble_features(ds, spec) == assemble_features(ds, spec)
-        assert assemble_features(ds, spec) != assemble_features(make_ds([1, 2, 5, 4], x=ds.x), spec)
-        lag_x = FeatureSpec(True, LAG_NONE, use_exposure_lag1=True)
-        assert assemble_features(ds, lag_x) != assemble_features(ds, FeatureSpec(True, LAG_NONE))
-
     def test_continuous_lag(self):
         ds = make_ds([1, 2, 3, 4], x=[0, 1, 0, 1])
-        fm = assemble_features(ds, FeatureSpec(True, LAG_CONTINUOUS))
-        assert fm.dropped_head == 1
-        assert fm.columns == ("x", "y_lag1")
-        assert fm.values[:, 1].tolist() == [1, 2, 3]
-        assert fm.t_index.tolist() == [2, 3, 4]
+        spec = FeatureSpec(True, LAG_CONTINUOUS)
+        rows = assemble_features(ds, spec)
+        assert spec.needs_lag
+        assert spec.columns == ("x", "y_lag1")
+        assert rows[:, 1].tolist() == [1, 2, 3]
+        assert rows[:, 0].tolist() == ds.x[1:].tolist()  # periods 2, 3, 4
 
     def test_no_lag_no_drop(self):
         ds = make_ds([1, 2, 3], x=[0, 1, 0])
-        fm = assemble_features(ds, FeatureSpec(True, LAG_NONE))
-        assert fm.dropped_head == 0
-        assert fm.columns == ("x",)
+        spec = FeatureSpec(True, LAG_NONE)
+        assert not spec.needs_lag
+        assert assemble_features(ds, spec).tolist() == [[0], [1], [0]]
+        assert spec.columns == ("x",)
 
     def test_quartile_rows_one_hot(self):
         ds = make_ds(np.arange(1.0, 9.0), x=[0, 1] * 4)
-        fm = assemble_features(ds, FeatureSpec(True, LAG_QUARTILE))
-        block = fm.values[:, 1:5]
+        block = assemble_features(ds, FeatureSpec(True, LAG_QUARTILE))[:, 1:5]
         assert np.array_equal(block.sum(axis=1), np.ones(7))
         # first row lags y_1 = 1 (minimum) -> first slot
         assert block[0].tolist() == [1, 0, 0, 0]
@@ -311,17 +304,15 @@ class TestAssembleFeatures:
     def test_exposure_lag_and_exog_order(self):
         ds = make_ds([1, 2, 3, 4], x=[1, 0, 0, 1], exog={"v": [9, 8, 7, 6]})
         spec = FeatureSpec(True, LAG_CONTINUOUS, use_exposure_lag1=True, exog_names=("v",))
-        fm = assemble_features(ds, spec)
-        assert fm.columns == ("x", "x_lag1", "y_lag1", "v")
-        assert fm.values[0].tolist() == [0, 1, 1, 8]
+        assert spec.columns == ("x", "x_lag1", "y_lag1", "v")
+        assert assemble_features(ds, spec)[0].tolist() == [0, 1, 1, 8]
 
     def test_pure_function(self):
         ds = make_ds([3, 1, 4, 1, 5], x=[1, 0, 1, 0, 1])
         spec = FeatureSpec(True, LAG_QUARTILE)
         a = assemble_features(ds, spec)
         b = assemble_features(ds, spec)
-        assert np.array_equal(a.values, b.values)
-        assert a.columns == b.columns
+        assert np.array_equal(a, b)
 
     def test_too_short(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0], x=[0, 1])
@@ -362,21 +353,21 @@ class TestAssembleFeatures:
                 for lag_x in (False, True):
                     for exog in ((), ("y_lag1_mean",), ("temp", "y_lag1_mean")):
                         spec = FeatureSpec(current, mode, lag_x, exog)
-                        fm = assemble_features(ds, spec)
-                        period = fm.t_index - 1  # 0-based
+                        rows = assemble_features(ds, spec)
+                        period = np.arange(spec.needs_lag, ds.m)  # 0-based
                         y_lag = ds.y[period - 1]
                         slot = 1 + (y_lag[:, None] > quartile_bounds(ds.y)).sum(axis=1)
                         sources = {"x": ds.x[period], "x_lag1": ds.x[period - 1], "y_lag1": y_lag,
                                    **{f"y_lag1_q{k}": slot == k for k in range(1, 5)},
                                    **{n: ds.exog[n][period] for n in exog}}
-                        assert fm.values.shape == (len(period), len(spec.columns))
+                        assert rows.shape == (len(period), len(spec.columns))
                         for j, name in enumerate(spec.columns):
-                            assert np.array_equal(fm.values[:, j], sources[name]), (spec, name)
+                            assert np.array_equal(rows[:, j], sources[name]), (spec, name)
                         lag = [j for j, c in enumerate(spec.columns)
                                if c == "y_lag1" or c.startswith("y_lag1_q")]
                         assert list(spec.lag) == lag, spec
                         model = glm_from_coefficients(spec, {}, resid_sd=1.0)
-                        digest.update(fm.values.tobytes())
+                        digest.update(rows.tobytes())
                         digest.update(_Rollout(ds, model).static.tobytes())
         assert digest.hexdigest() == LAYOUT_DIGEST
 

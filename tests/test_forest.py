@@ -262,10 +262,9 @@ def _pinned_forests():
     for name, spec, target, ns, classification in (
             ("study-outcome", opts.outcome_spec, ds.y, harness._NS_FOREST_OUTCOME, False),
             ("study-propensity", opts.propensity_spec, ds.x, harness._NS_FOREST_PROPENSITY, True)):
-        fm = assemble_features(ds, spec)
-        yield name, (fm.values, target[fm.dropped_head:].astype(float), 100,
-                     *opts.forest.resolve(len(fm.columns), classification), seed.child(ns), None,
-                     fm.columns.index("y_lag1"))
+        yield name, (assemble_features(ds, spec), target[spec.needs_lag:].astype(float), 100,
+                     *opts.forest.resolve(len(spec.columns), classification), seed.child(ns), None,
+                     spec.columns.index("y_lag1"))
     rng = np.random.default_rng(7)  # 364 rows: 90 trees per batch, so batches of 90 and 10
     x = np.column_stack([rng.integers(0, 2, (364, 3)), rng.integers(0, 3, (364, 3)),
                          rng.normal(size=364)]).astype(float)

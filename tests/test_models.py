@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nof1twin.core import (
+    INTERCEPT,
+    LAG_MODES,
     LAG_NONE,
     LAG_QUARTILE,
-    FeatureMatrix,
     FeatureSpec,
     SeedSpec,
     TimeSeriesDataset,
     assemble_features,
 )
-from nof1twin.errors import EstimatorError
+from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.models import (
     ForestConfig,
     fit_forest_outcome,
@@ -28,60 +29,65 @@ from nof1twin.models import (
 W_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
 
 
-def fmatrix(values, columns, include_x=True):
+def fmatrix(values, columns, labels, include_x=True):
+    """A dataset whose rows, laid out by the returned LAG_NONE spec, are `values`, and
+    whose outcomes (with the current exposure "x", the first column) or exposures
+    (without it) are `labels`: (dataset, spec), the arguments of every fitter."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    exog = tuple(c for c in columns if c != "x")
+    exog = {c: values[:, k] for k, c in enumerate(columns) if c != "x"}
     spec = FeatureSpec(
-        include_current_exposure=include_x, outcome_lag_mode=LAG_NONE, exog_names=exog
+        include_current_exposure=include_x, outcome_lag_mode=LAG_NONE, exog_names=tuple(exog)
     )
-    return FeatureMatrix(values, spec)
+    if include_x:
+        return TimeSeriesDataset(labels, values[:, 0], exog), spec
+    return TimeSeriesDataset(np.zeros(len(values)), labels, exog), spec
 
 
 class TestLinear:
     def test_constant_fit(self):
-        fm = fmatrix(np.tile([0.0, 1.0], 3)[:, None], ("x",))
-        model = fit_linear_outcome(fm, np.full(6, 5.0))
+        ds, spec = fmatrix(np.tile([0.0, 1.0], 3)[:, None], ("x",), np.full(6, 5.0))
+        model = fit_linear_outcome(ds, spec)
         assert model.coefficients["intercept"] == pytest.approx(5.0)
         assert model.coefficients["x"] == pytest.approx(0.0, abs=1e-12)
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_interpolation_exact(self):
-        fm = fmatrix([[0.0], [1.0], [0.0], [1.0]], ("x",))
+        values = [[0.0], [1.0], [0.0], [1.0]]
         y = np.array([1.0, 3.0, 1.0, 3.0])
-        model = fit_linear_outcome(fm, y)
+        model = fit_linear_outcome(*fmatrix(values, ("x",), y))
         assert model.coefficients["intercept"] == pytest.approx(1.0, abs=1e-12)
         assert model.coefficients["x"] == pytest.approx(2.0, abs=1e-12)
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(model.predict(fm.values), y)
+        assert np.allclose(model.predict(values), y)
 
     def test_residuals_orthogonal_to_design(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(40, 2))
-        fm = fmatrix(np.column_stack([rng.integers(0, 2, 40), values[:, 0]]), ("x", "w"))
+        rows = np.column_stack([rng.integers(0, 2, 40), values[:, 0]])
         y = rng.normal(size=40)
-        model = fit_linear_outcome(fm, y)
-        resid = y - model.predict(fm.values)
-        design = np.column_stack([np.ones(40), fm.values])
+        model = fit_linear_outcome(*fmatrix(rows, ("x", "w"), y))
+        resid = y - model.predict(rows)
+        design = np.column_stack([np.ones(40), rows])
         assert np.max(np.abs(design.T @ resid)) < 1e-8 * max(1.0, np.abs(y).sum())
 
     def test_rank_deficiency_names_columns(self):
         w = np.arange(8.0)
-        fm = fmatrix(np.column_stack([np.tile([0, 1], 4), w, w]), ("x", "w", "w_copy"))
+        ds, spec = fmatrix(np.column_stack([np.tile([0, 1], 4), w, w]), ("x", "w", "w_copy"),
+                           np.arange(8.0))
         with pytest.raises(EstimatorError, match="w"):
-            fit_linear_outcome(fm, np.arange(8.0))
+            fit_linear_outcome(ds, spec)
 
     def test_requires_current_exposure(self):
-        fm = fmatrix(np.ones((6, 1)), ("w",), include_x=False)
+        ds = TimeSeriesDataset(np.arange(6.0), np.zeros(6), {"w": np.ones(6)})
         with pytest.raises(EstimatorError, match="current exposure"):
-            fit_linear_outcome(fm, np.arange(6.0))
+            fit_linear_outcome(ds, W_SPEC)
 
     def test_quartile_block_uses_reference_drop(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=30).cumsum() + 10
         x = rng.integers(0, 2, 30)
         ds = TimeSeriesDataset(y=y, x=x)
-        fm = assemble_features(ds, FeatureSpec(True, LAG_QUARTILE))
-        model = fit_linear_outcome(fm, ds.y[1:])
+        model = fit_linear_outcome(ds, FeatureSpec(True, LAG_QUARTILE))
         assert "y_lag1_q1" not in model.coefficients
         assert {"y_lag1_q2", "y_lag1_q3", "y_lag1_q4"} <= set(model.coefficients)
 
@@ -90,39 +96,63 @@ class TestLinear:
         pred = model.predict(np.array([[1.0, 10.0], [0.0, 10.0]]))
         assert pred == pytest.approx([2.0 + 1.1 + 8.0, 2.0 + 8.0])
 
+    def test_from_coefficients_rejects_names_outside_the_layout(self):
+        coefs = {"intercept": 2.0, "x": 1.1, "y_lag": 0.8, "w": 0.1}
+        with pytest.raises(ConfigError, match=r"\['y_lag', 'w'\] name no term of "
+                                              r"\['intercept', 'x', 'y_lag1'\]"):
+            glm_from_coefficients(FeatureSpec(True), coefs, 0.5)
+        coefs = {"intercept": np.float64(2.0), "x": 1}
+        model = glm_from_coefficients(FeatureSpec(True), coefs, 0.5)
+        assert model.coefficients == {"intercept": 2.0, "x": 1.0, "y_lag1": 0.0}
+        assert {type(b) for b in model.coefficients.values()} == {float}
 
-@pytest.mark.parametrize("fit, outcome", [
-    (fit_linear_outcome, True),
-    (fit_logistic_propensity, False),
-    (lambda fm, v: fit_forest_outcome(fm, v, ForestConfig(n_trees=5)), True),
-    (lambda fm, v: fit_forest_propensity(fm, v, ForestConfig(n_trees=5)), False),
-], ids=["ols", "irls", "forest-outcome", "forest-propensity"])
-@pytest.mark.parametrize("extra", [-3, 3], ids=["short", "long"])
-def test_labels_must_match_the_feature_rows(fit, outcome, extra):
+
+def reference_design(ds, spec):
+    """The intercept and each column of `spec` but the quartile reference slot, on the
+    rows of `ds`, and their names."""
+    keep = [j for j, c in enumerate(spec.columns) if c != "y_lag1_q1"]
+    rows = assemble_features(ds, spec)[:, keep]
+    return np.column_stack([np.ones(len(rows)), rows]), [INTERCEPT, *(spec.columns[j] for j in keep)]
+
+
+@pytest.mark.parametrize("mode", LAG_MODES)
+@pytest.mark.parametrize("lag_x", [False, True], ids=["", "lag-x"])
+def test_every_fitter_trains_on_the_rows_of_its_layout(mode, lag_x):
     rng = np.random.default_rng(8)
-    ds = TimeSeriesDataset(y=rng.normal(size=40), x=np.arange(40) % 2)
-    fm = assemble_features(ds, FeatureSpec(include_current_exposure=outcome))
-    labels = np.resize(ds.y[1:] if outcome else ds.x[1:], 39 + extra)
-    with pytest.raises(EstimatorError, match=f"got {39 + extra} labels for 39 feature rows"):
-        fit(fm, labels)
+    ds = TimeSeriesDataset(y=rng.normal(size=40), x=rng.permutation(np.arange(40) % 2))
+    spec, pspec = FeatureSpec(True, mode, lag_x), FeatureSpec(False, mode, lag_x)
+    n = ds.m - spec.needs_lag
+    design, names = reference_design(ds, spec)
+    beta = np.linalg.lstsq(design, ds.y[spec.needs_lag:], rcond=None)[0]
+    ols = fit_linear_outcome(ds, spec)
+    assert len(design) == n
+    assert [ols.coefficients[c] for c in names] == pytest.approx(beta, abs=1e-10)
+    design, _ = reference_design(ds, pspec)
+    prob = fit_logistic_propensity(ds, pspec).predict(assemble_features(ds, pspec))
+    assert len(design) == len(prob) == n
+    assert np.max(np.abs(design.T @ (ds.x[spec.needs_lag:] - prob))) < 1e-8  # the score equations
+    seen = []
+    sampler = lambda k, rng_, n_rows: seen.append(n_rows) or rng_.integers(0, n_rows, n_rows)
+    fit_forest_outcome(ds, spec, ForestConfig(n_trees=3), index_sampler=sampler)
+    forest = fit_forest_propensity(ds, pspec, ForestConfig(n_trees=3), index_sampler=sampler)
+    assert seen == [n] * 6
+    assert len(forest.insample_prob) == n
 
 
 class TestLogistic:
     def test_intercept_only_half(self):
-        fm = fmatrix(np.empty((40, 0)), (), include_x=False)
-        model = fit_logistic_propensity(fm, np.tile([0, 1], 20))
+        model = fit_logistic_propensity(*fmatrix(np.empty((40, 0)), (), np.tile([0, 1], 20), False))
         assert model.coefficients["intercept"] == pytest.approx(0.0, abs=1e-9)
 
     def test_intercept_only_three_quarters(self):
-        fm = fmatrix(np.empty((40, 0)), (), include_x=False)
         x = np.array([1] * 30 + [0] * 10)
-        model = fit_logistic_propensity(fm, x)
+        model = fit_logistic_propensity(*fmatrix(np.empty((40, 0)), (), x, include_x=False))
         assert model.coefficients["intercept"] == pytest.approx(math.log(3.0), abs=1e-9)
 
     def test_two_by_two_closed_form(self):
         w = np.array([0.0] * 40 + [1.0] * 40)
         x = np.array([1] * 10 + [0] * 30 + [1] * 30 + [0] * 10)
-        model = fit_logistic_propensity(fmatrix(w[:, None], ("w",), include_x=False), x)
+        model = fit_logistic_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False))
         assert model.coefficients["intercept"] == pytest.approx(math.log(1 / 3), abs=1e-8)
         assert model.coefficients["w"] == pytest.approx(math.log(9.0), abs=1e-8)
         assert not model.separation_warning
@@ -132,24 +162,23 @@ class TestLogistic:
         w = rng.normal(size=120)
         prob = 1 / (1 + np.exp(-(0.3 + 0.8 * w)))
         x = (rng.random(120) < prob).astype(int)
-        fm = fmatrix(w[:, None], ("w",), include_x=False)
-        model = fit_logistic_propensity(fm, x)
-        p_hat = model.predict(fm.values)
+        model = fit_logistic_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False))
+        p_hat = model.predict(w[:, None])
         design = np.column_stack([np.ones(120), w])
         assert np.max(np.abs(design.T @ (x - p_hat))) < 1e-6
 
     def test_separation_flagged_not_fatal(self):
         w = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0, -0.5, 0.5])
         x = (w > 0).astype(int)
-        model = fit_logistic_propensity(fmatrix(w[:, None], ("w",), include_x=False), x)
+        model = fit_logistic_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False))
         assert model.separation_warning
         probs = model.predict(w[:, None])
         assert np.all((probs >= 0) & (probs <= 1))
 
     def test_single_class_rejected(self):
-        fm = fmatrix(np.empty((10, 0)), (), include_x=False)
+        ds, spec = fmatrix(np.empty((10, 0)), (), np.ones(10), include_x=False)
         with pytest.raises(EstimatorError, match="both exposure classes"):
-            fit_logistic_propensity(fm, np.ones(10))
+            fit_logistic_propensity(ds, spec)
 
     def test_from_coefficients(self):
         model = glm_from_coefficients(W_SPEC, {"intercept": 0.0, "w": 1.0})
@@ -166,8 +195,9 @@ class TestLogistic:
 class TestForestOutcome:
     def test_constant_outcome(self):
         rng = np.random.default_rng(0)
-        fm = fmatrix(np.column_stack([rng.integers(0, 2, 12), rng.normal(size=12)]), ("x", "w"))
-        model = fit_forest_outcome(fm, np.full(12, 3.0), ForestConfig(n_trees=20, seed=1))
+        ds, spec = fmatrix(np.column_stack([rng.integers(0, 2, 12), rng.normal(size=12)]), ("x", "w"),
+                           np.full(12, 3.0))
+        model = fit_forest_outcome(ds, spec, ForestConfig(n_trees=20, seed=1))
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
         probe = np.array([[0.0, -5.0], [1.0, 5.0]])
         assert model.predict(probe).tolist() == [3.0, 3.0]
@@ -176,15 +206,16 @@ class TestForestOutcome:
         rng = np.random.default_rng(7)
         feat = np.sort(rng.random(20))
         y = (feat > 0.5).astype(float)
-        fm = fmatrix(np.column_stack([np.tile([0, 1], 10), feat]), ("x", "w"))
+        rows = np.column_stack([np.tile([0, 1], 10), feat])
         identity = lambda k, rng_, n: np.arange(n)
         model = fit_forest_outcome(
-            fm, y, ForestConfig(n_trees=1, mtry=2, min_node_size=5, seed=3), index_sampler=identity
+            *fmatrix(rows, ("x", "w"), y), ForestConfig(n_trees=1, mtry=2, min_node_size=5, seed=3),
+            index_sampler=identity,
         )
         left_max = feat[y == 0].max()
         right_min = feat[y == 1].min()
         # brute force: the best variance-reducing threshold separates the groups
-        assert np.allclose(model.predict(fm.values), y)
+        assert np.allclose(model.predict(rows), y)
         threshold_probe = np.array([[0.0, (left_max + right_min) / 2]])
         assert model.predict(threshold_probe)[0] in (0.0, 1.0)
         below = model.predict(np.array([[0.0, left_max - 1e-9]]))[0]
@@ -192,16 +223,16 @@ class TestForestOutcome:
         assert (below, above) == (0.0, 1.0)
 
     def test_needs_five_rows(self):
-        fm = fmatrix(np.ones((4, 1)), ("x",))
+        ds, spec = fmatrix(np.ones((4, 1)), ("x",), np.arange(4.0))
         with pytest.raises(EstimatorError, match="5 rows"):
-            fit_forest_outcome(fm, np.arange(4.0), ForestConfig(n_trees=2))
+            fit_forest_outcome(ds, spec, ForestConfig(n_trees=2))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
-        fm = fmatrix(np.column_stack([rng.integers(0, 2, 30), rng.normal(size=30)]), ("x", "w"))
-        y = rng.normal(size=30)
-        a = fit_forest_outcome(fm, y, ForestConfig(n_trees=15, seed=SeedSpec(9)))
-        b = fit_forest_outcome(fm, y, ForestConfig(n_trees=15, seed=SeedSpec(9)))
+        rows = np.column_stack([rng.integers(0, 2, 30), rng.normal(size=30)])
+        ds, spec = fmatrix(rows, ("x", "w"), rng.normal(size=30))
+        a = fit_forest_outcome(ds, spec, ForestConfig(n_trees=15, seed=SeedSpec(9)))
+        b = fit_forest_outcome(ds, spec, ForestConfig(n_trees=15, seed=SeedSpec(9)))
         probe = rng.normal(size=(8, 2))
         assert np.array_equal(a.predict(probe), b.predict(probe))
         assert a.resid_sd == b.resid_sd
@@ -209,25 +240,26 @@ class TestForestOutcome:
 
 class TestForestPropensity:
     def test_single_class_rejected(self):
-        fm = fmatrix(np.random.default_rng(1).normal(size=(10, 1)), ("w",), include_x=False)
+        ds, spec = fmatrix(np.random.default_rng(1).normal(size=(10, 1)), ("w",), np.ones(10),
+                           include_x=False)
         with pytest.raises(EstimatorError, match="both exposure classes"):
-            fit_forest_propensity(fm, np.ones(10), ForestConfig(n_trees=2))
+            fit_forest_propensity(ds, spec, ForestConfig(n_trees=2))
 
     def test_separable_training_rows(self):
         # wide class margin: every bootstrap's split lands inside the gap
         w = np.concatenate([np.linspace(0.0, 0.1, 12), np.linspace(0.9, 1.0, 12)])
         x = (w > 0.5).astype(int)
-        fm = fmatrix(w[:, None], ("w",), include_x=False)
-        model = fit_forest_propensity(fm, x, ForestConfig(n_trees=30, seed=4))
-        probs = model.predict(fm.values)
+        model = fit_forest_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False),
+                                      ForestConfig(n_trees=30, seed=4))
+        probs = model.predict(w[:, None])
         assert np.array_equal(probs, x.astype(float))
 
     def test_probabilities_bounded_under_fuzz(self):
         rng = np.random.default_rng(21)
         w = rng.normal(size=60)
         x = (rng.random(60) < 1 / (1 + np.exp(-w))).astype(int)
-        fm = fmatrix(w[:, None], ("w",), include_x=False)
-        model = fit_forest_propensity(fm, x, ForestConfig(n_trees=25, seed=5))
+        model = fit_forest_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False),
+                                      ForestConfig(n_trees=25, seed=5))
         probe = rng.normal(scale=10, size=(10_000, 1))
         probs = model.predict(probe)
         assert np.all((probs >= 0.0) & (probs <= 1.0))
@@ -238,12 +270,12 @@ class TestForestPropensity:
         rng = np.random.default_rng(6)
         w = rng.normal(size=80)
         x = (rng.random(80) < 0.5).astype(int)  # label independent of feature
-        fm = fmatrix(w[:, None], ("w",), include_x=False)
-        model = fit_forest_propensity(fm, x, ForestConfig(n_trees=60, seed=6))
+        model = fit_forest_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False),
+                                      ForestConfig(n_trees=60, seed=6))
         insample = model.insample_prob
         leak = abs(insample[x == 1].mean() - insample[x == 0].mean())
         assert leak < 0.25
-        alltrees = model.predict(fm.values)
+        alltrees = model.predict(w[:, None])
         leak_alltrees = abs(alltrees[x == 1].mean() - alltrees[x == 0].mean())
         assert leak_alltrees > leak
 
@@ -254,19 +286,18 @@ class TestForestInvariance:
         n = 40
         values = np.column_stack([rng.integers(0, 2, n), rng.normal(size=n)])
         y = rng.normal(size=n)
-        fm = fmatrix(values, ("x", "w"))
 
         boots = [rng.integers(0, n, n) for _ in range(10)]
         sampler_a = lambda k, r, n_: boots[k]
 
         perm = rng.permutation(n)
         inv = np.argsort(perm)
-        fm_p = fmatrix(values[perm], ("x", "w"))
         sampler_b = lambda k, r, n_: inv[boots[k]]  # same data multiset per tree
 
         cfg = ForestConfig(n_trees=10, seed=8)
-        a = fit_forest_outcome(fm, y, cfg, index_sampler=sampler_a)
-        b = fit_forest_outcome(fm_p, y[perm], cfg, index_sampler=sampler_b)
+        a = fit_forest_outcome(*fmatrix(values, ("x", "w"), y), cfg, index_sampler=sampler_a)
+        b = fit_forest_outcome(*fmatrix(values[perm], ("x", "w"), y[perm]), cfg,
+                               index_sampler=sampler_b)
         probe = rng.normal(size=(12, 2))
         assert np.array_equal(a.predict(probe), b.predict(probe))
 
@@ -278,15 +309,16 @@ def rowwise_twins():
     n = 80
     cont = rng.normal(size=(n, 4)) * [1.0, 3.0, 0.5, 10.0]
     x = rng.integers(0, 2, n)
-    out = fmatrix(np.column_stack([x, cont]), ("x", "a", "b", "c", "d"))
-    prop = fmatrix(cont, ("a", "b", "c", "d"), include_x=False)
-    y = out.values @ [1.3, 0.7, -0.2, 0.9, 0.1] + rng.normal(size=n)
+    rows = np.column_stack([x, cont])
+    y = rows @ [1.3, 0.7, -0.2, 0.9, 0.1] + rng.normal(size=n)
+    out = fmatrix(rows, ("x", "a", "b", "c", "d"), y)
+    prop = fmatrix(cont, ("a", "b", "c", "d"), x, include_x=False)
     cfg = ForestConfig(n_trees=15, seed=4)
     return [
-        (fit_linear_outcome(out, y), 5),
-        (fit_logistic_propensity(prop, x), 4),
-        (fit_forest_outcome(out, y, cfg), 5),
-        (fit_forest_propensity(prop, x, cfg), 4),
+        (fit_linear_outcome(*out), 5),
+        (fit_logistic_propensity(*prop), 4),
+        (fit_forest_outcome(*out, cfg), 5),
+        (fit_forest_propensity(*prop, cfg), 4),
     ]
 
 

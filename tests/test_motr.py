@@ -28,11 +28,15 @@ XLAG_SPEC = FeatureSpec(
 )
 
 
+def twin_on(spec: FeatureSpec, coefs: dict, resid_sd: float):
+    """A linear twin on `spec` with the entries of `coefs` that name its terms."""
+    return glm_from_coefficients(spec, {k: coefs[k] for k in ("intercept", *spec.columns)}, resid_sd)
+
+
 def true_twin(params: ArcoParams, spec: FeatureSpec, resid_sd: float = 0.0):
-    coefs = {"intercept": params.beta0, "x": params.beta_x, "y_lag1": params.beta_ar}
-    if spec.use_exposure_lag1:
-        coefs["x_lag1"] = params.beta_co
-    return glm_from_coefficients(spec, coefs, resid_sd)
+    coefs = {"intercept": params.beta0, "x": params.beta_x, "x_lag1": params.beta_co,
+             "y_lag1": params.beta_ar}
+    return twin_on(spec, coefs, resid_sd)
 
 
 def mechanism_dataset(params: ArcoParams, x, y1=None):
@@ -205,7 +209,7 @@ class TestEnumerationAgreement:
         # the exact engine fed a linear twin's levels and slope, read off its rollout
         ds = _series(3, m)
         coefs = {"intercept": 0.7, "x": 1.1, "x_lag1": -0.4, "y_lag1": 0.6, "weekend": 0.9}
-        model = glm_from_coefficients(spec, coefs, resid_sd=0.0)
+        model = twin_on(spec, coefs, resid_sd=0.0)
         rollout = _Rollout(ds, model)
         head, slope, tail = rollout.affine
         n_exog = len(rollout.static) // (2 * rollout.n_lag)
@@ -304,14 +308,11 @@ class TestRunMotr:
     def test_cumulative_ci_is_mean_of_run_bounds(self, monkeypatch):
         # blocks of 32 runs: 45 runs end in a partial block of 13, and each
         # run must not depend on its block
-        from nof1twin.core import assemble_features
         from nof1twin.models import ForestConfig, fit_forest_outcome
 
         arco, ds = self.make_study_ds(seed=3)
         monkeypatch.setattr(motr, "_BLOCK_ROWS", 32 * (ds.m - 1))
-        forest = fit_forest_outcome(
-            assemble_features(ds, LAG_SPEC), ds.y[1:], ForestConfig(n_trees=20, seed=2)
-        )
+        forest = fit_forest_outcome(ds, LAG_SPEC, ForestConfig(n_trees=20, seed=2))
         for model in (true_twin(arco, LAG_SPEC, resid_sd=0.5), forest):
             est = run_motr(ds, model, MotrConfig(r_min=45, r_max=45, seed=9))
             assert est.runs_used == len(est.runs) == 45
@@ -354,30 +355,26 @@ class TestRunMotr:
 
     def test_true_twin_covers_study_effect(self):
         from nof1twin.arco import SimConfig, simulate_dataset
-        from nof1twin.core import assemble_features
         from nof1twin.harness import default_study_params
         from nof1twin.models import fit_linear_outcome
 
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
-        fm = assemble_features(ds, LAG_SPEC)
-        model = fit_linear_outcome(fm, ds.y[1:])
+        model = fit_linear_outcome(ds, LAG_SPEC)
         est = run_motr(ds, model, MotrConfig(seed=SeedSpec(1).child(1)))
         assert est.ci[0] < 1.1 < est.ci[1]
         assert est.runs_used <= 200
 
     def test_forest_twin_attenuated_but_positive(self):
         from nof1twin.arco import SimConfig, simulate_dataset
-        from nof1twin.core import assemble_features
         from nof1twin.harness import default_study_params
         from nof1twin.models import ForestConfig, fit_forest_outcome, fit_linear_outcome
 
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
-        fm = assemble_features(ds, LAG_SPEC)
-        glm = fit_linear_outcome(fm, ds.y[1:])
+        glm = fit_linear_outcome(ds, LAG_SPEC)
         glm_est = run_motr(ds, glm, MotrConfig(seed=SeedSpec(1).child(1)))
-        forest = fit_forest_outcome(fm, ds.y[1:], ForestConfig(n_trees=100, seed=SeedSpec(1).child(3)))
+        forest = fit_forest_outcome(ds, LAG_SPEC, ForestConfig(n_trees=100, seed=SeedSpec(1).child(3)))
         rf_est = run_motr(ds, forest, MotrConfig(seed=SeedSpec(1).child(2)))
         assert 0.0 < rf_est.delta < glm_est.ci[1]
 
@@ -460,13 +457,10 @@ def _series(seed, m=40):
 
 def _forest_case(seed, spec, m=40):
     """_series(seed, m) and a small forest twin fitted on it under `spec`."""
-    from nof1twin.core import assemble_features
     from nof1twin.models import ForestConfig, fit_forest_outcome
 
     ds = _series(seed, m)
-    cfg = ForestConfig(n_trees=12, min_node_size=2, seed=seed)
-    fm = assemble_features(ds, spec)
-    return ds, fit_forest_outcome(fm, ds.y[fm.dropped_head :], cfg)
+    return ds, fit_forest_outcome(ds, spec, ForestConfig(n_trees=12, min_node_size=2, seed=seed))
 
 
 def _form(rollout):
@@ -670,15 +664,13 @@ class TestLinearRollout:
     def test_run_motr_equals_step_by_step_reference(self, seed, layout, fitted, noisy, coefs):
         from dataclasses import replace
 
-        from nof1twin.core import assemble_features
         from nof1twin.models import fit_linear_outcome
 
         spec = LINEAR_SPECS[layout]
         ds = _series(seed)
         if fitted:
-            fm = assemble_features(ds, spec)
             try:
-                model = fit_linear_outcome(fm, ds.y[fm.t_index - 1])
+                model = fit_linear_outcome(ds, spec)
             except EstimatorError:  # a rank-deficient draw
                 assume(False)
             model = model if noisy else replace(model, resid_sd=0.0)

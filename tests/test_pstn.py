@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nof1twin.arco import SimConfig, simulate_dataset
-from nof1twin.core import LAG_CONTINUOUS, LAG_NONE, FeatureSpec, TimeSeriesDataset, assemble_features
+from nof1twin.core import (LAG_CONTINUOUS, LAG_NONE, FeatureSpec, TimeSeriesDataset, assemble_features,
+                           load_table)
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import default_study_params, estimate_raw
 from nof1twin.models import (
@@ -148,8 +149,7 @@ class TestRunPstn:
         y = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
         x = np.array([1, 0, 0, 1, 1, 0, 1, 0])
         ds = TimeSeriesDataset(y=y, x=x)
-        fm = assemble_features(ds, FLAT_SPEC)
-        model = fit_logistic_propensity(fm, ds.x)
+        model = fit_logistic_propensity(ds, FLAT_SPEC)
         res = run_pstn(ds, model, NO_TRIM)
         raw = estimate_raw(ds)
         assert res.delta == pytest.approx(raw.estimate, abs=1e-9)
@@ -164,8 +164,7 @@ class TestRunPstn:
     def test_improves_on_raw_for_study_dataset(self):
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
-        fm = assemble_features(ds, PROP_SPEC)
-        model = fit_logistic_propensity(fm, ds.x[1:])
+        model = fit_logistic_propensity(ds, PROP_SPEC)
         res = run_pstn(ds, model, PstnConfig())
         raw = estimate_raw(ds)
         assert abs(res.delta - 1.1) < abs(raw.estimate - 1.1)
@@ -175,12 +174,7 @@ class TestRunPstn:
 
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[1, 0, 1, 0, 1])
         model = glm_from_coefficients(PROP_SPEC, {"intercept": 0.0})
-        stored = replace(
-            model,
-            insample_prob=np.array([0.4, 0.45, 0.55, 0.6]),
-            train_values=assemble_features(ds, PROP_SPEC).values,
-            train_labels=ds.x[1:],
-        )
+        stored = replace(model, insample_prob=np.array([0.4, 0.45, 0.55, 0.6]), train=ds)
         res = run_pstn(ds, stored, NO_TRIM)
         assert res.pi_hat == pytest.approx((0.4, 0.45, 0.55, 0.6))
         # same length, other feature rows: the model predicts instead
@@ -191,13 +185,11 @@ class TestRunPstn:
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
         b = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=2))
-        model = fit_forest_propensity(
-            assemble_features(a, PROP_SPEC), a.x[1:], ForestConfig(n_trees=20, seed=3)
-        )
+        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
         own = run_pstn(a, model, PstnConfig())
         assert np.array_equal(own.pi_hat, model.insample_prob)
         res = run_pstn(b, model, PstnConfig())
-        assert np.array_equal(res.pi_hat, model.predict(assemble_features(b, PROP_SPEC).values))
+        assert np.array_equal(res.pi_hat, model.predict(assemble_features(b, PROP_SPEC)))
         assert not np.array_equal(res.pi_hat, model.insample_prob)
 
     def test_forest_oob_propensities_not_reused_for_other_exposures(self):
@@ -205,13 +197,39 @@ class TestRunPstn:
         # keeps the rows the forest was trained on but not its labels
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
-        model = fit_forest_propensity(
-            assemble_features(a, PROP_SPEC), a.x[1:], ForestConfig(n_trees=20, seed=3)
-        )
+        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
         flipped = TimeSeriesDataset(y=a.y, x=1 - a.x)
-        assert np.array_equal(assemble_features(flipped, PROP_SPEC).values, model.train_values)
+        rows = assemble_features(a, PROP_SPEC)
+        assert np.array_equal(assemble_features(flipped, PROP_SPEC), rows)
         res = run_pstn(flipped, model, PstnConfig())
-        assert np.array_equal(res.pi_hat, model.predict(model.train_values))
+        assert np.array_equal(res.pi_hat, model.predict(rows))
+        assert not np.array_equal(res.pi_hat, model.insample_prob)
+
+    def test_forest_oob_propensities_reused_for_its_dataset_read_back(self, tmp_path):
+        arco, prop = default_study_params()
+        a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
+        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
+        a.to_csv(tmp_path / "a.csv")
+        back = TimeSeriesDataset(*load_table(tmp_path / "a.csv"))
+        assert back == a and back is not a
+        res = run_pstn(back, model, PstnConfig())
+        assert np.array_equal(res.pi_hat, model.insample_prob)
+        assert not np.array_equal(res.pi_hat, model.predict(assemble_features(a, PROP_SPEC)))
+
+    @pytest.mark.parametrize("change", ["last-outcome", "unused-column"])
+    def test_forest_oob_propensities_not_reused_for_another_dataset_with_its_rows(self, change):
+        # neither the last outcome nor an unused column enters a feature row or a label
+        arco, prop = default_study_params()
+        a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
+        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
+        if change == "last-outcome":
+            other = TimeSeriesDataset(np.append(a.y[:-1], a.y[-1] + 1.0), a.x)
+        else:
+            other = TimeSeriesDataset(a.y, a.x, {"temp": np.ones(a.m)})
+        rows = assemble_features(a, PROP_SPEC)
+        assert np.array_equal(assemble_features(other, PROP_SPEC), rows)
+        res = run_pstn(other, model, PstnConfig())
+        assert np.array_equal(res.pi_hat, model.predict(rows))
         assert not np.array_equal(res.pi_hat, model.insample_prob)
 
     def test_outcome_model_rejected(self):
