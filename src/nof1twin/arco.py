@@ -3,17 +3,17 @@
 The structural outcome mechanism at period t > 1 is, for exposure level s:
 
     Y^s_t = beta0 + beta_x*s + beta_co*X_{t-1} + beta_xco*s*X_{t-1}
-            + beta_ar*Y_{t-1} + beta_xar*s*Y_{t-1} + V_t . beta_ex + eps_t
+            + beta_ar*Y_{t-1} + beta_xar*s*Y_{t-1} + eps_t
 
-with Y_1 = beta0 + V_1 . beta_ex + eps_1.  The observed outcome follows by
-causal consistency, Y_t = Y^1_t X_t + Y^0_t (1 - X_t).  Exposure is either
-i.i.d. Bernoulli(pi1) (randomized mode) or endogenous through
-logit(pi_t) = alpha0 + alpha_en*Y_{t-1} [+ alpha_ar*X_{t-1} + V_t . alpha_ex].
+with Y_1 = beta0 + eps_1.  The observed outcome follows by causal
+consistency, Y_t = Y^1_t X_t + Y^0_t (1 - X_t).  Exposure is either i.i.d.
+Bernoulli(pi1) (randomized mode) or endogenous through
+logit(pi_t) = alpha0 + alpha_en*Y_{t-1} + alpha_ar*X_{t-1}.  The mechanism
+has no exogenous covariates, so a simulated dataset carries none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +37,11 @@ class ArcoParams:
     beta_xco: float = 0.0
     beta_ar: float = 0.0
     beta_xar: float = 0.0
-    beta_ex: tuple[float, ...] = ()
     sigma_eps: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("beta0", "beta_x", "beta_co", "beta_xco", "beta_ar", "beta_xar", "sigma_eps"):
             validate_finite(name, getattr(self, name))
-        object.__setattr__(self, "beta_ex", tuple(float(b) for b in self.beta_ex))
         if self.sigma_eps < 0:
             raise ConfigError(f"sigma_eps must be >= 0, got {self.sigma_eps}")
 
@@ -62,13 +60,11 @@ class PropensityParams:
     alpha0: float
     alpha_en: float
     alpha_ar: float = 0.0
-    alpha_ex: tuple[float, ...] = ()
     pi1: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("alpha0", "alpha_en", "alpha_ar", "pi1"):
             validate_finite(name, getattr(self, name))
-        object.__setattr__(self, "alpha_ex", tuple(float(a) for a in self.alpha_ex))
         if not 0.0 < self.pi1 < 1.0:
             raise ConfigError(f"pi1 must lie strictly between 0 and 1, got {self.pi1}")
 
@@ -90,33 +86,10 @@ class SimConfig:
         object.__setattr__(self, "seed", as_seed(self.seed))
 
 
-def _exog_matrix(
-    params: ArcoParams,
-    prop: PropensityParams,
-    exog: Mapping[str, np.ndarray] | None,
-    total: int,
-) -> tuple[tuple[str, ...], np.ndarray]:
-    names = tuple(exog.keys()) if exog else ()
-    for label, coefs in (("beta_ex", params.beta_ex), ("alpha_ex", prop.alpha_ex)):
-        if len(coefs) not in (0, len(names)):
-            raise ConfigError(
-                f"{label} has {len(coefs)} entries but {len(names)} exogenous series were supplied"
-            )
-    if not names:
-        return (), np.zeros((total, 0))
-    mat = np.column_stack([np.asarray(exog[n], dtype=float) for n in names])
-    if mat.shape[0] != total:
-        raise ConfigError(
-            f"exogenous series must cover all {total} generated periods, got {mat.shape[0]}"
-        )
-    return names, mat
-
-
 def simulate_dataset(
     params: ArcoParams,
     prop: PropensityParams,
     cfg: SimConfig,
-    exog: Mapping[str, np.ndarray] | None = None,
     return_potential: bool = False,
 ):
     """Generate one synthetic series and drop the leading burn-in periods.
@@ -127,24 +100,19 @@ def simulate_dataset(
     alongside the dataset for verification.
     """
     total = cfg.m_analysis + cfg.burn_in
-    names, v = _exog_matrix(params, prop, exog, total)
-    v_out = v @ np.asarray(params.beta_ex) if params.beta_ex else np.zeros(total)
-    v_prop = v @ np.asarray(prop.alpha_ex) if prop.alpha_ex else np.zeros(total)
-
     u_eps, u = (rng.random(total) for rng in cfg.seed.children((_EPS_STREAM, _X_STREAM)))
     p, u, e = params, u.tolist(), normals(u_eps, params.sigma_eps).tolist()
-    vo, vp = v_out.tolist(), v_prop.tolist()
     xs = [int(u[0] < prop.pi1)]
-    ys = [p.beta0 + vo[0] + e[0]]
+    ys = [p.beta0 + e[0]]
     po0, po1 = ys[:], ys[:]
     for t in range(1, total):
         xl, yl = xs[-1], ys[-1]
         if cfg.randomized_mode:
             xs.append(int(u[t] < prop.pi1))
         else:
-            eta = prop.alpha0 + prop.alpha_en * yl + prop.alpha_ar * xl + vp[t]
+            eta = prop.alpha0 + prop.alpha_en * yl + prop.alpha_ar * xl
             xs.append(int(u[t] < expit(eta)))
-        po0.append(p.beta0 + p.beta_co * xl + p.beta_ar * yl + vo[t] + e[t])
+        po0.append(p.beta0 + p.beta_co * xl + p.beta_ar * yl + e[t])
         po1.append(po0[-1] + p.beta_x + p.beta_xco * xl + p.beta_xar * yl)
         ys.append(po1[-1] if xs[-1] else po0[-1])
     x, y, po0, po1 = np.array(xs, dtype=np.int64), np.array(ys), np.array(po0), np.array(po1)
@@ -157,37 +125,23 @@ def simulate_dataset(
             "the parameters make the series diverge"
         )
     keep = slice(cfg.burn_in, total)
-    ds = TimeSeriesDataset(
-        y=y[keep],
-        x=x[keep],
-        exog={n: v[keep, k] for k, n in enumerate(names)} or None,
-    )
+    ds = TimeSeriesDataset(y=y[keep], x=x[keep])
     if return_potential:
         return ds, po1[keep], po0[keep]
     return ds
 
 
-def long_run_mean(params: ArcoParams, pi: float, mu_v: tuple[float, ...] = ()) -> float:
+def long_run_mean(params: ArcoParams, pi: float) -> float:
     """Stationary mean outcome under period-wise randomization P(X=1) = pi."""
     params.require_stationary()
     if not 0.0 <= pi <= 1.0:
         raise ConfigError(f"pi must lie in [0, 1], got {pi}")
-    if len(mu_v) != len(params.beta_ex):
-        raise ConfigError(
-            f"mu_v has {len(mu_v)} entries but beta_ex has {len(params.beta_ex)}"
-        )
     denom = 1.0 - params.beta_ar - params.beta_xar * pi
     if denom <= 0:
         raise NonstationaryParamsError(
             f"long-run mean undefined: 1 - beta_ar - beta_xar*pi = {denom} <= 0"
         )
-    numer = (
-        params.beta0
-        + params.beta_x * pi
-        + params.beta_co * pi
-        + params.beta_xco * pi * pi
-        + float(np.dot(mu_v, params.beta_ex))
-    )
+    numer = params.beta0 + params.beta_x * pi + params.beta_co * pi + params.beta_xco * pi * pi
     return numer / denom
 
 

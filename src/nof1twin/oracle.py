@@ -3,13 +3,14 @@
 This is the anti-drift ground truth for the randomization estimator.  Every
 mechanism has the form y_t = const[t, x_t, x_{t-1}] + slope[x_t] * y_{t-1}.
 const holds the constant part of each generated period's level (b0 + bx x_t
-+ bco x_{t-1} + bxco x_t x_{t-1} + v_t), slope the lag slope (bar + bxar x_t);
-both are built once from ArcoParams and the exogenous effects.  One forward
-recursion on these two arrays over the states (period, exposures used so
-far, current exposure) is exact: each state carries only its probability
-mass and its mass-weighted outcome, and one step maps both linearly.  The
-noise term has mean zero and drops out.  `permutation_apte` takes the two
-arrays alone, so a linear twin's own levels and slope can feed it too.
++ bco x_{t-1} + bxco x_t x_{t-1}), slope the lag slope (bar + bxar x_t); both
+are built once from ArcoParams, whose levels are the same at every period.
+One forward recursion on these two arrays over the states (period, exposures
+used so far, current exposure) is exact: each state carries only its
+probability mass and its mass-weighted outcome, and one step maps both
+linearly.  The noise term has mean zero and drops out.  `permutation_apte`
+takes the two arrays alone, so a linear twin's own per-period levels and
+slope can feed it too.
 
 Two history laws are supported:
 
@@ -46,9 +47,9 @@ class EnumSpec:
 
     ``y_init`` seeds the lagged outcome for generating t = 2 (the same
     convention as the randomization estimator's rollouts); when omitted it
-    defaults to the mechanism's noise-free first-period level ``beta0`` (plus
-    any exogenous contribution).  Each mode takes its own margin only:
-    ``m1`` in permutation mode, ``pi`` in iid mode.
+    defaults to the mechanism's noise-free first-period level ``beta0``.  Each
+    mode takes its own margin only: ``m1`` in permutation mode, ``pi`` in iid
+    mode.
     """
 
     m: int
@@ -57,7 +58,6 @@ class EnumSpec:
     m1: int | None = None
     pi: float | None = None
     y_init: float | None = None
-    exog_effect: tuple[float, ...] | None = None  # per-period V_t . beta_ex, length m
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_PERMUTATION, MODE_IID):
@@ -79,22 +79,11 @@ class EnumSpec:
                 raise ConfigError("iid mode takes pi, not m1")
             if self.pi is None or not 0.0 <= self.pi <= 1.0:
                 raise ConfigError("iid mode needs pi in [0, 1]")
-        if self.exog_effect is not None and len(self.exog_effect) != self.m:
-            raise ConfigError("exog_effect must supply one value per period")
         if self.y_init is not None:
             validate_finite("y_init", self.y_init)
-        for value in self.exog_effect or ():
-            validate_finite("exog_effect", value)
-
-    def v_effect(self) -> np.ndarray:
-        if self.exog_effect is None:
-            return np.zeros(self.m)
-        return np.asarray(self.exog_effect, dtype=float)
 
     def initial_level(self) -> float:
-        if self.y_init is not None:
-            return float(self.y_init)
-        return self.params.beta0 + float(self.v_effect()[0])
+        return float(self.params.beta0 if self.y_init is None else self.y_init)
 
 
 def permutation_apte(const: np.ndarray, slope: np.ndarray, m1: int, y1: float) -> float:
@@ -119,13 +108,16 @@ def permutation_apte(const: np.ndarray, slope: np.ndarray, m1: int, y1: float) -
     n1 = m1 - np.arange(2.0)  # exposed generated periods, given x_1 = 0, 1
     # a period's arm means: its mass-weighted outcomes over the arm sizes x_1 fixes
     arm = np.repeat([-1.0 / ((m - 1) - n1), 1.0 / n1], m1 + 1).reshape(2, 2, m1 + 1)
-    total = 0.0
-    for t in range(1, m):  # t periods drawn, draw period t + 1
-        moved = (step[t - 1] @ state.reshape(4, -1)).reshape(state.shape)
-        moved *= stay + go / (m - t)
-        total += float(np.vdot(arm, moved[1]))
-        state[:, 0] = moved[:, 0]
-        state[:, 1, :, 1:] = moved[:, 1, :, :-1]  # x_t = 1 uses one more exposure
+    total, moved = 0.0, np.empty_like(state)
+    # the x_t weights of 64 periods per expression, so memory stays bounded at any m
+    for start in range(1, m, 64):
+        drawn = np.arange(start, min(start + 64, m))  # t periods drawn, draw period t + 1
+        for t, weight in zip(drawn, stay + go / (m - drawn)[:, None, None, None]):
+            np.matmul(step[t - 1], state.reshape(4, -1), out=moved.reshape(4, -1))
+            moved *= weight
+            total += float(np.vdot(arm, moved[1]))
+            state[:, 0] = moved[:, 0]
+            state[:, 1, :, 1:] = moved[:, 1, :, :-1]  # x_t = 1 uses one more exposure
     # each period's arm-normalized contrast carries mass 1/(m-1): the sum is the mean
     return total
 
@@ -134,17 +126,17 @@ def enumerate_apte(spec: EnumSpec) -> float:
     """Exact average effect over the generated periods t = 2..m."""
     p = spec.params
     x_t, x_prev = np.arange(2.0)[:, None], np.arange(2.0)
-    const = (p.beta0 + p.beta_x * x_t + p.beta_co * x_prev + p.beta_xco * x_t * x_prev
-             + spec.v_effect()[1:, None, None])
+    level = p.beta0 + p.beta_x * x_t + p.beta_co * x_prev + p.beta_xco * x_t * x_prev
     slope = p.beta_ar + p.beta_xar * np.arange(2.0)
     if spec.mode == MODE_PERMUTATION:
+        const = np.broadcast_to(level, (spec.m - 1, 2, 2))  # the same at every period
         return permutation_apte(const, slope, spec.m1, spec.initial_level())
 
     # iid mode: x_t has the same law at every period, so it is the whole state
     law = np.array([1.0 - spec.pi, spec.pi])
     y = spec.initial_level()  # mean outcome
     total = 0.0
-    for level in const:
+    for _ in range(spec.m - 1):
         arrive = level @ law + slope * y
         total += float(arrive[1] - arrive[0])
         y = float(law @ arrive)

@@ -78,13 +78,10 @@ class TestSimulate:
         # replay the documented mechanism from the documented streams, in both modes
         params = ArcoParams(
             beta0=1.0, beta_x=0.5, beta_co=0.3, beta_xco=-0.2, beta_ar=0.4, beta_xar=0.2,
-            beta_ex=(0.7,), sigma_eps=0.3,
+            sigma_eps=0.3,
         )
-        prop = PropensityParams(
-            alpha0=-0.2, alpha_en=0.3, alpha_ar=0.5, alpha_ex=(-0.4,), pi1=0.4
-        )
+        prop = PropensityParams(alpha0=-0.2, alpha_en=0.3, alpha_ar=0.5, pi1=0.4)
         m, seed = 60, SeedSpec(8)
-        v = np.sin(np.arange(float(m)))
         eps_rng, x_rng = (
             np.random.Generator(np.random.Philox(np.random.SeedSequence(8, spawn_key=(k,))))
             for k in (0, 1)
@@ -93,20 +90,19 @@ class TestSimulate:
         u = x_rng.random(m)
         for randomized_mode in (True, False):
             cfg = SimConfig(m_analysis=m, burn_in=0, seed=seed, randomized_mode=randomized_mode)
-            ds, po1, po0 = simulate_dataset(params, prop, cfg, exog={"v": v}, return_potential=True)
+            ds, po1, po0 = simulate_dataset(params, prop, cfg, return_potential=True)
             x = np.zeros(m, dtype=np.int64)
             y, y1, y0 = np.empty(m), np.empty(m), np.empty(m)
             x[0] = u[0] < prop.pi1
-            y[0] = y1[0] = y0[0] = params.beta0 + params.beta_ex[0] * v[0] + eps[0]
+            y[0] = y1[0] = y0[0] = params.beta0 + eps[0]
             for t in range(1, m):
                 pi = prop.pi1
                 if not randomized_mode:
-                    logit = (prop.alpha0 + prop.alpha_en * y[t - 1] + prop.alpha_ar * x[t - 1]
-                             + prop.alpha_ex[0] * v[t])
+                    logit = prop.alpha0 + prop.alpha_en * y[t - 1] + prop.alpha_ar * x[t - 1]
                     pi = 1.0 / (1.0 + np.exp(-logit))
                 x[t] = u[t] < pi
                 y0[t] = (params.beta0 + params.beta_co * x[t - 1] + params.beta_ar * y[t - 1]
-                         + params.beta_ex[0] * v[t] + eps[t])
+                         + eps[t])
                 y1[t] = (y0[t] + params.beta_x + params.beta_xco * x[t - 1]
                          + params.beta_xar * y[t - 1])
                 y[t] = y1[t] if x[t] else y0[t]
@@ -118,27 +114,6 @@ class TestSimulate:
     def test_rejects_short_series(self):
         with pytest.raises(ConfigError):
             SimConfig(m_analysis=5)
-
-    def test_exogenous_series_enter_both_mechanisms(self):
-        params = ArcoParams(beta0=2.0, beta_x=1.0, sigma_eps=0.0, beta_ex=(3.0,))
-        prop = PropensityParams(alpha0=0.0, alpha_en=0.0, pi1=0.5)
-        v = np.tile([0.0, 1.0], 15)
-        ds = simulate_dataset(
-            params,
-            prop,
-            SimConfig(m_analysis=20, burn_in=10, seed=4, randomized_mode=True),
-            exog={"v": v},
-        )
-        assert ds.exog_names == ("v",)
-        assert np.allclose(ds.y, 2.0 + 1.0 * ds.x + 3.0 * ds.exog["v"])
-
-    def test_exog_length_must_cover_burn_in(self):
-        params = ArcoParams(beta0=2.0, beta_ex=(1.0,))
-        prop = PropensityParams(alpha0=0.0, alpha_en=0.0)
-        with pytest.raises(ConfigError, match="generated periods"):
-            simulate_dataset(
-                params, prop, SimConfig(m_analysis=20, burn_in=2, seed=0), exog={"v": np.zeros(20)}
-            )
 
 
 class TestLongRun:
@@ -189,11 +164,3 @@ class TestLongRun:
             long_run_mean(ArcoParams(beta0=1.0, beta_ar=1.0), 0.5)
         with pytest.raises(NonstationaryParamsError):
             long_run_mean(ArcoParams(beta0=1.0, beta_ar=0.7, beta_xar=0.4), 0.5)
-
-    def test_mu_v_mismatch(self):
-        with pytest.raises(ConfigError):
-            long_run_mean(ArcoParams(beta0=1.0, beta_ex=(0.5,)), 0.5, mu_v=())
-
-    def test_exogenous_contribution_to_long_run_mean(self):
-        params = ArcoParams(beta0=2.0, beta_x=1.1, beta_ar=0.8, beta_ex=(3.0,))
-        assert long_run_mean(params, 0.5, mu_v=(0.5,)) == pytest.approx((2.55 + 1.5) / 0.2)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -428,6 +429,34 @@ class TestOracle:
                         "-o", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestPinnedOutputs:
+    """The simulator's CSV bytes and the oracle's value, pinned so that a refactor of the
+    mechanism or of the recursion cannot move them unnoticed."""
+
+    @pytest.mark.parametrize("flags, digest", [
+        ("--m 60", "392f6907e2aa16ec848230f21d9ba68fa9f0f34e9a7fc7e4d4c5e306cb5e11c6"),
+        ("--m 365", "59597d7ce3aac03221c6c19da8d23b0f87ff1273722aac4e0b7ec1f6298e47d7"),
+        ("--randomized --seed 7", "655f1f88d7c47bf44258e7bdf5e398f5782a6123a1dac837ed57b55ce6abc7bf"),
+        ("--m 730 --set betaXco=0.3 --set alphaAr=0.4",
+         "14d6fc5cdeb3786022baef4369fc5a305671bc300b2fe6fb8b93cbac2be9df97"),
+    ])
+    def test_simulate_csv_sha256(self, tmp_path, flags, digest):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", *flags.split(), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags, value", [
+        ("--m1 110", "1.08027732394956"),
+        ("--m 730 --m1 365", "1.0939974977012048"),
+        ("--mode iid --pi 0.5 --m 730", "1.100000000000014"),
+        ("--m 120 --m1 50 --set betaXar=0.05 --y-init 3.3", "1.6956291556812215"),
+    ])
+    def test_oracle_value_repr(self, tmp_path, flags, value):
+        out = tmp_path / "oracle.json"
+        assert run(["oracle", *flags.split(), "-o", str(out)]) == 0
+        assert repr(json.loads(out.read_text())["apte_exact"]) == value
 
 
 class TestExitCodes:

@@ -5,7 +5,13 @@ import pytest
 
 from nof1twin.arco import ArcoParams, long_run_apte, long_run_mean
 from nof1twin.errors import ConfigError
-from nof1twin.oracle import MODE_IID, MODE_PERMUTATION, EnumSpec, enumerate_apte
+from nof1twin.oracle import (
+    MODE_IID,
+    MODE_PERMUTATION,
+    EnumSpec,
+    enumerate_apte,
+    permutation_apte,
+)
 
 AR_SET = ArcoParams(beta0=2.0, beta_x=1.1, beta_ar=0.8)
 MIXED = ArcoParams(beta0=1.0, beta_x=1.0, beta_co=0.2, beta_xco=0.1, beta_ar=0.5, beta_xar=0.1)
@@ -40,15 +46,16 @@ def _permutation_matrix(m: int, m1: int) -> np.ndarray:
     return x
 
 
-def enumeration_reference(spec: EnumSpec) -> float:
+def enumeration_reference(spec: EnumSpec, shift=None) -> float:
     """Independent route: every exposure sequence enumerated and rolled forward.
 
     Exponential in m, so only for small systems; the library's forward
-    recursion is checked against it.
+    recursion is checked against it.  ``shift`` adds shift[t - 1] to every
+    level of period t (length m), as a twin's per-period rows would.
     """
     p = spec.params
-    v = spec.v_effect()
     m = spec.m
+    v = np.zeros(m) if shift is None else shift
 
     if spec.mode == MODE_PERMUTATION:
         x = _permutation_matrix(m, spec.m1)
@@ -136,15 +143,20 @@ class TestEnumerate:
     @pytest.mark.parametrize("term", ["beta_co", "beta_xco", "beta_xar"])
     def test_recursion_matches_enumeration_reference(self, mode, term):
         params = ArcoParams(beta0=1.5, beta_x=0.9, beta_ar=0.6, **{term: 0.35})
+        level = _po(params, np.arange(2.0)[:, None], np.arange(2.0), 0.0, 0.0)
+        slope = params.beta_ar + params.beta_xar * np.arange(2.0)
         for m in range(4, 13):
-            exog = tuple(np.sin(np.arange(m)))
+            shift = np.sin(np.arange(m))  # per-period levels, fed to the engine directly
             margins = [dict(m1=m1) for m1 in range(2, m - 1)] if mode == MODE_PERMUTATION else [
                 dict(pi=pi) for pi in (0.0, 0.3, 1.0)]
             for margin in margins:
-                spec = EnumSpec(m=m, mode=mode, params=params, y_init=-0.7, exog_effect=exog,
-                                **margin)
+                spec = EnumSpec(m=m, mode=mode, params=params, y_init=-0.7, **margin)
                 assert enumerate_apte(spec) == pytest.approx(
                     enumeration_reference(spec), abs=1e-12), (m, margin)
+                if mode == MODE_PERMUTATION:
+                    got = permutation_apte(level + shift[1:, None, None], slope, spec.m1, -0.7)
+                    assert got == pytest.approx(
+                        enumeration_reference(spec, shift), abs=1e-12), (m, margin)
 
     def test_iid_vs_permutation_gap_nonzero_under_autoregression(self):
         gap = enumerate_apte(iid_spec(AR_SET)) - enumerate_apte(perm_spec(AR_SET))
@@ -213,14 +225,7 @@ class TestEnumerate:
     def test_non_finite_start_or_exog_effect_rejected(self, bad):
         with pytest.raises(ConfigError, match="y_init"):
             perm_spec(AR_SET, m=6, m1=3, y_init=bad)
-        with pytest.raises(ConfigError, match="exog_effect"):
-            iid_spec(AR_SET, m=3, exog_effect=(0.0, bad, 0.0))
 
     def test_summation_order_stable(self):
         spec = iid_spec(AR_SET, m=12)
         assert enumerate_apte(spec) == pytest.approx(enumerate_apte(spec), abs=1e-12)
-
-    def test_exogenous_shift_cancels_in_contrasts(self):
-        # exogenous contributions hit both arms equally at every period
-        shifted = iid_spec(AR_SET, m=8, exog_effect=tuple(np.linspace(0, 3, 8)))
-        assert enumerate_apte(shifted) == pytest.approx(1.1, abs=1e-12)
