@@ -4,15 +4,7 @@ from .arco import ArcoParams, PropensityParams, SimConfig, long_run_apte, long_r
 from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, assemble_features
 from .errors import ConfigError, DataError, EstimatorError, Nof1TwinError
 from .harness import Method, MethodOptions, StudyConfig, apply_method, default_study_params, replicate
-from .models import (
-    FittedModel,
-    ForestConfig,
-    fit_forest_outcome,
-    fit_forest_propensity,
-    fit_linear_outcome,
-    fit_logistic_propensity,
-    glm_from_coefficients,
-)
+from .models import FittedModel, ForestConfig, fit_forest, fit_glm, glm_from_coefficients
 from .motr import ApteEstimate, MotrConfig, run_motr
 from .oracle import EnumSpec, enumerate_apte
 from .pstn import PstnConfig, PstnResult, run_pstn
@@ -44,10 +36,8 @@ __all__ = [
     "assemble_features",
     "default_study_params",
     "enumerate_apte",
-    "fit_forest_outcome",
-    "fit_forest_propensity",
-    "fit_linear_outcome",
-    "fit_logistic_propensity",
+    "fit_forest",
+    "fit_glm",
     "glm_from_coefficients",
     "long_run_apte",
     "long_run_mean",

@@ -86,18 +86,11 @@ class SimConfig:
         object.__setattr__(self, "seed", as_seed(self.seed))
 
 
-def simulate_dataset(
-    params: ArcoParams,
-    prop: PropensityParams,
-    cfg: SimConfig,
-    return_potential: bool = False,
-):
+def simulate_dataset(params: ArcoParams, prop: PropensityParams, cfg: SimConfig) -> TimeSeriesDataset:
     """Generate one synthetic series and drop the leading burn-in periods.
 
     Both potential outcomes are generated at every period from a shared
     noise draw and the observed outcome is selected by causal consistency.
-    With `return_potential=True` the retained (y1, y0) arrays are returned
-    alongside the dataset for verification.
     """
     total = cfg.m_analysis + cfg.burn_in
     u_eps, u = (rng.random(total) for rng in cfg.seed.children((_EPS_STREAM, _X_STREAM)))
@@ -125,10 +118,7 @@ def simulate_dataset(
             "the parameters make the series diverge"
         )
     keep = slice(cfg.burn_in, total)
-    ds = TimeSeriesDataset(y=y[keep], x=x[keep])
-    if return_potential:
-        return ds, po1[keep], po0[keep]
-    return ds
+    return TimeSeriesDataset(y=y[keep], x=x[keep])
 
 
 def long_run_mean(params: ArcoParams, pi: float) -> float:

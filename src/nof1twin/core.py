@@ -347,11 +347,13 @@ def log10_transform(values: Sequence[float] | np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Which predictors a model sees.
+    """Which predictors a model sees, and so which role it has.
 
-    `include_current_exposure` must be True for outcome models.  Propensity
-    models normally enable at least one lag/exogenous feature; an
-    all-disabled spec is allowed and yields an intercept-only fit.
+    A spec with `include_current_exposure` is an outcome layout: its twin
+    models the outcomes.  Any other is a propensity layout: its twin models
+    the exposures.  A propensity layout normally enables at least one
+    lag/exogenous feature; an all-disabled spec is allowed and yields an
+    intercept-only fit.
     """
 
     include_current_exposure: bool

@@ -20,13 +20,7 @@ from scipy.special import stdtrit
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simulate_dataset
 from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed, setting_names
 from .errors import ConfigError, DataError, EstimatorError
-from .models import (
-    ForestConfig,
-    fit_forest_outcome,
-    fit_forest_propensity,
-    fit_linear_outcome,
-    fit_logistic_propensity,
-)
+from .models import ForestConfig, fit_forest, fit_glm
 from .motr import MotrConfig, arm_contrast, run_motr
 from .pstn import PstnConfig, run_pstn
 
@@ -94,13 +88,17 @@ def default_study_params() -> tuple[ArcoParams, PropensityParams]:
 @dataclass(frozen=True)
 class MethodOptions:
     """Per-method configuration shared by the CLI and the study driver.  The one
-    feature layout, `outcome_spec`, is what coef and MoTR fit on; PSTn fits on
-    it without the current exposure (`propensity_spec`)."""
+    feature layout, `outcome_spec`, is what coef and MoTR fit on, so it must hold
+    the current exposure; PSTn fits on it without (`propensity_spec`)."""
 
     outcome_spec: FeatureSpec = OUTCOME_SPEC
     motr: MotrConfig = MotrConfig()
     pstn: PstnConfig = PstnConfig()
     forest: ForestConfig = ForestConfig()
+
+    def __post_init__(self) -> None:
+        if not self.outcome_spec.include_current_exposure:
+            raise ConfigError("outcome_spec must include the current exposure")
 
     @property
     def propensity_spec(self) -> FeatureSpec:
@@ -133,7 +131,7 @@ def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
 
 def estimate_coef(ds: TimeSeriesDataset, spec: FeatureSpec) -> ApplyResult:
     """Exposure coefficient of the linear outcome fit on layout `spec`, with t interval."""
-    model = fit_linear_outcome(ds, spec)
+    model = fit_glm(ds, spec)
     est = model.coefficients["x"]
     se = model.coefficient_se["x"]
     df = ds.m - spec.needs_lag - len(model.coefficients)
@@ -157,23 +155,19 @@ def apply_method(
     if method is Method.COEF:
         return estimate_coef(ds, opts.outcome_spec)
 
-    if method in (Method.MOTR_GLM, Method.MOTR_RF):
-        if method is Method.MOTR_GLM:
-            model = fit_linear_outcome(ds, opts.outcome_spec)
-            motr_seed = seed.child(_NS_MOTR_GLM)
-        else:
-            fc = replace(opts.forest, seed=seed.child(_NS_FOREST_OUTCOME))
-            model = fit_forest_outcome(ds, opts.outcome_spec, fc)
-            motr_seed = seed.child(_NS_MOTR_RF)
-        # cfg by keyword: bench/spans.py's run_motr hook reads it by name or as argument 3
+    motr = method in (Method.MOTR_GLM, Method.MOTR_RF)
+    spec = opts.outcome_spec if motr else opts.propensity_spec
+    if method in (Method.MOTR_GLM, Method.PSTN_GLM):
+        model = fit_glm(ds, spec)
+    else:
+        ns = _NS_FOREST_OUTCOME if motr else _NS_FOREST_PROPENSITY
+        model = fit_forest(ds, spec, replace(opts.forest, seed=seed.child(ns)))
+    if motr:
+        motr_seed = seed.child(_NS_MOTR_GLM if method is Method.MOTR_GLM else _NS_MOTR_RF)
+        # cfg by keyword: bench/spans.py's run_motr hook looks for it by name or as
+        # argument 3, but run_motr takes it as argument 2
         est = run_motr(ds, model, cfg=replace(opts.motr, seed=motr_seed))
         return ApplyResult(method, est.delta, est.ci, detail=est, model_summary=model.summary())
-
-    if method is Method.PSTN_GLM:
-        model = fit_logistic_propensity(ds, opts.propensity_spec)
-    else:
-        fc = replace(opts.forest, seed=seed.child(_NS_FOREST_PROPENSITY))
-        model = fit_forest_propensity(ds, opts.propensity_spec, fc)
     res = run_pstn(ds, model, opts.pstn)
     return ApplyResult(method, res.delta, None, detail=res, model_summary=model.summary())
 
@@ -237,11 +231,6 @@ class ReplicationReport:
     rows: tuple[ReplicationRow, ...]
     summary: dict[Method, MethodSummary]
 
-    def biases(self, method: Method) -> np.ndarray:
-        return np.array(
-            [r.bias for r in self.rows if r.method is method and r.error is None], dtype=float
-        )
-
 
 def _dataset_for(study: StudyConfig, h: int) -> TimeSeriesDataset:
     seed = study.seed.child(h, _NS_SIM)
@@ -272,9 +261,8 @@ def replicate(study: StudyConfig) -> ReplicationReport:
     """
     for method, kind in ((Method.MOTR_RF, "outcome"), (Method.PSTN_RF, "propensity")):
         if method in study.methods:
-            p = len(getattr(study.options, f"{kind}_spec").columns)
             try:
-                study.options.forest.resolve(p, classification=kind == "propensity")
+                study.options.forest.resolve(getattr(study.options, f"{kind}_spec"))
             except ConfigError as exc:
                 raise ConfigError(f"{method.label}: the {kind} forest: {exc}") from None
     handles = range(1, study.h_datasets + 1)

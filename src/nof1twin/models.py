@@ -1,12 +1,15 @@
-"""Outcome and propensity model fits behind one common interface.
+"""Outcome and propensity twins behind one common interface.
 
-Linear least squares (QR), logistic regression via IRLS, and bagged CART
-forests for both regression and classification.  Every fitter takes a
-dataset and a FeatureSpec, assembles the rows and their labels (outcomes or
-exposures of the same periods) itself, and is a deterministic function of
-(data, layout, config, seed).  It returns a FittedModel that carries the
-FeatureSpec of its rows, so the estimators that use a twin take no layout
-of their own.
+A twin's role is its layout: a FeatureSpec with the current exposure is an
+outcome layout, and its twin models the outcomes; any other is a propensity
+layout, and its twin models the exposures of the same periods.  There are
+two fitters, one per family: fit_glm (least squares via QR on an outcome
+layout, logistic regression via IRLS on a propensity layout) and fit_forest
+(bagged CART regression or classification trees).  Each takes a dataset and
+a FeatureSpec, assembles the rows and their labels itself, and is a
+deterministic function of (data, layout, config, seed).  It returns a
+FittedModel that carries the FeatureSpec of its rows, so the estimators that
+use a twin take no layout of their own.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ class ForestConfig:
             raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
         object.__setattr__(self, "seed", as_seed(self.seed))
 
-    def resolve(self, p: int, classification: bool) -> tuple[int, int]:
+    def resolve(self, spec: FeatureSpec) -> tuple[int, int]:
+        """(mtry, min_node_size) of a forest on `spec`'s layout: regression on an
+        outcome layout, classification on a propensity one."""
+        p, classification = len(spec.columns), not spec.include_current_exposure
         if self.mtry is None:
             mtry = max(1, math.ceil(math.sqrt(p))) if classification else max(1, p // 3)
         else:
@@ -97,8 +103,8 @@ class _LinearPredictor:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A trained twin: an outcome mean or an exposure probability, on rows laid
-    out by `spec`.
+    """A trained twin on rows laid out by `spec`: an outcome mean on an outcome
+    layout (one with the current exposure), an exposure probability on any other.
 
     Outcome models carry their residual scale in `resid_sd`; propensity
     models leave it None.  Forest propensity models also keep their
@@ -119,7 +125,7 @@ class FittedModel:
 
     @property
     def is_outcome(self) -> bool:
-        return self.resid_sd is not None
+        return self.spec.include_current_exposure
 
     def predict(self, f: np.ndarray) -> np.ndarray:
         """Mean outcome or exposure probability for rows laid out as in the fit."""
@@ -144,7 +150,7 @@ class FittedModel:
             if not self.is_outcome:
                 out["separation_warning"] = self.separation_warning
         if self.forest_config is not None:
-            mtry, node = self.forest_config.resolve(len(self.spec.columns), not self.is_outcome)
+            mtry, node = self.forest_config.resolve(self.spec)
             out["forest"] = {"n_trees": self.forest_config.n_trees, "mtry": mtry, "min_node_size": node}
         return out
 
@@ -156,14 +162,13 @@ def check_twin(model: FittedModel, method: str, outcome: bool) -> None:
         raise EstimatorError(f"{method} needs {need} model, got a {model.kind} {got} model")
 
 
-def _rows(ds: TimeSeriesDataset, spec: FeatureSpec, outcome: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The feature rows of `ds` laid out by `spec` and their labels, the outcomes
-    (or exposures) of the same periods as floats, after the checks shared by
-    GLM and forest fits."""
+def _rows(ds: TimeSeriesDataset, spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The feature rows of `ds` laid out by `spec` and their labels as floats: the
+    outcomes of the same periods on an outcome layout, the exposures on a
+    propensity layout, which must hold both classes."""
+    outcome = spec.include_current_exposure
     values = assemble_features(ds, spec)
     labels = np.asarray((ds.y if outcome else ds.x)[spec.needs_lag:], dtype=float)
-    if outcome and not spec.include_current_exposure:
-        raise EstimatorError("outcome models must include the current exposure feature")
     if not outcome and not (np.any(labels == 1) and np.any(labels == 0)):
         raise EstimatorError("propensity fit needs both exposure classes present")
     return values, labels
@@ -194,18 +199,33 @@ def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str
     return design, names, keep, (q, r, pivot)
 
 
-def fit_linear_outcome(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
-    """Least-squares fit of the outcomes of `ds` on its rows laid out by `spec`, with intercept.
+def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
+    """The GLM twin of `ds` on the layout `spec`, with intercept: least squares of
+    the outcomes on an outcome layout, Bernoulli maximum likelihood of the
+    exposures via IRLS on a propensity layout.
 
-    Coefficients minimize the sum of squared residuals via the design's
-    pivoted QR; resid_sd is the sample SD of residuals with denominator n - p.
+    Least-squares coefficients minimize the sum of squared residuals via the
+    design's pivoted QR; resid_sd is the sample SD of residuals with
+    denominator n - p.  IRLS converges when the largest absolute coefficient
+    change drops below 1e-10 (at most 50 iterations).  If a coefficient passes
+    the separation limit the fit stops there and the model carries a
+    separation warning so downstream trimming still functions.
     """
-    values, y = _rows(ds, spec, outcome=True)
+    values, labels = _rows(ds, spec)
     design, names, keep, (q, r, pivot) = _design(values, spec)
+    if not spec.include_current_exposure:
+        beta, separated = _irls(design, labels)
+        return FittedModel(
+            kind="logistic",
+            spec=spec,
+            coefficients=dict(zip(names, beta.tolist())),
+            separation_warning=separated,
+            _predictor=_LinearPredictor(beta, keep, logistic=True),
+        )
     n, p = design.shape
     beta, se = np.empty(p), np.empty(p)
-    beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ y)
-    resid = y - design @ beta
+    beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ labels)
+    resid = labels - design @ beta
     ssr = float(resid @ resid)
     resid_sd = math.sqrt(max(ssr, 0.0) / (n - p))
     r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
@@ -220,19 +240,9 @@ def fit_linear_outcome(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     )
 
 
-def fit_logistic_propensity(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
-    """Bernoulli maximum likelihood of the exposures of `ds` via IRLS, on its rows
-    laid out by `spec`.
-
-    Converges when the largest absolute coefficient change drops below 1e-10
-    (at most 50 iterations).  If a coefficient passes the separation limit
-    the fit stops there and the model carries a separation warning so
-    downstream trimming still functions.
-    """
-    values, x = _rows(ds, spec, outcome=False)
-    design, names, keep, _ = _design(values, spec)
+def _irls(design: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Logistic coefficients of the exposures `x` on `design`, and whether the fit separated."""
     beta = np.zeros(design.shape[1])
-    separated = False
     trace: list[float] = []
     for _ in range(_IRLS_MAX_ITER):
         eta = design @ beta
@@ -250,21 +260,12 @@ def fit_logistic_propensity(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedM
         change = float(np.max(np.abs(step)))
         trace.append(change)
         if np.max(np.abs(beta)) > SEPARATION_LIMIT:
-            separated = True
-            break
+            return beta, True
         if change < _IRLS_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"IRLS did not converge in {_IRLS_MAX_ITER} iterations; "
-            f"max-step trace: {[f'{c:.3g}' for c in trace]}"
-        )
-    return FittedModel(
-        kind="logistic",
-        spec=spec,
-        coefficients=dict(zip(names, beta.tolist())),
-        separation_warning=separated,
-        _predictor=_LinearPredictor(beta, keep, logistic=True),
+            return beta, False
+    raise ConvergenceError(
+        f"IRLS did not converge in {_IRLS_MAX_ITER} iterations; "
+        f"max-step trace: {[f'{c:.3g}' for c in trace]}"
     )
 
 
@@ -275,16 +276,22 @@ def glm_from_coefficients(
 ) -> FittedModel:
     """Assemble a GLM twin on the layout `spec` from given coefficients (no fitting).
 
-    With `resid_sd` the model is a linear outcome twin; without it, a
-    logistic propensity twin.  `coefficients` maps "intercept" and each
-    feature column to its weight; missing columns default to 0, and a name
-    outside them raises ConfigError.
+    On an outcome layout the model is a linear outcome twin and needs
+    `resid_sd`; on a propensity layout it is a logistic propensity twin and
+    takes none.  `coefficients` maps "intercept" and each feature column to
+    its weight; missing columns default to 0, and a name outside them raises
+    ConfigError.
     """
+    outcome = spec.include_current_exposure
+    if outcome == (resid_sd is None):
+        raise ConfigError(
+            f"resid_sd is needed for an outcome layout (one with the current exposure) and only "
+            f"for one; got resid_sd={resid_sd} on columns {list(spec.columns)}"
+        )
     names = (INTERCEPT, *spec.columns)
     if unknown := [name for name in coefficients if name not in names]:
         raise ConfigError(f"coefficient(s) {unknown} name no term of {list(names)}")
     coefs = {name: float(coefficients.get(name, 0.0)) for name in names}
-    outcome = resid_sd is not None
     return FittedModel(
         kind="linear" if outcome else "logistic",
         spec=spec,
@@ -294,69 +301,45 @@ def glm_from_coefficients(
     )
 
 
-def _fit_forest(
-    values: np.ndarray,
-    target: np.ndarray,
-    cfg: ForestConfig,
-    classification: bool,
-    index_sampler: IndexSampler | None,
-) -> tuple[FlatForest, np.ndarray]:
-    """Grow the forest on rows `values` and return it with its out-of-bag training predictions."""
-    n_rows, p = values.shape
-    if n_rows < 5:
-        raise EstimatorError(f"forest fit needs at least 5 rows, got {n_rows}")
-    mtry, node = cfg.resolve(p, classification)
-    forest, inbag = build_forest(values, target, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
-    return forest, oob_predictions(forest, inbag, values)
-
-
-def fit_forest_outcome(
+def fit_forest(
     ds: TimeSeriesDataset,
     spec: FeatureSpec,
     cfg: ForestConfig,
     index_sampler: IndexSampler | None = None,
 ) -> FittedModel:
-    """Bagged regression trees of the outcomes of `ds` on its rows laid out by
-    `spec`; resid_sd from out-of-bag training residuals.
+    """Bagged trees of `ds` on its rows laid out by `spec`: regression trees of the
+    outcomes on an outcome layout, classification trees (Gini splits) of the
+    exposures on a propensity layout.
 
     Out-of-bag averaging keeps in-sample predictions honest (an all-trees
     average would be dominated by each row's own bootstrap copies); new
-    inputs are predicted with the all-trees average.  resid_sd divides by n
-    (no parameter count is available for a forest).
+    inputs are predicted with the all-trees average, for a propensity forest
+    of the per-tree terminal-node class-1 proportions.  An outcome forest's
+    resid_sd comes from its out-of-bag training residuals and divides by n
+    (no parameter count is available for a forest).  A propensity forest
+    keeps its out-of-bag in-sample propensities with `train`, the dataset of
+    the fit.
     """
-    values, y = _rows(ds, spec, outcome=True)
-    forest, oob = _fit_forest(values, y, cfg, False, index_sampler)
-    resid = y - oob
+    values, labels = _rows(ds, spec)
+    if len(values) < 5:
+        raise EstimatorError(f"forest fit needs at least 5 rows, got {len(values)}")
+    mtry, node = cfg.resolve(spec)
+    forest, inbag = build_forest(values, labels, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
+    oob = oob_predictions(forest, inbag, values)
+    if not spec.include_current_exposure:
+        return FittedModel(
+            kind="forest",
+            spec=spec,
+            forest_config=cfg,
+            insample_prob=oob,
+            train=ds,
+            _predictor=forest,
+        )
+    resid = labels - oob
     return FittedModel(
         kind="forest",
         spec=spec,
         resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
-        _predictor=forest,
-    )
-
-
-def fit_forest_propensity(
-    ds: TimeSeriesDataset,
-    spec: FeatureSpec,
-    cfg: ForestConfig,
-    index_sampler: IndexSampler | None = None,
-) -> FittedModel:
-    """Bagged classification trees (Gini splits) of the exposures of `ds` on its
-    rows laid out by `spec`.
-
-    predict averages per-tree terminal-node class-1 proportions.  The stored
-    in-sample propensities use out-of-bag averaging for the same reason as
-    the outcome forest's residuals; they belong to `train`, the dataset of
-    the fit.
-    """
-    values, x = _rows(ds, spec, outcome=False)
-    forest, oob = _fit_forest(values, x, cfg, True, index_sampler)
-    return FittedModel(
-        kind="forest",
-        spec=spec,
-        forest_config=cfg,
-        insample_prob=oob,
-        train=ds,
         _predictor=forest,
     )

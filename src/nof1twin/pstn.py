@@ -133,8 +133,6 @@ def run_pstn(ds: TimeSeriesDataset, model: FittedModel, cfg: PstnConfig) -> Pstn
     the propensities are predicted from the assembled features.
     """
     check_twin(model, "PSTn", outcome=False)
-    if model.spec.include_current_exposure:
-        raise EstimatorError("propensity features must not include the current exposure")
     lag = int(model.spec.needs_lag)
     pi = model.insample_prob if ds == model.train else model.predict(assemble_features(ds, model.spec))
     return pstn_from_propensities(ds.y[lag:], ds.x[lag:], pi, np.arange(1 + lag, ds.m + 1), cfg)

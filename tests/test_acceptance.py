@@ -31,8 +31,7 @@ from nof1twin.harness import (
 )
 from nof1twin.models import (
     ForestConfig,
-    fit_linear_outcome,
-    fit_logistic_propensity,
+    fit_glm,
     glm_from_coefficients,
 )
 from nof1twin.motr import _Rollout, arm_contrast
@@ -223,7 +222,7 @@ def test_criterion_9_micro_fixtures():
     w = np.array([0.0] * 40 + [1.0] * 40)
     x = np.array([1] * 10 + [0] * 30 + [1] * 30 + [0] * 10)
     spec = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
-    logit = fit_logistic_propensity(TimeSeriesDataset(np.zeros(80), x, {"w": w}), spec)
+    logit = fit_glm(TimeSeriesDataset(np.zeros(80), x, {"w": w}), spec)
     irls_ok = (
         abs(logit.coefficients["intercept"] - math.log(1 / 3)) < 1e-8
         and abs(logit.coefficients["w"] - math.log(9.0)) < 1e-8
@@ -241,7 +240,7 @@ def test_criterion_9_micro_fixtures():
 
     # OLS two-point interpolation exact
     ospec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
-    ols = fit_linear_outcome(TimeSeriesDataset(np.array([1.0, 3.0, 1.0, 3.0]), [0, 1, 0, 1]), ospec)
+    ols = fit_glm(TimeSeriesDataset(np.array([1.0, 3.0, 1.0, 3.0]), [0, 1, 0, 1]), ospec)
     ols_ok = (
         abs(ols.coefficients["intercept"] - 1.0) < 1e-12
         and abs(ols.coefficients["x"] - 2.0) < 1e-12

@@ -43,27 +43,6 @@ class TestSimulate:
         assert ds.m == 50
         assert np.array_equal(ds.y, randomized(52, seed=9, burn_in=0).y[2:])
 
-    def test_causal_consistency(self):
-        arco, prop = default_study_params()
-        ds, po1, po0 = simulate_dataset(
-            arco, prop, SimConfig(m_analysis=100, seed=5), return_potential=True
-        )
-        assert np.array_equal(ds.y, po1 * ds.x + po0 * (1 - ds.x))
-        assert np.allclose(po1[1:] - po0[1:], arco.beta_x)
-
-    def test_interaction_terms_affect_potentials(self):
-        params = ArcoParams(
-            beta0=1.0, beta_x=1.0, beta_co=0.2, beta_xco=0.1, beta_ar=0.5, beta_xar=0.1
-        )
-        ds, po1, po0 = simulate_dataset(
-            params,
-            PropensityParams(alpha0=0.0, alpha_en=0.0),
-            SimConfig(m_analysis=50, seed=2, randomized_mode=True),
-            return_potential=True,
-        )
-        expected = params.beta_x + params.beta_xco * ds.x[:-1] + params.beta_xar * ds.y[:-1]
-        assert np.allclose((po1 - po0)[1:], expected)
-
     def test_bit_identical_reruns(self):
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=40, seed=SeedSpec(7).child(2)))
@@ -75,7 +54,9 @@ class TestSimulate:
         assert abs(ds.x.mean() - 0.5) < 0.002
 
     def test_randomized_interaction_path_matches_loop(self):
-        # replay the documented mechanism from the documented streams, in both modes
+        # replay the documented mechanism from the documented streams, in both modes: both
+        # potential outcomes from one noise draw, every interaction term, and the observed
+        # outcome the one of the exposure received (causal consistency)
         params = ArcoParams(
             beta0=1.0, beta_x=0.5, beta_co=0.3, beta_xco=-0.2, beta_ar=0.4, beta_xar=0.2,
             sigma_eps=0.3,
@@ -90,7 +71,7 @@ class TestSimulate:
         u = x_rng.random(m)
         for randomized_mode in (True, False):
             cfg = SimConfig(m_analysis=m, burn_in=0, seed=seed, randomized_mode=randomized_mode)
-            ds, po1, po0 = simulate_dataset(params, prop, cfg, return_potential=True)
+            ds = simulate_dataset(params, prop, cfg)
             x = np.zeros(m, dtype=np.int64)
             y, y1, y0 = np.empty(m), np.empty(m), np.empty(m)
             x[0] = u[0] < prop.pi1
@@ -108,8 +89,7 @@ class TestSimulate:
                 y[t] = y1[t] if x[t] else y0[t]
             assert 0 < x.sum() < m
             assert np.array_equal(ds.x, x)
-            for got, want in ((ds.y, y), (po1, y1), (po0, y0)):
-                assert np.max(np.abs(got - want)) < 1e-12
+            assert np.max(np.abs(ds.y - y)) < 1e-12
 
     def test_rejects_short_series(self):
         with pytest.raises(ConfigError):

@@ -16,7 +16,7 @@ from nof1twin import cli
 from nof1twin.cli import _method_options, build_parser, main
 from nof1twin.core import LAG_MODES, FeatureSpec, TimeSeriesDataset, load_table, normals
 from nof1twin.harness import OUTCOME_SPEC, MethodOptions
-from nof1twin.models import ForestConfig, fit_linear_outcome
+from nof1twin.models import ForestConfig, fit_glm
 from nof1twin.motr import MotrConfig, _Rollout, arm_contrast
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte
 from nof1twin.arco import ArcoParams
@@ -107,7 +107,7 @@ class TestAnalyze:
         assert run(["analyze", "--data", str(data), "--method", "motr-glm", "--seed", "4",
                     "--runs-csv", str(runs), "-o", str(tmp_path / "motr.json")]) == 0
         ds = TimeSeriesDataset(*load_table(data))
-        model = fit_linear_outcome(ds, OUTCOME_SPEC)
+        model = fit_glm(ds, OUTCOME_SPEC)
         with open(runs, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) > 32
@@ -170,7 +170,7 @@ class TestAnalyze:
                     "--lag-x", "--dump-model", str(model_out), "-o", str(out)]) == 0
         spec = FeatureSpec(True, mode, True)
         ds = TimeSeriesDataset(*load_table(study_csv))
-        model = fit_linear_outcome(ds, spec)
+        model = fit_glm(ds, spec)
         assert json.loads(model_out.read_text())["columns"] == list(spec.columns)
         assert json.loads(out.read_text())["result"]["delta"] == model.coefficients["x"]
 
@@ -432,8 +432,9 @@ class TestOracle:
 
 
 class TestPinnedOutputs:
-    """The simulator's CSV bytes and the oracle's value, pinned so that a refactor of the
-    mechanism or of the recursion cannot move them unnoticed."""
+    """The simulator's CSV bytes, the oracle's value and each twin's summary and estimate,
+    pinned so that a refactor of the mechanism, the recursion or the fitters cannot move
+    them unnoticed."""
 
     @pytest.mark.parametrize("flags, digest", [
         ("--m 60", "392f6907e2aa16ec848230f21d9ba68fa9f0f34e9a7fc7e4d4c5e306cb5e11c6"),
@@ -457,6 +458,27 @@ class TestPinnedOutputs:
         out = tmp_path / "oracle.json"
         assert run(["oracle", *flags.split(), "-o", str(out)]) == 0
         assert repr(json.loads(out.read_text())["apte_exact"]) == value
+
+    @pytest.mark.parametrize("method, digest, delta", [
+        ("coef", "4e609d8ce7b8f7fd3bee17baa08f6f56ae67a13cfb469280921202f042f8e360",
+         "1.2271398934347042"),
+        ("motr-glm", "4e609d8ce7b8f7fd3bee17baa08f6f56ae67a13cfb469280921202f042f8e360",
+         "1.114216628524119"),
+        ("pstn-glm", "238d4d9944875e4a1115bebd9096fb3602508776843b9b4b12efef721ed808c3",
+         "1.475916421813217"),
+        ("motr-rf", "ad87d25635de4831124408358d34d0b21f853fe31fab5203102390b7c6d268bf",
+         "0.8289170567924466"),
+        ("pstn-rf", "35b7289c8735294539cbb93d5fb12bc037536a008f69c466525ab32f0a9e099d",
+         "-8.950496622458337"),
+    ])
+    def test_analyze_model_sha256_and_delta_repr(self, tmp_path, method, digest, delta):
+        data, dump, out = (tmp_path / name for name in ("sim.csv", "model.json", "out.json"))
+        assert run(["simulate", "--m", "60", "-o", str(data)]) == 0
+        trees = ["--n-trees", "10"] if method.endswith("-rf") else []
+        assert run(["analyze", "--data", str(data), "--method", method, *trees,
+                    "--dump-model", str(dump), "-o", str(out)]) == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+        assert repr(json.loads(out.read_text())["result"]["delta"]) == delta
 
 
 class TestExitCodes:

@@ -259,12 +259,11 @@ def _pinned_forests():
                         options=MethodOptions(forest=ForestConfig(n_trees=100)))
     ds, seed, opts = harness._dataset_for(study, 1), study.seed.child(1), study.options
     # the outcome and propensity forests that motr-rf and pstn-rf grow on study dataset h = 1
-    for name, spec, target, ns, classification in (
-            ("study-outcome", opts.outcome_spec, ds.y, harness._NS_FOREST_OUTCOME, False),
-            ("study-propensity", opts.propensity_spec, ds.x, harness._NS_FOREST_PROPENSITY, True)):
+    for name, spec, target, ns in (
+            ("study-outcome", opts.outcome_spec, ds.y, harness._NS_FOREST_OUTCOME),
+            ("study-propensity", opts.propensity_spec, ds.x, harness._NS_FOREST_PROPENSITY)):
         yield name, (assemble_features(ds, spec), target[spec.needs_lag:].astype(float), 100,
-                     *opts.forest.resolve(len(spec.columns), classification), seed.child(ns), None,
-                     spec.columns.index("y_lag1"))
+                     *opts.forest.resolve(spec), seed.child(ns), None, spec.columns.index("y_lag1"))
     rng = np.random.default_rng(7)  # 364 rows: 90 trees per batch, so batches of 90 and 10
     x = np.column_stack([rng.integers(0, 2, (364, 3)), rng.integers(0, 3, (364, 3)),
                          rng.normal(size=364)]).astype(float)

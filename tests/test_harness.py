@@ -69,6 +69,11 @@ class TestPointEstimators:
         res = estimate_coef(ds, harness.OUTCOME_SPEC)
         assert res.estimate == pytest.approx(1.1, abs=1e-10)
 
+    def test_outcome_spec_without_the_current_exposure_rejected(self):
+        # coef and MoTR fit on outcome_spec; without x it is a propensity layout
+        with pytest.raises(ConfigError, match="outcome_spec must include the current exposure"):
+            MethodOptions(outcome_spec=replace(harness.OUTCOME_SPEC, include_current_exposure=False))
+
 
 class TestReplicate:
     def test_noise_free_coef_bias_exactly_zero(self):
@@ -145,7 +150,7 @@ class TestReplicate:
 
     def test_summary_interval_formula(self):
         report = replicate(small_study(h_datasets=4))
-        biases = report.biases(Method.RAW)
+        biases = np.array([r.bias for r in report.rows if r.method is Method.RAW])
         s = report.summary[Method.RAW]
         half = 1.96 * biases.std(ddof=1) / np.sqrt(len(biases))
         assert s.ci_lo == pytest.approx(s.mean_bias - half)

@@ -17,14 +17,7 @@ from nof1twin.core import (
     assemble_features,
 )
 from nof1twin.errors import ConfigError, EstimatorError
-from nof1twin.models import (
-    ForestConfig,
-    fit_forest_outcome,
-    fit_forest_propensity,
-    fit_linear_outcome,
-    fit_logistic_propensity,
-    glm_from_coefficients,
-)
+from nof1twin.models import ForestConfig, fit_forest, fit_glm, glm_from_coefficients
 
 W_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
 
@@ -46,7 +39,7 @@ def fmatrix(values, columns, labels, include_x=True):
 class TestLinear:
     def test_constant_fit(self):
         ds, spec = fmatrix(np.tile([0.0, 1.0], 3)[:, None], ("x",), np.full(6, 5.0))
-        model = fit_linear_outcome(ds, spec)
+        model = fit_glm(ds, spec)
         assert model.coefficients["intercept"] == pytest.approx(5.0)
         assert model.coefficients["x"] == pytest.approx(0.0, abs=1e-12)
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
@@ -54,7 +47,7 @@ class TestLinear:
     def test_two_point_interpolation_exact(self):
         values = [[0.0], [1.0], [0.0], [1.0]]
         y = np.array([1.0, 3.0, 1.0, 3.0])
-        model = fit_linear_outcome(*fmatrix(values, ("x",), y))
+        model = fit_glm(*fmatrix(values, ("x",), y))
         assert model.coefficients["intercept"] == pytest.approx(1.0, abs=1e-12)
         assert model.coefficients["x"] == pytest.approx(2.0, abs=1e-12)
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
@@ -65,7 +58,7 @@ class TestLinear:
         values = rng.normal(size=(40, 2))
         rows = np.column_stack([rng.integers(0, 2, 40), values[:, 0]])
         y = rng.normal(size=40)
-        model = fit_linear_outcome(*fmatrix(rows, ("x", "w"), y))
+        model = fit_glm(*fmatrix(rows, ("x", "w"), y))
         resid = y - model.predict(rows)
         design = np.column_stack([np.ones(40), rows])
         assert np.max(np.abs(design.T @ resid)) < 1e-8 * max(1.0, np.abs(y).sum())
@@ -75,19 +68,25 @@ class TestLinear:
         ds, spec = fmatrix(np.column_stack([np.tile([0, 1], 4), w, w]), ("x", "w", "w_copy"),
                            np.arange(8.0))
         with pytest.raises(EstimatorError, match="w"):
-            fit_linear_outcome(ds, spec)
+            fit_glm(ds, spec)
 
     def test_requires_current_exposure(self):
+        # a layout without the current exposure is a propensity layout: fit_glm fits the
+        # exposures, so a single exposure class is what fails
         ds = TimeSeriesDataset(np.arange(6.0), np.zeros(6), {"w": np.ones(6)})
-        with pytest.raises(EstimatorError, match="current exposure"):
-            fit_linear_outcome(ds, W_SPEC)
+        with pytest.raises(EstimatorError, match="both exposure classes"):
+            fit_glm(ds, W_SPEC)
+        ds = TimeSeriesDataset(np.arange(6.0), [0, 1, 1, 0, 1, 0], {"w": np.arange(6.0)})
+        model = fit_glm(ds, W_SPEC)
+        assert (model.kind, model.is_outcome, model.resid_sd) == ("logistic", False, None)
+        assert set(model.coefficients) == {"intercept", "w"}
 
     def test_quartile_block_uses_reference_drop(self):
         rng = np.random.default_rng(5)
         y = rng.normal(size=30).cumsum() + 10
         x = rng.integers(0, 2, 30)
         ds = TimeSeriesDataset(y=y, x=x)
-        model = fit_linear_outcome(ds, FeatureSpec(True, LAG_QUARTILE))
+        model = fit_glm(ds, FeatureSpec(True, LAG_QUARTILE))
         assert "y_lag1_q1" not in model.coefficients
         assert {"y_lag1_q2", "y_lag1_q3", "y_lag1_q4"} <= set(model.coefficients)
 
@@ -105,6 +104,13 @@ class TestLinear:
         model = glm_from_coefficients(FeatureSpec(True), coefs, 0.5)
         assert model.coefficients == {"intercept": 2.0, "x": 1.0, "y_lag1": 0.0}
         assert {type(b) for b in model.coefficients.values()} == {float}
+
+    def test_from_coefficients_role_follows_the_layout(self):
+        # an outcome twin without the current exposure has no arm to contrast
+        with pytest.raises(ConfigError, match="resid_sd"):
+            glm_from_coefficients(FeatureSpec(False), {"intercept": 2.0, "y_lag1": 0.8}, resid_sd=0.5)
+        with pytest.raises(ConfigError, match="resid_sd"):
+            glm_from_coefficients(FeatureSpec(True), {"intercept": 2.0, "x": 1.1})
 
 
 def reference_design(ds, spec):
@@ -124,35 +130,35 @@ def test_every_fitter_trains_on_the_rows_of_its_layout(mode, lag_x):
     n = ds.m - spec.needs_lag
     design, names = reference_design(ds, spec)
     beta = np.linalg.lstsq(design, ds.y[spec.needs_lag:], rcond=None)[0]
-    ols = fit_linear_outcome(ds, spec)
+    ols = fit_glm(ds, spec)
     assert len(design) == n
     assert [ols.coefficients[c] for c in names] == pytest.approx(beta, abs=1e-10)
     design, _ = reference_design(ds, pspec)
-    prob = fit_logistic_propensity(ds, pspec).predict(assemble_features(ds, pspec))
+    prob = fit_glm(ds, pspec).predict(assemble_features(ds, pspec))
     assert len(design) == len(prob) == n
     assert np.max(np.abs(design.T @ (ds.x[spec.needs_lag:] - prob))) < 1e-8  # the score equations
     seen = []
     sampler = lambda k, rng_, n_rows: seen.append(n_rows) or rng_.integers(0, n_rows, n_rows)
-    fit_forest_outcome(ds, spec, ForestConfig(n_trees=3), index_sampler=sampler)
-    forest = fit_forest_propensity(ds, pspec, ForestConfig(n_trees=3), index_sampler=sampler)
+    fit_forest(ds, spec, ForestConfig(n_trees=3), index_sampler=sampler)
+    forest = fit_forest(ds, pspec, ForestConfig(n_trees=3), index_sampler=sampler)
     assert seen == [n] * 6
     assert len(forest.insample_prob) == n
 
 
 class TestLogistic:
     def test_intercept_only_half(self):
-        model = fit_logistic_propensity(*fmatrix(np.empty((40, 0)), (), np.tile([0, 1], 20), False))
+        model = fit_glm(*fmatrix(np.empty((40, 0)), (), np.tile([0, 1], 20), False))
         assert model.coefficients["intercept"] == pytest.approx(0.0, abs=1e-9)
 
     def test_intercept_only_three_quarters(self):
         x = np.array([1] * 30 + [0] * 10)
-        model = fit_logistic_propensity(*fmatrix(np.empty((40, 0)), (), x, include_x=False))
+        model = fit_glm(*fmatrix(np.empty((40, 0)), (), x, include_x=False))
         assert model.coefficients["intercept"] == pytest.approx(math.log(3.0), abs=1e-9)
 
     def test_two_by_two_closed_form(self):
         w = np.array([0.0] * 40 + [1.0] * 40)
         x = np.array([1] * 10 + [0] * 30 + [1] * 30 + [0] * 10)
-        model = fit_logistic_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False))
+        model = fit_glm(*fmatrix(w[:, None], ("w",), x, include_x=False))
         assert model.coefficients["intercept"] == pytest.approx(math.log(1 / 3), abs=1e-8)
         assert model.coefficients["w"] == pytest.approx(math.log(9.0), abs=1e-8)
         assert not model.separation_warning
@@ -162,7 +168,7 @@ class TestLogistic:
         w = rng.normal(size=120)
         prob = 1 / (1 + np.exp(-(0.3 + 0.8 * w)))
         x = (rng.random(120) < prob).astype(int)
-        model = fit_logistic_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False))
+        model = fit_glm(*fmatrix(w[:, None], ("w",), x, include_x=False))
         p_hat = model.predict(w[:, None])
         design = np.column_stack([np.ones(120), w])
         assert np.max(np.abs(design.T @ (x - p_hat))) < 1e-6
@@ -170,7 +176,7 @@ class TestLogistic:
     def test_separation_flagged_not_fatal(self):
         w = np.array([-2.0, -1.5, -1.0, 1.0, 1.5, 2.0, -0.5, 0.5])
         x = (w > 0).astype(int)
-        model = fit_logistic_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False))
+        model = fit_glm(*fmatrix(w[:, None], ("w",), x, include_x=False))
         assert model.separation_warning
         probs = model.predict(w[:, None])
         assert np.all((probs >= 0) & (probs <= 1))
@@ -178,7 +184,7 @@ class TestLogistic:
     def test_single_class_rejected(self):
         ds, spec = fmatrix(np.empty((10, 0)), (), np.ones(10), include_x=False)
         with pytest.raises(EstimatorError, match="both exposure classes"):
-            fit_logistic_propensity(ds, spec)
+            fit_glm(ds, spec)
 
     def test_from_coefficients(self):
         model = glm_from_coefficients(W_SPEC, {"intercept": 0.0, "w": 1.0})
@@ -197,7 +203,7 @@ class TestForestOutcome:
         rng = np.random.default_rng(0)
         ds, spec = fmatrix(np.column_stack([rng.integers(0, 2, 12), rng.normal(size=12)]), ("x", "w"),
                            np.full(12, 3.0))
-        model = fit_forest_outcome(ds, spec, ForestConfig(n_trees=20, seed=1))
+        model = fit_forest(ds, spec, ForestConfig(n_trees=20, seed=1))
         assert model.resid_sd == pytest.approx(0.0, abs=1e-12)
         probe = np.array([[0.0, -5.0], [1.0, 5.0]])
         assert model.predict(probe).tolist() == [3.0, 3.0]
@@ -208,7 +214,7 @@ class TestForestOutcome:
         y = (feat > 0.5).astype(float)
         rows = np.column_stack([np.tile([0, 1], 10), feat])
         identity = lambda k, rng_, n: np.arange(n)
-        model = fit_forest_outcome(
+        model = fit_forest(
             *fmatrix(rows, ("x", "w"), y), ForestConfig(n_trees=1, mtry=2, min_node_size=5, seed=3),
             index_sampler=identity,
         )
@@ -225,14 +231,14 @@ class TestForestOutcome:
     def test_needs_five_rows(self):
         ds, spec = fmatrix(np.ones((4, 1)), ("x",), np.arange(4.0))
         with pytest.raises(EstimatorError, match="5 rows"):
-            fit_forest_outcome(ds, spec, ForestConfig(n_trees=2))
+            fit_forest(ds, spec, ForestConfig(n_trees=2))
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         rows = np.column_stack([rng.integers(0, 2, 30), rng.normal(size=30)])
         ds, spec = fmatrix(rows, ("x", "w"), rng.normal(size=30))
-        a = fit_forest_outcome(ds, spec, ForestConfig(n_trees=15, seed=SeedSpec(9)))
-        b = fit_forest_outcome(ds, spec, ForestConfig(n_trees=15, seed=SeedSpec(9)))
+        a = fit_forest(ds, spec, ForestConfig(n_trees=15, seed=SeedSpec(9)))
+        b = fit_forest(ds, spec, ForestConfig(n_trees=15, seed=SeedSpec(9)))
         probe = rng.normal(size=(8, 2))
         assert np.array_equal(a.predict(probe), b.predict(probe))
         assert a.resid_sd == b.resid_sd
@@ -243,13 +249,13 @@ class TestForestPropensity:
         ds, spec = fmatrix(np.random.default_rng(1).normal(size=(10, 1)), ("w",), np.ones(10),
                            include_x=False)
         with pytest.raises(EstimatorError, match="both exposure classes"):
-            fit_forest_propensity(ds, spec, ForestConfig(n_trees=2))
+            fit_forest(ds, spec, ForestConfig(n_trees=2))
 
     def test_separable_training_rows(self):
         # wide class margin: every bootstrap's split lands inside the gap
         w = np.concatenate([np.linspace(0.0, 0.1, 12), np.linspace(0.9, 1.0, 12)])
         x = (w > 0.5).astype(int)
-        model = fit_forest_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False),
+        model = fit_forest(*fmatrix(w[:, None], ("w",), x, include_x=False),
                                       ForestConfig(n_trees=30, seed=4))
         probs = model.predict(w[:, None])
         assert np.array_equal(probs, x.astype(float))
@@ -258,7 +264,7 @@ class TestForestPropensity:
         rng = np.random.default_rng(21)
         w = rng.normal(size=60)
         x = (rng.random(60) < 1 / (1 + np.exp(-w))).astype(int)
-        model = fit_forest_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False),
+        model = fit_forest(*fmatrix(w[:, None], ("w",), x, include_x=False),
                                       ForestConfig(n_trees=25, seed=5))
         probe = rng.normal(scale=10, size=(10_000, 1))
         probs = model.predict(probe)
@@ -270,7 +276,7 @@ class TestForestPropensity:
         rng = np.random.default_rng(6)
         w = rng.normal(size=80)
         x = (rng.random(80) < 0.5).astype(int)  # label independent of feature
-        model = fit_forest_propensity(*fmatrix(w[:, None], ("w",), x, include_x=False),
+        model = fit_forest(*fmatrix(w[:, None], ("w",), x, include_x=False),
                                       ForestConfig(n_trees=60, seed=6))
         insample = model.insample_prob
         leak = abs(insample[x == 1].mean() - insample[x == 0].mean())
@@ -295,8 +301,8 @@ class TestForestInvariance:
         sampler_b = lambda k, r, n_: inv[boots[k]]  # same data multiset per tree
 
         cfg = ForestConfig(n_trees=10, seed=8)
-        a = fit_forest_outcome(*fmatrix(values, ("x", "w"), y), cfg, index_sampler=sampler_a)
-        b = fit_forest_outcome(*fmatrix(values[perm], ("x", "w"), y[perm]), cfg,
+        a = fit_forest(*fmatrix(values, ("x", "w"), y), cfg, index_sampler=sampler_a)
+        b = fit_forest(*fmatrix(values[perm], ("x", "w"), y[perm]), cfg,
                                index_sampler=sampler_b)
         probe = rng.normal(size=(12, 2))
         assert np.array_equal(a.predict(probe), b.predict(probe))
@@ -315,10 +321,10 @@ def rowwise_twins():
     prop = fmatrix(cont, ("a", "b", "c", "d"), x, include_x=False)
     cfg = ForestConfig(n_trees=15, seed=4)
     return [
-        (fit_linear_outcome(*out), 5),
-        (fit_logistic_propensity(*prop), 4),
-        (fit_forest_outcome(*out, cfg), 5),
-        (fit_forest_propensity(*prop, cfg), 4),
+        (fit_glm(*out), 5),
+        (fit_glm(*prop), 4),
+        (fit_forest(*out, cfg), 5),
+        (fit_forest(*prop, cfg), 4),
     ]
 
 

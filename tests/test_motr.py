@@ -15,7 +15,7 @@ from nof1twin.core import (
     quartile_bounds,
 )
 from nof1twin.errors import ConfigError, DataError, EstimatorError
-from nof1twin.models import glm_from_coefficients
+from nof1twin.models import ForestConfig, fit_forest, fit_glm, glm_from_coefficients
 from nof1twin.motr import MotrConfig, _Rollout, arm_contrast, run_motr
 from nof1twin.oracle import MODE_PERMUTATION, EnumSpec, enumerate_apte, permutation_apte
 from test_forest import summed_table_tolerance
@@ -308,11 +308,9 @@ class TestRunMotr:
     def test_cumulative_ci_is_mean_of_run_bounds(self, monkeypatch):
         # blocks of 32 runs: 45 runs end in a partial block of 13, and each
         # run must not depend on its block
-        from nof1twin.models import ForestConfig, fit_forest_outcome
-
         arco, ds = self.make_study_ds(seed=3)
         monkeypatch.setattr(motr, "_BLOCK_ROWS", 32 * (ds.m - 1))
-        forest = fit_forest_outcome(ds, LAG_SPEC, ForestConfig(n_trees=20, seed=2))
+        forest = fit_forest(ds, LAG_SPEC, ForestConfig(n_trees=20, seed=2))
         for model in (true_twin(arco, LAG_SPEC, resid_sd=0.5), forest):
             est = run_motr(ds, model, MotrConfig(r_min=45, r_max=45, seed=9))
             assert est.runs_used == len(est.runs) == 45
@@ -356,11 +354,10 @@ class TestRunMotr:
     def test_true_twin_covers_study_effect(self):
         from nof1twin.arco import SimConfig, simulate_dataset
         from nof1twin.harness import default_study_params
-        from nof1twin.models import fit_linear_outcome
 
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
-        model = fit_linear_outcome(ds, LAG_SPEC)
+        model = fit_glm(ds, LAG_SPEC)
         est = run_motr(ds, model, MotrConfig(seed=SeedSpec(1).child(1)))
         assert est.ci[0] < 1.1 < est.ci[1]
         assert est.runs_used <= 200
@@ -368,13 +365,12 @@ class TestRunMotr:
     def test_forest_twin_attenuated_but_positive(self):
         from nof1twin.arco import SimConfig, simulate_dataset
         from nof1twin.harness import default_study_params
-        from nof1twin.models import ForestConfig, fit_forest_outcome, fit_linear_outcome
 
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
-        glm = fit_linear_outcome(ds, LAG_SPEC)
+        glm = fit_glm(ds, LAG_SPEC)
         glm_est = run_motr(ds, glm, MotrConfig(seed=SeedSpec(1).child(1)))
-        forest = fit_forest_outcome(ds, LAG_SPEC, ForestConfig(n_trees=100, seed=SeedSpec(1).child(3)))
+        forest = fit_forest(ds, LAG_SPEC, ForestConfig(n_trees=100, seed=SeedSpec(1).child(3)))
         rf_est = run_motr(ds, forest, MotrConfig(seed=SeedSpec(1).child(2)))
         assert 0.0 < rf_est.delta < glm_est.ci[1]
 
@@ -457,10 +453,8 @@ def _series(seed, m=40):
 
 def _forest_case(seed, spec, m=40):
     """_series(seed, m) and a small forest twin fitted on it under `spec`."""
-    from nof1twin.models import ForestConfig, fit_forest_outcome
-
     ds = _series(seed, m)
-    return ds, fit_forest_outcome(ds, spec, ForestConfig(n_trees=12, min_node_size=2, seed=seed))
+    return ds, fit_forest(ds, spec, ForestConfig(n_trees=12, min_node_size=2, seed=seed))
 
 
 def _form(rollout):
@@ -664,13 +658,11 @@ class TestLinearRollout:
     def test_run_motr_equals_step_by_step_reference(self, seed, layout, fitted, noisy, coefs):
         from dataclasses import replace
 
-        from nof1twin.models import fit_linear_outcome
-
         spec = LINEAR_SPECS[layout]
         ds = _series(seed)
         if fitted:
             try:
-                model = fit_linear_outcome(ds, spec)
+                model = fit_glm(ds, spec)
             except EstimatorError:  # a rank-deficient draw
                 assume(False)
             model = model if noisy else replace(model, resid_sd=0.0)
@@ -707,12 +699,18 @@ class TestPreconditions:
             MotrConfig(r_max=2**32)
 
     def test_propensity_model_rejected(self):
+        # a layout without the current exposure is a propensity layout, so its twins
+        # model exposures, however they were built
         ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])
-        propensity = glm_from_coefficients(NO_LAG_SPEC, {"intercept": 0.0})
-        with pytest.raises(EstimatorError, match="needs an outcome model"):
-            run_motr(ds, propensity, MotrConfig(seed=0))
-        with pytest.raises(EstimatorError, match="needs an outcome model"):
-            _Rollout(ds, propensity)
+        spec = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE)
+        with pytest.raises(ConfigError, match="resid_sd"):
+            glm_from_coefficients(spec, {"intercept": 0.0}, resid_sd=0.5)
+        for propensity in (glm_from_coefficients(spec, {"intercept": 0.0}), fit_glm(ds, spec),
+                           fit_forest(ds, spec, ForestConfig(n_trees=2))):
+            with pytest.raises(EstimatorError, match="MoTR needs an outcome model"):
+                run_motr(ds, propensity, MotrConfig(seed=0))
+            with pytest.raises(EstimatorError, match="needs an outcome model"):
+                _Rollout(ds, propensity)
 
     def test_exog_column_missing_from_the_data_rejected(self):
         ds = mechanism_dataset(ArcoParams(beta0=1.0, beta_x=0.5), [1, 0, 1, 0, 1, 0])

@@ -10,12 +10,7 @@ from nof1twin.core import (LAG_CONTINUOUS, LAG_NONE, FeatureSpec, TimeSeriesData
                            load_table)
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import default_study_params, estimate_raw
-from nof1twin.models import (
-    ForestConfig,
-    fit_forest_propensity,
-    fit_logistic_propensity,
-    glm_from_coefficients,
-)
+from nof1twin.models import ForestConfig, fit_forest, fit_glm, glm_from_coefficients
 from nof1twin.pstn import PstnConfig, pstn_from_propensities, run_pstn
 
 PROP_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_CONTINUOUS)
@@ -149,22 +144,26 @@ class TestRunPstn:
         y = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
         x = np.array([1, 0, 0, 1, 1, 0, 1, 0])
         ds = TimeSeriesDataset(y=y, x=x)
-        model = fit_logistic_propensity(ds, FLAT_SPEC)
+        model = fit_glm(ds, FLAT_SPEC)
         res = run_pstn(ds, model, NO_TRIM)
         raw = estimate_raw(ds)
         assert res.delta == pytest.approx(raw.estimate, abs=1e-9)
 
     def test_current_exposure_feature_rejected(self):
-        ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0], x=[1, 0, 1])
+        # a layout with the current exposure is an outcome layout, so its twins model outcomes
+        ds = TimeSeriesDataset(y=[1.0, 2.0, 4.0, 3.0, 5.0, 7.0], x=[1, 0, 1, 0, 1, 0])
         spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
-        model = glm_from_coefficients(spec, {"intercept": 0.0})
-        with pytest.raises(EstimatorError, match="current exposure"):
-            run_pstn(ds, model, PstnConfig())
+        with pytest.raises(ConfigError, match="resid_sd"):
+            glm_from_coefficients(spec, {"intercept": 0.0})
+        for model in (fit_glm(ds, spec), fit_forest(ds, spec, ForestConfig(n_trees=2))):
+            with pytest.raises(EstimatorError, match=f"PSTn needs a propensity model, got a "
+                                                     f"{model.kind} outcome model"):
+                run_pstn(ds, model, PstnConfig())
 
     def test_improves_on_raw_for_study_dataset(self):
         arco, prop = default_study_params()
         ds = simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=1))
-        model = fit_logistic_propensity(ds, PROP_SPEC)
+        model = fit_glm(ds, PROP_SPEC)
         res = run_pstn(ds, model, PstnConfig())
         raw = estimate_raw(ds)
         assert abs(res.delta - 1.1) < abs(raw.estimate - 1.1)
@@ -185,7 +184,7 @@ class TestRunPstn:
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
         b = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=2))
-        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
+        model = fit_forest(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
         own = run_pstn(a, model, PstnConfig())
         assert np.array_equal(own.pi_hat, model.insample_prob)
         res = run_pstn(b, model, PstnConfig())
@@ -197,7 +196,7 @@ class TestRunPstn:
         # keeps the rows the forest was trained on but not its labels
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
-        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
+        model = fit_forest(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
         flipped = TimeSeriesDataset(y=a.y, x=1 - a.x)
         rows = assemble_features(a, PROP_SPEC)
         assert np.array_equal(assemble_features(flipped, PROP_SPEC), rows)
@@ -208,7 +207,7 @@ class TestRunPstn:
     def test_forest_oob_propensities_reused_for_its_dataset_read_back(self, tmp_path):
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
-        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
+        model = fit_forest(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
         a.to_csv(tmp_path / "a.csv")
         back = TimeSeriesDataset(*load_table(tmp_path / "a.csv"))
         assert back == a and back is not a
@@ -221,7 +220,7 @@ class TestRunPstn:
         # neither the last outcome nor an unused column enters a feature row or a label
         arco, prop = default_study_params()
         a = simulate_dataset(arco, prop, SimConfig(m_analysis=60, seed=1))
-        model = fit_forest_propensity(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
+        model = fit_forest(a, PROP_SPEC, ForestConfig(n_trees=20, seed=3))
         if change == "last-outcome":
             other = TimeSeriesDataset(np.append(a.y[:-1], a.y[-1] + 1.0), a.x)
         else:
@@ -234,7 +233,8 @@ class TestRunPstn:
 
     def test_outcome_model_rejected(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 0, 1, 0])
-        outcome = glm_from_coefficients(FLAT_SPEC, {"intercept": 0.0}, resid_sd=1.0)
+        spec = FeatureSpec(include_current_exposure=True, outcome_lag_mode=LAG_NONE)
+        outcome = glm_from_coefficients(spec, {"intercept": 0.0, "x": 1.0}, resid_sd=1.0)
         with pytest.raises(EstimatorError, match="needs a propensity model"):
             run_pstn(ds, outcome, NO_TRIM)
 
