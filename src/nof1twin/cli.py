@@ -223,7 +223,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     # side files first: a write that fails (exit 3) leaves no -o result behind
     if args.dump_model:
-        _write_json(res.model_summary, args.dump_model)
+        _write_json(res.model.summary(), args.dump_model)
     if args.runs_csv:
         est = res.detail
         rows = ((r, *run, *cum) for r, (run, cum) in enumerate(zip(est.runs, est.trajectory), 1))

@@ -76,8 +76,6 @@ class FlatForest:
         return np.concatenate([self.predict_trees(f[i : i + step]).mean(axis=1)
                                for i in range(0, max(len(f), 1), step)])
 
-    __call__ = predict
-
     def step_table(self, f: np.ndarray, col: int, cuts: np.ndarray) -> np.ndarray:
         """predict at each row of f with f[row, col] set to each of cuts, then +inf,
         (rows, len(cuts) + 1), to within rounding.  On one row a tree is a step function

@@ -20,7 +20,7 @@ from scipy.special import stdtrit
 from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simulate_dataset
 from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed, setting_names
 from .errors import ConfigError, DataError, EstimatorError
-from .models import ForestConfig, fit_forest, fit_glm
+from .models import FittedModel, ForestConfig, fit_forest, fit_glm
 from .motr import MotrConfig, arm_contrast, run_motr
 from .pstn import PstnConfig, run_pstn
 
@@ -114,13 +114,13 @@ class MethodOptions:
 
 @dataclass(frozen=True)
 class ApplyResult:
-    """One estimator's output on one dataset."""
+    """One estimator's output on one dataset, with the twin it fitted (None for raw)."""
 
     method: Method
     estimate: float
     ci: tuple[float, float] | None
     detail: object = None
-    model_summary: dict | None = None
+    model: FittedModel | None = None
 
 
 def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
@@ -136,7 +136,7 @@ def estimate_coef(ds: TimeSeriesDataset, spec: FeatureSpec) -> ApplyResult:
     se = model.coefficient_se["x"]
     df = ds.m - spec.needs_lag - len(model.coefficients)
     half = float(stdtrit(df, 0.975)) * se
-    return ApplyResult(Method.COEF, est, (est - half, est + half), model_summary=model.summary())
+    return ApplyResult(Method.COEF, est, (est - half, est + half), model=model)
 
 
 def apply_method(
@@ -167,9 +167,9 @@ def apply_method(
         # cfg by keyword: bench/spans.py's run_motr hook looks for it by name or as
         # argument 3, but run_motr takes it as argument 2
         est = run_motr(ds, model, cfg=replace(opts.motr, seed=motr_seed))
-        return ApplyResult(method, est.delta, est.ci, detail=est, model_summary=model.summary())
+        return ApplyResult(method, est.delta, est.ci, detail=est, model=model)
     res = run_pstn(ds, model, opts.pstn)
-    return ApplyResult(method, res.delta, None, detail=res, model_summary=model.summary())
+    return ApplyResult(method, res.delta, None, detail=res, model=model)
 
 
 @dataclass(frozen=True)

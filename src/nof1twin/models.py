@@ -9,7 +9,8 @@ layout, logistic regression via IRLS on a propensity layout) and fit_forest
 a FeatureSpec, assembles the rows and their labels itself, and is a
 deterministic function of (data, layout, config, seed).  It returns a
 FittedModel that carries the FeatureSpec of its rows, so the estimators that
-use a twin take no layout of their own.
+use a twin take no layout of their own.  A GLM twin predicts from the
+coefficients it reports, a forest twin from its trees.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from .core import (INTERCEPT, LAG_QUARTILE, FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed,
-                   assemble_features)
+                   assemble_features, validate_finite)
 from .errors import ConfigError, ConvergenceError, EstimatorError
 from .forest import FlatForest, IndexSampler, build_forest, oob_predictions
 
@@ -69,50 +70,18 @@ class ForestConfig:
         return mtry, node
 
 
-class _LinearPredictor:
-    """A GLM's linear predictor, mapped through the logistic link when `logistic`.
-
-    The linear predictor is accumulated column by column with elementwise
-    arithmetic, so each row's value does not depend on the other rows in
-    the call.
-    """
-
-    def __init__(self, beta: np.ndarray, keep: np.ndarray, logistic: bool = False):
-        self.beta = [float(b) for b in beta]
-        self.keep = [int(k) for k in keep]  # design columns kept after any reference drop
-        self.logistic = logistic
-
-    def __call__(self, f: np.ndarray) -> np.ndarray:
-        eta = self.split(np.atleast_2d(np.asarray(f, dtype=float)))[0]
-        return expit(eta) if self.logistic else eta
-
-    def split(self, f: np.ndarray, col: float = math.inf) -> tuple[np.ndarray, float, list]:
-        """The intercept plus the terms before design column `col` (all by default),
-        col's coefficient and each later term, on rows `f`: head + slope * v plus
-        each tail term in turn is __call__'s sum, bit for bit, with v in `col`."""
-        head, slope, tail = np.full(len(f), self.beta[0]), 0.0, []
-        for b, k in zip(self.beta[1:], self.keep):  # keep is ascending
-            if k < col:
-                head += b * f[:, k]
-            elif k == col:
-                slope = b
-            else:
-                tail.append(b * f[:, k])
-        return head, slope, tail
-
-
 @dataclass(frozen=True)
 class FittedModel:
     """A trained twin on rows laid out by `spec`: an outcome mean on an outcome
     layout (one with the current exposure), an exposure probability on any other.
 
-    Outcome models carry their residual scale in `resid_sd`; propensity
-    models leave it None.  Forest propensity models also keep their
-    out-of-bag in-sample probabilities together with `train`, the dataset
-    they were fitted on.
+    A GLM twin predicts from the `coefficients` it reports; a forest twin
+    holds its trees in `forest` (None for a GLM).  Outcome models carry their
+    residual scale in `resid_sd`; propensity models leave it None.  Forest
+    propensity models also keep their out-of-bag in-sample probabilities
+    together with `train`, the dataset they were fitted on.
     """
 
-    kind: str  # "linear" | "logistic" | "forest"
     spec: FeatureSpec
     resid_sd: float | None = None
     coefficients: dict[str, float] | None = None
@@ -121,25 +90,44 @@ class FittedModel:
     forest_config: ForestConfig | None = None
     insample_prob: np.ndarray | None = field(default=None, compare=False)
     train: TimeSeriesDataset | None = field(default=None, repr=False, compare=False)
-    _predictor: object = field(default=None, repr=False, compare=False)
+    forest: FlatForest | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_outcome(self) -> bool:
         return self.spec.include_current_exposure
 
+    @property
+    def kind(self) -> str:
+        """'forest' for a forest twin, else 'linear' on an outcome layout, 'logistic' on any other."""
+        if self.forest is not None:
+            return "forest"
+        return "linear" if self.is_outcome else "logistic"
+
     def predict(self, f: np.ndarray) -> np.ndarray:
-        """Mean outcome or exposure probability for rows laid out as in the fit."""
-        return self._predictor(f)
+        """Mean outcome or exposure probability for rows laid out as in the fit: the trees'
+        average, or the GLM's split sum (through the logistic link on a propensity layout)."""
+        if self.forest is not None:
+            return self.forest.predict(f)
+        eta = self.split(np.atleast_2d(np.asarray(f, dtype=float)))[0]
+        return eta if self.is_outcome else expit(eta)
 
-    @property
-    def forest(self) -> FlatForest | None:
-        """The trees behind a forest twin's `predict`; None for a GLM."""
-        return self._predictor if self.kind == "forest" else None
-
-    @property
-    def linear(self) -> _LinearPredictor | None:
-        """The linear predictor behind a linear outcome twin's `predict`; None otherwise."""
-        return self._predictor if self.kind == "linear" else None
+    def split(self, f: np.ndarray, col: float = math.inf) -> tuple[np.ndarray, float, list]:
+        """A GLM's intercept plus its terms before column `col` (all by default), col's
+        coefficient and each later term, on rows `f`: head + slope * v plus each tail term
+        in turn is predict's linear predictor, bit for bit, with v in `col`.  Terms are
+        elementwise, so no row's value depends on the other rows in the call."""
+        coefs = self.coefficients
+        head, slope, tail = np.full(len(f), float(coefs[INTERCEPT])), 0.0, []
+        for k, name in enumerate(self.spec.columns):
+            if name not in coefs:  # the quartile reference slot a fit drops
+                continue
+            if k < col:
+                head += coefs[name] * f[:, k]
+            elif k == col:
+                slope = coefs[name]
+            else:
+                tail.append(coefs[name] * f[:, k])
+        return head, slope, tail
 
     def summary(self) -> dict:
         out: dict = {"kind": self.kind, "columns": list(self.spec.columns)}
@@ -174,7 +162,7 @@ def _rows(ds: TimeSeriesDataset, spec: FeatureSpec) -> tuple[np.ndarray, np.ndar
     return values, labels
 
 
-def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str], np.ndarray, tuple]:
+def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str], tuple]:
     """Intercept-augmented, full-rank design matrix for the GLM fitters, with
     the pivoted QR (Q, R, pivot) of its rank check: ``design[:, pivot] == Q @ R``.
 
@@ -196,7 +184,7 @@ def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str
     if rank < p:
         collinear = [names[j] for j in pivot[rank:]]
         raise EstimatorError(f"design matrix is rank deficient; collinear column(s): {collinear}")
-    return design, names, keep, (q, r, pivot)
+    return design, names, (q, r, pivot)
 
 
 def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
@@ -212,15 +200,13 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     separation warning so downstream trimming still functions.
     """
     values, labels = _rows(ds, spec)
-    design, names, keep, (q, r, pivot) = _design(values, spec)
+    design, names, (q, r, pivot) = _design(values, spec)
     if not spec.include_current_exposure:
         beta, separated = _irls(design, labels)
         return FittedModel(
-            kind="logistic",
             spec=spec,
             coefficients=dict(zip(names, beta.tolist())),
             separation_warning=separated,
-            _predictor=_LinearPredictor(beta, keep, logistic=True),
         )
     n, p = design.shape
     beta, se = np.empty(p), np.empty(p)
@@ -231,12 +217,10 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
     se[pivot] = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
     return FittedModel(
-        kind="linear",
         spec=spec,
         resid_sd=resid_sd,
         coefficients=dict(zip(names, beta.tolist())),
         coefficient_se=dict(zip(names, se.tolist())),
-        _predictor=_LinearPredictor(beta, keep),
     )
 
 
@@ -279,8 +263,8 @@ def glm_from_coefficients(
     On an outcome layout the model is a linear outcome twin and needs
     `resid_sd`; on a propensity layout it is a logistic propensity twin and
     takes none.  `coefficients` maps "intercept" and each feature column to
-    its weight; missing columns default to 0, and a name outside them raises
-    ConfigError.
+    its weight; missing columns default to 0.  A name outside them, a
+    non-finite weight or a non-finite or negative resid_sd raises ConfigError.
     """
     outcome = spec.include_current_exposure
     if outcome == (resid_sd is None):
@@ -291,13 +275,13 @@ def glm_from_coefficients(
     names = (INTERCEPT, *spec.columns)
     if unknown := [name for name in coefficients if name not in names]:
         raise ConfigError(f"coefficient(s) {unknown} name no term of {list(names)}")
-    coefs = {name: float(coefficients.get(name, 0.0)) for name in names}
+    coefs = {name: validate_finite(f"coefficient {name!r}", coefficients.get(name, 0.0)) for name in names}
+    if outcome and validate_finite("resid_sd", resid_sd) < 0:
+        raise ConfigError(f"resid_sd must be >= 0, got {resid_sd!r}")
     return FittedModel(
-        kind="linear" if outcome else "logistic",
         spec=spec,
         resid_sd=float(resid_sd) if outcome else None,
         coefficients=coefs,
-        _predictor=_LinearPredictor(list(coefs.values()), range(len(spec.columns)), logistic=not outcome),
     )
 
 
@@ -328,18 +312,16 @@ def fit_forest(
     oob = oob_predictions(forest, inbag, values)
     if not spec.include_current_exposure:
         return FittedModel(
-            kind="forest",
             spec=spec,
             forest_config=cfg,
             insample_prob=oob,
             train=ds,
-            _predictor=forest,
+            forest=forest,
         )
     resid = labels - oob
     return FittedModel(
-        kind="forest",
         spec=spec,
         resid_sd=float(np.sqrt(np.mean(resid * resid))),
         forest_config=cfg,
-        _predictor=forest,
+        forest=forest,
     )

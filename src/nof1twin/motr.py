@@ -147,7 +147,7 @@ class _Rollout:
     period's distinct exogenous row, n_lag = 1 without x_lag1), is encoded
     once by spec.encode with a zero lag; `lag` (spec.lag) holds the lag's
     column positions.  A linear twin with a continuous lag is `affine`: split
-    around the lag (FittedModel.linear.split), a step is head[s] + slope * lag
+    around the lag (FittedModel.split), a step is head[s] + slope * lag
     plus each tail[s] in turn, the operations of its predict.  Every other twin is
     constant in the lag between sorted cuts (a forest's lag thresholds, the
     quartile bounds, none without a lag); its value at cut t_c (+inf past the
@@ -170,8 +170,8 @@ class _Rollout:
         s = np.arange(2 * self.n_lag * len(exog))
         x_t, x_lag, e = s // (self.n_lag * len(exog)), s // len(exog) % self.n_lag, s % len(exog)
         self.static = spec.encode(x_t, x_lag, np.zeros(len(s)), exog[e], bounds)
-        if model.linear is not None and spec.outcome_lag_mode == LAG_CONTINUOUS:
-            self.affine = model.linear.split(self.static, self.lag[0])
+        if model.forest is None and spec.outcome_lag_mode == LAG_CONTINUOUS:
+            self.affine = model.split(self.static, self.lag[0])
             return
         if bounds is not None:
             self.cuts, reps = np.asarray(bounds), np.eye(4)

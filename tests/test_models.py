@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nof1twin.arco import SimConfig, simulate_dataset
 from nof1twin.core import (
     INTERCEPT,
     LAG_MODES,
@@ -17,7 +19,9 @@ from nof1twin.core import (
     assemble_features,
 )
 from nof1twin.errors import ConfigError, EstimatorError
+from nof1twin.harness import default_study_params
 from nof1twin.models import ForestConfig, fit_forest, fit_glm, glm_from_coefficients
+from nof1twin.motr import MotrConfig, run_motr
 
 W_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
 
@@ -111,6 +115,36 @@ class TestLinear:
             glm_from_coefficients(FeatureSpec(False), {"intercept": 2.0, "y_lag1": 0.8}, resid_sd=0.5)
         with pytest.raises(ConfigError, match="resid_sd"):
             glm_from_coefficients(FeatureSpec(True), {"intercept": 2.0, "x": 1.1})
+
+    @pytest.mark.parametrize("outcome, coefs, resid_sd, match", [
+        (True, {"intercept": math.nan, "x": 1.1}, 0.5, "coefficient 'intercept' must be finite"),
+        (True, {"intercept": 2.0, "y_lag1": math.inf}, 0.5, "coefficient 'y_lag1' must be finite"),
+        (False, {"intercept": 0.0, "y_lag1": -math.inf}, None, "coefficient 'y_lag1' must be finite"),
+        (True, {"intercept": 2.0, "x": 1.1}, math.inf, "resid_sd must be finite"),
+        (True, {"intercept": 2.0, "x": 1.1}, math.nan, "resid_sd must be finite"),
+        (True, {"intercept": 2.0, "x": 1.1}, -0.5, "resid_sd must be >= 0"),
+    ])
+    def test_from_coefficients_rejects_non_finite_or_negative_input(self, outcome, coefs, resid_sd,
+                                                                    match):
+        # such a twin used to roll out a NaN effect, or flip its noise, without an error
+        with pytest.raises(ConfigError, match=match):
+            glm_from_coefficients(FeatureSpec(outcome), coefs, resid_sd)
+
+    def test_predicts_from_the_coefficients_it_reports(self):
+        spec = FeatureSpec(True)
+        twin = glm_from_coefficients(spec, {"intercept": 2.0, "x": 1.1, "y_lag1": 0.8}, 0.5)
+        coefs = {"intercept": 0.0, "x": 3.0, "y_lag1": 0.5}
+        moved = replace(twin, coefficients=coefs)
+        assert moved.predict([[1.0, 10.0]]).tolist() == [3.0 + 0.5 * 10.0]
+        ds = simulate_dataset(*default_study_params(), SimConfig(m_analysis=60, seed=1))
+        cfg = MotrConfig(seed=1)
+        assert run_motr(ds, moved, cfg) == run_motr(ds, glm_from_coefficients(spec, coefs, 0.5), cfg)
+        # a fitted twin too, on either layout
+        ols = fit_glm(ds, spec)
+        assert replace(ols, coefficients=coefs).predict([[1.0, 10.0]]).tolist() == [8.0]
+        logistic = fit_glm(ds, FeatureSpec(False))
+        flat = replace(logistic, coefficients={"intercept": 0.0, "y_lag1": 0.0})
+        assert flat.predict(assemble_features(ds, flat.spec)).tolist() == [0.5] * (ds.m - 1)
 
 
 def reference_design(ds, spec):

@@ -222,7 +222,7 @@ class TestEnumerate:
             perm_spec(AR_SET, m=6, m1=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_start_or_exog_effect_rejected(self, bad):
+    def test_non_finite_start_rejected(self, bad):
         with pytest.raises(ConfigError, match="y_init"):
             perm_spec(AR_SET, m=6, m1=3, y_init=bad)
 
