@@ -14,7 +14,8 @@ has no exogenous covariates, so a simulated dataset carries none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import expit
@@ -40,8 +41,8 @@ class ArcoParams:
     sigma_eps: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("beta0", "beta_x", "beta_co", "beta_xco", "beta_ar", "beta_xar", "sigma_eps"):
-            validate_finite(name, getattr(self, name))
+        for field in fields(self):
+            validate_finite(field.name, getattr(self, field.name))
         if self.sigma_eps < 0:
             raise ConfigError(f"sigma_eps must be >= 0, got {self.sigma_eps}")
 
@@ -63,8 +64,8 @@ class PropensityParams:
     pi1: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("alpha0", "alpha_en", "alpha_ar", "pi1"):
-            validate_finite(name, getattr(self, name))
+        for field in fields(self):
+            validate_finite(field.name, getattr(self, field.name))
         if not 0.0 < self.pi1 < 1.0:
             raise ConfigError(f"pi1 must lie strictly between 0 and 1, got {self.pi1}")
 
@@ -97,28 +98,21 @@ def simulate_dataset(params: ArcoParams, prop: PropensityParams, cfg: SimConfig)
     p, u, e = params, u.tolist(), normals(u_eps, params.sigma_eps).tolist()
     xs = [int(u[0] < prop.pi1)]
     ys = [p.beta0 + e[0]]
-    po0, po1 = ys[:], ys[:]
     for t in range(1, total):
         xl, yl = xs[-1], ys[-1]
-        if cfg.randomized_mode:
-            xs.append(int(u[t] < prop.pi1))
-        else:
-            eta = prop.alpha0 + prop.alpha_en * yl + prop.alpha_ar * xl
-            xs.append(int(u[t] < expit(eta)))
-        po0.append(p.beta0 + p.beta_co * xl + p.beta_ar * yl + e[t])
-        po1.append(po0[-1] + p.beta_x + p.beta_xco * xl + p.beta_xar * yl)
-        ys.append(po1[-1] if xs[-1] else po0[-1])
-    x, y, po0, po1 = np.array(xs, dtype=np.int64), np.array(ys), np.array(po0), np.array(po1)
-    # Python floats overflow to inf without a warning; y is po1 or po0 at every period
-    finite = np.isfinite(po1) & np.isfinite(po0)
-    if not finite.all():
-        bad = int(np.flatnonzero(~finite)[0]) + 1
-        raise ConfigError(
-            f"simulated outcome is not finite at period {bad} of {total} (burn-in included); "
-            "the parameters make the series diverge"
-        )
+        eta = prop.alpha0 + prop.alpha_en * yl + prop.alpha_ar * xl
+        xs.append(int(u[t] < (prop.pi1 if cfg.randomized_mode else expit(eta))))
+        po0 = p.beta0 + p.beta_co * xl + p.beta_ar * yl + e[t]
+        po1 = po0 + p.beta_x + p.beta_xco * xl + p.beta_xar * yl
+        # Python floats overflow to inf without a warning; a non-finite lag (period t) taints po0
+        if not (math.isfinite(po0) and math.isfinite(po1)):
+            raise ConfigError(
+                f"simulated outcome is not finite at period {t + 1 if math.isfinite(yl) else t} "
+                f"of {total} (burn-in included); the parameters make the series diverge"
+            )
+        ys.append(po1 if xs[-1] else po0)
     keep = slice(cfg.burn_in, total)
-    return TimeSeriesDataset(y=y[keep], x=x[keep])
+    return TimeSeriesDataset(y=np.array(ys)[keep], x=np.array(xs, dtype=np.int64)[keep])
 
 
 def long_run_mean(params: ArcoParams, pi: float) -> float:

@@ -27,7 +27,9 @@ one per node that could split, so each takes the stream position its node's
 own draw would.  One generator serves every tree (SeedSpec.children), reset
 to each tree's stream before its draws.  Features are scanned in ascending
 index, thresholds in ascending value, and ties keep the first candidate, so a
-tree is a pure function of (bootstrap sequence, per-tree stream).
+tree is a pure function of (bootstrap sequence, per-tree stream), except with
+real-valued labels: a cut's label sums are differences of a prefix sum over its
+batch's whole level, whose rounding can break exactly tied gains (ROADMAP item 7).
 """
 
 from __future__ import annotations

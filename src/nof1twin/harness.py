@@ -44,11 +44,10 @@ class Method(str, enum.Enum):
 
     @classmethod
     def parse(cls, name: str) -> "Method":
-        key = name.strip().lower().replace("-", "_")
-        for member in cls:
-            if member.value == key:
-                return member
-        raise ConfigError(f"unknown method {name!r}; choose from {[m.value for m in cls]}")
+        try:
+            return cls(name.strip().lower().replace("-", "_"))
+        except ValueError:
+            raise ConfigError(f"unknown method {name!r}; choose from {[m.label for m in cls]}") from None
 
     @property
     def label(self) -> str:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,30 @@ class TestSimulate:
             assert 0 < x.sum() < m
             assert np.array_equal(ds.x, x)
             assert np.max(np.abs(ds.y - y)) < 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("randomized_mode", [False, True])
+    def test_divergence_names_its_first_non_finite_period(self, randomized_mode):
+        arco, prop = default_study_params()
+        cfg = SimConfig(m_analysis=5000, seed=1, randomized_mode=randomized_mode)
+        with pytest.raises(ConfigError, match=r"not finite at period 1747 of 5002 \(burn-in"):
+            simulate_dataset(dataclasses.replace(arco, beta_ar=1.5), prop, cfg)
+
+    @pytest.mark.parametrize(("seed", "period"), [(1, 2), (4, 1), (5, 1)])
+    def test_divergence_at_the_first_period(self, seed, period):
+        # beta0 + eps_1 overflows on seeds 4 and 5; there it is the lag of period 2 that is
+        # not finite, and period 1 is the one named
+        arco, prop = default_study_params()
+        arco = dataclasses.replace(arco, beta0=1.7e308, sigma_eps=1e308)
+        with np.errstate(over="ignore"), pytest.raises(ConfigError, match=f"at period {period} of 12"):
+            simulate_dataset(arco, prop, SimConfig(m_analysis=10, seed=seed))
+
+    @pytest.mark.parametrize("cls", [ArcoParams, PropensityParams])
+    def test_every_field_must_be_finite(self, cls):
+        base = {"beta0": 1.0} if cls is ArcoParams else {"alpha0": 0.0, "alpha_en": 0.0}
+        for field in dataclasses.fields(cls):
+            with pytest.raises(ConfigError, match=f"^{field.name} must be finite"):
+                cls(**{**base, field.name: float("nan")})
 
     def test_rejects_short_series(self):
         with pytest.raises(ConfigError):

@@ -532,6 +532,12 @@ class TestExitCodes:
         assert "repeat" in capsys.readouterr().err
         assert not (tmp_path / "rep_rows.csv").exists()
 
+    def test_unknown_method_lists_the_cli_spellings(self, tmp_path, capsys):
+        assert run(["replicate", "--methods", "foo", "-o", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown method 'foo'" in err and "'motr-glm'" in err and "motr_glm" not in err
+        assert not (tmp_path / "rep_rows.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_oracle_start(self, tmp_path, value):
         out = tmp_path / "o.json"
