@@ -95,7 +95,9 @@ def simulate_dataset(params: ArcoParams, prop: PropensityParams, cfg: SimConfig)
     """
     total = cfg.m_analysis + cfg.burn_in
     u_eps, u = (rng.random(total) for rng in cfg.seed.children((_EPS_STREAM, _X_STREAM)))
-    p, u, e = params, u.tolist(), normals(u_eps, params.sigma_eps).tolist()
+    with np.errstate(over="ignore"):  # a huge sigma_eps overflows here; the loop names the period
+        e = normals(u_eps, params.sigma_eps).tolist()
+    p, u = params, u.tolist()
     xs = [int(u[0] < prop.pi1)]
     ys = [p.beta0 + e[0]]
     for t in range(1, total):

@@ -7,15 +7,13 @@ grow level by level in batches of at most 2^15 bootstrap rows, so one numpy
 pass per feature scores every threshold of every node of a level, and the
 node arrays are level-major within each batch.  Each feature's order is
 sorted once by tree and the dense ranks of its values (-0.0 and +0.0 share
-one), then stably by node after each level where a node split on another
-feature (in its split feature's order a node's rows are already in child
-order, as in SPRINT's presorted lists), so each node's rows stay sorted per
-feature with ties in bootstrap order; a leaf sums its labels in feature 0's
-order.  A forest over one feature with labels exactly 0.0 or 1.0 (every
-default pstn-rf propensity forest) grows on slots instead (_grow_slots).  Its
-label sums are integers below 2^53, the same doubles in any order, and it
-scores the same cuts in the same order through _first_best, so its node
-arrays are _grow's, bit for bit.
+one), then stably by node at the start of every level, so each node's rows
+stay sorted per feature with ties in bootstrap order; a leaf sums its labels
+in feature 0's order.  A forest over one feature with labels exactly 0.0 or
+1.0 (every default pstn-rf propensity forest) grows on slots instead
+(_grow_slots).  Its label sums are integers below 2^53, the same doubles in
+any order, and it scores the same cuts in the same order through
+_first_best, so its node arrays are _grow's, bit for bit.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -174,11 +172,10 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
     Positions index the concatenated bootstrap samples.  node_of maps each live
     one to its node, breadth-first per tree; order[f] holds each node's positions
     as one segment sorted by feature f's value ranks, ties in position order,
-    the segments alike in every order.  A node's segment of the order of its
-    split feature is already its left child's then its right child's, so
-    order[i] is re-sorted only after a level where a node split on another
-    feature.  With mtry < p, drawn[t] holds tree t's feature subsets in stream
-    order, and cursor[t] is its next unread row of their concatenation.
+    the segments alike in every order: each level begins by stably re-sorting
+    every order by node_of.  With mtry < p, drawn[t] holds tree t's feature
+    subsets in stream order, and cursor[t] is its next unread row of their
+    concatenation.
     """
     row, xt = np.concatenate(boots), np.ascontiguousarray(x.T)
     p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
@@ -186,12 +183,11 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
     node_of = np.repeat(tree, size).astype(np.min_scalar_type(-len(row)))
     ranks = (np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for col in x.T)
     order = [np.argsort(r[row], kind="stable") for r in ranks] or [np.arange(len(row))]
-    resort = range(len(order))
     if mtry < p:
         draws = [len(d) for d in drawn]
         cursor, drawn = np.cumsum(draws) - draws, np.concatenate(drawn)
     while True:
-        for i in resort:  # one at a time: the old and new orders are never all alive
+        for i in range(len(order)):  # one at a time: the old and new orders are never all alive
             order[i] = order[i][np.argsort(node_of[order[i]], kind="stable")]
         k, start = len(size), np.cumsum(size) - size
         node = np.repeat(np.arange(k), size)  # every live node holds a row
@@ -223,10 +219,9 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
         levels.append((feat, thr, ids, value))
         if not split.any():
             return levels
-        resort = [i for i in range(len(order)) if (feat[split] != i).any()]
-        if resort:  # a split node's rows move to its children by predict's <= rule
-            went_right = ~(xt.ravel()[feat[node] * len(x) + row[order[0]]] <= thr[node])
-            node_of[order[0]] = (2 * np.cumsum(split) - 2)[node] + went_right  # 2 * rank + side
+        # a split node's rows move to its children by predict's <= rule
+        went_right = ~(xt.ravel()[feat[node] * len(x) + row[order[0]]] <= thr[node])
+        node_of[order[0]] = (2 * np.cumsum(split) - 2)[node] + went_right  # 2 * rank + side
         keep = split[node]  # a leaf's rows drop out
         for i in range(len(order)):
             order[i] = order[i][keep]
@@ -236,7 +231,7 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
 
 def _grow_slots(x, y, boots, min_node_size, next_id):
     """_grow for one feature `x` and 0/1 labels, on slots: the runs of one tree's
-    positions that share a value rank, in _grow's presorted order.  A node is a
+    positions that share a value rank, in the order _grow starts from.  A node is a
     slot range [a, b) and splits at a slot boundary into [a, j) and [j, b).  Its
     size and label sum are differences of two prefix sums; a cut between slots
     reads the values at their first and last positions (-0.0 and +0.0 share a rank)."""

@@ -178,11 +178,10 @@ def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str
     if n < p + 1:
         raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
     q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = _RANK_TOL * max(design.shape) * (diag[0] if diag.size else 1.0)
-    rank = int((diag > tol).sum())
-    if rank < p:
-        collinear = [names[j] for j in pivot[rank:]]
+    # a column is collinear when its part outside the columns pivoted ahead of it is short
+    # against its own length (R's lm rule), so no other column's units can make it so
+    tol = _RANK_TOL * max(n, p) * np.linalg.norm(design, axis=0)[pivot]
+    if collinear := [names[j] for j, d, t in zip(pivot, np.abs(np.diag(r)), tol) if not d > t]:
         raise EstimatorError(f"design matrix is rank deficient; collinear column(s): {collinear}")
     return design, names, (q, r, pivot)
 
@@ -195,9 +194,9 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     Least-squares coefficients minimize the sum of squared residuals via the
     design's pivoted QR; resid_sd is the sample SD of residuals with
     denominator n - p.  IRLS converges when the largest absolute coefficient
-    change drops below 1e-10 (at most 50 iterations).  If a coefficient passes
-    the separation limit the fit stops there and the model carries a
-    separation warning so downstream trimming still functions.
+    change drops below 1e-10 (at most 50 iterations).  If a fitted logit
+    |design @ beta| passes the separation limit the fit stops there and the
+    model carries a separation warning so downstream trimming still functions.
     """
     values, labels = _rows(ds, spec)
     design, names, (q, r, pivot) = _design(values, spec)
@@ -227,9 +226,8 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
 def _irls(design: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
     """Logistic coefficients of the exposures `x` on `design`, and whether the fit separated."""
     beta = np.zeros(design.shape[1])
-    trace: list[float] = []
+    eta, trace = design @ beta, []
     for _ in range(_IRLS_MAX_ITER):
-        eta = design @ beta
         prob = expit(eta)
         w = prob * (1.0 - prob)
         xtwx = design.T @ (design * w[:, None])
@@ -241,9 +239,10 @@ def _irls(design: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
                 "IRLS weighted normal equations are singular (weights collapsed)"
             ) from None
         beta = beta + step
+        eta = design @ beta
         change = float(np.max(np.abs(step)))
         trace.append(change)
-        if np.max(np.abs(beta)) > SEPARATION_LIMIT:
+        if np.max(np.abs(eta)) > SEPARATION_LIMIT:
             return beta, True
         if change < _IRLS_TOL:
             return beta, False

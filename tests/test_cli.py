@@ -496,6 +496,15 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert run(["simulate", "--set", "betaAr=1.5", "--m", "5000", *mode, "-o", str(out)]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_scale(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--set", "sigmaEps=1e308", "--set", "beta0=1.7e308", "--seed", "2",
+                    "--m", "10", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "not finite at period 1 of 12" in err and "Warning" not in err
+        assert not out.exists()
+
     def test_non_contiguous_periods(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("t,y,x\n1,1,1\n2,2,0\n4,3,1\n5,4,0\n")

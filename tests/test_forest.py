@@ -158,7 +158,8 @@ class TestLevelWiseEqualsReference:
     @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99),
            rows=st.sampled_from([None, 0.5, 2.0]))
     def test_single_feature(self, data, node, seed, rows):
-        # no order is re-sorted after the presort; bootstraps of n, n/2 and 2n rows
+        # one feature, so every split falls in the order being re-sorted; bootstraps
+        # of n, n/2 and 2n rows
         x, y = data.draw(_labelled_rows(1))
         sampler = rows and (lambda k, rng, n: rng.integers(0, n, size=int(rows * n)))
         _assert_same_forest(x, y, 7, 1, node, SeedSpec(seed), sampler)
@@ -169,7 +170,7 @@ class TestLevelWiseEqualsReference:
     def test_splits_on_one_feature(self, data, node, seed, mtry, at, twin):
         # a constant column never splits, and with both columns scanned a
         # duplicated one never beats its twin: one feature takes every split,
-        # so its own order is never re-sorted and the other one is
+        # and the other feature's order follows the children of its splits
         x, y = data.draw(_labelled_rows(1))
         x = np.insert(x, at, x[:, 0] if twin else 2.5, axis=1)
         _assert_same_forest(x, y, 7, mtry, node, SeedSpec(seed))

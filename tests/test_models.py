@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -40,6 +41,13 @@ def fmatrix(values, columns, labels, include_x=True):
     return TimeSeriesDataset(np.zeros(len(values)), labels, exog), spec
 
 
+@pytest.fixture(scope="module")
+def study_h1():
+    """Dataset h = 1 of the study preset at seed 1, as `replicate` simulates it."""
+    arco, prop = default_study_params()
+    return simulate_dataset(arco, prop, SimConfig(m_analysis=220, seed=SeedSpec(1).child(1, 0)))
+
+
 class TestLinear:
     def test_constant_fit(self):
         ds, spec = fmatrix(np.tile([0.0, 1.0], 3)[:, None], ("x",), np.full(6, 5.0))
@@ -73,6 +81,36 @@ class TestLinear:
                            np.arange(8.0))
         with pytest.raises(EstimatorError, match="w"):
             fit_glm(ds, spec)
+
+    @pytest.mark.parametrize(("scale", "shift"), [(3e4, 0.0), (1.0, 1e4)])
+    def test_rank_check_ignores_the_outcomes_units_and_level(self, study_h1, scale, shift):
+        # the lag column of y * 3e4 or y + 1e4 dwarfs the intercept column, which is
+        # still far from collinear with it
+        base = fit_glm(study_h1, FeatureSpec(True)).coefficients
+        model = fit_glm(TimeSeriesDataset(study_h1.y * scale + shift, study_h1.x), FeatureSpec(True))
+        lag = base["y_lag1"]
+        assert model.coefficients == pytest.approx({
+            "intercept": base["intercept"] * scale + shift * (1 - lag),
+            "x": base["x"] * scale,
+            "y_lag1": lag,
+        }, rel=1e-9)
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-9])
+    def test_near_copy_of_a_column_refused(self, gap):
+        rng = np.random.default_rng(8)
+        w = rng.normal(size=40)
+        rows = np.column_stack([rng.integers(0, 2, 40), w, w + gap * rng.normal(size=40)])
+        with pytest.raises(EstimatorError, match=r"collinear column\(s\): \['w(_near)?'\]$"):
+            fit_glm(*fmatrix(rows, ("x", "w", "w_near"), rng.normal(size=40)))
+
+    def test_rank_deficiency_names_every_collinear_column(self):
+        rng = np.random.default_rng(9)
+        w, v = rng.normal(size=(2, 40))
+        rows = np.column_stack([rng.integers(0, 2, 40), w, 2 * w, v, v * 1e4])
+        with pytest.raises(EstimatorError) as err:
+            fit_glm(*fmatrix(rows, ("x", "w", "w2", "v", "v2"), rng.normal(size=40)))
+        named = set(re.findall(r"'(\w+)'", str(err.value)))
+        assert len(named) == 2 and len(named & {"w", "w2"}) == len(named & {"v", "v2"}) == 1
 
     def test_requires_current_exposure(self):
         # a layout without the current exposure is a propensity layout: fit_glm fits the
@@ -214,6 +252,16 @@ class TestLogistic:
         assert model.separation_warning
         probs = model.predict(w[:, None])
         assert np.all((probs >= 0) & (probs <= 1))
+
+    @pytest.mark.parametrize(("scale", "shift"), [(0.2, 36.0), (0.001, 0.0)])
+    def test_separation_judged_on_the_logit_scale(self, study_h1, scale, shift):
+        # on a body-temperature scale or in thousandths the lag coefficient grows past the
+        # separation limit, while every fitted logit stays where it was
+        base = fit_glm(study_h1, FeatureSpec(False))
+        model = fit_glm(TimeSeriesDataset(study_h1.y * scale + shift, study_h1.x), FeatureSpec(False))
+        assert not base.separation_warning and not model.separation_warning
+        lag = study_h1.y[:-1, None]
+        assert model.predict(lag * scale + shift) == pytest.approx(base.predict(lag), rel=1e-12)
 
     def test_single_class_rejected(self):
         ds, spec = fmatrix(np.empty((10, 0)), (), np.ones(10), include_x=False)
