@@ -21,9 +21,10 @@ rows in the order given), followed by one `permutation(p)[:mtry]` feature
 subset per node larger than min_node_size with non-constant labels, in
 breadth-first order (level by level, left to right); with mtry == p none is
 drawn.  The tree draws these subsets in one call right after its bootstrap,
-one per node that could split, so each takes the stream position its node's
-own draw would.  One generator serves every tree (SeedSpec.children), reset
-to each tree's stream before its draws.  Features are scanned in ascending
+one per node that could split (at most N - 1 over N rows, and 2D - 1 over D
+distinct rows of x), so each takes the stream position its node's own draw
+would.  One generator serves every tree (SeedSpec.children), reset to each
+tree's stream before its draws.  Features are scanned in ascending
 index, thresholds in ascending value, and ties keep the first candidate, so a
 tree is a pure function of (bootstrap sequence, per-tree stream), except with
 real-valued labels: a cut's label sums are differences of a prefix sum over its
@@ -141,15 +142,19 @@ def build_forest(
     n, p = x.shape
     sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
     feats = np.arange(p, dtype=np.min_scalar_type(p))
+    # a tree over N positions has at most N - 1 nodes that draw a subset, and over
+    # D distinct rows at most 2D - 1: identical rows share a leaf, so it has <= D
+    # (counted on the rows' bytes: -0.0 beside +0.0 can only raise the count)
+    cap = 2 * len(np.unique(np.ascontiguousarray(x).view(f"V{8 * p}"))) - 1 if mtry < p else 0
     boots, drawn = [], []
     for k, rng in enumerate(seed.children(range(n_trees))):
-        b = np.asarray(sampler(k, rng, n))
-        if b.ndim != 1 or not b.size or b.dtype.kind not in "iu" or not 0 <= b.min() <= b.max() < n:
-            raise ConfigError(f"index_sampler gave tree {k} no non-empty 1-D integer array in [0, {n})")
-        boots.append(b.astype(np.intp))
-        if mtry < p:  # a tree over N positions has at most N - 1 nodes that draw a subset
-            subsets = rng.permuted(np.tile(feats, (len(boots[-1]) - 1, 1)), axis=1)
-            drawn.append(subsets[:, :mtry].copy())
+        boots.append(np.asarray(sampler(k, rng, n)))
+        if mtry < p:
+            rows = max(0, min(boots[-1].size - 1, cap))
+            drawn.append(rng.permuted(np.tile(feats, (rows, 1)), axis=1)[:, :mtry].copy())
+    if (bad := _first_bad(boots, n)) is not None:
+        raise ConfigError(f"index_sampler gave tree {bad} no non-empty 1-D integer array in [0, {n})")
+    boots = [b.astype(np.intp) for b in boots]
     inbag = np.repeat(np.arange(n_trees) * n, [len(b) for b in boots]) + np.concatenate(boots)
     inbag = np.bincount(inbag, minlength=n_trees * n).reshape(n_trees, n).astype(np.int32)
     levels: list[tuple[np.ndarray, ...]] = []
@@ -164,6 +169,16 @@ def build_forest(
                    else _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first))
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
     return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32)), inbag
+
+
+def _first_bad(boots, n):
+    """The first tree whose bootstrap is not a non-empty 1-D integer array of
+    positions in [0, n), or None; checked on the concatenation, and tree by
+    tree only when that fails."""
+    valid = lambda b: b.ndim == 1 and b.dtype.kind in "iu" and 0 <= b.min() <= b.max() < n
+    if all(b.ndim == 1 and b.size for b in boots) and valid(np.concatenate(boots)):
+        return None
+    return next((k for k, b in enumerate(boots) if not (b.size and valid(b))), None)
 
 
 def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):

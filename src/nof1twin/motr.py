@@ -9,13 +9,17 @@ accumulate into cumulative averages of the effect and its per-run Welch
 interval bounds until a stopping rule fires.
 
 Runs are rolled out together, in blocks of at most _BLOCK_ROWS rollout rows
-(runs x (m - 1)), the first of at most _FIRST_BLOCK_RUNS runs and each later
-one twice the one before; the stopping rule is checked on the cumulative
-prefix after each block, so the runs of the last block past the stopping run
-are computed and then discarded.  A step is one of two forms (_Rollout): an
-affine map for a linear twin with a continuous lag, a table lookup for every
-other twin.  Each acts on its own run's row alone and the cumulative sums
-are sequential, so no output depends on the block size.
+(runs x (m - 1)), the first of at most _FIRST_BLOCK_RUNS (128) runs and each
+later one twice the one before, so a default call (r_max 200) is one block of
+128 runs or, when the stop comes later, two of 128 and 72.  The stopping rule
+is checked on the cumulative prefix after each block, so the runs of the last
+block past the stopping run are computed and then discarded.  A step is one
+of two forms (_Rollout): an affine map for a linear twin with a continuous
+lag, a table lookup for every other twin; a table too large to build once is
+built in period chunks, again in each block.  Each acts on its own run's row
+alone and the cumulative sums are sequential, so no output depends on the
+block size.  A run whose contrast is not finite (a rollout that overflows)
+raises EstimatorError unless the rule stopped before it.
 
 Stream layout: run r draws from cfg.seed.child(r): first the permutation,
 then (when resid_sd > 0) the m-1 uniforms of its noise.  Each run shuffles
@@ -48,16 +52,18 @@ from .core import (
 from .errors import ConfigError, EstimatorError
 from .models import FittedModel, check_twin
 
-# Rollout rows (runs x (m - 1)) per block: at least one run, and all runs of
-# the default r_max = 200 in one block for m <= 656.  Each (runs, m - 1)
-# array of a block takes at most 8 * _BLOCK_ROWS bytes = 1 MiB, so a call's
-# memory stays within a few MB whatever r_max is; only the six statistics
-# kept per run grow with the runs done.
+# Rollout rows (runs x (m - 1)) per block: at least one run, and for
+# m <= 1025 the whole first block, so the default r_max = 200 in at most two
+# blocks.  Each (runs, m - 1) array of a block takes at most 8 * _BLOCK_ROWS
+# bytes = 1 MiB, so a call's memory stays within a few MB whatever r_max is;
+# only the six statistics kept per run grow with the runs done.
 _BLOCK_ROWS = 2**17
-# Runs in the first block, the default r_max: a default call is one block,
-# and a larger r_max rolls out at most this many runs before the stopping
-# rule is first checked.
-_FIRST_BLOCK_RUNS = 200
+# Runs in the first block.  Of the default r_max = 200 the stopping rule read
+# 56-149 runs over 48 analyze calls at m = 365 and 43-163 over 40 forest-twin
+# study calls at m = 220 (45 and 39 by run 128), so a default call is one
+# block of 128 runs, or 128 + 72 when it stops later.  Each block costs one
+# step loop (about 0.5 ms affine, 2 ms for a table at m = 365).
+_FIRST_BLOCK_RUNS = 128
 _TABLE_VALUES = 2**22  # values (32 MiB) in a table built once; a larger one is built per chunk
 
 
@@ -263,21 +269,29 @@ def run_motr(ds: TimeSeriesDataset, model: FittedModel, cfg: MotrConfig) -> Apte
     rollout = _Rollout(ds, model)
     blocks: list[np.ndarray] = []
     done, stop = 0, None
-    while stop is None and done < cfg.r_max:
-        block = range(done + 1, min(done + size, cfg.r_max) + 1)
-        size = min(2 * size, per_block)
-        xb = np.tile(ds.x, (len(block), 1))
-        u = np.zeros((len(block), m - 1))
-        for j, rng in enumerate(cfg.seed.children(block)):
-            rng.shuffle(xb[j])  # the swaps of rng.permutation(m), applied to x itself
-            if model.resid_sd > 0:
-                rng.random(out=u[j])
-        noise = normals(u, model.resid_sd) if model.resid_sd > 0 else u
-        blocks.append(arm_contrast(rollout(xb, noise), xb[:, 1:]))
-        done = block[-1]
-        per_run = np.concatenate(blocks, axis=1)
-        cum = np.cumsum(per_run[:3], axis=1) / np.arange(1, done + 1)
-        stop = _first_stop(cum, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a run that overflows is refused below
+        while stop is None and done < cfg.r_max:
+            block = range(done + 1, min(done + size, cfg.r_max) + 1)
+            size = min(2 * size, per_block)
+            xb = np.tile(ds.x, (len(block), 1))
+            u = np.zeros((len(block), m - 1))
+            for j, rng in enumerate(cfg.seed.children(block)):
+                rng.shuffle(xb[j])  # the swaps of rng.permutation(m), applied to x itself
+                if model.resid_sd > 0:
+                    rng.random(out=u[j])
+            noise = normals(u, model.resid_sd) if model.resid_sd > 0 else u
+            blocks.append(arm_contrast(rollout(xb, noise), xb[:, 1:]))
+            done = block[-1]
+            per_run = np.concatenate(blocks, axis=1)
+            cum = np.cumsum(per_run[:3], axis=1) / np.arange(1, done + 1)
+            stop = _first_stop(cum, cfg)
+            # no run settles the cumulative series past a non-finite one, so a stop in
+            # this block comes before any such run, and without one the first is refused
+            if stop is None and (bad := np.flatnonzero(~np.isfinite(blocks[-1][:5]).all(axis=0))).size:
+                raise EstimatorError(
+                    f"MoTR run {block[bad[0]]} is not finite: the twin's rollout overflows "
+                    f"(resid_sd {model.resid_sd:.6g}, first outcome {rollout.y0:.6g})"
+                )
 
     n = done if stop is None else stop
     delta, lo, hi = cum[:, n - 1].tolist()

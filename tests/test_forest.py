@@ -208,6 +208,19 @@ def test_tree_batches_do_not_change_the_forest(monkeypatch):
         _assert_same_forest(x[:, 1:2], y, 9, 1, 1, SeedSpec(7), sampler)  # p = 1: no re-sort
 
 
+def test_subset_draws_reach_twice_the_distinct_rows():
+    # d distinct rows, each three times with non-constant labels and a mean of its
+    # own: at min_node_size 1 each tree's d - 1 inner nodes split and its d leaves
+    # draw a subset and fail, 2d - 1 draws, the cap (N - 1 = 3d - 1 allows more)
+    d = 6
+    v = np.repeat(np.arange(d, dtype=float), 3)
+    x, y = np.column_stack([v, d - 1 - v]), v + np.tile([0.0, 0.5, 0.25], d)
+    identity = lambda k, rng, n: np.arange(n)
+    _assert_same_forest(x, y, 3, 1, 1, SeedSpec(4), identity)
+    forest, _ = build_forest(x, y, 3, 1, 1, SeedSpec(4), identity)
+    assert len(forest.feature) == 3 * (2 * d - 1) and (forest.feature == _LEAF).sum() == 3 * d
+
+
 @pytest.mark.parametrize("boot", [[0, -1, 2], [], [0, 30], [[0, 1]], [0.0, 1.0]],
                          ids=["negative", "empty", "past-the-end", "2-d", "floats"])
 def test_bootstraps_outside_the_rows_are_refused(boot):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -344,6 +346,19 @@ class TestRunMotr:
         assert est.stop_reason == "converged" and est.runs_used < 100
         assert peak < 64 * 2**20  # one (r_max, m - 1) float block alone would take 480 MB
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m, resid_sd, slope", [(60, 1e308, None), (365, None, 30.0)],
+                             ids=["noise-overflows", "explosive-lag"])
+    def test_overflowing_rollout_refused(self, m, resid_sd, slope):
+        # the fitted twin with a noise scale or an outcome slope that overflows
+        # within the first run: refused, with no numpy warning on the way
+        _, ds = self.make_study_ds(m=m)
+        fitted = fit_glm(ds, LAG_SPEC)
+        coefs = dict(fitted.coefficients, **({"y_lag1": slope} if slope else {}))
+        model = glm_from_coefficients(LAG_SPEC, coefs, resid_sd or fitted.resid_sd)
+        with pytest.raises(EstimatorError, match="MoTR run 1 is not finite"):
+            run_motr(ds, model, MotrConfig(seed=0))
+
     def test_run_cap_reported_when_not_settled(self):
         arco, ds = self.make_study_ds(seed=4)
         model = true_twin(arco, LAG_SPEC, resid_sd=0.5)
@@ -497,29 +512,55 @@ EXOG_SPEC = FeatureSpec(  # a continuous exogenous column: about two table rows 
 )
 
 
-@pytest.mark.parametrize("twin", ["linear", "table", "exog-table"])
-def test_estimate_independent_of_block_rows(twin, monkeypatch):
+def _block_twin(twin):
+    """(dataset, twin) of each rollout form the block tests cover."""
     if twin == "linear":
         arco, ds = TestRunMotr().make_study_ds(seed=5)
-        spec, model = LAG_SPEC, true_twin(arco, LAG_SPEC, resid_sd=0.5)
-    else:
-        spec = LAG_SPEC if twin == "table" else EXOG_SPEC
-        ds, model = _forest_case(11, spec)
+        return ds, true_twin(arco, LAG_SPEC, resid_sd=0.5)
+    if twin == "quartile":
+        ds = _series(11)
+        return ds, fit_glm(ds, TABLE_SPECS["quartile-lag-x-exog"])
+    return _forest_case(11, LAG_SPEC if twin == "table" else EXOG_SPEC)
+
+
+# stop_tol of each twin for a stop, at the default r_max = 200, in the first
+# block of 128 runs, in the second block or at r_max
+STOP_TOLS = {"linear": (5e-3, 2e-3, 1e-6), "table": (5e-3, 1.5e-3, 1e-6),
+             "exog-table": (5e-3, 1.5e-3, 1e-6), "quartile": (5e-3, 1e-3, 1e-6)}
+STOPS = {"first-block": ("converged", range(1, 129)), "second-block": ("converged", range(129, 200)),
+         "at-r-max": ("r_max", range(200, 201))}
+
+
+@pytest.mark.parametrize("stops", ["small-r-max", *STOPS])
+@pytest.mark.parametrize("twin", sorted(STOP_TOLS))
+def test_estimate_independent_of_block_rows(twin, stops, monkeypatch):
+    ds, model = _block_twin(twin)
     assert _form(_Rollout(ds, model)) == ("affine" if twin == "linear" else "table")
-    default = motr._BLOCK_ROWS
-    for cfg, reason in ((MotrConfig(r_max=60, stop_tol=1e-2, seed=3), "converged"),
-                        (MotrConfig(r_max=23, stop_tol=1e-2, seed=3), "r_max")):
-        estimates = []
+    rows, first = motr._BLOCK_ROWS, motr._FIRST_BLOCK_RUNS
+    if stops == "small-r-max":
+        cases = ((MotrConfig(r_max=60, stop_tol=1e-2, seed=3), "converged"),
+                 (MotrConfig(r_max=23, stop_tol=1e-2, seed=3), "r_max"))
         # one run per block; 7 runs per block, so the last block is partial;
         # blocks of 3, 6, 12, ... runs; the default
-        for rows, first in ((ds.m - 1, 200), (7 * (ds.m - 1) + 3, 200), (default, 3),
-                            (default, 200)):
-            monkeypatch.setattr(motr, "_BLOCK_ROWS", rows)
-            monkeypatch.setattr(motr, "_FIRST_BLOCK_RUNS", first)
+        layouts = ((ds.m - 1, 200), (7 * (ds.m - 1) + 3, 200), (rows, 3), (rows, first))
+    else:  # the default first block against one block of the whole r_max
+        cases = ((MotrConfig(stop_tol=STOP_TOLS[twin][list(STOPS).index(stops)], seed=3),
+                  STOPS[stops][0]),)
+        layouts = ((rows, first), (rows, 200))
+    for cfg, reason in cases:
+        estimates = []
+        for rows_per_block, first_block in layouts:
+            monkeypatch.setattr(motr, "_BLOCK_ROWS", rows_per_block)
+            monkeypatch.setattr(motr, "_FIRST_BLOCK_RUNS", first_block)
             estimates.append(run_motr(ds, model, cfg))
         assert estimates[0].stop_reason == reason
-        assert estimates[0].runs_used % 7 != 0
-        assert estimates[0] == estimates[1] == estimates[2] == estimates[3]
+        if stops == "small-r-max":
+            assert estimates[0].runs_used % 7 != 0
+        else:
+            assert estimates[0].runs_used in STOPS[stops][1]
+        for estimate in estimates[1:]:
+            for field in dataclasses.fields(estimate):
+                assert getattr(estimate, field.name) == getattr(estimates[0], field.name), field.name
 
 
 CHUNK_TWINS = {  # (spec, forest twin) of each tabled layout
