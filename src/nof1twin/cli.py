@@ -10,6 +10,7 @@ artifacts alone.  Exit codes: 0 success, 2 config error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -34,15 +35,17 @@ from .errors import ConfigError, DataError, EstimatorError, Nof1TwinError
 from .harness import (
     Method,
     MethodOptions,
+    MethodSummary,
+    ReplicationRow,
     StudyConfig,
     apply_method,
     default_study_params,
     replicate,
 )
 from .models import ForestConfig
-from .motr import ApteEstimate, MotrConfig
+from .motr import MotrConfig
 from .oracle import MODE_IID, MODE_PERMUTATION, EnumSpec, enumerate_apte
-from .pstn import PstnConfig, PstnResult
+from .pstn import PstnConfig
 
 DEFAULT_SEED = 1
 # `replicate` grows 100 trees per forest unless --n-trees says otherwise;
@@ -185,25 +188,6 @@ def _feature_spec(args: argparse.Namespace) -> FeatureSpec:
     return FeatureSpec(True, outcome_lag_mode=args.lag_y, use_exposure_lag1=args.lag_x, exog_names=exog)
 
 
-def _result_payload(res) -> dict:
-    if isinstance(res.detail, ApteEstimate):  # the runs go to --runs-csv
-        est = res.detail
-        return {k: v for k, v in vars(est).items() if k != "runs"} | {"trajectory": est.trajectory}
-    if isinstance(res.detail, PstnResult):
-        pr = res.detail
-        return {
-            "delta": pr.delta,
-            "mean_po_1": pr.mean_po_1,
-            "mean_po_0": pr.mean_po_0,
-            "retained_count": len(pr.retained),
-            "excluded": dict(pr.excluded),
-        }
-    payload = {"delta": res.estimate}
-    if res.ci is not None:
-        payload["ci"] = [res.ci[0], res.ci[1]]
-    return payload
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     method = Method.parse(args.method)
     if args.dump_model and method is Method.RAW:
@@ -219,21 +203,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = {
         "config": _echo(args, names, opts.to_echo()),
         "method": method.label,
-        "result": _result_payload(res),
+        "result": res.detail.record(),
     }
     # side files first: a write that fails (exit 3) leaves no -o result behind
     if args.dump_model:
         _write_json(res.model.summary(), args.dump_model)
-    if args.runs_csv:
-        est = res.detail
-        rows = ((r, *run, *cum) for r, (run, cum) in enumerate(zip(est.runs, est.trajectory), 1))
-        header = ["r", "delta_r", "lo_r", "hi_r", "cum_delta", "cum_lo", "cum_hi"]
-        write_csv(args.runs_csv, header, rows)
-    if args.periods_csv:
-        pr = res.detail
-        weight = dict(zip(pr.retained, pr.weights))
-        rows = ((t, pi, weight.get(t), int(t in weight)) for t, pi in zip(pr.t_index, pr.pi_hat))
-        write_csv(args.periods_csv, ["t", "pi_hat", "weight", "retained"], rows)
+    if side := args.runs_csv or args.periods_csv:
+        write_csv(side, *res.detail.table())
     _write_json(payload, args.output)
     return 0
 
@@ -258,15 +234,10 @@ def cmd_replicate(args: argparse.Namespace) -> int:
     )
     report = replicate(study)
     lines = _echo_lines(_echo(args, ("h_datasets", "methods"), cfg, opts.to_echo()))
-    rows = ([r.h, r.method.value, r.estimate, r.bias, r.error] for r in report.rows)
-    header = ["h", "method", "estimate", "bias", "error"]
-    write_csv(f"{args.out_prefix}_rows.csv", header, rows, lines)
-    summary = (
-        [s.method.value, s.mean_bias, s.ci_lo, s.ci_hi, s.n_datasets, s.failures]
-        for s in report.summary.values()
-    )
-    header = ["method", "mean_bias", "ci_lo", "ci_hi", "n", "failures"]
-    write_csv(f"{args.out_prefix}_summary.csv", header, summary, lines)
+    tables = (("rows", ReplicationRow, report.rows), ("summary", MethodSummary, report.summary.values()))
+    for name, cls, records in tables:  # a Method cell reads as its value: Method is a str
+        header = [f.name for f in dataclasses.fields(cls)]
+        write_csv(f"{args.out_prefix}_{name}.csv", header, (vars(r).values() for r in records), lines)
     return 0
 
 

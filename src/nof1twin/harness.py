@@ -21,8 +21,8 @@ from .arco import ArcoParams, PropensityParams, SimConfig, long_run_mean, simula
 from .core import FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed, setting_names
 from .errors import ConfigError, DataError, EstimatorError
 from .models import FittedModel, ForestConfig, fit_forest, fit_glm
-from .motr import MotrConfig, arm_contrast, run_motr
-from .pstn import PstnConfig, run_pstn
+from .motr import ApteEstimate, MotrConfig, arm_contrast, run_motr
+from .pstn import PstnConfig, PstnResult, run_pstn
 
 # Sub-stream labels under one dataset's SeedSpec.
 _NS_SIM = 0
@@ -112,20 +112,33 @@ class MethodOptions:
 
 
 @dataclass(frozen=True)
-class ApplyResult:
-    """One estimator's output on one dataset, with the twin it fitted (None for raw)."""
+class PointEstimate:
+    """The effect and its 95% interval: the result of raw and coef."""
 
-    method: Method
-    estimate: float
-    ci: tuple[float, float] | None
-    detail: object = None
+    delta: float
+    ci: tuple[float, float]
+
+    def record(self) -> dict:
+        """The analyze JSON's result."""
+        return {"delta": self.delta, "ci": list(self.ci)}
+
+
+@dataclass(frozen=True)
+class ApplyResult:
+    """One estimator's result on one dataset, with the twin it fitted (None for raw)."""
+
+    detail: PointEstimate | ApteEstimate | PstnResult
     model: FittedModel | None = None
 
 
 def estimate_raw(ds: TimeSeriesDataset) -> ApplyResult:
-    """Difference of observed arm means with a Welch t 95% interval."""
-    delta, lo, hi = arm_contrast(ds.y[None], ds.x[None])[:3, 0].tolist()
-    return ApplyResult(Method.RAW, delta, (lo, hi))
+    """Difference of observed arm means with a Welch t 95% interval; an effect or
+    bound past the float range raises EstimatorError."""
+    with np.errstate(over="ignore"):
+        delta, lo, hi = arm_contrast(ds.y[None], ds.x[None])[:3, 0].tolist()
+    if not np.isfinite([delta, lo, hi]).all():
+        raise EstimatorError(f"the arm contrast {delta} ({lo}, {hi}) overflows the float range")
+    return ApplyResult(PointEstimate(delta, (lo, hi)))
 
 
 def estimate_coef(ds: TimeSeriesDataset, spec: FeatureSpec) -> ApplyResult:
@@ -135,7 +148,7 @@ def estimate_coef(ds: TimeSeriesDataset, spec: FeatureSpec) -> ApplyResult:
     se = model.coefficient_se["x"]
     df = ds.m - spec.needs_lag - len(model.coefficients)
     half = float(stdtrit(df, 0.975)) * se
-    return ApplyResult(Method.COEF, est, (est - half, est + half), model=model)
+    return ApplyResult(PointEstimate(est, (est - half, est + half)), model)
 
 
 def apply_method(
@@ -165,10 +178,8 @@ def apply_method(
         motr_seed = seed.child(_NS_MOTR_GLM if method is Method.MOTR_GLM else _NS_MOTR_RF)
         # cfg by keyword: bench/spans.py's run_motr hook looks for it by name or as
         # argument 3, but run_motr takes it as argument 2
-        est = run_motr(ds, model, cfg=replace(opts.motr, seed=motr_seed))
-        return ApplyResult(method, est.delta, est.ci, detail=est, model=model)
-    res = run_pstn(ds, model, opts.pstn)
-    return ApplyResult(method, res.delta, None, detail=res, model=model)
+        return ApplyResult(run_motr(ds, model, cfg=replace(opts.motr, seed=motr_seed)), model)
+    return ApplyResult(run_pstn(ds, model, opts.pstn), model)
 
 
 @dataclass(frozen=True)
@@ -218,7 +229,7 @@ class MethodSummary:
     mean_bias: float
     ci_lo: float
     ci_hi: float
-    n_datasets: int
+    n: int
     failures: int
 
 
@@ -244,8 +255,8 @@ def _run_one_dataset(study: StudyConfig, h: int) -> list[ReplicationRow]:
     rows = []
     for method in study.methods:
         try:
-            res = apply_method(ds, method, study.options, seed)
-            rows.append(ReplicationRow(h, method, res.estimate, res.estimate - true))
+            delta = apply_method(ds, method, study.options, seed).detail.delta
+            rows.append(ReplicationRow(h, method, delta, delta - true))
         except (DataError, EstimatorError) as exc:
             rows.append(ReplicationRow(h, method, None, None, error=str(exc)))
     return rows

@@ -143,6 +143,15 @@ class ApteEstimate:
         cum = np.cumsum(self.runs, axis=0) / np.arange(1, len(self.runs) + 1)[:, None]
         return tuple(map(tuple, cum.tolist()))
 
+    def record(self) -> dict:
+        """The analyze JSON's result: every field but the runs, which table() holds."""
+        return {k: v for k, v in vars(self).items() if k != "runs"} | {"trajectory": self.trajectory}
+
+    def table(self) -> tuple[list[str], list[tuple]]:
+        """The --runs-csv header and rows: each run's own contrast and the cumulative one."""
+        rows = [(r, *run, *cum) for r, (run, cum) in enumerate(zip(self.runs, self.trajectory), 1)]
+        return ["r", "delta_r", "lo_r", "hi_r", "cum_delta", "cum_lo", "cum_hi"], rows
+
 
 class _Rollout:
     """A twin's noisy sequential predictions for permuted exposure sequences,

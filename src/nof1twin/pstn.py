@@ -46,6 +46,17 @@ class PstnResult:
     t_index: tuple[int, ...]           # all analyzable periods, for reporting
     pi_hat: tuple[float, ...]          # propensity for each analyzable period
 
+    def record(self) -> dict:
+        """The analyze JSON's result: the arm means and the exclusion counts."""
+        return {"delta": self.delta, "mean_po_1": self.mean_po_1, "mean_po_0": self.mean_po_0,
+                "retained_count": len(self.retained), "excluded": dict(self.excluded)}
+
+    def table(self) -> tuple[list[str], list[tuple]]:
+        """The --periods-csv header and rows: each period's propensity and its weight."""
+        weight = dict(zip(self.retained, self.weights))
+        rows = [(t, pi, weight.get(t), int(t in weight)) for t, pi in zip(self.t_index, self.pi_hat)]
+        return ["t", "pi_hat", "weight", "retained"], rows
+
 
 def pstn_from_propensities(
     y: np.ndarray,

@@ -204,16 +204,16 @@ def test_criterion_8_single_dataset_reproduction():
     motr = apply_method(ds, Method.MOTR_GLM, opts, seed)
     pstn = apply_method(ds, Method.PSTN_GLM, opts, seed)
     ok = (
-        coef.ci[0] < 1.1 < coef.ci[1]
-        and motr.ci[0] < 1.1 < motr.ci[1]
-        and raw.estimate < min(motr.estimate, pstn.estimate)
+        coef.detail.ci[0] < 1.1 < coef.detail.ci[1]
+        and motr.detail.ci[0] < 1.1 < motr.detail.ci[1]
+        and raw.detail.delta < min(motr.detail.delta, pstn.detail.delta)
     )
     report(
         8,
         ok,
-        f"coef CI ({coef.ci[0]:.3f}, {coef.ci[1]:.3f}) and motr_glm CI "
-        f"({motr.ci[0]:.3f}, {motr.ci[1]:.3f}) cover 1.1; raw {raw.estimate:.3f} < "
-        f"min(motr {motr.estimate:.3f}, pstn {pstn.estimate:.3f})",
+        f"coef CI ({coef.detail.ci[0]:.3f}, {coef.detail.ci[1]:.3f}) and motr_glm CI "
+        f"({motr.detail.ci[0]:.3f}, {motr.detail.ci[1]:.3f}) cover 1.1; raw {raw.detail.delta:.3f} < "
+        f"min(motr {motr.detail.delta:.3f}, pstn {pstn.detail.delta:.3f})",
     )
 
 

@@ -313,6 +313,9 @@ class TestReplicate:
         for row in table[1:]:
             values = [float(cell) for cell in row[1:]]
             assert values[1] <= values[0] <= values[2]
+        lines = (tmp_path / "rep_rows.csv").read_text().splitlines()
+        rows = list(csv.reader(line for line in lines if not line.startswith("#")))[1:]
+        assert [row[1] for row in rows] == ["raw", "coef", "pstn_glm"] * 3
 
     def test_byte_identical_reruns(self, tmp_path):
         outs = []
@@ -503,6 +506,16 @@ class TestExitCodes:
                     "--m", "10", "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert "not finite at period 1 of 12" in err and "Warning" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_raw_contrast(self, tmp_path, capsys):
+        # the arm means differ by about 2e308, past the float range
+        path, out = tmp_path / "over.csv", tmp_path / "raw.json"
+        path.write_text("t,y,x\n" + "".join(f"{t},{(-1) ** (t + 1)}e308,{t % 2}\n" for t in range(1, 7)))
+        assert run(["analyze", "--data", str(path), "--method", "raw", "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "overflows the float range" in err and "Warning" not in err
         assert not out.exists()
 
     def test_non_contiguous_periods(self, tmp_path):

@@ -43,8 +43,8 @@ class TestPointEstimators:
     def test_raw_two_point_arms(self):
         ds = TimeSeriesDataset(y=[1.0, 2.0, 3.0, 4.0], x=[1, 1, 0, 0])
         res = estimate_raw(ds)
-        assert res.estimate == pytest.approx(-2.0)
-        assert res.ci[0] < -2.0 < res.ci[1]
+        assert res.detail.delta == pytest.approx(-2.0)
+        assert res.detail.ci[0] < -2.0 < res.detail.ci[1]
 
     def test_raw_equals_scipy_welch_interval(self):
         from scipy.stats import ttest_ind
@@ -53,7 +53,7 @@ class TestPointEstimators:
         y1, y0 = ds.y[ds.x == 1], ds.y[ds.x == 0]
         ref = ttest_ind(y1, y0, equal_var=False).confidence_interval(0.95)
         res = estimate_raw(ds)
-        np.testing.assert_allclose([res.estimate, *res.ci],
+        np.testing.assert_allclose([res.detail.delta, *res.detail.ci],
                                    [y1.mean() - y0.mean(), ref.low, ref.high], rtol=0, atol=1e-12)
 
     def test_raw_single_arm_rejected(self):
@@ -67,7 +67,7 @@ class TestPointEstimators:
         x[:2] = [0, 1]
         ds = TimeSeriesDataset(y=2.0 + 1.1 * x, x=x)
         res = estimate_coef(ds, harness.OUTCOME_SPEC)
-        assert res.estimate == pytest.approx(1.1, abs=1e-10)
+        assert res.detail.delta == pytest.approx(1.1, abs=1e-10)
 
     def test_outcome_spec_without_the_current_exposure_rejected(self):
         # coef and MoTR fit on outcome_spec; without x it is a propensity layout
@@ -142,7 +142,7 @@ class TestReplicate:
         report = replicate(study)
         pstn = report.summary[Method.PSTN_GLM]
         assert pstn.failures == 3
-        assert pstn.n_datasets == 0
+        assert pstn.n == 0
         assert np.isnan(pstn.mean_bias)
         assert report.summary[Method.RAW].failures == 0
         failed = [r for r in report.rows if r.method is Method.PSTN_GLM]

@@ -147,7 +147,7 @@ class TestRunPstn:
         model = fit_glm(ds, FLAT_SPEC)
         res = run_pstn(ds, model, NO_TRIM)
         raw = estimate_raw(ds)
-        assert res.delta == pytest.approx(raw.estimate, abs=1e-9)
+        assert res.delta == pytest.approx(raw.detail.delta, abs=1e-9)
 
     def test_current_exposure_feature_rejected(self):
         # a layout with the current exposure is an outcome layout, so its twins model outcomes
@@ -166,7 +166,7 @@ class TestRunPstn:
         model = fit_glm(ds, PROP_SPEC)
         res = run_pstn(ds, model, PstnConfig())
         raw = estimate_raw(ds)
-        assert abs(res.delta - 1.1) < abs(raw.estimate - 1.1)
+        assert abs(res.delta - 1.1) < abs(raw.detail.delta - 1.1)
 
     def test_insample_propensities_used_only_for_training_rows(self):
         from dataclasses import replace
