@@ -3,17 +3,21 @@
 Regression trees maximize the split criterion sum(S_c^2 / n_c) over children,
 equivalent to variance reduction; for 0/1 labels the same criterion is
 equivalent to Gini impurity reduction, so one scan serves both tasks.  Trees
-grow level by level in batches of at most 2^15 bootstrap rows, so one numpy
-pass per feature scores every threshold of every node of a level, and the
-node arrays are level-major within each batch.  Each feature's order is
-sorted once by tree and the dense ranks of its values (-0.0 and +0.0 share
-one), then stably by node at the start of every level, so each node's rows
-stay sorted per feature with ties in bootstrap order; a leaf sums its labels
-in feature 0's order.  A forest over one feature with labels exactly 0.0 or
-1.0 (every default pstn-rf propensity forest) grows on slots instead
-(_grow_slots).  Its label sums are integers below 2^53, the same doubles in
-any order, and it scores the same cuts in the same order through
-_first_best, so its node arrays are _grow's, bit for bit.
+grow on points: a point is one tree's bootstrap copies of one distinct row of
+x, with its copy count and its labels summed in bootstrap order; when every
+row of x is distinct, each bootstrap row is a point.  Trees grow level by
+level in batches of at most 2^15 points, so one numpy pass per feature scores
+every threshold of every node of a level, and the node arrays are level-major
+within each batch.  Each feature's order is sorted once by tree and the dense
+ranks of its values (-0.0 and +0.0 share one), then stably by node at the
+start of every level, so each node's points stay sorted per feature with ties
+in the order of their last bootstrap rows.  Node sizes and split label sums
+run over points (copy counts and point label sums); a leaf sums its bootstrap
+rows' labels in feature 0's order, ties in bootstrap order.  A forest over one
+feature with labels exactly 0.0 or 1.0 (every default pstn-rf propensity
+forest) grows on slots instead (_grow_slots).  Its label sums are integers
+below 2^53, the same doubles in any order, and it scores the same cuts in the
+same order through _first_best, so its node arrays are _grow's, bit for bit.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -27,8 +31,9 @@ would.  One generator serves every tree (SeedSpec.children), reset to each
 tree's stream before its draws.  Features are scanned in ascending
 index, thresholds in ascending value, and ties keep the first candidate, so a
 tree is a pure function of (bootstrap sequence, per-tree stream), except with
-real-valued labels: a cut's label sums are differences of a prefix sum over its
-batch's whole level, whose rounding can break exactly tied gains (ROADMAP item 7).
+real-valued labels: a cut's label sums are differences of a prefix sum of point
+label sums over its batch's whole level, whose rounding can break exactly tied
+gains (ROADMAP item 7).
 """
 
 from __future__ import annotations
@@ -47,7 +52,9 @@ IndexSampler = Callable[[int, np.random.Generator, int], np.ndarray]
 
 _LEAF = -1
 _PAIRS = 1 << 14  # (row, tree) pairs per block in predict, a quarter in step_table: bounds memory
-_BATCH_ROWS = 1 << 15  # rows grown together: bounds memory; 16-bit sort keys get numpy's radix sort
+# points (slots in _grow_slots) grown together: bounds memory; 16-bit sort keys get
+# numpy's radix sort
+_BATCH_ROWS = 1 << 15
 
 
 @dataclass
@@ -142,10 +149,14 @@ def build_forest(
     n, p = x.shape
     sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
     feats = np.arange(p, dtype=np.min_scalar_type(p))
+    # each row's distinct feature row, told apart by bytes (-0.0 beside +0.0 makes two)
+    key = np.ascontiguousarray(x).view(f"V{8 * p}").ravel() if p else np.zeros(n, dtype=np.int8)
+    group = np.unique(key, return_inverse=True)[1]
+    distinct = int(group.max(initial=-1)) + 1
     # a tree over N positions has at most N - 1 nodes that draw a subset, and over
     # D distinct rows at most 2D - 1: identical rows share a leaf, so it has <= D
-    # (counted on the rows' bytes: -0.0 beside +0.0 can only raise the count)
-    cap = 2 * len(np.unique(np.ascontiguousarray(x).view(f"V{8 * p}"))) - 1 if mtry < p else 0
+    # (D counted on the rows' bytes, which -0.0 beside +0.0 can only raise)
+    cap = 2 * distinct - 1 if mtry < p else 0
     boots, drawn = [], []
     for k, rng in enumerate(seed.children(range(n_trees))):
         boots.append(np.asarray(sampler(k, rng, n)))
@@ -159,16 +170,34 @@ def build_forest(
     inbag = np.bincount(inbag, minlength=n_trees * n).reshape(n_trees, n).astype(np.int32)
     levels: list[tuple[np.ndarray, ...]] = []
     roots: list[int] = []
-    per_batch = max(1, _BATCH_ROWS // n)
     # 0/1 labels, exactly: every label sum is an integer, so in any order the same double
     slots = p == 1 and mtry >= 1 and y.tobytes() == (y == 1).astype(float).tobytes()
-    for trees in (slice(lo, lo + per_batch) for lo in range(0, n_trees, per_batch)):
+    # a tree's copies of a distinct row grow as one point when rows repeat (D < n)
+    points = group if distinct < n else None
+    # points (slots) per tree: its positions, or its distinct rows, counted when they can
+    # split the forest into batches
+    width = [len(b) for b in boots]
+    if (slots or points is not None) and sum(width) > _BATCH_ROWS:
+        width = [np.count_nonzero(np.bincount(group[b], minlength=distinct)) for b in boots]
+    for trees in _batches(width):
         first = sum(len(level[0]) for level in levels)
         roots += range(first, first + len(boots[trees]))
         levels += (_grow_slots(x[:, 0], y, boots[trees], min_node_size, first) if slots
-                   else _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first))
+                   else _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first, points))
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
     return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32)), inbag
+
+
+def _batches(width):
+    """Slices of consecutive trees whose `width`s (points or slots) sum to at most
+    _BATCH_ROWS, or of one wider tree."""
+    lo, total = 0, 0
+    for k, w in enumerate(width):
+        if total + w > _BATCH_ROWS and k > lo:
+            yield slice(lo, k)
+            lo, total = k, 0
+        total += w
+    yield slice(lo, len(width))
 
 
 def _first_bad(boots, n):
@@ -181,35 +210,70 @@ def _first_bad(boots, n):
     return next((k for k, b in enumerate(boots) if not (b.size and valid(b))), None)
 
 
-def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
-    """Grow a batch of trees level by level; returns each level's node arrays.
+def _points(y, row, tree, group):
+    """(point of each position, each point's last position, label sum, copies, min and max
+    label; max is min when every point's labels are one value) of a batch's positions
+    `row` of trees `tree`: a point is one tree's positions of one `group`, its labels
+    summed in bootstrap order, and points come in the order of their last positions."""
+    distinct = group.max() + 1
+    key = tree * distinct + group[row]
+    by_key = np.argsort(key.astype(np.min_scalar_type((tree[-1] + 1) * distinct)), kind="stable")
+    head = np.flatnonzero(np.concatenate(([True], key[by_key[1:]] != key[by_key[:-1]])))
+    count = np.diff(np.append(head, len(row)))
+    last = by_key[head + count - 1]
+    by_last = np.argsort(last)
+    pid = np.empty(len(row), dtype=np.intp)
+    pid[by_key] = np.repeat(np.argsort(by_last), count)
+    ys = y[row[by_key]]
+    sums, low, high = (f.reduceat(ys, head)[by_last] for f in (np.add, np.minimum, np.maximum))
+    high = low if np.array_equal(low, high) else high
+    return pid, last[by_last], sums, count[by_last].astype(float), low, high
 
-    Positions index the concatenated bootstrap samples.  node_of maps each live
-    one to its node, breadth-first per tree; order[f] holds each node's positions
-    as one segment sorted by feature f's value ranks, ties in position order,
-    the segments alike in every order: each level begins by stably re-sorting
-    every order by node_of.  With mtry < p, drawn[t] holds tree t's feature
-    subsets in stream order, and cursor[t] is its next unread row of their
-    concatenation.
+
+def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
+    """Grow a batch of trees level by level on points; returns each level's node arrays.
+
+    A point is one tree's bootstrap copies of one distinct feature row (`group`
+    numbers the rows; without it each position is a point, its labels read
+    through its row), with its copy count and label sum.  node_of maps each live
+    point to its node, breadth-first per tree; order[f] holds each node's points
+    as one segment sorted by feature f's value ranks, ties in the order of the
+    points' last positions, so a run of ties ends at the value of its last
+    position; the segments are alike in every order: each level begins by stably
+    re-sorting every order by node_of.  Node sizes and cut label sums are sums
+    over points.  A leaf sums its bootstrap labels in feature 0's order, ties in
+    bootstrap order: per level when points are positions, else in one pass once
+    the batch has grown.  With mtry < p, drawn[t] holds tree t's feature subsets
+    in stream order, and cursor[t] is its next unread row of their concatenation.
     """
     row, xt = np.concatenate(boots), np.ascontiguousarray(x.T)
     p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
-    size = np.array([len(b) for b in boots])
-    node_of = np.repeat(tree, size).astype(np.min_scalar_type(-len(row)))
-    ranks = (np.unique(col, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for col in x.T)
-    order = [np.argsort(r[row], kind="stable") for r in ranks] or [np.arange(len(row))]
+    size = np.array([len(b) for b in boots])  # bootstrap rows per node
+    node_of = np.repeat(tree, size)
+    if group is None:
+        at, width, sums, low, high = row, size, None, None, None
+    else:
+        pid, last, sums, count, low, high = _points(y, row, node_of, group)
+        at, node_of = row[last], node_of[last]  # each point's feature row and tree
+        width = np.bincount(node_of, minlength=len(boots))  # points per node
+        done, done_leaf = [], []  # each level's leaf points, and their leaves' ids
+    node_of = node_of.astype(np.min_scalar_type(-len(at)))
+    ranks = [np.unique(c, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for c in x.T]
+    order = [np.argsort(r[at], kind="stable") for r in ranks] or [np.arange(len(at))]
     if mtry < p:
         draws = [len(d) for d in drawn]
         cursor, drawn = np.cumsum(draws) - draws, np.concatenate(drawn)
     while True:
         for i in range(len(order)):  # one at a time: the old and new orders are never all alive
             order[i] = order[i][np.argsort(node_of[order[i]], kind="stable")]
-        k, start = len(size), np.cumsum(size) - size
-        node = np.repeat(np.arange(k), size)  # every live node holds a row
-        next_id += k
-        ys = y[row[order[0]]]
+        k, start = len(size), np.cumsum(width) - width
+        node = np.repeat(np.arange(k), width)  # every live node holds a point
+        o0 = order[0]
+        a0 = at[o0]
+        ys = y[a0] if sums is None else low[o0]
         cand = size > min_node_size
-        cand &= np.minimum.reduceat(ys, start) < np.maximum.reduceat(ys, start)
+        top = ys if high is low else high[o0]
+        cand &= np.minimum.reduceat(ys, start) < np.maximum.reduceat(top, start)
         subset = np.ones((k, p), dtype=bool)
         if mtry < p:  # each candidate takes its tree's next subset, in node order
             per_tree = np.bincount(tree[cand], minlength=len(boots))
@@ -222,26 +286,54 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id):
         for f, o in enumerate(order[:p]):
             scan = cand & subset[:, f]
             if scan.any():
-                at = row[o]
-                nodes, g, t, n = _best_cuts(xt[f][at], y[at], node, start, size, scan)
+                a = at[o]
+                s, c = (y[a], None) if sums is None else (sums[o], count[o])
+                nodes, g, t, n = _best_cuts(xt[f][a], s, c, node, start, width, size, scan)
                 better = g > gain[nodes] + 1e-12
                 nodes = nodes[better]
                 gain[nodes], feat[nodes], thr[nodes], n_left[nodes] = g[better], f, t[better], n[better]
         split = feat != _LEAF
         ids = np.full(k, _LEAF, dtype=np.int32)
-        ids[split] = next_id + 2 * np.arange(split.sum())
-        value = np.where(split, 0.0, np.add.reduceat(ys, start) / size)
-        levels.append((feat, thr, ids, value))
+        ids[split] = next_id + k + 2 * np.arange(split.sum())
+        if sums is None:
+            levels.append((feat, thr, ids, np.where(split, 0.0, np.add.reduceat(ys, start) / size)))
+        else:
+            levels.append((feat, thr, ids))
+            leaf = ~split[node]
+            done.append(o0[leaf])
+            done_leaf.append(next_id + node[leaf])
+        next_id += k
         if not split.any():
-            return levels
-        # a split node's rows move to its children by predict's <= rule
-        went_right = ~(xt.ravel()[feat[node] * len(x) + row[order[0]]] <= thr[node])
-        node_of[order[0]] = (2 * np.cumsum(split) - 2)[node] + went_right  # 2 * rank + side
-        keep = split[node]  # a leaf's rows drop out
+            break
+        # a split node's points move to its children by predict's <= rule
+        went_right = ~(xt.ravel()[feat[node] * len(x) + a0] <= thr[node])
+        node_of[o0] = (2 * np.cumsum(split) - 2)[node] + went_right  # 2 * rank + side
+        keep = split[node]  # a leaf's points drop out
         for i in range(len(order)):
             order[i] = order[i][keep]
         size = np.column_stack((n_left, size - n_left))[split].ravel()
+        width = size if sums is None else np.bincount(node_of[o0[keep]], minlength=len(size))
         tree = np.repeat(tree[split], 2)
+    if sums is None:
+        return levels
+    # the leaf points come in (leaf, feature-0 rank, last position) order; number each
+    # leaf's runs of one rank, and the positions sorted by run are in (leaf, feature-0
+    # rank, position) order
+    done, leaf = np.concatenate(done), np.concatenate(done_leaf)
+    r = ranks[0][at[done]] if p else np.zeros(len(done), dtype=np.int8)
+    new = np.ones(len(done), dtype=bool)
+    new[1:] = (leaf[1:] != leaf[:-1]) | (r[1:] != r[:-1])
+    run = np.empty(len(done), dtype=np.intp)
+    run[done] = np.cumsum(new) - 1
+    run = run[pid]
+    by_run = np.argsort(run.astype(np.min_scalar_type(len(at))), kind="stable")
+    leaf = leaf[new][run[by_run]]
+    head = np.flatnonzero(np.concatenate(([True], leaf[1:] != leaf[:-1])))
+    value = np.zeros(next_id - first_id)
+    copies = np.diff(np.append(head, len(row)))
+    value[leaf[head] - first_id] = np.add.reduceat(y[row[by_run]], head) / copies
+    value = np.split(value, np.cumsum([len(level[0]) for level in levels])[:-1])
+    return [(*level, v) for level, v in zip(levels, value)]
 
 
 def _grow_slots(x, y, boots, min_node_size, next_id):
@@ -283,20 +375,25 @@ def _grow_slots(x, y, boots, min_node_size, next_id):
         a, b = np.column_stack((a[nodes], cut, cut, b[nodes])).reshape(-1, 2).T  # [a, j), [j, b)
 
 
-def _best_cuts(xs, ys, node, start, size, scan):
+def _best_cuts(xs, ys, ns, node, start, width, size, scan):
     """(nodes, gain, threshold, rows left) of each scanned node's first best cut on one
-    feature; `xs`, `ys` are the live positions in this feature's order."""
+    feature; `xs`, `ys` and `ns` (label sums and copy counts, None for one copy each) are
+    the live points in this feature's order."""
     csum = np.cumsum(ys)
     before = np.concatenate(([0.0], csum))[start]  # label sum ahead of each segment
-    total = csum[start + size - 1] - before
+    total = csum[start + width - 1] - before
     ok = (xs[:-1] < xs[1:]) & scan[node[:-1]]
-    ok[(start + size - 1)[:-1]] = False  # a cut never spans two nodes
+    ok[(start + width - 1)[:-1]] = False  # a cut never spans two nodes
     cut = np.flatnonzero(ok)
     c_node = node[cut]
-    n_left = (cut - start[c_node] + 1).astype(float)
+    if ns is None:
+        n_left = (cut - start[c_node] + 1).astype(float)
+    else:
+        nsum = np.cumsum(ns)
+        n_left = nsum[cut] - np.concatenate(([0.0], nsum))[start][c_node]
     s_left = csum[cut] - before[c_node]
     nodes, gain, thr, hit = _first_best(cut, c_node, n_left, s_left, total, size, xs, xs)
-    return nodes, gain, thr, cut[hit] + 1 - start[nodes]
+    return nodes, gain, thr, n_left[hit].astype(np.intp)
 
 
 def _first_best(cut, c_node, n_left, s_left, total, size, last, first):

@@ -179,8 +179,11 @@ def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str
         raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
     q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
     # a column is collinear when its part outside the columns pivoted ahead of it is short
-    # against its own length (R's lm rule), so no other column's units can make it so
-    tol = _RANK_TOL * max(n, p) * np.linalg.norm(design, axis=0)[pivot]
+    # against its own length (R's lm rule), so no other column's units can make it so; the
+    # length is taken on the column over its largest magnitude, whose squares cannot overflow
+    top = np.abs(design).max(axis=0)
+    length = top * np.linalg.norm(design / np.where(top > 0, top, 1.0), axis=0)
+    tol = _RANK_TOL * max(n, p) * length[pivot]
     if collinear := [names[j] for j, d, t in zip(pivot, np.abs(np.diag(r)), tol) if not d > t]:
         raise EstimatorError(f"design matrix is rank deficient; collinear column(s): {collinear}")
     return design, names, (q, r, pivot)

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from nof1twin import forest as forest_module
 from nof1twin import harness
-from nof1twin.core import SeedSpec, assemble_features
+from nof1twin.arco import SimConfig, simulate_dataset
+from nof1twin.cli import DEFAULT_SEED
+from nof1twin.core import LAG_QUARTILE, FeatureSpec, SeedSpec, assemble_features
 from nof1twin.errors import ConfigError
 from nof1twin.forest import _LEAF, FlatForest, build_forest, oob_predictions
 from nof1twin.harness import Method, MethodOptions, StudyConfig, default_study_params, replicate
@@ -196,7 +198,7 @@ def test_tree_batches_do_not_change_the_forest(monkeypatch):
     rng = np.random.default_rng(3)
     x = rng.integers(0, 5, size=(30, 3)).astype(float)
     y = (rng.random(30) < 0.5).astype(float)
-    monkeypatch.setattr(forest_module, "_BATCH_ROWS", 60)  # two trees per batch
+    monkeypatch.setattr(forest_module, "_BATCH_ROWS", 60)  # two or three trees' points per batch
     _assert_same_forest(x, y, 9, 3, 1, SeedSpec(2))
     # feature subsets drawn per batch; tree k's bootstrap has sizes[k % len(sizes)]
     # rows: fewer than n, more, and a short and a long one in the same batch
@@ -219,6 +221,53 @@ def test_subset_draws_reach_twice_the_distinct_rows():
     _assert_same_forest(x, y, 3, 1, 1, SeedSpec(4), identity)
     forest, _ = build_forest(x, y, 3, 1, 1, SeedSpec(4), identity)
     assert len(forest.feature) == 3 * (2 * d - 1) and (forest.feature == _LEAF).sum() == 3 * d
+
+
+def test_a_point_holds_only_its_bagged_labels():
+    # rows 0 and 1 share every feature but not their label, and each tree bags row 1
+    # three times and row 0 never: their point's labels are all 1.0, so the point is
+    # constant, and whether a node holding it draws a feature subset follows from the
+    # labels of its copies alone, as in the reference
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 3, size=(12, 2)).astype(float)
+    x[1] = x[0]
+    y = (rng.random(12) < 0.5).astype(float)
+    y[:2] = 0.0, 1.0
+    sampler = lambda k, rng_, n: np.array([1, 1, 1, *range(2, n)])
+    for seed in range(7):
+        _assert_same_forest(x, y, 2, 1, 1, SeedSpec(seed), sampler)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), p=st.integers(1, 3), node=st.integers(1, 6), seed=st.integers(0, 99))
+def test_distinct_rows_grow_one_point_per_position(data, p, node, seed):
+    # a column of distinct values makes every row distinct (D = n), so each bootstrap
+    # row is its own point, its copies separate points that tie on every feature
+    x, y = data.draw(_labelled_rows(p))
+    x = np.column_stack([x, np.arange(len(x)) / 4])
+    _assert_same_forest(x, y, 7, data.draw(st.integers(1, p + 1)), node, SeedSpec(seed))
+
+
+@pytest.mark.parametrize("distinct, merged", [(30, False), (29, True), (5, True)])
+def test_rows_merge_into_points_only_when_some_repeat(monkeypatch, distinct, merged):
+    x = np.column_stack([np.arange(30) % distinct, np.zeros(30)]).astype(float)
+    groups, grow = [], forest_module._grow
+    monkeypatch.setattr(forest_module, "_grow", lambda *a: groups.append(a[-1]) or grow(*a))
+    build_forest(x, np.arange(30.0), 3, 1, 1, SeedSpec(0))
+    assert groups and all((g is not None) == merged for g in groups)
+
+
+@pytest.mark.parametrize("rows", [0.5, 1.0, 2.0])
+def test_no_features_grow_one_leaf_per_tree(rows):
+    # p = 0: every row is the same point, so each tree is one leaf, the mean of its
+    # bootstrap labels summed in bootstrap order
+    y = np.random.default_rng(1).normal(size=40)
+    sampler = lambda k, rng, n: rng.integers(0, n, size=int(rows * n))
+    forest, inbag = build_forest(np.empty((40, 0)), y, 5, 1, 1, SeedSpec(3), sampler)
+    assert (forest.feature == _LEAF).all() and len(forest.feature) == 5
+    for k, rng in enumerate(SeedSpec(3).children(range(5))):
+        boot = sampler(k, rng, 40)
+        assert forest.value[forest.roots[k]] == np.add.reduceat(y[boot], [0])[0] / len(boot)
 
 
 @pytest.mark.parametrize("boot", [[0, -1, 2], [], [0, 30], [[0, 1]], [0.0, 1.0]],
@@ -286,14 +335,33 @@ def _pinned_forests():
     halves = lambda k, rng, n: rng.integers(0, n, size=n // 2 if k % 2 else 2 * n)
     yield "p1-unequal-boots", (x, (rng.random(80) < 0.4).astype(float), 30, 1, 1, SeedSpec(4),
                                halves, 0)
+    # the --lag-y quartile --lag-x outcome forest of `simulate --m 365` (16 distinct rows
+    # of 364), as `analyze --method motr-rf --n-trees 100` grows it
+    ds = simulate_dataset(arco, prop, SimConfig(m_analysis=365, seed=DEFAULT_SEED))
+    spec = FeatureSpec(True, LAG_QUARTILE, True)
+    yield "quartile-lag", (assemble_features(ds, spec), ds.y[1:].astype(float), 100,
+                           *ForestConfig(n_trees=100).resolve(spec),
+                           SeedSpec(DEFAULT_SEED).child(harness._NS_FOREST_OUTCOME), None,
+                           spec.columns.index("y_lag1_q1"))
 
 
-# a faster grower or out-of-bag path must keep every one of these bytes
+# a faster grower or out-of-bag path must keep every one of these bytes; the
+# quartile-lag forest's 100 trees grow in one batch of points (two batches of 90
+# and 10 trees before trees grew on points), so its node arrays are laid out anew
 _FOREST_DIGESTS = {
     "study-outcome": "d9b2da25502c4a47a7ba9d0ce6c5d1720bd72db2df1f7ae5d336698a518b1487",
     "study-propensity": "378a225d9a182a1d3cda709d10b8414e04c882dc03258a8ce688df5d5b14fb11",
     "p7-mtry2": "7d844338e90c4ca53a1485c1039270e281df8a1418061c8dcfad570754aa7ee3",
     "p1-unequal-boots": "d4cefddae1dbb4bf2df051cc81f98a0cfc78732584536477cc1e0af82b79a550",
+    "quartile-lag": "99be69429092b2bfb0842f2d35af1c3ae294a84d9eee427de24aee4d91be0570",
+}
+# every tree's prediction at _probes(x), which no batch layout moves: pinned to the bit
+_PREDICTION_DIGESTS = {
+    "study-outcome": "e2a278decfef6e799f760b6d2fc8dd1dbbbd00bb4cfd3f7b4e5591bafd38cb63",
+    "study-propensity": "af5eb768d8dd3903417432d0d301aca87f203b14810accfb8bb4fc650d25fd19",
+    "p7-mtry2": "f0eedb86997dc4d6296225faa10ca357132f5254b27fba3ae8369e4fc08f6423",
+    "p1-unequal-boots": "d138cf068fc8de5ea51509d8dfd3c04095c6a198ca6ab963b2226ac971c5c172",
+    "quartile-lag": "41d405c95af18e6386d57bd6efadeeed64a7cbb34d3fdb4dc82c2ba0737183d9",
 }
 # the summed step tables: predict to within rounding (summed_table_tolerance), pinned to the bit
 _STEP_TABLE_DIGESTS = {
@@ -301,6 +369,7 @@ _STEP_TABLE_DIGESTS = {
     "study-propensity": "cced4efe601e94cfb6a623c2b12bbc751c72b8bfb7d51f6016993e5bf8a575c5",
     "p7-mtry2": "7516b66f64eac1a2179cc7c6f68ee406d18bba6cb37b4c546396710ae7c2c346",
     "p1-unequal-boots": "8d372c179d0180262f74f2d470a304b8280db7919c5bb17516921fc716e90201",
+    "quartile-lag": "639f0063e4d29b8a2c875d5ab49e1b43cbf0569dc6e7e4f2b8babca4f609e019",
 }
 
 
@@ -310,6 +379,7 @@ def test_forest_bytes_are_pinned(name):
     forest, inbag = build_forest(x, y, n_trees, mtry, node, seed, sampler)
     assert _growth_digest(forest, inbag, x) == _FOREST_DIGESTS[name]
     assert _step_table_digest(forest, x, col) == _STEP_TABLE_DIGESTS[name]
+    assert _digest(forest.predict_trees(_probes(x))) == _PREDICTION_DIGESTS[name]
 
 
 def _visits(forest, x):
@@ -444,9 +514,11 @@ class TestStepTable:
         assert a in _assert_table_is_predict(forest, f, 1)[0]
 
 
-def _grow_by_positions(x, y, boots, min_node_size, first_id):
-    """The general grower in the slot grower's place."""
-    return forest_module._grow(x[:, None], y, boots, [], 1, min_node_size, first_id)
+def _grow_on_points(x, y, boots, min_node_size, first_id):
+    """The general grower in the slot grower's place, on points: each tree's copies of
+    one value (by its bytes) are one point."""
+    group = np.unique(x.view("V8"), return_inverse=True)[1]
+    return forest_module._grow(x[:, None], y, boots, [], 1, min_node_size, first_id, group)
 
 
 class TestSlotGrower:
@@ -454,11 +526,12 @@ class TestSlotGrower:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99),
-           rows=st.sampled_from([0.5, 1.0, 2.0]), per_batch=st.sampled_from([1, 3, None]))
-    def test_node_arrays_equal_grow(self, data, node, seed, rows, per_batch):
+           rows=st.sampled_from([0.5, 1.0, 2.0]), points=st.sampled_from([1, 40, None]))
+    def test_node_arrays_equal_grow(self, data, node, seed, rows, points):
         # ties, zeros of both signs and the subnormals beside them, infinities, NaN,
         # neighbouring doubles whose midpoint rounds up or overflows; bootstraps of
-        # n/2, n and 2n rows, in batches of one tree, three trees or all seven
+        # n/2, n and 2n rows, in batches of one tree, of at most 40 points (a tree has at
+        # most 15) or of all seven
         values = np.append(_LAGS, [5e-324, -5e-324, np.inf, -np.inf, np.nan])
         n = data.draw(st.integers(20, 60))
         x = values[data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))]
@@ -466,9 +539,9 @@ class TestSlotGrower:
         sampler = lambda k, rng, n_: rng.integers(0, n_, size=int(rows * n_))
         grown = []
         with pytest.MonkeyPatch.context() as mp:
-            if per_batch:
-                mp.setattr(forest_module, "_BATCH_ROWS", per_batch * n)
-            for grower in (forest_module._grow_slots, _grow_by_positions):
+            if points:
+                mp.setattr(forest_module, "_BATCH_ROWS", points)
+            for grower in (forest_module._grow_slots, _grow_on_points):
                 mp.setattr(forest_module, "_grow_slots", grower)
                 forest, inbag = build_forest(x[:, None], y, 7, 1, node, SeedSpec(seed), sampler)
                 grown.append([forest.feature, forest.threshold, forest.left, forest.value,
@@ -484,6 +557,18 @@ class TestSlotGrower:
         identity = lambda k, rng, n: np.arange(n)
         forest, _ = build_forest(x, np.repeat([0.0, 1.0], 6), 1, 1, 1, SeedSpec(0), identity)
         assert forest.threshold[:1].tobytes() == np.array(zeros[-1:]).tobytes()
+
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [0.0, 0.5]], ids=["slots", "points"])
+    @pytest.mark.parametrize("boot, zero", [([0, 1, 0], -0.0), ([1, 0, 1], 0.0)],
+                             ids=["last-minus", "last-plus"])
+    def test_threshold_below_infinity_is_the_zero_of_the_last_copy(self, labels, boot, zero):
+        # the zeros' copies interleave, so the last one in bootstrap order is not the last
+        # copy of the first point: the general grower orders tied points by last copy
+        x = np.array([-0.0, 0.0] + [np.inf] * 6)[:, None]
+        y = np.repeat(labels, [2, 6])
+        sampler = lambda k, rng, n: np.array([*boot, *range(2, n)])
+        forest, _ = build_forest(x, y, 1, 1, 1, SeedSpec(0), sampler)
+        assert forest.threshold[:1].tobytes() == np.array([zero]).tobytes()
 
     @pytest.mark.parametrize("labels, p, slots", [
         ([0.0, 1.0], 1, True),

@@ -21,7 +21,7 @@ from nof1twin.core import (
 )
 from nof1twin.errors import ConfigError, EstimatorError
 from nof1twin.harness import default_study_params
-from nof1twin.models import ForestConfig, fit_forest, fit_glm, glm_from_coefficients
+from nof1twin.models import ForestConfig, _design, fit_forest, fit_glm, glm_from_coefficients
 from nof1twin.motr import MotrConfig, run_motr
 
 W_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
@@ -94,6 +94,17 @@ class TestLinear:
             "x": base["x"] * scale,
             "y_lag1": lag,
         }, rel=1e-9)
+
+    def test_rank_check_holds_for_columns_past_the_square_range(self):
+        # a column's squares overflow past about 1e154, which made every length, and so
+        # every tolerance, infinite: a full-rank design was refused as collinear
+        rng = np.random.default_rng(4)
+        rows = np.column_stack([rng.integers(0, 2, 40), rng.normal(size=(40, 2)) * 1e200])
+        ds, spec = fmatrix(rows, ("x", "w", "v"), rng.normal(size=40))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design, names, _ = _design(assemble_features(ds, spec), spec)
+        assert names == ["intercept", "x", "w", "v"] and design.shape == (40, 4)
 
     @pytest.mark.parametrize("gap", [0.0, 1e-9])
     def test_near_copy_of_a_column_refused(self, gap):
