@@ -18,6 +18,12 @@ feature with labels exactly 0.0 or 1.0 (every default pstn-rf propensity
 forest) grows on slots instead (_grow_slots).  Its label sums are integers
 below 2^53, the same doubles in any order, and it scores the same cuts in the
 same order through _first_best, so its node arrays are _grow's, bit for bit.
+build_forest draws every tree's randomness first (draw_forest) and grows from
+those draws (grow_forest).  When such a forest also has min_node_size 1, no NaN
+feature and bootstraps of at most 2^12 rows (every default pstn-rf propensity
+forest), runs_oob reads its out-of-bag predictions from each tree's label runs,
+without growing it: each leaf's value is one run's label proportion, and a
+border between two runs is always cut, at a threshold set by its two slots.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -55,6 +61,8 @@ _PAIRS = 1 << 14  # (row, tree) pairs per block in predict, a quarter in step_ta
 # points (slots in _grow_slots) grown together: bounds memory; 16-bit sort keys get
 # numpy's radix sort
 _BATCH_ROWS = 1 << 15
+# the largest bootstrap whose every node holding two label runs is sure to split (runs_oob)
+_RUNS_ROWS = 1 << 12
 
 
 @dataclass
@@ -131,6 +139,19 @@ class FlatForest:
         return node, lo, hi
 
 
+@dataclass(frozen=True)
+class Draws:
+    """A forest's random draws over the rows of x, in the stream layout of the
+    determinism contract: each tree's bootstrap positions and its feature subsets
+    (none with mtry == p), the in-bag counts, (trees, rows), and each row's
+    distinct feature row, told apart by bytes."""
+
+    boots: list[np.ndarray]
+    drawn: list[np.ndarray]
+    inbag: np.ndarray
+    group: np.ndarray
+
+
 def build_forest(
     x: np.ndarray,
     y: np.ndarray,
@@ -145,7 +166,14 @@ def build_forest(
     A node is terminal when its size is <= min_node_size, its labels are
     constant, or no sampled feature admits a split.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    draws = draw_forest(x, n_trees, mtry, seed, index_sampler)
+    return grow_forest(x, y, draws, mtry, min_node_size), draws.inbag
+
+
+def draw_forest(x: np.ndarray, n_trees: int, mtry: int, seed: SeedSpec,
+                index_sampler: IndexSampler | None = None) -> Draws:
+    """Every random draw of build_forest's trees over the rows `x`."""
+    x = np.asarray(x, dtype=float)
     n, p = x.shape
     sampler = index_sampler or (lambda k, rng, n_: rng.integers(0, n_, size=n_))
     feats = np.arange(p, dtype=np.min_scalar_type(p))
@@ -168,10 +196,18 @@ def build_forest(
     boots = [b.astype(np.intp) for b in boots]
     inbag = np.repeat(np.arange(n_trees) * n, [len(b) for b in boots]) + np.concatenate(boots)
     inbag = np.bincount(inbag, minlength=n_trees * n).reshape(n_trees, n).astype(np.int32)
+    return Draws(boots, drawn, inbag, group)
+
+
+def grow_forest(x: np.ndarray, y: np.ndarray, draws: Draws, mtry: int, min_node_size: int) -> FlatForest:
+    """The trees of build_forest grown from `draws`, their draws over the rows `x`."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    n, p = x.shape
+    boots, group = draws.boots, draws.group
+    distinct = int(group.max(initial=-1)) + 1
     levels: list[tuple[np.ndarray, ...]] = []
     roots: list[int] = []
-    # 0/1 labels, exactly: every label sum is an integer, so in any order the same double
-    slots = p == 1 and mtry >= 1 and y.tobytes() == (y == 1).astype(float).tobytes()
+    slots = p == 1 and mtry >= 1 and _zero_one(y)
     # a tree's copies of a distinct row grow as one point when rows repeat (D < n)
     points = group if distinct < n else None
     # points (slots) per tree: its positions, or its distinct rows, counted when they can
@@ -183,9 +219,15 @@ def build_forest(
         first = sum(len(level[0]) for level in levels)
         roots += range(first, first + len(boots[trees]))
         levels += (_grow_slots(x[:, 0], y, boots[trees], min_node_size, first) if slots
-                   else _grow(x, y, boots[trees], drawn[trees], mtry, min_node_size, first, points))
+                   else _grow(x, y, boots[trees], draws.drawn[trees], mtry, min_node_size, first, points))
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
-    return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32)), inbag
+    return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32))
+
+
+def _zero_one(y):
+    """Whether every label is exactly 0.0 or 1.0 (no -0.0, no NaN): every label sum is
+    then an integer, in any order the same double."""
+    return y.tobytes() == (y == 1).astype(float).tobytes()
 
 
 def _batches(width):
@@ -420,10 +462,71 @@ def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.
     out-of-bag (row, tree) pairs only.  A row in-bag in every tree (about
     0.632^T of the rows: 63% at T = 1, 1% at T = 10) falls back to the
     all-trees average, so all its pairs descend."""
+    x = np.asarray(x, dtype=float)
+    return _oob_mean(inbag, lambda row, tree: forest.value[forest._descend(x, row, tree)[0]])
+
+
+def _oob_mean(inbag, leaf_value):
+    """The out-of-bag mean over the trees of each training row, from `leaf_value(row,
+    tree)`, the value of the leaf each (row, tree) pair reaches, asked for the pairs
+    that oob_predictions needs."""
     oob = inbag.T == 0
     n_oob = oob.sum(axis=1)
     row, tree = np.nonzero(oob | (n_oob == 0)[:, None])
     per_tree = np.zeros(oob.shape)
-    per_tree[row, tree] = forest.value[forest._descend(np.asarray(x, dtype=float), row, tree)[0]]
+    per_tree[row, tree] = leaf_value(row, tree)
     oob_mean = (per_tree * oob).sum(axis=1) / np.maximum(n_oob, 1)
     return np.where(n_oob > 0, oob_mean, per_tree.mean(axis=1))
+
+
+def runs_oob(x: np.ndarray, y: np.ndarray, draws: Draws, min_node_size: int) -> np.ndarray | None:
+    """oob_predictions of grow_forest(x, y, draws, 1, min_node_size), bit for bit, read
+    from each tree's label runs without growing it; None outside the rule's domain: one
+    feature with no NaN, labels exactly 0.0 or 1.0, min_node_size 1, and bootstraps of
+    at most 2^12 positions.  Such a forest grows on slots (_grow_slots), and a run is a
+    maximal sequence of one tree's adjacent slots with one label proportion.
+
+    (a) Cuts inside a run never change a value: a leaf whose slots share one proportion
+        holds it as total / size, whatever cuts made it, and quotients of equal
+        rationals round to the same double, so it is each of its slots' sum / count.
+    (b) Every node that holds two runs splits.  It is impure, bigger than 1, and its
+        slots have distinct values (finite or +-inf), so every border is a valid cut.
+        If every border left the same proportion on both sides, every slot would have
+        it; so some border's sides have proportions s_l / n_l != s_r / n_r, at least
+        1 / (n_l n_r) apart, and that cut gains n_l n_r / n (s_l / n_l - s_r / n_r)^2 >=
+        1 / (n n_l n_r) >= 4 / N^3 over N bootstrap positions.  For N <= 2^12 that is
+        at least 5.8e-11, above the grower's 1e-12 margin plus the rounding of scores
+        below N (under 4e-12).  Each leaf therefore lies in one run.
+    (c) A border's threshold depends only on its two slots: _first_best puts it at the
+        midpoint of their values, or at the lower one when the midpoint rounds up to
+        (or overflows past) the upper one; neither moves with the sign of a zero.
+    So a row at one of a tree's value ranks reads that slot's sum / count, and a row
+    strictly between two adjacent slots takes the lower one's iff its value is <= their
+    border's threshold: by (b) a border between two runs is cut, and on the same run
+    both sides read the same double by (a).  Below or above every slot, a row reads the
+    nearest one's.  There is no sort, no growth and no descent; trees are read in
+    build_forest's batches, of at most 2^15 (tree, value rank) cells.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (x.shape[1] == 1 and min_node_size == 1 and _zero_one(y) and not np.isnan(x).any()
+            and max(len(b) for b in draws.boots) <= _RUNS_ROWS):
+        return None
+    values, rank = np.unique(x[:, 0], return_inverse=True)  # -0.0 and +0.0 share a rank
+    k, at, tables = len(values), np.arange(len(values)), []
+    for trees in _batches([k] * len(draws.boots)):
+        boots = draws.boots[trees]
+        row = np.concatenate(boots)
+        cell = np.repeat(np.arange(len(boots)) * k, [len(b) for b in boots]) + rank[row]
+        count = np.bincount(cell, minlength=len(boots) * k).reshape(-1, k)
+        total = np.bincount(cell, y[row], len(boots) * k).reshape(-1, k)
+        here = count > 0
+        below = np.maximum.accumulate(np.where(here, at, -1), axis=1)  # nearest slot at or below
+        above = np.minimum.accumulate(np.where(here, at, k)[:, ::-1], axis=1)[:, ::-1]  # at or above
+        lo, hi = values[np.maximum(below, 0)], values[np.minimum(above, k - 1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            mid = (lo + hi) / 2.0
+        left = (above == k) | ((below >= 0) & (values <= np.where(mid < hi, mid, lo)))
+        slot = np.where(left, below, above)
+        tables.append(np.take_along_axis(total / np.maximum(count, 1), slot, axis=1))
+    table = np.concatenate(tables)
+    return _oob_mean(draws.inbag, lambda row, tree: table[tree, rank[row]])

@@ -16,8 +16,9 @@ coefficients it reports, a forest twin from its trees.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg
@@ -26,7 +27,8 @@ from scipy.special import expit
 from .core import (INTERCEPT, LAG_QUARTILE, FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed,
                    assemble_features, validate_finite)
 from .errors import ConfigError, ConvergenceError, EstimatorError
-from .forest import FlatForest, IndexSampler, build_forest, oob_predictions
+from .forest import (FlatForest, IndexSampler, build_forest, draw_forest, grow_forest, oob_predictions,
+                     runs_oob)
 
 # Logit-scale magnitude beyond which a logistic fit is treated as separated.
 SEPARATION_LIMIT = 30.0
@@ -76,10 +78,10 @@ class FittedModel:
     layout (one with the current exposure), an exposure probability on any other.
 
     A GLM twin predicts from the `coefficients` it reports; a forest twin
-    holds its trees in `forest` (None for a GLM).  Outcome models carry their
-    residual scale in `resid_sd`; propensity models leave it None.  Forest
-    propensity models also keep their out-of-bag in-sample probabilities
-    together with `train`, the dataset they were fitted on.
+    (one with a `forest_config`) from the trees in `forest`.  Outcome models
+    carry their residual scale in `resid_sd`; propensity models leave it None.
+    Forest propensity models also keep their out-of-bag in-sample
+    probabilities together with `train`, the dataset they were fitted on.
     """
 
     spec: FeatureSpec
@@ -90,7 +92,14 @@ class FittedModel:
     forest_config: ForestConfig | None = None
     insample_prob: np.ndarray | None = field(default=None, compare=False)
     train: TimeSeriesDataset | None = field(default=None, repr=False, compare=False)
-    forest: FlatForest | None = field(default=None, repr=False, compare=False)
+    trees: FlatForest | Callable[[], FlatForest] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def forest(self) -> FlatForest | None:
+        """A forest twin's trees (None for a GLM): `trees`, or what it grows the first time
+        they are read when it is a grower (a propensity forest whose out-of-bag
+        propensities came from its label runs)."""
+        return self.trees() if callable(self.trees) else self.trees
 
     @property
     def is_outcome(self) -> bool:
@@ -99,14 +108,14 @@ class FittedModel:
     @property
     def kind(self) -> str:
         """'forest' for a forest twin, else 'linear' on an outcome layout, 'logistic' on any other."""
-        if self.forest is not None:
+        if self.forest_config is not None:
             return "forest"
         return "linear" if self.is_outcome else "logistic"
 
     def predict(self, f: np.ndarray) -> np.ndarray:
         """Mean outcome or exposure probability for rows laid out as in the fit: the trees'
         average, or the GLM's split sum (through the logistic link on a propensity layout)."""
-        if self.forest is not None:
+        if self.forest_config is not None:
             return self.forest.predict(f)
         eta = self.split(np.atleast_2d(np.asarray(f, dtype=float)))[0]
         return eta if self.is_outcome else expit(eta)
@@ -214,8 +223,9 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     beta, se = np.empty(p), np.empty(p)
     beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ labels)
     resid = labels - design @ beta
-    ssr = float(resid @ resid)
-    resid_sd = math.sqrt(max(ssr, 0.0) / (n - p))
+    e = int(np.frexp(np.abs(resid).max())[1])
+    resid = np.ldexp(resid, -e)  # exact, max |r| in [0.5, 1): the sum of squares cannot overflow
+    resid_sd = math.ldexp(math.sqrt(float(resid @ resid) / (n - p)), e)
     r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
     se[pivot] = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
     return FittedModel(
@@ -304,26 +314,27 @@ def fit_forest(
     resid_sd comes from its out-of-bag training residuals and divides by n
     (no parameter count is available for a forest).  A propensity forest
     keeps its out-of-bag in-sample propensities with `train`, the dataset of
-    the fit.
+    the fit.  Where forest.runs_oob reads them from the trees' label runs (one
+    feature, no NaN, min_node_size 1, bootstraps of at most 2^12 rows: every
+    default pstn-rf twin), its trees grow from the same draws only when
+    `forest` is first read, such as by predict on new rows.
     """
     values, labels = _rows(ds, spec)
     if len(values) < 5:
         raise EstimatorError(f"forest fit needs at least 5 rows, got {len(values)}")
     mtry, node = cfg.resolve(spec)
-    forest, inbag = build_forest(values, labels, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
-    oob = oob_predictions(forest, inbag, values)
-    if not spec.include_current_exposure:
+    if spec.include_current_exposure:
+        forest, inbag = build_forest(values, labels, cfg.n_trees, mtry, node, cfg.seed, index_sampler)
+        resid = labels - oob_predictions(forest, inbag, values)
         return FittedModel(
             spec=spec,
+            resid_sd=float(np.sqrt(np.mean(resid * resid))),
             forest_config=cfg,
-            insample_prob=oob,
-            train=ds,
-            forest=forest,
+            trees=forest,
         )
-    resid = labels - oob
-    return FittedModel(
-        spec=spec,
-        resid_sd=float(np.sqrt(np.mean(resid * resid))),
-        forest_config=cfg,
-        forest=forest,
-    )
+    draws = draw_forest(values, cfg.n_trees, mtry, cfg.seed, index_sampler)
+    trees = partial(grow_forest, values, labels, draws, mtry, node)
+    if (oob := runs_oob(values, labels, draws, node)) is None:
+        trees = trees()
+        oob = oob_predictions(trees, draws.inbag, values)
+    return FittedModel(spec=spec, forest_config=cfg, insample_prob=oob, train=ds, trees=trees)

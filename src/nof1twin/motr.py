@@ -304,7 +304,10 @@ def run_motr(ds: TimeSeriesDataset, model: FittedModel, cfg: MotrConfig) -> Apte
 
     n = done if stop is None else stop
     delta, lo, hi = cum[:, n - 1].tolist()
-    mc_se = float(np.std(per_run[0, :n], ddof=1) / math.sqrt(n)) if n >= 2 else None
+    mc_se = None
+    if n >= 2:  # the deltas scaled by a power of two as in arm_contrast: exact, and no square overflows
+        e = int(np.frexp(np.abs(per_run[0, :n]).max())[1])
+        mc_se = math.ldexp(float(np.std(np.ldexp(per_run[0, :n], -e), ddof=1)), e) / math.sqrt(n)
     return ApteEstimate(
         delta=delta,
         ci=(lo, hi),

@@ -588,3 +588,67 @@ class TestSlotGrower:
                             lambda *args: calls.append(args) or grow_slots(*args))
         build_forest(x, y, 3, p, 1, SeedSpec(0))
         assert bool(calls) == slots
+
+
+class TestRunsRule:
+    """A default propensity forest's out-of-bag propensities, read from its label runs,
+    are those of the grown forest, bit for bit."""
+
+    @staticmethod
+    def _grown_oob(x, y, draws):
+        forest = forest_module.grow_forest(x, y, draws, 1, 1)
+        return reference_oob_predictions(forest, draws.inbag, x)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 99), n_trees=st.integers(1, 24),
+           rows=st.sampled_from([0.5, 1.0, 2.0]), grid=st.booleans(), nan=st.booleans())
+    def test_equals_the_grown_forest(self, data, seed, n_trees, rows, grid, nan):
+        # ties, zeros of both signs, subnormals, infinities, 1.7e308 and neighbouring
+        # doubles whose midpoint rounds up or overflows, or a 0.1 grid; bootstraps of
+        # n/2, n and 2n rows; a NaN feature is outside the rule's domain
+        values = (np.arange(-5, 6) * 0.1 if grid else
+                  np.append(_LAGS, [5e-324, -5e-324, 1e-323, np.inf, -np.inf, 1.7e308]))
+        n = data.draw(st.integers(20, 60))
+        x = values[data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))]
+        if nan:
+            x[data.draw(st.integers(0, n - 1))] = np.nan
+        x = x[:, None]
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
+        sampler = lambda k, rng, n_: rng.integers(0, n_, size=int(rows * n_))
+        draws = forest_module.draw_forest(x, n_trees, 1, SeedSpec(seed), sampler)
+        oob = forest_module.runs_oob(x, y, draws, 1)
+        if nan:
+            assert oob is None
+        else:
+            assert oob.tobytes() == self._grown_oob(x, y, draws).tobytes()
+
+    @pytest.mark.parametrize("case", ["p=2", "node=2", "real", "negative-zero", "nan-label"])
+    def test_outside_the_domain_reads_nothing(self, case):
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 5, size=(30, 2 if case == "p=2" else 1)).astype(float)
+        y = np.resize([0.0, 1.0], 30)
+        y[0] = {"real": 0.5, "negative-zero": -0.0, "nan-label": np.nan}.get(case, y[0])
+        draws = forest_module.draw_forest(x, 3, 1, SeedSpec(0))
+        assert forest_module.runs_oob(x, y, draws, 2 if case == "node=2" else 1) is None
+
+    def test_bootstraps_past_the_size_guard_read_nothing(self, monkeypatch):
+        # two values: 8001 rows with 8000 ones, 8000 rows with 7999; the only cut gains
+        # 1 / (16001 * 8001 * 8000), under the grower's 1e-12 margin, so the root stays a
+        # leaf although its two slots hold two runs
+        x = np.repeat([0.0, 1.0], [8001, 8000])[:, None]
+        y = np.repeat([1.0, 0.0, 1.0, 0.0], [8000, 1, 7999, 1])
+        identity = lambda k, rng, n: np.arange(n)
+        draws = forest_module.draw_forest(x, 1, 1, SeedSpec(0), identity)
+        assert forest_module.runs_oob(x, y, draws, 1) is None
+        monkeypatch.setattr(forest_module, "_RUNS_ROWS", len(x))
+        assert not np.array_equal(forest_module.runs_oob(x, y, draws, 1), self._grown_oob(x, y, draws))
+        small = forest_module.draw_forest(x[:4096], 2, 1, SeedSpec(0))  # at the guard: read
+        assert forest_module.runs_oob(x[:4096], y[:4096], small, 1) is not None
+
+    def test_study_propensity_forest(self):
+        x, y, n_trees, mtry, node, seed, _, _ = dict(_pinned_forests())["study-propensity"]
+        draws = forest_module.draw_forest(x, n_trees, mtry, seed)
+        forest, inbag = build_forest(x, y, n_trees, mtry, node, seed)
+        assert np.array_equal(draws.inbag, inbag)
+        oob = forest_module.runs_oob(x, y, draws, node)
+        assert oob.tobytes() == oob_predictions(forest, inbag, x).tobytes()

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -19,11 +20,16 @@ from nof1twin.core import (
     TimeSeriesDataset,
     assemble_features,
 )
+from nof1twin import cli, models
+from nof1twin import forest as forest_module
 from nof1twin.errors import ConfigError, EstimatorError
-from nof1twin.harness import default_study_params
+from nof1twin.forest import build_forest, oob_predictions
+from nof1twin.harness import MethodOptions, default_study_params
 from nof1twin.models import ForestConfig, _design, fit_forest, fit_glm, glm_from_coefficients
 from nof1twin.motr import MotrConfig, run_motr
+from nof1twin.pstn import PstnConfig, run_pstn
 
+PSTN_SPEC = MethodOptions().propensity_spec
 W_SPEC = FeatureSpec(include_current_exposure=False, outcome_lag_mode=LAG_NONE, exog_names=("w",))
 
 
@@ -377,6 +383,72 @@ class TestForestPropensity:
         alltrees = model.predict(w[:, None])
         leak_alltrees = abs(alltrees[x == 1].mean() - alltrees[x == 0].mean())
         assert leak_alltrees > leak
+
+
+class TestLazyPropensityForest:
+    """A default propensity forest reads its out-of-bag propensities from its label runs
+    and grows its trees, from the draws of the fit, only when `forest` is read."""
+
+    @staticmethod
+    def _count_growth(monkeypatch):
+        calls = []
+        for owner, name in ((models, "build_forest"), (models, "grow_forest"),
+                            (forest_module, "_grow_slots"), (forest_module, "_grow")):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
+        return calls
+
+    @staticmethod
+    def _restless_sampler():
+        """A sampler that gives other rows on every call, and the rows it gave."""
+        given, calls = [], iter(range(10**6))
+
+        def sampler(k, rng, n):
+            given.append(np.random.default_rng(next(calls)).integers(0, n, size=n))
+            return given[-1]
+        return sampler, given
+
+    def test_dump_model_grows_no_tree(self, tmp_path, monkeypatch):
+        data, model = tmp_path / "sim.csv", tmp_path / "model.json"
+        assert cli.main(["simulate", "-o", str(data)]) == 0
+        calls = self._count_growth(monkeypatch)
+        assert cli.main(["analyze", "--data", str(data), "--method", "pstn-rf", "--n-trees", "20",
+                         "--dump-model", str(model), "-o", str(tmp_path / "out.json")]) == 0
+        assert calls == []
+        assert json.loads(model.read_text())["kind"] == "forest"
+
+    @pytest.mark.parametrize("restless", [False, True], ids=["default", "restless-sampler"])
+    def test_forest_is_grown_from_the_draws_of_the_fit(self, study_h1, monkeypatch, restless):
+        spec, cfg = PSTN_SPEC, ForestConfig(n_trees=30, seed=SeedSpec(5))
+        sampler, given = self._restless_sampler() if restless else (None, None)
+        calls = self._count_growth(monkeypatch)
+        model = fit_forest(study_h1, spec, cfg, index_sampler=sampler)
+        assert calls == []
+        forest = model.forest
+        assert calls and model.forest is forest
+        values, labels = assemble_features(study_h1, spec), study_h1.x[spec.needs_lag:].astype(float)
+        replay = (lambda k, rng, n: given[k]) if restless else None
+        ref, inbag = build_forest(values, labels, 30, *cfg.resolve(spec), cfg.seed, replay)
+        for a in ("feature", "threshold", "left", "value", "roots"):
+            assert getattr(forest, a).tobytes() == getattr(ref, a).tobytes()
+        assert model.insample_prob.tobytes() == oob_predictions(ref, inbag, values).tobytes()
+
+    @pytest.mark.parametrize("restless", [False, True], ids=["default", "restless-sampler"])
+    def test_new_rows_as_an_eagerly_grown_twin(self, study_h1, monkeypatch, restless):
+        other = simulate_dataset(*default_study_params(), SimConfig(m_analysis=100, seed=SeedSpec(2)))
+        cfg = ForestConfig(n_trees=30, seed=SeedSpec(5))
+        sampler = lambda: self._restless_sampler()[0] if restless else None
+        calls = self._count_growth(monkeypatch)
+        lazy = fit_forest(study_h1, PSTN_SPEC, cfg, index_sampler=sampler())
+        assert calls == []
+        monkeypatch.setattr(models, "runs_oob", lambda *args: None)  # grown at once
+        eager = fit_forest(study_h1, PSTN_SPEC, cfg, index_sampler=sampler())
+        assert calls and not callable(eager.trees)
+        rows = assemble_features(other, PSTN_SPEC)
+        assert lazy.predict(rows).tobytes() == eager.predict(rows).tobytes()
+        assert run_pstn(other, lazy, PstnConfig()) == run_pstn(other, eager, PstnConfig())
+        assert lazy.insample_prob.tobytes() == eager.insample_prob.tobytes()
 
 
 class TestForestInvariance:
