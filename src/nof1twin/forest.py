@@ -13,17 +13,14 @@ ranks of its values (-0.0 and +0.0 share one), then stably by node at the
 start of every level, so each node's points stay sorted per feature with ties
 in the order of their last bootstrap rows.  Node sizes and split label sums
 run over points (copy counts and point label sums); a leaf sums its bootstrap
-rows' labels in feature 0's order, ties in bootstrap order.  A forest over one
-feature with labels exactly 0.0 or 1.0 (every default pstn-rf propensity
-forest) grows on slots instead (_grow_slots).  Its label sums are integers
-below 2^53, the same doubles in any order, and it scores the same cuts in the
-same order through _first_best, so its node arrays are _grow's, bit for bit.
-build_forest draws every tree's randomness first (draw_forest) and grows from
-those draws (grow_forest).  When such a forest also has min_node_size 1, no NaN
-feature and bootstraps of at most 2^12 rows (every default pstn-rf propensity
-forest), runs_oob reads its out-of-bag predictions from each tree's label runs,
-without growing it: each leaf's value is one run's label proportion, and a
-border between two runs is always cut, at a threshold set by its two slots.
+rows' labels in feature 0's order, ties in bootstrap order.  build_forest
+draws every tree's randomness first (draw_forest) and grows from those draws
+(grow_forest).  When a forest has one feature with no NaN, labels exactly 0.0
+or 1.0, min_node_size 1 and bootstraps of at most 2^12 rows (every default
+pstn-rf propensity forest), runs_oob reads its out-of-bag predictions from each
+tree's label runs, without growing it: each leaf's value is one run's label
+proportion, and a border between two runs is always cut, at a threshold set by
+the two values beside it.
 
 Determinism contract: tree k draws from the sub-stream seed.child(k); its
 first draws are the n bootstrap row positions (`integers(0, n, n)` applied to
@@ -50,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SeedSpec
-from .errors import ConfigError
+from .errors import ConfigError, EstimatorError
 
 # Sampler signature: (tree_index, rng, n_rows) -> integer row positions.  The
 # rng is valid only during the call: the next tree reuses it.
@@ -58,11 +55,11 @@ IndexSampler = Callable[[int, np.random.Generator, int], np.ndarray]
 
 _LEAF = -1
 _PAIRS = 1 << 14  # (row, tree) pairs per block in predict, a quarter in step_table: bounds memory
-# points (slots in _grow_slots) grown together: bounds memory; 16-bit sort keys get
-# numpy's radix sort
+# points grown together: bounds memory; 16-bit sort keys get numpy's radix sort
 _BATCH_ROWS = 1 << 15
 # the largest bootstrap whose every node holding two label runs is sure to split (runs_oob)
 _RUNS_ROWS = 1 << 12
+_SQRT_MAX = np.sqrt(np.finfo(float).max)
 
 
 @dataclass
@@ -202,24 +199,29 @@ def draw_forest(x: np.ndarray, n_trees: int, mtry: int, seed: SeedSpec,
 def grow_forest(x: np.ndarray, y: np.ndarray, draws: Draws, mtry: int, min_node_size: int) -> FlatForest:
     """The trees of build_forest grown from `draws`, their draws over the rows `x`."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    n, p = x.shape
+    n = len(x)
     boots, group = draws.boots, draws.group
     distinct = int(group.max(initial=-1)) + 1
+    if not np.isfinite(y).all():
+        raise ConfigError("forest labels must be finite")
+    # over bootstraps of at most N rows a cut's score S_l^2/n_l + S_r^2/n_r is at most
+    # 2 (N max|y|)^2, and a squared out-of-bag residual at most (2 max|y|)^2: both finite
+    # when 2 N max|y| is at most the square root of the largest double
+    if 2.0 * max(map(len, boots)) * (top := float(np.abs(y).max())) > _SQRT_MAX:
+        raise EstimatorError(f"labels up to {top:.3g} in size overflow the forest's split scores")
     levels: list[tuple[np.ndarray, ...]] = []
     roots: list[int] = []
-    slots = p == 1 and mtry >= 1 and _zero_one(y)
     # a tree's copies of a distinct row grow as one point when rows repeat (D < n)
     points = group if distinct < n else None
-    # points (slots) per tree: its positions, or its distinct rows, counted when they can
-    # split the forest into batches
+    # points per tree: its positions, or its distinct rows, counted when they can split
+    # the forest into batches
     width = [len(b) for b in boots]
-    if (slots or points is not None) and sum(width) > _BATCH_ROWS:
+    if points is not None and sum(width) > _BATCH_ROWS:
         width = [np.count_nonzero(np.bincount(group[b], minlength=distinct)) for b in boots]
     for trees in _batches(width):
         first = sum(len(level[0]) for level in levels)
         roots += range(first, first + len(boots[trees]))
-        levels += (_grow_slots(x[:, 0], y, boots[trees], min_node_size, first) if slots
-                   else _grow(x, y, boots[trees], draws.drawn[trees], mtry, min_node_size, first, points))
+        levels += _grow(x, y, boots[trees], draws.drawn[trees], mtry, min_node_size, first, points)
     feature, threshold, left, value = map(np.concatenate, zip(*levels))
     return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32))
 
@@ -231,8 +233,8 @@ def _zero_one(y):
 
 
 def _batches(width):
-    """Slices of consecutive trees whose `width`s (points or slots) sum to at most
-    _BATCH_ROWS, or of one wider tree."""
+    """Slices of consecutive trees whose `width`s sum to at most _BATCH_ROWS, or of
+    one wider tree."""
     lo, total = 0, 0
     for k, w in enumerate(width):
         if total + w > _BATCH_ROWS and k > lo:
@@ -378,55 +380,19 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
     return [(*level, v) for level, v in zip(levels, value)]
 
 
-def _grow_slots(x, y, boots, min_node_size, next_id):
-    """_grow for one feature `x` and 0/1 labels, on slots: the runs of one tree's
-    positions that share a value rank, in the order _grow starts from.  A node is a
-    slot range [a, b) and splits at a slot boundary into [a, j) and [j, b).  Its
-    size and label sum are differences of two prefix sums; a cut between slots
-    reads the values at their first and last positions (-0.0 and +0.0 share a rank)."""
-    row, ranks = np.concatenate(boots), np.unique(x, return_inverse=True)[1]
-    tree = np.repeat(np.arange(len(boots)), [len(b) for b in boots])
-    key = (tree * (ranks.max() + 1) + ranks[row]).astype(np.min_scalar_type(len(boots) * len(x)))
-    order = np.argsort(key, kind="stable")
-    head = np.flatnonzero(np.concatenate(([True], key[order[1:]] != key[order[:-1]])))
-    count = np.append(head, len(row))  # count[s]: positions ahead of slot s
-    xs, label = x[row[order]], np.concatenate(([0.0], np.cumsum(y[row[order]])))[count]
-    first, last = xs[head], xs[count[1:] - 1]
-    valid = last[:-1] < first[1:]  # cut c between slots c and c + 1, as _best_cuts' xs[i] < xs[i + 1]
-    a = np.searchsorted(tree[order[head]], np.arange(len(boots)))
-    b, count, levels = np.append(a[1:], len(head)), count.astype(float), []
-    while True:
-        k, size, total = len(a), count[b] - count[a], label[b] - label[a]
-        cand = np.flatnonzero((size > min_node_size) & (total > 0) & (total < size))
-        width = (b - a - 1)[cand]
-        cut = np.repeat(a[cand] - np.cumsum(width) + width, width) + np.arange(width.sum())
-        c_node = np.repeat(cand, width)
-        cut, c_node = cut[ok := valid[cut]], c_node[ok]
-        at, up = a[c_node], cut + 1
-        nodes, gain, thr, hit = _first_best(cut, c_node, count[up] - count[at],
-                                            label[up] - label[at], total, size, last, first)
-        nodes, thr, cut = nodes[better := gain > 1e-12], thr[better], cut[hit[better]] + 1
-        (feat, ids), thresh = np.full((2, k), _LEAF, dtype=np.int32), np.zeros(k)
-        next_id += k
-        feat[nodes], thresh[nodes], ids[nodes] = 0, thr, next_id + 2 * np.arange(len(nodes))
-        value = total / size
-        value[nodes] = 0.0
-        levels.append((feat, thresh, ids, value))
-        if not nodes.size:
-            return levels
-        a, b = np.column_stack((a[nodes], cut, cut, b[nodes])).reshape(-1, 2).T  # [a, j), [j, b)
-
-
 def _best_cuts(xs, ys, ns, node, start, width, size, scan):
     """(nodes, gain, threshold, rows left) of each scanned node's first best cut on one
     feature; `xs`, `ys` and `ns` (label sums and copy counts, None for one copy each) are
-    the live points in this feature's order."""
+    the live points in this feature's order.  A cut between xs[i] and xs[i + 1] gains
+    sum(S_c^2/n_c) - S^2/n."""
     csum = np.cumsum(ys)
     before = np.concatenate(([0.0], csum))[start]  # label sum ahead of each segment
     total = csum[start + width - 1] - before
     ok = (xs[:-1] < xs[1:]) & scan[node[:-1]]
     ok[(start + width - 1)[:-1]] = False  # a cut never spans two nodes
     cut = np.flatnonzero(ok)
+    if cut.size == 0:
+        return cut, np.zeros(0), np.zeros(0), cut
     c_node = node[cut]
     if ns is None:
         n_left = (cut - start[c_node] + 1).astype(float)
@@ -434,27 +400,17 @@ def _best_cuts(xs, ys, ns, node, start, width, size, scan):
         nsum = np.cumsum(ns)
         n_left = nsum[cut] - np.concatenate(([0.0], nsum))[start][c_node]
     s_left = csum[cut] - before[c_node]
-    nodes, gain, thr, hit = _first_best(cut, c_node, n_left, s_left, total, size, xs, xs)
-    return nodes, gain, thr, n_left[hit].astype(np.intp)
-
-
-def _first_best(cut, c_node, n_left, s_left, total, size, last, first):
-    """(nodes, gain, threshold, index into cut) of each node's first best cut.  Cut c
-    (ascending, grouped by c_node) leaves n_left rows with label sum s_left below
-    it, between values last[c] and first[c + 1]; the gain is sum(S_c^2/n_c) - S^2/n."""
-    if cut.size == 0:
-        return cut, np.zeros(0), np.zeros(0), cut
     score = s_left**2 / n_left + (total[c_node] - s_left) ** 2 / (size[c_node] - n_left)
     head = np.flatnonzero(np.concatenate(([True], c_node[1:] != c_node[:-1])))
     top = np.repeat(np.maximum.reduceat(score, head), np.diff(np.append(head, len(cut))))
     hit = np.flatnonzero(score == top)
     hit = hit[np.concatenate(([True], c_node[hit[1:]] != c_node[hit[:-1]]))]  # first per node
-    nodes, lo, hi = c_node[hit], last[cut[hit]], first[cut[hit] + 1]
+    nodes, lo, hi = c_node[hit], xs[cut[hit]], xs[cut[hit] + 1]
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
     # a midpoint that rounds up to (or overflows past) the value above would send every row left
     gain = score[hit] - total[nodes] * total[nodes] / size[nodes]
-    return nodes, gain, np.where(mid < hi, mid, lo), hit
+    return nodes, gain, np.where(mid < hi, mid, lo), n_left[hit].astype(np.intp)
 
 
 def oob_predictions(forest: FlatForest, inbag: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -483,8 +439,11 @@ def runs_oob(x: np.ndarray, y: np.ndarray, draws: Draws, min_node_size: int) -> 
     """oob_predictions of grow_forest(x, y, draws, 1, min_node_size), bit for bit, read
     from each tree's label runs without growing it; None outside the rule's domain: one
     feature with no NaN, labels exactly 0.0 or 1.0, min_node_size 1, and bootstraps of
-    at most 2^12 positions.  Such a forest grows on slots (_grow_slots), and a run is a
-    maximal sequence of one tree's adjacent slots with one label proportion.
+    at most 2^12 positions.  A slot is one tree's (value rank) cell: its positions at one
+    value rank, -0.0 and +0.0 sharing one.  _grow cuts such a forest's nodes only between
+    slots (_best_cuts' xs[i] < xs[i + 1]), and its label sums are integers below 2^53,
+    the same doubles in any order.  A run is a maximal sequence of one tree's adjacent
+    slots with one label proportion.
 
     (a) Cuts inside a run never change a value: a leaf whose slots share one proportion
         holds it as total / size, whatever cuts made it, and quotients of equal
@@ -497,7 +456,7 @@ def runs_oob(x: np.ndarray, y: np.ndarray, draws: Draws, min_node_size: int) -> 
         1 / (n n_l n_r) >= 4 / N^3 over N bootstrap positions.  For N <= 2^12 that is
         at least 5.8e-11, above the grower's 1e-12 margin plus the rounding of scores
         below N (under 4e-12).  Each leaf therefore lies in one run.
-    (c) A border's threshold depends only on its two slots: _first_best puts it at the
+    (c) A border's threshold depends only on its two slots: _best_cuts puts it at the
         midpoint of their values, or at the lower one when the midpoint rounds up to
         (or overflows past) the upper one; neither moves with the sign of a zero.
     So a row at one of a tree's value ranks reads that slot's sum / count, and a row
@@ -505,7 +464,7 @@ def runs_oob(x: np.ndarray, y: np.ndarray, draws: Draws, min_node_size: int) -> 
     border's threshold: by (b) a border between two runs is cut, and on the same run
     both sides read the same double by (a).  Below or above every slot, a row reads the
     nearest one's.  There is no sort, no growth and no descent; trees are read in
-    build_forest's batches, of at most 2^15 (tree, value rank) cells.
+    batches of at most 2^15 (tree, value rank) cells.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if not (x.shape[1] == 1 and min_node_size == 1 and _zero_one(y) and not np.isnan(x).any()

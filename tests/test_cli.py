@@ -518,23 +518,38 @@ class TestExitCodes:
         assert "overflows the float range" in err and "Warning" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("method", ["coef", "motr-glm"])
-    def test_outcomes_past_the_square_range(self, tmp_path, method):
-        # squares of residuals or of MoTR run deltas near 1e200 overflow unless scaled first
+    @staticmethod
+    def _big_csv(tmp_path):
+        """A simulated 40-period series with its outcomes times 1e200."""
         src, path = tmp_path / "sim.csv", tmp_path / "big.csv"
-        out, model = tmp_path / "out.json", tmp_path / "model.json"
         assert run(["simulate", "--m", "40", "-o", str(src)]) == 0
         lines = [line for line in src.read_text().splitlines() if not line.startswith("#")]
         rows = [line.split(",") for line in lines[1:]]
         path.write_text("\n".join([lines[0], *(f"{t},{float(y) * 1e200!r},{x}" for t, y, x in rows)]) + "\n")
-        assert run(["analyze", "--data", str(path), "--method", method, "-o", str(out),
-                    "--dump-model", str(model)]) == 0
+        return path
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["coef", "motr-glm"])
+    def test_outcomes_past_the_square_range(self, tmp_path, method):
+        # squares of residuals or of MoTR run deltas near 1e200 overflow unless scaled first
+        out, model = tmp_path / "out.json", tmp_path / "model.json"
+        assert run(["analyze", "--data", str(self._big_csv(tmp_path)), "--method", method,
+                    "-o", str(out), "--dump-model", str(model)]) == 0
         resid_sd = json.loads(model.read_text())["resid_sd"]
         assert np.isfinite(resid_sd) and resid_sd > 1e190
         if method == "motr-glm":
             mc_se = json.loads(out.read_text())["result"]["mc_se"]
             assert np.isfinite(mc_se) and mc_se > 1e190
+
+    @pytest.mark.filterwarnings("error")
+    def test_forest_outcomes_past_the_square_range(self, tmp_path, capsys):
+        # a forest's split scores square sums of outcomes near 1e200: refused before growth
+        out = tmp_path / "out.json"
+        assert run(["analyze", "--data", str(self._big_csv(tmp_path)), "--method", "motr-rf",
+                    "--n-trees", "20", "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "overflow the forest's split scores" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_non_contiguous_periods(self, tmp_path):
         path = tmp_path / "gap.csv"

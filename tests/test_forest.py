@@ -280,6 +280,19 @@ def test_bootstraps_outside_the_rows_are_refused(boot):
         build_forest(x, y, 3, 1, 1, SeedSpec(0), sampler)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("seed", range(6))
+def test_labels_that_are_not_finite_are_refused(seed, bad):
+    # a non-finite label would reach every later cut of its level through the level's
+    # prefix sum, so no cut there could score its node's best
+    x = np.random.default_rng(0).integers(0, 4, (30, 3)).astype(float)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=30)
+    y[rng.choice(30, 2, replace=False)] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        build_forest(x, y, 5, 1, 1, SeedSpec(0))
+
+
 def test_study_forest_estimates_are_pinned():
     # motr-rf and pstn-rf on the first two study datasets (m = 220, 100 trees,
     # seed 1); a forest that drifts by a single bit moves these values
@@ -514,51 +527,64 @@ class TestStepTable:
         assert a in _assert_table_is_predict(forest, f, 1)[0]
 
 
-def _grow_on_points(x, y, boots, min_node_size, first_id):
-    """The general grower in the slot grower's place, on points: each tree's copies of
-    one value (by its bytes) are one point."""
-    group = np.unique(x.view("V8"), return_inverse=True)[1]
-    return forest_module._grow(x[:, None], y, boots, [], 1, min_node_size, first_id, group)
+def _breadth_first(forest):
+    """`forest` numbered as reference_build_forest numbers its nodes: tree by tree, each
+    breadth-first."""
+    order = []
+    for root in forest.roots:
+        queue = [root]
+        for node in queue:
+            if forest.feature[node] != _LEAF:
+                queue += [forest.left[node], forest.left[node] + 1]
+        order += queue
+    order = np.array(order, dtype=np.intp)
+    new_id = np.empty(len(order), dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    split = forest.feature[order] != _LEAF
+    left = np.where(split, new_id[forest.left[order]], _LEAF).astype(np.int32)
+    return FlatForest(forest.feature[order], forest.threshold[order], left, forest.value[order],
+                      new_id[forest.roots])
 
 
-class TestSlotGrower:
-    """A forest over one feature with 0/1 labels grows on slots; its bytes are _grow's."""
+class TestOneFeatureEdgeValues:
+    """A forest over one feature with 0/1 labels, on values where a cut, a tie or a
+    threshold is easy to get wrong, is the reference's, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), node=st.integers(1, 6), seed=st.integers(0, 99),
-           rows=st.sampled_from([0.5, 1.0, 2.0]), points=st.sampled_from([1, 40, None]))
-    def test_node_arrays_equal_grow(self, data, node, seed, rows, points):
+           rows=st.sampled_from([0.5, 1.0, 2.0]), points=st.sampled_from([40, None]))
+    def test_node_arrays_equal_reference(self, data, node, seed, rows, points):
         # ties, zeros of both signs and the subnormals beside them, infinities, NaN,
         # neighbouring doubles whose midpoint rounds up or overflows; bootstraps of
-        # n/2, n and 2n rows, in batches of one tree, of at most 40 points (a tree has at
-        # most 15) or of all seven
+        # n/2, n and 2n rows, in batches of at most 40 points (a tree has at most 15)
+        # or of all seven
         values = np.append(_LAGS, [5e-324, -5e-324, np.inf, -np.inf, np.nan])
         n = data.draw(st.integers(20, 60))
         x = values[data.draw(st.lists(st.integers(0, len(values) - 1), min_size=n, max_size=n))]
         y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=float)
         sampler = lambda k, rng, n_: rng.integers(0, n_, size=int(rows * n_))
-        grown = []
         with pytest.MonkeyPatch.context() as mp:
             if points:
                 mp.setattr(forest_module, "_BATCH_ROWS", points)
-            for grower in (forest_module._grow_slots, _grow_on_points):
-                mp.setattr(forest_module, "_grow_slots", grower)
-                forest, inbag = build_forest(x[:, None], y, 7, 1, node, SeedSpec(seed), sampler)
-                grown.append([forest.feature, forest.threshold, forest.left, forest.value,
-                              forest.roots, inbag])
-        for new, ref in zip(*grown):
-            assert new.dtype == ref.dtype and new.tobytes() == ref.tobytes()
+            forest, inbag = build_forest(x[:, None], y, 7, 1, node, SeedSpec(seed), sampler)
+        with np.errstate(over="ignore"):
+            ref, ref_inbag = reference_build_forest(x[:, None], y, 7, 1, node, SeedSpec(seed), sampler)
+        forest = _breadth_first(forest)
+        for new, old in zip((forest.feature, forest.threshold, forest.left, forest.value,
+                             forest.roots, inbag),
+                            (ref.feature, ref.threshold, ref.left, ref.value, ref.roots, ref_inbag)):
+            assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("zeros", [[-0.0, 0.0], [0.0, -0.0]], ids=["last-plus", "last-minus"])
     def test_threshold_below_infinity_is_the_zero_at_the_last_position(self, zeros):
         # (0 + inf) / 2 is no midpoint, so the threshold falls back to the lower
-        # value, read at the last position of the zeros' slot as _best_cuts reads it
+        # value, read at the last of the tied zeros as _best_cuts reads it
         x = np.array(zeros * 3 + [np.inf] * 6)[:, None]
         identity = lambda k, rng, n: np.arange(n)
         forest, _ = build_forest(x, np.repeat([0.0, 1.0], 6), 1, 1, 1, SeedSpec(0), identity)
         assert forest.threshold[:1].tobytes() == np.array(zeros[-1:]).tobytes()
 
-    @pytest.mark.parametrize("labels", [[0.0, 1.0], [0.0, 0.5]], ids=["slots", "points"])
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], [0.0, 0.5]], ids=["0/1", "real"])
     @pytest.mark.parametrize("boot, zero", [([0, 1, 0], -0.0), ([1, 0, 1], 0.0)],
                              ids=["last-minus", "last-plus"])
     def test_threshold_below_infinity_is_the_zero_of_the_last_copy(self, labels, boot, zero):
@@ -569,25 +595,6 @@ class TestSlotGrower:
         sampler = lambda k, rng, n: np.array([*boot, *range(2, n)])
         forest, _ = build_forest(x, y, 1, 1, 1, SeedSpec(0), sampler)
         assert forest.threshold[:1].tobytes() == np.array([zero]).tobytes()
-
-    @pytest.mark.parametrize("labels, p, slots", [
-        ([0.0, 1.0], 1, True),
-        ([0.0, 1.0], 2, False),
-        ([0.0, 1.0, 0.5], 1, False),
-        ([0.0, 2.0], 1, False),
-        ([0.0, 1.0, -0.0], 1, False),  # a leaf of -0.0 labels sums to -0.0 in _grow
-        ([0.0, 1.0, np.nan], 1, False),
-    ], ids=["0/1", "p=2", "real", "0/2", "negative-zero", "nan"])
-    def test_only_one_feature_and_0_1_labels_take_slots(self, monkeypatch, labels, p, slots):
-        rng = np.random.default_rng(1)
-        x = rng.integers(0, 5, size=(30, p)).astype(float)
-        y = np.resize(np.array(labels), 30)
-        calls = []
-        grow_slots = forest_module._grow_slots
-        monkeypatch.setattr(forest_module, "_grow_slots",
-                            lambda *args: calls.append(args) or grow_slots(*args))
-        build_forest(x, y, 3, p, 1, SeedSpec(0))
-        assert bool(calls) == slots
 
 
 class TestRunsRule:

@@ -392,8 +392,7 @@ class TestLazyPropensityForest:
     @staticmethod
     def _count_growth(monkeypatch):
         calls = []
-        for owner, name in ((models, "build_forest"), (models, "grow_forest"),
-                            (forest_module, "_grow_slots"), (forest_module, "_grow")):
+        for owner, name in ((models, "build_forest"), (models, "grow_forest"), (forest_module, "_grow")):
             fn = getattr(owner, name)
             monkeypatch.setattr(owner, name,
                                 lambda *a, _fn=fn, _n=name, **k: calls.append(_n) or _fn(*a, **k))
