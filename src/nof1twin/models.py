@@ -21,14 +21,13 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-import scipy.linalg
 from scipy.special import expit
 
 from .core import (INTERCEPT, LAG_QUARTILE, FeatureSpec, SeedSpec, TimeSeriesDataset, as_seed,
                    assemble_features, validate_finite)
 from .errors import ConfigError, ConvergenceError, EstimatorError
-from .forest import (FlatForest, IndexSampler, build_forest, draw_forest, grow_forest, oob_predictions,
-                     runs_oob)
+from .forest import (_SQRT_MAX, FlatForest, IndexSampler, build_forest, draw_forest, grow_forest,
+                     oob_predictions, runs_oob)
 
 # Logit-scale magnitude beyond which a logistic fit is treated as separated.
 SEPARATION_LIMIT = 30.0
@@ -186,6 +185,8 @@ def _design(values: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, list[str
     n, p = design.shape
     if n < p + 1:
         raise EstimatorError(f"need at least {p + 1} rows to fit {p} coefficients, got {n}")
+    import scipy.linalg  # here, not at the top: a process that fits no GLM never loads it (6 MB)
+
     q, r, pivot = scipy.linalg.qr(design, mode="economic", pivoting=True)
     # a column is collinear when its part outside the columns pivoted ahead of it is short
     # against its own length (R's lm rule), so no other column's units can make it so; the
@@ -213,12 +214,14 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     values, labels = _rows(ds, spec)
     design, names, (q, r, pivot) = _design(values, spec)
     if not spec.include_current_exposure:
-        beta, separated = _irls(design, labels)
+        beta, separated = _irls(design, labels, names)
         return FittedModel(
             spec=spec,
             coefficients=dict(zip(names, beta.tolist())),
             separation_warning=separated,
         )
+    import scipy.linalg  # loaded by _design
+
     n, p = design.shape
     beta, se = np.empty(p), np.empty(p)
     beta[pivot] = scipy.linalg.solve_triangular(r, q.T @ labels)
@@ -236,8 +239,19 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     )
 
 
-def _irls(design: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Logistic coefficients of the exposures `x` on `design`, and whether the fit separated."""
+def _irls(design: np.ndarray, x: np.ndarray, names: list[str]) -> tuple[np.ndarray, bool]:
+    """Logistic coefficients of the exposures `x` on `design` (columns `names`), and whether
+    the fit separated."""
+    # with weights w <= 1/4, an entry of the weighted normal equations is at most
+    # n max|d_j| max|d_k| / 4, and a score entry at most n max|d_j|: all finite when every
+    # column's max|d_j| is at most 2 sqrt(largest double / n)
+    top = np.abs(design).max(axis=0)
+    k = int(np.argmax(top))
+    if top[k] > 2.0 * _SQRT_MAX / math.sqrt(len(design)):
+        raise EstimatorError(
+            f"column {names[k]!r} up to {top[k]:.3g} in size overflows the logistic fit's "
+            "weighted normal equations"
+        )
     beta = np.zeros(design.shape[1])
     eta, trace = design @ beta, []
     for _ in range(_IRLS_MAX_ITER):

@@ -519,13 +519,13 @@ class TestExitCodes:
         assert not out.exists()
 
     @staticmethod
-    def _big_csv(tmp_path):
-        """A simulated 40-period series with its outcomes times 1e200."""
+    def _big_csv(tmp_path, m=40, scale=1e200):
+        """A simulated m-period series with its outcomes times `scale`."""
         src, path = tmp_path / "sim.csv", tmp_path / "big.csv"
-        assert run(["simulate", "--m", "40", "-o", str(src)]) == 0
+        assert run(["simulate", "--m", str(m), "-o", str(src)]) == 0
         lines = [line for line in src.read_text().splitlines() if not line.startswith("#")]
         rows = [line.split(",") for line in lines[1:]]
-        path.write_text("\n".join([lines[0], *(f"{t},{float(y) * 1e200!r},{x}" for t, y, x in rows)]) + "\n")
+        path.write_text("\n".join([lines[0], *(f"{t},{float(y) * scale!r},{x}" for t, y, x in rows)]) + "\n")
         return path
 
     @pytest.mark.filterwarnings("error")
@@ -542,14 +542,27 @@ class TestExitCodes:
             assert np.isfinite(mc_se) and mc_se > 1e190
 
     @pytest.mark.filterwarnings("error")
-    def test_forest_outcomes_past_the_square_range(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method, message", [
         # a forest's split scores square sums of outcomes near 1e200: refused before growth
+        (["motr-rf", "--n-trees", "20"], "overflow the forest's split scores"),
+        # so do the IRLS normal equations, on the lagged outcome: refused before the first step
+        (["pstn-glm"], "'y_lag1' up to 1.51e+201 in size overflows the logistic fit's weighted"),
+    ], ids=["motr-rf", "pstn-glm"])
+    def test_refused_outcomes_past_the_square_range(self, tmp_path, capsys, method, message):
         out = tmp_path / "out.json"
-        assert run(["analyze", "--data", str(self._big_csv(tmp_path)), "--method", "motr-rf",
-                    "--n-trees", "20", "-o", str(out)]) == 4
+        assert run(["analyze", "--data", str(self._big_csv(tmp_path)), "--method", *method,
+                    "-o", str(out)]) == 4
         err = capsys.readouterr().err
-        assert "overflow the forest's split scores" in err and "Warning" not in err
+        assert message in err and "Warning" not in err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_logistic_fit_within_the_square_range(self, tmp_path):
+        # lagged outcomes near 1e151 over 59 rows keep the IRLS normal equations finite
+        out = tmp_path / "out.json"
+        assert run(["analyze", "--data", str(self._big_csv(tmp_path, m=60, scale=1e150)),
+                    "--method", "pstn-glm", "-o", str(out)]) == 0
+        assert np.isfinite(json.loads(out.read_text())["result"]["delta"])
 
     def test_non_contiguous_periods(self, tmp_path):
         path = tmp_path / "gap.csv"
@@ -717,15 +730,31 @@ class TestExitCodes:
         assert "# betaX=0.5" in out.read_text().splitlines()
 
 
-def test_cli_import_skips_scipy_stats_and_signal():
-    code = (
-        "import sys, nof1twin.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))"
-    )
+# commands that fit no GLM, then one that does: scipy.linalg loads on the first GLM fit only
+_FOREST_ONLY_THEN_COEF = """
+import sys
+from nof1twin.cli import main
+codes = [main(argv.split()) for argv in (
+    "simulate --m 40 -o sim.csv",
+    "analyze --data sim.csv --method motr-rf --n-trees 10 -o motr.json",
+    "analyze --data sim.csv --method pstn-rf --n-trees 10 -o pstn.json",
+    "replicate --h-datasets 2 --m 40 --methods raw,motr-rf,pstn-rf --n-trees 10 -o rep",
+)]
+print(codes, "scipy.linalg" in sys.modules)
+print(main("analyze --data sim.csv --method coef -o coef.json".split()), "scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import sys, nof1twin.cli; "
+     "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.signal'))))", "[]"),
+    (_FOREST_ONLY_THEN_COEF, "[0, 0, 0, 0] False\n0 True"),
+], ids=["import", "forest-only-runs"])
+def test_cli_loads_only_the_scipy_modules_it_uses(tmp_path, code, expected):
     # pytest's own pythonpath setting does not reach a child process
     root = str(Path(nof1twin.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env=env)
-    assert out.stdout.strip() == "[]"
+                         env=env, cwd=tmp_path)
+    assert out.stdout.strip() == expected
