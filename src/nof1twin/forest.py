@@ -12,8 +12,8 @@ within each batch.  Each feature's order is sorted once by tree and the dense
 ranks of its values (-0.0 and +0.0 share one), then stably by node at the
 start of every level, so each node's points stay sorted per feature with ties
 in the order of their last bootstrap rows.  Node sizes and split label sums
-run over points (copy counts and point label sums); a leaf sums its bootstrap
-rows' labels in feature 0's order, ties in bootstrap order.  build_forest
+run over points (copy counts and point label sums); a leaf's value is its
+bootstrap labels added in bootstrap order, over its copy count.  build_forest
 draws every tree's randomness first (draw_forest) and grows from those draws
 (grow_forest).  When a forest has one feature with no NaN, labels exactly 0.0
 or 1.0, min_node_size 1 and bootstraps of at most 2^12 rows (every default
@@ -209,7 +209,7 @@ def grow_forest(x: np.ndarray, y: np.ndarray, draws: Draws, mtry: int, min_node_
     # when 2 N max|y| is at most the square root of the largest double
     if 2.0 * max(map(len, boots)) * (top := float(np.abs(y).max())) > _SQRT_MAX:
         raise EstimatorError(f"labels up to {top:.3g} in size overflow the forest's split scores")
-    levels: list[tuple[np.ndarray, ...]] = []
+    batches: list[tuple[np.ndarray, ...]] = []
     roots: list[int] = []
     # a tree's copies of a distinct row grow as one point when rows repeat (D < n)
     points = group if distinct < n else None
@@ -219,10 +219,10 @@ def grow_forest(x: np.ndarray, y: np.ndarray, draws: Draws, mtry: int, min_node_
     if points is not None and sum(width) > _BATCH_ROWS:
         width = [np.count_nonzero(np.bincount(group[b], minlength=distinct)) for b in boots]
     for trees in _batches(width):
-        first = sum(len(level[0]) for level in levels)
+        first = sum(len(batch[0]) for batch in batches)
         roots += range(first, first + len(boots[trees]))
-        levels += _grow(x, y, boots[trees], draws.drawn[trees], mtry, min_node_size, first, points)
-    feature, threshold, left, value = map(np.concatenate, zip(*levels))
+        batches.append(_grow(x, y, boots[trees], draws.drawn[trees], mtry, min_node_size, first, points))
+    feature, threshold, left, value = map(np.concatenate, zip(*batches))
     return FlatForest(feature, threshold, left, value, np.array(roots, dtype=np.int32))
 
 
@@ -268,14 +268,15 @@ def _points(y, row, tree, group):
     by_last = np.argsort(last)
     pid = np.empty(len(row), dtype=np.intp)
     pid[by_key] = np.repeat(np.argsort(by_last), count)
-    ys = y[row[by_key]]
-    sums, low, high = (f.reduceat(ys, head)[by_last] for f in (np.add, np.minimum, np.maximum))
+    labels = y[row[by_key]]
+    sums, low, high = (f.reduceat(labels, head)[by_last] for f in (np.add, np.minimum, np.maximum))
     high = low if np.array_equal(low, high) else high
     return pid, last[by_last], sums, count[by_last].astype(float), low, high
 
 
 def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
-    """Grow a batch of trees level by level on points; returns each level's node arrays.
+    """Grow a batch of trees level by level on points; returns its node arrays
+    (feature, threshold, left, value), level-major, numbered from first_id.
 
     A point is one tree's bootstrap copies of one distinct feature row (`group`
     numbers the rows; without it each position is a point, its labels read
@@ -285,23 +286,24 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
     points' last positions, so a run of ties ends at the value of its last
     position; the segments are alike in every order: each level begins by stably
     re-sorting every order by node_of.  Node sizes and cut label sums are sums
-    over points.  A leaf sums its bootstrap labels in feature 0's order, ties in
-    bootstrap order: per level when points are positions, else in one pass once
-    the batch has grown.  With mtry < p, drawn[t] holds tree t's feature subsets
-    in stream order, and cursor[t] is its next unread row of their concatenation.
+    over points.  leaf_of holds each point's node as of the last level it was
+    live, its leaf's once it drops out; a leaf's value is its bootstrap labels
+    added in bootstrap order, over its copy count.  With mtry < p, drawn[t] holds
+    tree t's feature subsets in stream order, and cursor[t] is its next unread
+    row of their concatenation.
     """
     row, xt = np.concatenate(boots), np.ascontiguousarray(x.T)
-    p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], first_id
+    p, tree, levels, next_id = x.shape[1], np.arange(len(boots)), [], 0
     size = np.array([len(b) for b in boots])  # bootstrap rows per node
     node_of = np.repeat(tree, size)
     if group is None:
-        at, width, sums, low, high = row, size, None, None, None
+        pid, at, width, sums, low, high = np.arange(len(row)), row, size, None, None, None
     else:
         pid, last, sums, count, low, high = _points(y, row, node_of, group)
         at, node_of = row[last], node_of[last]  # each point's feature row and tree
         width = np.bincount(node_of, minlength=len(boots))  # points per node
-        done, done_leaf = [], []  # each level's leaf points, and their leaves' ids
     node_of = node_of.astype(np.min_scalar_type(-len(at)))
+    leaf_of = np.empty(len(at), dtype=np.intp)
     ranks = [np.unique(c, return_inverse=True)[1].astype(np.min_scalar_type(len(x))) for c in x.T]
     order = [np.argsort(r[at], kind="stable") for r in ranks] or [np.arange(len(at))]
     if mtry < p:
@@ -314,10 +316,10 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
         node = np.repeat(np.arange(k), width)  # every live node holds a point
         o0 = order[0]
         a0 = at[o0]
-        ys = y[a0] if sums is None else low[o0]
+        bottom = y[a0] if sums is None else low[o0]
+        top = bottom if high is low else high[o0]
         cand = size > min_node_size
-        top = ys if high is low else high[o0]
-        cand &= np.minimum.reduceat(ys, start) < np.maximum.reduceat(top, start)
+        cand &= np.minimum.reduceat(bottom, start) < np.maximum.reduceat(top, start)
         subset = np.ones((k, p), dtype=bool)
         if mtry < p:  # each candidate takes its tree's next subset, in node order
             per_tree = np.bincount(tree[cand], minlength=len(boots))
@@ -338,14 +340,9 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
                 gain[nodes], feat[nodes], thr[nodes], n_left[nodes] = g[better], f, t[better], n[better]
         split = feat != _LEAF
         ids = np.full(k, _LEAF, dtype=np.int32)
-        ids[split] = next_id + k + 2 * np.arange(split.sum())
-        if sums is None:
-            levels.append((feat, thr, ids, np.where(split, 0.0, np.add.reduceat(ys, start) / size)))
-        else:
-            levels.append((feat, thr, ids))
-            leaf = ~split[node]
-            done.append(o0[leaf])
-            done_leaf.append(next_id + node[leaf])
+        ids[split] = first_id + next_id + k + 2 * np.arange(split.sum())
+        levels.append((feat, thr, ids, size))
+        leaf_of[o0] = next_id + node
         next_id += k
         if not split.any():
             break
@@ -358,26 +355,8 @@ def _grow(x, y, boots, drawn, mtry, min_node_size, first_id, group):
         size = np.column_stack((n_left, size - n_left))[split].ravel()
         width = size if sums is None else np.bincount(node_of[o0[keep]], minlength=len(size))
         tree = np.repeat(tree[split], 2)
-    if sums is None:
-        return levels
-    # the leaf points come in (leaf, feature-0 rank, last position) order; number each
-    # leaf's runs of one rank, and the positions sorted by run are in (leaf, feature-0
-    # rank, position) order
-    done, leaf = np.concatenate(done), np.concatenate(done_leaf)
-    r = ranks[0][at[done]] if p else np.zeros(len(done), dtype=np.int8)
-    new = np.ones(len(done), dtype=bool)
-    new[1:] = (leaf[1:] != leaf[:-1]) | (r[1:] != r[:-1])
-    run = np.empty(len(done), dtype=np.intp)
-    run[done] = np.cumsum(new) - 1
-    run = run[pid]
-    by_run = np.argsort(run.astype(np.min_scalar_type(len(at))), kind="stable")
-    leaf = leaf[new][run[by_run]]
-    head = np.flatnonzero(np.concatenate(([True], leaf[1:] != leaf[:-1])))
-    value = np.zeros(next_id - first_id)
-    copies = np.diff(np.append(head, len(row)))
-    value[leaf[head] - first_id] = np.add.reduceat(y[row[by_run]], head) / copies
-    value = np.split(value, np.cumsum([len(level[0]) for level in levels])[:-1])
-    return [(*level, v) for level, v in zip(levels, value)]
+    feat, thr, left, size = map(np.concatenate, zip(*levels))
+    return feat, thr, left, np.bincount(leaf_of[pid], y[row], next_id) / size
 
 
 def _best_cuts(xs, ys, ns, node, start, width, size, scan):

@@ -229,7 +229,9 @@ def fit_glm(ds: TimeSeriesDataset, spec: FeatureSpec) -> FittedModel:
     e = int(np.frexp(np.abs(resid).max())[1])
     resid = np.ldexp(resid, -e)  # exact, max |r| in [0.5, 1): the sum of squares cannot overflow
     resid_sd = math.ldexp(math.sqrt(float(resid @ resid) / (n - p)), e)
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(p))
+    r_inv, info = scipy.linalg.lapack.dtrtri(r, lower=0)  # a solve against I is level 3: BLAS threads it
+    if info:
+        raise EstimatorError(f"the design's R factor cannot be inverted (LAPACK dtrtri info {info})")
     se[pivot] = resid_sd * np.sqrt((r_inv * r_inv).sum(axis=1))
     return FittedModel(
         spec=spec,

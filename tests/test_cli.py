@@ -470,7 +470,7 @@ class TestPinnedOutputs:
         ("pstn-glm", "238d4d9944875e4a1115bebd9096fb3602508776843b9b4b12efef721ed808c3",
          "1.475916421813217"),
         ("motr-rf", "ad87d25635de4831124408358d34d0b21f853fe31fab5203102390b7c6d268bf",
-         "0.8289170567924466"),
+         "0.8289170567924502"),
         ("pstn-rf", "35b7289c8735294539cbb93d5fb12bc037536a008f69c466525ab32f0a9e099d",
          "-8.950496622458337"),
     ])

@@ -69,10 +69,7 @@ def reference_build_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampl
         while queue:
             node_id, rows = queue.popleft()
             y_node = yb[rows]
-            # a leaf sums its labels in feature-0 order, ties in bootstrap order, with
-            # np.add.reduceat as the grower does
-            by_x0 = y_node[np.argsort(xb[rows, 0], kind="stable")]
-            mean = np.add.reduceat(by_x0, [0])[0] / len(rows)
+            mean = np.cumsum(y_node)[-1] / len(rows)  # labels added in bootstrap order
             if len(rows) <= min_node_size or y_node.min() == y_node.max():
                 value[node_id] = float(mean)
                 continue
@@ -125,7 +122,7 @@ def _assert_same_forest(x, y, n_trees, mtry, min_node_size, seed, index_sampler=
 @st.composite
 def _labelled_rows(draw, p):
     """Rows whose features tie often, zeros of both signs among them, with 0/1
-    or real labels.  Real labels make a leaf's value depend on the order in
+    or real labels.  Real labels make a cut's label sums depend on the order in
     which its tied rows are summed.  Samples have more than 16 rows, the size up
     to which numpy's quicksort uses an insertion sort, which keeps ties in order."""
     n = draw(st.integers(20, 60))
@@ -258,16 +255,21 @@ def test_rows_merge_into_points_only_when_some_repeat(monkeypatch, distinct, mer
 
 
 @pytest.mark.parametrize("rows", [0.5, 1.0, 2.0])
-def test_no_features_grow_one_leaf_per_tree(rows):
-    # p = 0: every row is the same point, so each tree is one leaf, the mean of its
-    # bootstrap labels summed in bootstrap order
-    y = np.random.default_rng(1).normal(size=40)
+@pytest.mark.parametrize("layout", ["no-features", "distinct-rows", "repeated-rows"])
+def test_a_leaf_adds_its_labels_in_bootstrap_order(layout, rows):
+    # min_node_size above every bootstrap makes each tree one leaf, grown on positions
+    # (distinct rows) or on points (repeated rows or no features): either way its value
+    # is its bootstrap labels added one by one in bootstrap order, over the copy count
+    rng = np.random.default_rng(1)
+    y = rng.normal(size=40)
+    x = {"no-features": np.empty((40, 0)), "distinct-rows": rng.normal(size=(40, 2)),
+         "repeated-rows": rng.integers(0, 3, (40, 2)).astype(float)}[layout]
     sampler = lambda k, rng, n: rng.integers(0, n, size=int(rows * n))
-    forest, inbag = build_forest(np.empty((40, 0)), y, 5, 1, 1, SeedSpec(3), sampler)
+    forest, inbag = build_forest(x, y, 5, x.shape[1], 100, SeedSpec(3), sampler)
     assert (forest.feature == _LEAF).all() and len(forest.feature) == 5
     for k, rng in enumerate(SeedSpec(3).children(range(5))):
         boot = sampler(k, rng, 40)
-        assert forest.value[forest.roots[k]] == np.add.reduceat(y[boot], [0])[0] / len(boot)
+        assert forest.value[forest.roots[k]] == np.cumsum(y[boot])[-1] / len(boot)
 
 
 @pytest.mark.parametrize("boot", [[0, -1, 2], [], [0, 30], [[0, 1]], [0.0, 1.0]],
@@ -301,9 +303,9 @@ def test_study_forest_estimates_are_pinned():
                         methods=(Method.MOTR_RF, Method.PSTN_RF), seed=1,
                         options=MethodOptions(forest=ForestConfig(n_trees=100)))
     assert {(r.h, r.method.label): repr(r.estimate) for r in replicate(study).rows} == {
-        (1, "motr-rf"): "0.8914793932824744",
+        (1, "motr-rf"): "0.8914793932824706",
         (1, "pstn-rf"): "2.7049951381029977",
-        (2, "motr-rf"): "0.7872666357775716",
+        (2, "motr-rf"): "0.7872666357775755",
         (2, "pstn-rf"): "-6.037596929883488",
     }
 
@@ -362,27 +364,27 @@ def _pinned_forests():
 # quartile-lag forest's 100 trees grow in one batch of points (two batches of 90
 # and 10 trees before trees grew on points), so its node arrays are laid out anew
 _FOREST_DIGESTS = {
-    "study-outcome": "d9b2da25502c4a47a7ba9d0ce6c5d1720bd72db2df1f7ae5d336698a518b1487",
+    "study-outcome": "d9e4168c04f67a004e59ac20eb5477e346daca8da852dfe200b9c529c776dbab",
     "study-propensity": "378a225d9a182a1d3cda709d10b8414e04c882dc03258a8ce688df5d5b14fb11",
-    "p7-mtry2": "7d844338e90c4ca53a1485c1039270e281df8a1418061c8dcfad570754aa7ee3",
+    "p7-mtry2": "ff177c5f3c9427e6eaea8f4e17fb1ed08a1b77a4a2db3ca8345df74d3158d769",
     "p1-unequal-boots": "d4cefddae1dbb4bf2df051cc81f98a0cfc78732584536477cc1e0af82b79a550",
-    "quartile-lag": "99be69429092b2bfb0842f2d35af1c3ae294a84d9eee427de24aee4d91be0570",
+    "quartile-lag": "5ecebf957e7c0c9782c600ccc7f0802ded5b6caa87ca45a623527c34c83ed5d8",
 }
 # every tree's prediction at _probes(x), which no batch layout moves: pinned to the bit
 _PREDICTION_DIGESTS = {
-    "study-outcome": "e2a278decfef6e799f760b6d2fc8dd1dbbbd00bb4cfd3f7b4e5591bafd38cb63",
+    "study-outcome": "5940c875a146eaf51a764af5ff61b95722eebd94f66ad546ddc9b4541b9af05a",
     "study-propensity": "af5eb768d8dd3903417432d0d301aca87f203b14810accfb8bb4fc650d25fd19",
-    "p7-mtry2": "f0eedb86997dc4d6296225faa10ca357132f5254b27fba3ae8369e4fc08f6423",
+    "p7-mtry2": "09e784bfc55a9f2bff4a42f93a27fdafa5ba16a8840b1b15ceda65a2941952fb",
     "p1-unequal-boots": "d138cf068fc8de5ea51509d8dfd3c04095c6a198ca6ab963b2226ac971c5c172",
-    "quartile-lag": "41d405c95af18e6386d57bd6efadeeed64a7cbb34d3fdb4dc82c2ba0737183d9",
+    "quartile-lag": "9be375bac18bb16123db0c5c393a720d26bdfee610f1f826c48e375d6b1d8ee6",
 }
 # the summed step tables: predict to within rounding (summed_table_tolerance), pinned to the bit
 _STEP_TABLE_DIGESTS = {
-    "study-outcome": "870db30f8f55727dd63b09d83f3b8b07b01ff0001b55b62f8d75296e06b717ee",
+    "study-outcome": "203f2c0ecc1540ae91dde48a8f6f79074388389b77635b8f2d1c475198a5c67a",
     "study-propensity": "cced4efe601e94cfb6a623c2b12bbc751c72b8bfb7d51f6016993e5bf8a575c5",
-    "p7-mtry2": "7516b66f64eac1a2179cc7c6f68ee406d18bba6cb37b4c546396710ae7c2c346",
+    "p7-mtry2": "2a7f47d6095a6efc1c1d349292a5c6910b5ff9f984d32d9ddbdf91314bc99b59",
     "p1-unequal-boots": "8d372c179d0180262f74f2d470a304b8280db7919c5bb17516921fc716e90201",
-    "quartile-lag": "639f0063e4d29b8a2c875d5ab49e1b43cbf0569dc6e7e4f2b8babca4f609e019",
+    "quartile-lag": "0db779662fafb2d87b92968f45a5678563edd0ef7969d2d7d0b9b67683c6287f",
 }
 
 

@@ -99,8 +99,9 @@ class TestReplicate:
         assert two.rows == three.rows[: len(two.rows)]
 
     def test_workers_do_not_change_the_report(self):
-        # motr-glm and pstn-rf draw from per-dataset seed sub-streams
-        study = small_study(methods=(Method.RAW, Method.COEF, Method.MOTR_GLM, Method.PSTN_RF))
+        # motr-glm, motr-rf and pstn-rf draw from per-dataset seed sub-streams
+        study = small_study(methods=(Method.RAW, Method.COEF, Method.MOTR_GLM, Method.MOTR_RF,
+                                     Method.PSTN_RF))
         a = replicate(study)
         b = replicate(replace(study, workers=2))
         assert {row.method for row in a.rows if row.error is None} == set(study.methods)
